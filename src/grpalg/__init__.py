@@ -1,7 +1,7 @@
 """Exact Wedderburn decomposition of semisimple metabelian group algebras.
 
 Core entry points:
-  field.make_field(p, a)        -- F_{p^a} plus its extension tower
+  field.make_field(p, a)        -- F_{p^a} plus its cyclotomic traces
   groups.metacyclic_group / d1_group / d2_group / parse_cayley
   idempotents.decompose(G, F)   -- generic engine
   metacyclic.metacyclic_decompose(params, F)  -- parameter-driven fast path

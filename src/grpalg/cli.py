@@ -38,9 +38,6 @@ from .idempotents import decompose
 from .metacyclic import metacyclic_decompose, params_of
 from .oracle import center_split, q_class_count
 
-DEFAULT_SEED = 1729
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="grpalg",
@@ -77,8 +74,6 @@ def _field_flags(p):
 def _common_flags(p):
     p.add_argument("--out", metavar="PATH", help="write the report here as well")
     p.add_argument("--emit-idempotents", action="store_true")
-    p.add_argument("--cap", type=int, default=512, help="subgroup-count cap")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def make_group(args):

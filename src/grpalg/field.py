@@ -1,21 +1,26 @@
-"""Exact arithmetic in F_q and its extensions F_{q^s}.
+"""Exact arithmetic in a base field F_q, polynomials over it, and the
+cyclotomic traces the idempotents need.
 
 Base fields F_q (q = p^a) represent elements as integer indices 0..q-1;
 index i encodes the coefficient vector (c_0, ..., c_{a-1}) with
 i = sum c_k p^k, so the constant c embeds as the index c.  Scalar
 arithmetic goes through precomputed q x q tables (both plain lists for
 scalar lookups and numpy arrays for vectorized use by the group-algebra
-layer).  Extensions F_{q^s} represent elements as length-s tuples of base
-indices and do schoolbook polynomial arithmetic modulo a deterministic
-lex-least irreducible.
+layer).  For a >= 2 the modulus is the lex-least irreducible of degree a
+over F_p, and the product table comes from discrete-log tables of a
+generator of F_q^*.
+
+No extension field F_{q^s} is ever built.  The idempotents only need the
+traces tr(zeta^k) of a primitive n-th root of unity zeta, and those lie in
+F_q: they are the power sums of the roots of one irreducible factor of the
+cyclotomic polynomial Phi_n over F_q (FieldTower.cyclotomic_traces).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -249,40 +254,62 @@ class BaseField:
         if q > MAX_BASE_ORDER:
             raise ValueError(f"base field order {q} exceeds cap {MAX_BASE_ORDER}")
         self.p, self.a, self.q = p, a, q
-        self.order = q
-        self.degree = a
         self.zero, self.one = 0, 1
         if a == 1:
             self.modulus = None
-            add = [[(i + j) % p for j in range(p)] for i in range(p)]
-            mul = [[(i * j) % p for j in range(p)] for i in range(p)]
+            i = np.arange(p, dtype=np.int32)  # products reach p^2 > 2^15
+            self.add_np = ((i[:, None] + i[None, :]) % p).astype(np.int16)
+            self.mul_np = ((i[:, None] * i[None, :]) % p).astype(np.int16)
         else:
             prime = BaseField(p, 1)
             self.modulus = lex_least_irreducible(prime, a)
-            tuples = [self._index_to_coeffs_raw(i) for i in range(q)]
-            polys = [poly_trim(list(t)) for t in tuples]
-            add = [[0] * q for _ in range(q)]
-            mul = [[0] * q for _ in range(q)]
-            mod = list(self.modulus)
-            for i in range(q):
-                for j in range(i, q):
-                    s = self._coeffs_to_index(poly_add(prime, polys[i], polys[j]))
-                    add[i][j] = add[j][i] = s
-                    m = self._coeffs_to_index(
-                        poly_mod(prime, poly_mul(prime, polys[i], polys[j]), mod))
-                    mul[i][j] = mul[j][i] = m
-        self.add_t, self.mul_t = add, mul
+            self.add_np, self.mul_np = self._prime_power_tables(prime)
+        self.add_t, self.mul_t = self.add_np.tolist(), self.mul_np.tolist()
         self.neg_t = [0] * q
         for i in range(q):
-            row = add[i]
+            row = self.add_t[i]
             self.neg_t[i] = row.index(0)
         self.inv_t = [0] * q
         for i in range(1, q):
             self.inv_t[i] = self.mul_t[i].index(1)
-        self.add_np = np.array(add, dtype=np.int16)
-        self.mul_np = np.array(mul, dtype=np.int16)
         self.neg_np = np.array(self.neg_t, dtype=np.int16)
         self.inv_np = np.array(self.inv_t, dtype=np.int16)
+
+    def _prime_power_tables(self, prime):
+        """int16 add and mul tables of F_{p^a}, a >= 2, in O(q) Python work:
+        add digit by digit, mul as exp[(log i + log j) mod (q - 1)] with
+        row and column 0 zeroed.  Every intermediate stays q x q int16
+        (q <= MAX_BASE_ORDER keeps 2(q - 2) below 2^15)."""
+        p, q = self.p, self.q
+        idx = np.arange(q, dtype=np.int16)
+        add = np.zeros((q, q), dtype=np.int16)
+        for k in range(self.a):
+            digit = idx // p ** k % p
+            add += (digit[:, None] + digit[None, :]) % p * p ** k
+        exp = self._generator_powers(prime)
+        log = np.zeros(q, dtype=np.int16)
+        log[exp] = np.arange(q - 1, dtype=np.int16)
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        return add, mul
+
+    def _generator_powers(self, prime):
+        """g^0, ..., g^{q-2} as an int16 array, g the first generator of
+        F_q^* in index order (products by polynomial arithmetic over F_p)."""
+        mod = list(self.modulus)
+        for g in range(2, self.q):
+            gpoly = poly_trim(list(self._index_to_coeffs_raw(g)))
+            powers, cur = [1], [1]
+            for _ in range(self.q - 2):
+                cur = poly_mod(prime, poly_mul(prime, cur, gpoly), mod)
+                i = self._coeffs_to_index(cur)
+                if i == 1:
+                    break
+                powers.append(i)
+            else:
+                return np.array(powers, dtype=np.int16)
+        raise InternalInconsistency(f"no generator of F_{self.q}^* found")
 
     # -- scalar ops on indices
     def add(self, i, j):
@@ -336,169 +363,21 @@ class BaseField:
         for c in itertools.product(range(self.p), repeat=self.a):
             yield sum(ck * self.p ** k for k, ck in enumerate(c))
 
-    # degree-1 "extension" protocol, so root-of-unity search is uniform
-    def embed(self, c):
-        return c
-
-    def trace(self, x):
-        return x
-
     def __repr__(self):
         return f"F_{self.q}" if self.a == 1 else f"F_{self.q} (= F_{self.p}^{self.a})"
 
 
 # ---------------------------------------------------------------------------
-# Extension field F_{q^s}, elements are length-s tuples of base indices
-# ---------------------------------------------------------------------------
-
-class ExtField:
-    def __init__(self, base: BaseField, s: int):
-        if s < 2:
-            raise ValueError("use the base field for s = 1")
-        self.base, self.s = base, s
-        self.degree = s
-        self.order = base.q ** s
-        self.modulus = lex_least_irreducible(base, s)
-        self.zero = (0,) * s
-        self.one = (1,) + (0,) * (s - 1)
-        self._trace_vec = None
-        self._frob_cols = None
-
-    def embed(self, c) -> tuple:
-        return (c,) + (0,) * (self.s - 1)
-
-    def add(self, x, y):
-        a = self.base.add_t
-        return tuple(a[xi][yi] for xi, yi in zip(x, y))
-
-    def sub(self, x, y):
-        a, n = self.base.add_t, self.base.neg_t
-        return tuple(a[xi][n[yi]] for xi, yi in zip(x, y))
-
-    def neg(self, x):
-        n = self.base.neg_t
-        return tuple(n[xi] for xi in x)
-
-    def mul(self, x, y):
-        base, s = self.base, self.s
-        add, mul = base.add_t, base.mul_t
-        prod = [0] * (2 * s - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                row = mul[xi]
-                for j, yj in enumerate(y):
-                    if yj:
-                        prod[i + j] = add[prod[i + j]][row[yj]]
-        mod = self.modulus
-        neg = base.neg_t
-        for d in range(2 * s - 2, s - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                row = mul[c]
-                for i in range(s):
-                    mi = mod[i]
-                    if mi:
-                        prod[d - s + i] = add[prod[d - s + i]][neg[row[mi]]]
-        return tuple(prod[:s])
-
-    def pow(self, x, e):
-        if e < 0:
-            x, e = self.inv(x), -e
-        result, b = self.one, x
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return result
-
-    def inv(self, x):
-        if x == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        F = self.base
-        # extended Euclid on (modulus, x) over the base field
-        r0, r1 = list(self.modulus), poly_trim(list(x))
-        t0, t1 = [], [F.one]
-        while r1:
-            qpoly, rem = poly_divmod(F, r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, poly_sub(F, t0, poly_mul(F, qpoly, t1))
-        if poly_deg(r0) != 0:
-            raise InternalInconsistency("modulus not irreducible")
-        t = poly_scale(F, F.inv(r0[0]), t0)
-        return tuple(t + [0] * (self.s - len(t)))
-
-    # -- Frobenius / trace
-    def _prep_frobenius(self):
-        F, s = self.base, self.s
-        xq = self.pow((0, 1) + (0,) * (s - 2), F.q)
-        cols = [self.one]
-        for _ in range(s - 1):
-            cols.append(self.mul(cols[-1], xq))
-        self._frob_cols = cols  # image of basis X^j under y -> y^q
-        tvec = []
-        for j in range(s):
-            v = tuple(F.one if i == j else 0 for i in range(s))
-            acc, cur = v, v
-            for _ in range(s - 1):
-                cur = self._frob_apply(cur)
-                acc = self.add(acc, cur)
-            if any(acc[1:]):
-                raise InternalInconsistency("trace of basis element not in base field")
-            tvec.append(acc[0])
-        self._trace_vec = tvec
-
-    def _frob_apply(self, x):
-        acc = self.zero
-        for j, xj in enumerate(x):
-            if xj:
-                col = self._frob_cols[j]
-                acc = self.add(acc, tuple(self.base.mul(xj, c) for c in col))
-        return acc
-
-    def frobenius(self, x):
-        """x^q, computed through the precomputed linear map."""
-        if self._frob_cols is None:
-            self._prep_frobenius()
-        return self._frob_apply(x)
-
-    def trace(self, x):
-        """Trace to the base field; returns a base-field index."""
-        if self._trace_vec is None:
-            self._prep_frobenius()
-        F = self.base
-        acc = 0
-        for xj, tj in zip(x, self._trace_vec):
-            if xj and tj:
-                acc = F.add(acc, F.mul(xj, tj))
-        return acc
-
-    def lex_key(self, x):
-        bk = self.base.lex_key
-        return tuple(bk(c) for c in x)
-
-    def elements_lex(self):
-        base_lex = list(self.base.elements_lex())
-        for c in itertools.product(base_lex, repeat=self.s):
-            yield c
-
-    def __repr__(self):
-        return f"F_{self.base.q}^{self.s}"
-
-
-# ---------------------------------------------------------------------------
-# Tower
+# Cyclotomic traces
 # ---------------------------------------------------------------------------
 
 class FieldTower:
-    """F_q plus lazily built extensions F_{q^s}; immutable after construction
-    apart from the memoized extension cache (lock-protected)."""
+    """F_q plus the cyclotomic trace tables of the idempotents, memoized
+    per instance."""
 
     def __init__(self, p: int, a: int = 1):
         self.base = BaseField(p, a)
-        self._ext = {1: self.base}
-        self._lock = threading.Lock()
+        self._traces = {}
 
     @property
     def p(self):
@@ -508,53 +387,23 @@ class FieldTower:
     def q(self):
         return self.base.q
 
-    def extend(self, s: int):
-        if s < 1:
-            raise ValueError("extension degree must be >= 1")
-        with self._lock:
-            ext = self._ext.get(s)
-            if ext is None:
-                ext = ExtField(self.base, s)
-                self._ext[s] = ext
-        return ext
+    def cyclotomic_traces(self, n: int) -> tuple:
+        """(tr(zeta^k) for k in range(n)) as base-field indices, zeta a
+        primitive n-th root of unity and tr the trace from F_q(zeta) to F_q.
 
-    def root_of_unity(self, n: int):
-        """Deterministic primitive n-th root of unity.
-
-        Returns (field, zeta) with zeta in F_{q^s}, s = ord_n(q): the lex-least
-        primitive n-th root among the powers of the first one hit by raising
-        lex-ordered field elements to the (q^s - 1)/n-th power.
+        zeta is a root of one irreducible factor f0 of Phi_n over F_q, so the
+        traces are the power sums of the roots of f0.  Another factor means
+        another zeta, which only permutes the generator cosets indexing the
+        traces.  Raises NotCoprime if gcd(n, q) != 1.
         """
-        if gcd(n, self.q) != 1:
-            raise NotCoprime(f"gcd({n}, {self.q}) != 1")
-        if n == 1:
-            return self.base, self.base.one
-        s = mult_order(n, self.q)
-        F = self.extend(s)
-        e0 = (F.order - 1) // n
-        ells = prime_factors(n)
-        z = None
-        for x in F.elements_lex():
-            cand = F.pow(x, e0)
-            if _has_exact_order(F, cand, n, ells):
-                z = cand
-                break
-        if z is None:
-            raise InternalInconsistency(f"no element of order {n} in {F!r}")
-        best = min(
-            (F.pow(z, j) for j in range(1, n) if gcd(j, n) == 1),
-            key=F.lex_key,
-        )
-        return F, best
+        tr = self._traces.get(n)
+        if tr is None:
+            F = self.base
+            tr = self._traces[n] = _power_sums(F, _cyclotomic_factor(F, n), n)
+        return tr
 
     def __repr__(self):
         return f"FieldTower({self.base!r})"
-
-
-def _has_exact_order(F, z, n, ells):
-    if F.pow(z, n) != F.one:
-        return False
-    return all(F.pow(z, n // ell) != F.one for ell in ells)
 
 
 @lru_cache(maxsize=None)
@@ -562,13 +411,57 @@ def make_field(p: int, a: int = 1) -> FieldTower:
     return FieldTower(p, a)
 
 
-def primitive_root_of_unity(tower: FieldTower, n: int):
-    return tower.root_of_unity(n)
+def _int_cyclotomic(n: int) -> list:
+    """Phi_n over Z, low degree first: prod_{d | n} (x^d - 1)^mu(n/d), the
+    factors with mu = -1 applied last as exact divisions."""
+    times, over = [], []
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        ells = prime_factors(n // d)
+        if prod(ells) == n // d:  # squarefree, so mu(n/d) = (-1)^len(ells)
+            (over if len(ells) % 2 else times).append(d)
+    f = [1]
+    for d in times:
+        g = [0] * (len(f) + d)
+        for i, c in enumerate(f):
+            g[i] -= c
+            g[i + d] += c
+        f = g
+    for d in over:
+        # h (x^d - 1) = f  <=>  h_i = f_{i+d} + h_{i+d}, top coefficient first
+        h = [0] * len(f)
+        for i in range(len(f) - d - 1, -1, -1):
+            h[i] = f[i + d] + h[i + d]
+        f = h[:len(f) - d]
+    return f
 
 
-def field_trace(field, x):
-    """Trace of x down to the tower's base field (a base-field index)."""
-    return field.trace(x)
+def _cyclotomic_factor(F: BaseField, n: int) -> list:
+    """One monic irreducible factor of Phi_n over F.  Every factor has degree
+    s = ord_n(q), so equal-degree splitting alone finds one; each round
+    keeps the smaller piece."""
+    s = mult_order(n, F.q)
+    f = poly_trim([F.from_int(c) for c in _int_cyclotomic(n)])
+    while poly_deg(f) > s:
+        g = _split_once(F, f, s)
+        f = min(g, poly_divmod(F, f, g)[0], key=len)
+    return f
+
+
+def _power_sums(F: BaseField, f, n: int) -> tuple:
+    """p_0, ..., p_{n-1}, p_k the sum of the k-th powers of the roots of the
+    monic f = x^s + c_{s-1} x^{s-1} + ... + c_0.  Newton's identities give
+    p_k = -(c_{s-1} p_{k-1} + ... + c_{s-k+1} p_1 + k c_{s-k}) for k <= s;
+    beyond s, p_k follows the recurrence with characteristic polynomial f."""
+    s = poly_deg(f)
+    out = [F.from_int(s)]
+    for k in range(1, n):
+        acc = F.mul(F.from_int(k), f[s - k]) if k <= s else 0
+        for i in range(1, min(k, s + 1)):
+            acc = F.add(acc, F.mul(f[s - i], out[k - i]))
+        out.append(F.neg(acc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +540,15 @@ def _factor_squarefree(F, f):
 def _split_equal_degree(F, f, d):
     if poly_deg(f) == d:
         return [f]
+    g = _split_once(F, f, d)
+    rest = poly_divmod(F, f, g)[0]
+    return _split_equal_degree(F, g, d) + _split_equal_degree(F, rest, d)
+
+
+def _split_once(F, f, d):
+    """A proper monic factor of the squarefree monic f, every irreducible
+    factor of which has degree d < deg f (Cantor-Zassenhaus with the
+    candidates T taken in a fixed order)."""
     n = poly_deg(f)
     for coeffs in itertools.product(F.elements_lex(), repeat=n):
         T = poly_trim(list(coeffs))
@@ -662,27 +564,5 @@ def _split_equal_degree(F, f, d):
             e = (F.q ** d - 1) // 2
             g = poly_gcd(F, poly_sub(F, poly_pow_mod(F, T, e, f), [F.one]), f)
         if 0 < poly_deg(g) < n:
-            rest = poly_divmod(F, f, g)[0]
-            return _split_equal_degree(F, g, d) + _split_equal_degree(F, rest, d)
+            return g
     raise InternalInconsistency("equal-degree splitting exhausted candidates")
-
-
-def poly_to_str(F, f, var="x"):
-    if not f:
-        return "0"
-    parts = []
-    for i, c in enumerate(f):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(_coeff_str(F, c))
-        else:
-            xi = var if i == 1 else f"{var}^{i}"
-            parts.append(xi if c == F.one else f"{_coeff_str(F, c)}*{xi}")
-    return " + ".join(parts)
-
-
-def _coeff_str(F, c):
-    if F.a == 1:
-        return str(c)
-    return "(" + ",".join(map(str, F.coeffs_of(c))) + ")"

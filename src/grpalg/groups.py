@@ -246,21 +246,9 @@ def conjugate_subgroup(G, H: Subgroup, g) -> Subgroup:
     return Subgroup(G, (t[t[inv[g]][h]][g] for h in H.members))
 
 
-def subgroup_conjugates(G, H: Subgroup):
-    seen = {}
-    for g in range(G.order):
-        K = conjugate_subgroup(G, H, g)
-        seen.setdefault(K.members, K)
-    return [seen[m] for m in sorted(seen)]
-
-
 def is_abelian_subgroup(G, H: Subgroup) -> bool:
     t = G.table
     return all(t[a][b] == t[b][a] for a in H.members for b in H.members)
-
-
-def is_cyclic_subgroup(G, H: Subgroup) -> bool:
-    return any(G.element_order(h) == H.order for h in H.members)
 
 
 def is_metabelian(G) -> bool:
@@ -446,14 +434,6 @@ def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
     G = FiniteGroup(table, labels=labels, name=f"M({n},{t},{k},{r})",
                     meta={"family": "metacyclic", "params": (n, t, k % n, r % n)})
     return G
-
-
-def mc_index(t: int, i: int, j: int) -> int:
-    return i * t + j
-
-
-def mc_coords(t: int, g: int):
-    return divmod(g, t)
 
 
 @lru_cache(maxsize=None)

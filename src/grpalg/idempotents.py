@@ -58,9 +58,9 @@ class CyclotomicCoset:
 
 
 def generator_cosets(n: int, q: int):
-    """Orbits of the units that generate (Z/n)* ... not quite: orbits under
-    multiplication by q of the residues of order n mod n (the generators of
-    Z/n), i.e. the units coprime to n.  For n = 1 the single coset {0}."""
+    """The q-cyclotomic cosets of the generators of Z/n: the orbits of the
+    units mod n under multiplication by q, sorted by least member.  For
+    n = 1 the single coset {0}."""
     if n == 1:
         return [CyclotomicCoset(1, (0,))]
     units = [u for u in range(1, n) if gcd(u, n) == 1]
@@ -224,18 +224,11 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
     if C.modulus != n:
         raise ValueError(f"coset modulus {C.modulus} != [K:H] = {n}")
     j = C.rep
-    if n == 1:
-        tr = [F.one]
-    else:
-        Ext, zeta = tower.root_of_unity(n)
-        zpow = [Ext.one]
-        for _ in range(n - 1):
-            zpow.append(Ext.mul(zpow[-1], zeta))
-        tr = [Ext.trace(zpow[(j * t) % n]) for t in range(n)]
+    tr = tower.cyclotomic_traces(n)
     kinv = F.inv(F.from_int(K.order % F.p))
     coeffs = np.zeros(G.order, dtype=np.int16)
     for g in K.members:
-        coeffs[G.inv[g]] = F.add(coeffs[G.inv[g]], tr[e[g]])
+        coeffs[G.inv[g]] = F.add(coeffs[G.inv[g]], tr[j * e[g] % n])
     coeffs = F.mul_np[kinv, coeffs]
     return A.element(coeffs)
 

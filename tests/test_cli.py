@@ -1,3 +1,4 @@
+import pytest
 
 from conftest import s4_group
 from grpalg.cli import main
@@ -117,3 +118,10 @@ def test_extension_field_flag(capsys):
                        "--p", "3", "--a", "2")
     assert code == 0
     assert "wedderburn.q = 9" in out
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--cap"])
+def test_removed_flags_exit_2(capsys, flag):
+    code, _, err = run(capsys, "decompose", "--d1", "2", "--p", "5", flag, "3")
+    assert code == 2
+    assert "unrecognized arguments" in err

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
+from conftest import PRIMES, corpus_groups
+from grpalg import field
 from grpalg.algebra import GroupAlgebra
 from grpalg.errors import NotMetabelian, NotSemisimple
-from grpalg.field import make_field
+from grpalg.field import FieldTower, factor_polynomial, make_field, poly_trim
 from grpalg.groups import (
     Subgroup,
     d2_group,
@@ -152,3 +156,32 @@ def test_summary_format():
     assert s.format() == "F_3^(4) + M_2(F_3)"
     s2, _ = decompose(metacyclic_group(5, 4, 0, 2), make_field(3))
     assert s2.format() == "F_3^(2) + F_3^2 + M_4(F_3)"
+
+
+def test_trace_factor_choice_independence(monkeypatch):
+    """The idempotent set and summary do not depend on which irreducible
+    factor of Phi_n the cyclotomic traces come from (criterion 9 style:
+    draw a random factor on every call, over two fields per corpus group)."""
+    rng = random.Random(1311)
+    picked_other = 0
+    choose = field._cyclotomic_factor
+
+    def random_factor(F, n):
+        nonlocal picked_other
+        phi = poly_trim([F.from_int(c) for c in field._int_cyclotomic(n)])
+        f0 = list(rng.choice(factor_polynomial(F, phi))[0])
+        picked_other += f0 != choose(F, n)
+        return f0
+
+    for G in corpus_groups():
+        for q in [p for p in PRIMES if G.order % p][:2]:
+            base_summary, base = decompose(G, FieldTower(q), validate=False)
+            base_set = sorted(d.idempotent.key() for d in base)
+            with monkeypatch.context() as m:
+                m.setattr(field, "_cyclotomic_factor", random_factor)
+                for _ in range(2):
+                    summary, descs = decompose(G, FieldTower(q), validate=False)
+                    assert summary.components == base_summary.components
+                    assert sorted(d.idempotent.key() for d in descs) == base_set, \
+                        (G.name, q)
+    assert picked_other > 0

@@ -1,13 +1,16 @@
+import functools
 import itertools
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grpalg import field
 from grpalg.errors import NotCoprime, NotPrime
 from grpalg.field import (
     BaseField,
-    ExtField,
+    FieldTower,
     factor_polynomial,
     is_irreducible,
     is_prime,
@@ -17,7 +20,9 @@ from grpalg.field import (
     poly_divmod,
     poly_eval,
     poly_mul,
+    poly_sub,
     poly_trim,
+    prime_factors,
 )
 
 
@@ -91,61 +96,115 @@ def test_field_axioms_exhaustive(p, a):
                 assert F.add(x, F.add(y, z)) == F.add(F.add(x, y), z)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
-def test_ext_field_axioms(i, j, k):
-    E = make_field(5).extend(2)
-    els = list(itertools.product(range(5), repeat=2))
-    x, y, z = els[i], els[j], els[k]
-    assert E.mul(x, y) == E.mul(y, x)
-    assert E.mul(x, E.mul(y, z)) == E.mul(E.mul(x, y), z)
-    assert E.mul(x, E.add(y, z)) == E.add(E.mul(x, y), E.mul(x, z))
-    if x != E.zero:
-        assert E.mul(x, E.inv(x)) == E.one
+def naive_tables(p, a, modulus):
+    """add and mul tables of F_p[x]/(modulus) by schoolbook arithmetic on
+    coefficient vectors, one row (first operand) at a time."""
+    q = p ** a
+    D = np.array([[i // p ** k % p for k in range(a)] for i in range(q)])
+    weights = p ** np.arange(a)
+    add = (D[:, None, :] + D[None, :, :]) % p @ weights
+    mul = np.zeros((q, q), dtype=np.int64)
+    for i in range(q):
+        prod = np.zeros((q, 2 * a - 1), dtype=np.int64)
+        for u in range(a):
+            prod[:, u:u + a] += D[i, u] * D
+        for d in range(2 * a - 2, a - 1, -1):  # x^a = -(m_0 + ... + m_{a-1} x^{a-1})
+            c = prod[:, d] % p
+            for k in range(a):
+                prod[:, d - a + k] -= c * modulus[k]
+        mul[i] = prod[:, :a] % p @ weights
+    return add, mul
 
 
-def test_frobenius_is_qth_power():
-    E = make_field(3).extend(3)
-    for x in itertools.product(range(3), repeat=3):
-        assert E.frobenius(x) == E.pow(x, 3)
+PRIME_POWERS_TO_256 = [(p, a) for p in (2, 3, 5, 7, 11, 13)
+                       for a in range(2, 9) if p ** a <= 256]
+
+
+@pytest.mark.parametrize("p,a", PRIME_POWERS_TO_256)
+def test_prime_power_tables_match_naive_product(p, a):
+    F = BaseField(p, a)
+    add, mul = naive_tables(p, a, F.modulus)
+    assert F.add_np.dtype == F.mul_np.dtype == np.int16
+    assert np.array_equal(F.add_np, add) and np.array_equal(F.mul_np, mul)
+    assert F.add_t == add.tolist() and F.mul_t == mul.tolist()
+
+
+def companion_traces(F, f, n):
+    """tr(C^k) for k < n, C the companion matrix of the monic f: the trace of
+    multiplication by a root of f on F[x]/(f)."""
+    s = len(f) - 1
+    C = [[F.one if i == j + 1 else 0 for j in range(s)] for i in range(s)]
+    for i in range(s):
+        C[i][s - 1] = F.neg(f[i])
+    M = [[F.one if i == j else 0 for j in range(s)] for i in range(s)]
+    out = []
+    for _ in range(n):
+        out.append(functools.reduce(F.add, (M[i][i] for i in range(s))))
+        M = [[functools.reduce(F.add, (F.mul(M[i][t], C[t][j]) for t in range(s)))
+              for j in range(s)] for i in range(s)]
+    return out
+
+
+TRACE_GRID = [(2, 1, 7), (2, 1, 21), (2, 1, 63), (3, 1, 13), (3, 1, 40),
+              (5, 1, 1), (5, 1, 12), (7, 1, 19), (2, 2, 5), (2, 2, 9),
+              (2, 2, 63), (2, 3, 9), (2, 3, 63), (3, 2, 5), (3, 2, 20),
+              (3, 2, 56), (5, 2, 13), (5, 2, 24), (5, 2, 63)]
+
+
+def test_cyclotomic_traces_match_companion_matrix():
+    for p, a, n in TRACE_GRID:
+        F = make_field(p, a).base
+        f0 = field._cyclotomic_factor(F, n)
+        assert len(f0) - 1 == mult_order(n, F.q) and is_irreducible(F, f0)
+        phi = poly_trim([F.from_int(c) for c in field._int_cyclotomic(n)])
+        assert poly_divmod(F, phi, f0)[1] == []
+        # the roots of f0 have exact order n
+        x_to = lambda m: poly_sub(F, [0] * m + [F.one], [F.one])  # noqa: E731
+        assert poly_divmod(F, x_to(n), f0)[1] == []
+        assert all(poly_divmod(F, x_to(n // ell), f0)[1] != []
+                   for ell in prime_factors(n))
+        tr = make_field(p, a).cyclotomic_traces(n)
+        assert list(tr) == companion_traces(F, f0, n), (p, a, n)
+    with pytest.raises(NotCoprime):
+        make_field(3).cyclotomic_traces(6)
 
 
 def test_trace_values():
-    # trace on F_4 over F_2: tr(0)=tr(1)=0, tr(x)=tr(x+1)=1
-    E = make_field(2).extend(2)
-    assert E.trace((0, 0)) == 0
-    assert E.trace((1, 0)) == 0
-    assert E.trace((0, 1)) == 1
-    assert E.trace((1, 1)) == 1
-    # trace is F_q-linear and tr(c) = s*c for constants
-    E5 = make_field(5).extend(3)
-    for c in range(5):
-        assert E5.trace(E5.embed(c)) == (3 * c) % 5
-    for x in [(1, 2, 3), (4, 0, 1)]:
-        assert E5.trace(E5.frobenius(x)) == E5.trace(x)
+    # F_4 over F_2: tr(1) = 0 and tr(zeta) = tr(zeta^2) = zeta + zeta^2 = 1
+    assert make_field(2).cyclotomic_traces(3) == (0, 1, 1)
+    # zeta in F_25 over F_5: tr(1) = 2, tr(zeta) = -1
+    assert make_field(5).cyclotomic_traces(3) == (2, 4, 4)
+    # in F_7 the primitive cube roots are 2 and 4, and tr is the identity
+    tr = make_field(7).cyclotomic_traces(3)
+    assert tr[0] == 1 and {tr[1], tr[2]} == {2, 4} and tr[2] == tr[1] ** 2 % 7
+    assert make_field(2, 2).cyclotomic_traces(1) == (1,)
+    # tr(1) = s and tr is Frobenius-invariant: tr(zeta^k) = tr(zeta^{kq})
+    for p, a, n in TRACE_GRID:
+        tw = make_field(p, a)
+        tr = tw.cyclotomic_traces(n)
+        assert tr[0] == mult_order(n, tw.q) % p
+        assert all(tr[k] == tr[k * tw.q % n] for k in range(n))
 
 
-def test_root_of_unity_examples():
-    # in F_7 the primitive cube roots are 2 and 4; lex-least is 2
-    F, z = make_field(7).root_of_unity(3)
-    assert F is make_field(7).base and z == 2
-    # in F_4 the cube roots of 1 are 1, x, x+1; lex-least primitive is x
-    F4, z4 = make_field(2, 2).root_of_unity(3)
-    assert F4 is make_field(2, 2).base and z4 == 2  # index 2 = (0,1) = x
-    # generic: exact order n
-    for (p, n) in [(3, 8), (5, 3), (7, 16), (13, 32), (3, 5)]:
-        tw = make_field(p)
-        F, z = tw.root_of_unity(n)
-        assert F.pow(z, n) == F.one
-        assert all(F.pow(z, d) != F.one for d in range(1, n))
-    with pytest.raises(NotCoprime):
-        make_field(3).root_of_unity(6)
-
-
-def test_root_of_unity_deterministic():
-    a = make_field(5).root_of_unity(8)
-    b = make_field(5).root_of_unity(8)
-    assert a == b
+def test_int_cyclotomic_known_values():
+    assert field._int_cyclotomic(1) == [-1, 1]
+    assert field._int_cyclotomic(6) == [1, -1, 1]
+    assert field._int_cyclotomic(12) == [1, 0, -1, 0, 1]
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}
+    phi105 = field._int_cyclotomic(105)
+    assert len(phi105) - 1 == 48 and min(phi105) == -2
+    # prod_{d | n} Phi_d = x^n - 1
+    for n in (8, 30, 36, 63):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = field._int_cyclotomic(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, x in enumerate(prod):
+                    for j, y in enumerate(phi):
+                        out[i + j] += x * y
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,8 +272,10 @@ def test_poly_eval():
         assert poly_eval(F, f, x) == (3 * x * x + 2 * x + 1) % 7
 
 
-def test_tower_extension_cached():
-    tw = make_field(3)
-    assert tw.extend(2) is tw.extend(2)
-    assert tw.extend(1) is tw.base
-    assert isinstance(tw.extend(4), ExtField)
+def test_cyclotomic_traces_memoized_per_instance():
+    tw = FieldTower(5)
+    tr = tw.cyclotomic_traces(8)
+    assert tw.cyclotomic_traces(8) is tr
+    fresh = FieldTower(5)
+    assert fresh._traces == {}
+    assert fresh.cyclotomic_traces(8) == tr
