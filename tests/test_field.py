@@ -272,10 +272,20 @@ def test_poly_eval():
         assert poly_eval(F, f, x) == (3 * x * x + 2 * x + 1) % 7
 
 
-def test_cyclotomic_traces_memoized_per_instance():
-    tw = FieldTower(5)
-    tr = tw.cyclotomic_traces(8)
-    assert tw.cyclotomic_traces(8) is tr
-    fresh = FieldTower(5)
-    assert fresh._traces == {}
-    assert fresh.cyclotomic_traces(8) == tr
+def test_root_of_unity_deterministic():
+    # the root zeta is fixed by the chosen factor f0 of Phi_n; both, and so
+    # the traces, must not depend on the tower instance
+    F = make_field(5).base
+    assert field._cyclotomic_factor(F, 8) == field._cyclotomic_factor(F, 8)
+    assert make_field(5).cyclotomic_traces(8) == make_field(5).cyclotomic_traces(8)
+
+
+def test_tower_extension_cached():
+    # the per-tower trace memo replaces the extension cache: it starts
+    # empty and hands back the same tuple on a repeated call
+    tw = FieldTower(3)
+    assert tw._traces == {}
+    tr = tw.cyclotomic_traces(4)
+    assert tw.cyclotomic_traces(4) is tr
+    assert tw.cyclotomic_traces(1) is tw.cyclotomic_traces(1)
+    assert FieldTower(3)._traces == {}
