@@ -42,11 +42,6 @@ class GroupAlgebra:
             raise ValueError("coefficient index out of field range")
         return AlgebraElement(self, c.copy())
 
-    def scalar(self, c: int):
-        v = np.zeros(self.group.order, dtype=np.int16)
-        v[0] = c
-        return AlgebraElement(self, v)
-
     def _conj_perm(self, x: int):
         key = ("conj_perm", x)
         cache = self.group._cache
@@ -144,9 +139,6 @@ class AlgebraElement:
 
     def is_orthogonal_to(self, other) -> bool:
         return (self * other).is_zero() and (other * self).is_zero()
-
-    def support(self):
-        return tuple(int(g) for g in np.nonzero(self.coeffs)[0])
 
     def key(self):
         return tuple(int(c) for c in self.coeffs)

@@ -38,6 +38,13 @@ from .idempotents import decompose
 from .metacyclic import metacyclic_decompose, params_of
 from .oracle import center_split, q_class_count
 
+# family name -> (group constructor, closed-form components, closed-form aut)
+FAMILIES = {
+    "d1": (d1_group, d1_closed_form, d1_aut_closed_form),
+    "d2": (d2_group, d2_closed_form, d2_aut_closed_form),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="grpalg",
@@ -103,12 +110,16 @@ class Report:
                 fh.write(text)
 
 
+def _format_components(components):
+    """[(d, l, multiplicity), ...] for a {(d, l): multiplicity} dict."""
+    return "[" + ", ".join(f"({d}, {l}, {m})"
+                           for (d, l), m in sorted(components.items())) + "]"
+
+
 def _emit_summary(rep, prefix, summary):
     rep.put(f"{prefix}.order", summary.order)
     rep.put(f"{prefix}.q", summary.q)
-    rep.put(f"{prefix}.components",
-            "[" + ", ".join(f"({d}, {l}, {m})"
-                            for (d, l), m in summary.sorted_items()) + "]")
+    rep.put(f"{prefix}.components", _format_components(summary.components))
     rep.put(f"{prefix}.algebra", summary.format())
     rep.put(f"{prefix}.aut", format_aut(aut_description(summary)))
 
@@ -180,20 +191,9 @@ def cmd_compare(args):
         if not same:
             mismatches.append("metacyclic")
     m = G.meta.get("m")
-    if fam == "d1" and m is not None and m >= 2:
-        cf = d1_closed_form(m, tower.q)
-        rep.put("closed_form.components",
-                "[" + ", ".join(f"({d}, {l}, {mult})"
-                                for (d, l), mult in sorted(cf.items())) + "]")
-        same = cf == summary.components
-        rep.put("closed_form.match", "yes" if same else "no")
-        if not same:
-            mismatches.append("closed_form")
-    if fam == "d2" and m is not None and m >= 2:
-        cf = d2_closed_form(m, tower.q)
-        rep.put("closed_form.components",
-                "[" + ", ".join(f"({d}, {l}, {mult})"
-                                for (d, l), mult in sorted(cf.items())) + "]")
+    if fam in FAMILIES and m is not None and m >= 2:
+        cf = FAMILIES[fam][1](m, tower.q)
+        rep.put("closed_form.components", _format_components(cf))
         same = cf == summary.components
         rep.put("closed_form.match", "yes" if same else "no")
         if not same:
@@ -205,26 +205,22 @@ def cmd_compare(args):
 def cmd_families(args):
     rep = Report()
     rep.put("command", "families")
-    fams = ["d1", "d2"] if args.family == "both" else [args.family]
+    fams = list(FAMILIES) if args.family == "both" else [args.family]
     bad = False
     for fam in fams:
+        group_of, closed_form, aut_closed_form = FAMILIES[fam]
         for m in args.m:
             for q in args.q:
-                form = d1_closed_form if fam == "d1" else d2_closed_form
-                groupf = d1_group if fam == "d1" else d2_group
                 try:
-                    cf = form(m, q)
+                    cf = closed_form(m, q)
                 except GrpalgError as exc:
                     rep.put(f"{fam}.{m}.{q}.error", type(exc).__name__)
                     bad = True
                     continue
                 rep.put(f"{fam}.{m}.{q}.lambda", lambda_of(q))
-                rep.put(f"{fam}.{m}.{q}.components",
-                        "[" + ", ".join(f"({d}, {l}, {mult})"
-                                        for (d, l), mult in sorted(cf.items())) + "]")
-                aut = (d1_aut_closed_form if fam == "d1" else d2_aut_closed_form)(m, q)
-                rep.put(f"{fam}.{m}.{q}.aut", format_aut(aut))
-                summary, _ = decompose(groupf(m), make_field(q))
+                rep.put(f"{fam}.{m}.{q}.components", _format_components(cf))
+                rep.put(f"{fam}.{m}.{q}.aut", format_aut(aut_closed_form(m, q)))
+                summary, _ = decompose(group_of(m), make_field(q))
                 same = summary.components == cf
                 rep.put(f"{fam}.{m}.{q}.engine_match", "yes" if same else "no")
                 if not same:

@@ -1,8 +1,11 @@
 """Finite groups as explicit multiplication tables, plus the subgroup
-machinery needed downstream: closures, normality, quotients, conjugacy,
-cores, centralizers/normalizers, and constructors for the group families
-the package cares about (metacyclic presentations and two 2-group
-families given by normal forms).
+machinery the engine needs, all computed inside G itself: closures,
+normality, the normal subgroups (products of normal closures of conjugacy
+classes), conjugacy, cores, centralizers/normalizers, and the subgroups A
+over a normal N with A/N maximal abelian over (G/N)'.  No quotient group
+and no subgroup lattice is ever built.  Also constructors for the group
+families the package cares about (metacyclic presentations and two
+2-group families given by normal forms) and the Cayley-table text format.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
     NotMetabelian,
 )
 
+# normal_subgroups raises CapExceeded past this many normal subgroups
 SUBGROUP_CAP = 512
 
 
@@ -62,27 +66,17 @@ class FiniteGroup:
                 j, k = map(int, np.argwhere(lhs != rhs)[0])
                 raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})")
 
-    def mul(self, i, j):
-        return self.table[i][j]
-
     def conj(self, g, x):
         """x^{-1} g x."""
         t = self.table
         return t[t[self.inv[x]][g]][x]
 
     def element_order(self, g):
-        k, acc = 1, g
-        while acc != 0:
-            acc = self.table[acc][g]
-            k += 1
-        return k
+        return len(powers(self, g))
 
     def power(self, g, e):
-        e %= self.element_order(g)
-        acc = 0
-        for _ in range(e):
-            acc = self.table[acc][g]
-        return acc
+        gs = powers(self, g)
+        return gs[e % len(gs)]
 
     def __repr__(self):
         return f"<{self.name}, order {self.order}>"
@@ -132,50 +126,6 @@ def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, seen)
 
 
-def trivial_subgroup(G):
-    return Subgroup(G, (0,))
-
-
-def full_subgroup(G):
-    return Subgroup(G, range(G.order))
-
-
-def all_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP):
-    """Every subgroup of G, sorted by (order, members).
-
-    Built by closing the cyclic subgroups under joins with cyclic subgroups.
-    Raises CapExceeded if the count passes `cap`.
-    """
-    key = ("all_subgroups", cap)
-    if key in G._cache:
-        return G._cache[key]
-    cyclic = {}
-    for g in range(G.order):
-        H = subgroup_closure(G, [g])
-        cyclic.setdefault(H.members, (H, g))
-    found = {m: [g] for m, (H, g) in cyclic.items()}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for mem in frontier:
-            gens = found[mem]
-            for cm, (C, cg) in cyclic.items():
-                if cm == mem or set(cm) <= set(mem):
-                    continue
-                J = subgroup_closure(G, gens + [cg])
-                if J.members not in found:
-                    found[J.members] = gens + [cg]
-                    nxt.append(J.members)
-                    if len(found) > cap:
-                        raise CapExceeded(
-                            f"more than {cap} subgroups in group of order {G.order}")
-        frontier = nxt
-    subs = sorted((Subgroup(G, m) for m in found), key=lambda H: (H.order, H.members))
-    gens_of = {m: tuple(g) for m, g in found.items()}
-    G._cache[key] = (subs, gens_of)
-    return subs, gens_of
-
-
 def is_normal(G, H: Subgroup) -> bool:
     t, inv = G.table, G.inv
     for x in range(G.order):
@@ -185,25 +135,56 @@ def is_normal(G, H: Subgroup) -> bool:
     return True
 
 
-def normal_subgroups(G, cap: int = SUBGROUP_CAP):
-    key = ("normal_subgroups", cap)
-    if key in G._cache:
-        return G._cache[key]
-    subs, _ = all_subgroups(G, cap)
-    out = [H for H in subs if is_normal(G, H)]
-    G._cache[key] = out
+def normal_subgroups(G):
+    """Every normal subgroup of G, sorted by (order, members).
+
+    Each one is a product of normal closures of conjugacy classes, so the
+    list is the closure of those under products N·C with one class closure
+    C at a time.  Raises CapExceeded past SUBGROUP_CAP subgroups.
+    """
+    if "normal_subgroups" in G._cache:
+        return G._cache["normal_subgroups"]
+    atoms = {}
+    for cls in conjugacy_classes(G):
+        C = subgroup_closure(G, cls)
+        atoms.setdefault(C.members, C)
+    atom_of = np.concatenate([[i] * C.order for i, C in enumerate(atoms.values())])
+    atom_elems = np.concatenate([C.members for C in atoms.values()])
+    xs = np.arange(G.order)
+    trivial = Subgroup(G, (0,))
+    found = {mask(G, trivial).tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for N in frontier:
+            # x and y lie in the same coset of N iff label[x] == label[y]
+            label = G.m[np.array(N.members)[:, None], xs].min(axis=0)
+            hit = np.zeros((len(atoms), G.order), dtype=bool)
+            hit[atom_of, label[atom_elems]] = True
+            for row in hit[:, label]:  # row i: the product of N and atom i
+                key = row.tobytes()
+                if key not in found:
+                    if len(found) >= SUBGROUP_CAP:
+                        raise CapExceeded(
+                            f"more than {SUBGROUP_CAP} normal subgroups in group "
+                            f"of order {G.order}")
+                    found[key] = H = Subgroup(G, np.flatnonzero(row).tolist())
+                    nxt.append(H)
+        frontier = nxt
+    out = sorted(found.values(), key=lambda H: (H.order, H.members))
+    G._cache["normal_subgroups"] = out
     return out
 
 
 def derived_subgroup(G) -> Subgroup:
     if "derived" in G._cache:
         return G._cache["derived"]
-    t, inv = G.table, G.inv
-    comms = set()
+    M, inv = G.m, np.asarray(G.inv)
+    ys = np.arange(G.order)
+    comms = np.zeros(G.order, dtype=bool)
     for x in range(G.order):
-        for y in range(G.order):
-            comms.add(t[t[t[inv[x]][inv[y]]][x]][y])
-    H = subgroup_closure(G, comms)
+        comms[M[M[M[inv[x], inv], x], ys]] = True  # [x, y] = x^-1 y^-1 x y
+    H = subgroup_closure(G, np.flatnonzero(comms).tolist())
     G._cache["derived"] = H
     return H
 
@@ -252,145 +233,84 @@ def is_abelian_subgroup(G, H: Subgroup) -> bool:
 
 
 def is_metabelian(G) -> bool:
-    D = derived_subgroup(G)
-    return is_abelian_subgroup(G, D)
+    if "metabelian" not in G._cache:
+        G._cache["metabelian"] = is_abelian_subgroup(G, derived_subgroup(G))
+    return G._cache["metabelian"]
 
 
 def conjugacy_classes(G):
     if "classes" in G._cache:
         return G._cache["classes"]
-    seen = [False] * G.order
+    M, inv = G.m, np.asarray(G.inv)
+    xs = np.arange(G.order)
+    seen = np.zeros(G.order, dtype=bool)
     classes = []
     for g in range(G.order):
         if seen[g]:
             continue
-        cls = sorted({G.conj(g, x) for x in range(G.order)})
-        for h in cls:
-            seen[h] = True
-        classes.append(tuple(cls))
+        cls = np.unique(M[M[inv, g], xs])  # x^-1 g x for every x
+        seen[cls] = True
+        classes.append(tuple(cls.tolist()))
     G._cache["classes"] = classes
     return classes
 
 
 # ---------------------------------------------------------------------------
-# Quotients
+# Abelian subgroups over a normal subgroup
 # ---------------------------------------------------------------------------
 
-class QuotientGroup(FiniteGroup):
-    """G/N with cosets ordered by their least representative (identity coset
-    first). push maps parent elements to coset indices; pull_back gives the
-    least representative of a coset."""
-
-    def __init__(self, parent: FiniteGroup, N: Subgroup):
-        t = parent.table
-        coset_of = [None] * parent.order
-        reps = []
-        for g in range(parent.order):
-            if coset_of[g] is None:
-                idx = len(reps)
-                reps.append(g)
-                for h in N.members:
-                    coset_of[t[g][h]] = idx
-        order = len(reps)
-        table = [[coset_of[t[reps[i]][reps[j]]] for j in range(order)] for i in range(order)]
-        self.parent_group = parent
-        self.kernel = N
-        self._push = tuple(coset_of)
-        self._reps = tuple(reps)
-        super().__init__(
-            table,
-            labels=[parent.labels[r] + "N" for r in reps],
-            name=f"{parent.name}/N{N.order}",
-        )
-
-    def push(self, g):
-        return self._push[g]
-
-    def pull_back(self, c):
-        return self._reps[c]
-
-    def push_subgroup(self, H: Subgroup) -> Subgroup:
-        return Subgroup(self, {self._push[h] for h in H.members})
-
-    def pull_back_subgroup(self, Hbar: Subgroup) -> Subgroup:
-        mem = Hbar.member_set
-        return Subgroup(self.parent_group,
-                        (g for g in range(self.parent_group.order)
-                         if self._push[g] in mem))
+def mask(G, H: Subgroup):
+    """Membership of H as a boolean array over the elements of G."""
+    out = np.zeros(G.order, dtype=bool)
+    out[list(H.members)] = True
+    return out
 
 
-def quotient(G: FiniteGroup, N: Subgroup):
-    """G/N.  For N trivial returns G itself (with identity push/pull)."""
-    key = ("quotient", N.members)
-    if key in G._cache:
-        return G._cache[key]
-    if N.order == 1:
-        Q = _IdentityQuotient(G)
-    else:
-        if not is_normal(G, N):
-            raise ValueError("subgroup is not normal")
-        Q = QuotientGroup(G, N)
-    G._cache[key] = Q
-    return Q
+def powers(G, g):
+    """[1, g, g^2, ...] up to the order of g."""
+    out, x = [0], g
+    while x != 0:
+        out.append(x)
+        x = G.table[x][g]
+    return out
 
 
-class _IdentityQuotient:
-    """Thin wrapper presenting G as G/1 without rebuilding tables."""
-
-    def __init__(self, G):
-        self.group = G
-
-    def __getattr__(self, name):
-        return getattr(self.group, name)
-
-    def push(self, g):
-        return g
-
-    def pull_back(self, c):
-        return c
-
-    def push_subgroup(self, H):
-        return H
-
-    def pull_back_subgroup(self, Hbar):
-        return Subgroup(self.group, Hbar.members)
-
-    @property
-    def parent_group(self):
-        return self.group
-
-    @property
-    def _cache(self):
-        return self.group._cache
+def transversal(G, H: Subgroup):
+    """The least element of each right coset Hg, in increasing order."""
+    covered = np.zeros(G.order, dtype=bool)
+    out = []
+    for g in range(G.order):
+        if not covered[g]:
+            out.append(g)
+            covered[G.m[list(H.members), g]] = True
+    return out
 
 
-def maximal_abelian_over_derived(Q, rng=None) -> Subgroup:
-    """A subgroup of Q that is abelian, contains Q', and is maximal among
-    such.  Deterministically the one of largest order with lex-least member
-    tuple; with rng, a random choice among the maximal-order candidates."""
-    cands = maximal_abelian_candidates(Q)
-    if rng is not None:
-        return cands[rng.randrange(len(cands))]
-    return cands[0]
+def maximal_abelian_over_derived(G, N: Subgroup, rng=None) -> Subgroup:
+    """A subgroup A of G containing G'N with A/N abelian, maximal among
+    such: A/N is a maximal abelian subgroup of G/N containing (G/N)'.
 
-
-def maximal_abelian_candidates(Q):
-    key = "max_abelian_candidates"
-    if key in Q._cache:
-        return Q._cache[key]
-    D = derived_subgroup(Q if isinstance(Q, FiniteGroup) else Q.group)
-    if not is_abelian_subgroup(Q, D):
-        raise NotMetabelian(f"derived subgroup of {Q.name} is not abelian")
-    subs, _ = all_subgroups(Q if isinstance(Q, FiniteGroup) else Q.group)
-    dmem = D.member_set
-    ab = [H for H in subs if dmem <= H.member_set and is_abelian_subgroup(Q, H)]
-    # maximal under inclusion
-    maximal = [H for H in ab
-               if not any(H.member_set < K.member_set for K in ab)]
-    best = max(H.order for H in maximal)
-    cands = sorted((H for H in maximal if H.order == best), key=lambda H: H.members)
-    Q._cache[key] = cands
-    return cands
+    Grown from G'N one element at a time: g joins when [g, b] lies in N for
+    every b already in A.  The least such g, or a random one with rng; any
+    inclusion-maximal result serves the decomposition.
+    """
+    if not is_metabelian(G):
+        raise NotMetabelian(f"derived subgroup of {G.name} is not abelian")
+    M, inv = G.m, np.asarray(G.inv)
+    in_n = mask(G, N)
+    members = np.unique(M[np.ix_(derived_subgroup(G).members, N.members)])
+    in_a = np.zeros(G.order, dtype=bool)
+    in_a[members] = True
+    # [x, b] = x^-1 b^-1 x b for x outside A (rows) and b in A (columns)
+    x, b = np.flatnonzero(~in_a)[:, None], members[None, :]
+    comm = M[M[M[inv[x], inv[b]], x], b]
+    cands = x[in_n[comm].all(axis=1), 0]
+    while cands.size:
+        g = int(cands[0] if rng is None else cands[rng.randrange(cands.size)])
+        members = np.unique(M[np.ix_(members, powers(G, g))])
+        in_a[members] = True
+        cands = cands[~in_a[cands] & in_n[M[M[M[inv[cands], inv[g]], cands], g]]]
+    return Subgroup(G, members.tolist())
 
 
 # ---------------------------------------------------------------------------

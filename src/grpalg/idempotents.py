@@ -1,13 +1,17 @@
 """Primitive central idempotents and the Wedderburn decomposition of a
 semisimple metabelian group algebra F_q[G].
 
-The pipeline: enumerate triples (N, D, A) where N is normal in G, A/N is a
-chosen maximal abelian subgroup of G/N containing (G/N)', and D/N runs over
-subgroups of A/N with cyclic quotient A/D whose core in G/N is trivial,
-deduplicated up to conjugacy in G/N.  Each triple, together with an orbit
-of q-cyclotomic generator cosets modulo [A:D], yields one primitive central
-idempotent as a sum of conjugates of a trace-twisted coset sum, and one
-matrix component M_d(F_{q^l}).
+The pipeline enumerates triples (N, D, A), working in G itself with no
+quotient group and no subgroup lattice:
+- N runs over the normal subgroups of G (groups.normal_subgroups);
+- A is grown from G'N so that A/N is a maximal abelian subgroup of G/N
+  containing (G/N)' (groups.maximal_abelian_over_derived);
+- D runs over the kernels of the linear characters of A/N, so that A/D is
+  cyclic, keeping those whose core in G is N, one per G-conjugacy class.
+Each triple, together with an orbit of q-cyclotomic generator cosets
+modulo [A:D], yields one primitive central idempotent as a sum of
+conjugates of a trace-twisted coset sum, and one matrix component
+M_d(F_{q^l}).
 """
 
 from __future__ import annotations
@@ -29,14 +33,13 @@ from .field import FieldTower, mult_order
 from .groups import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
-    conjugate_subgroup,
-    core,
     is_metabelian,
+    mask,
     maximal_abelian_over_derived,
     normal_subgroups,
     normalizer,
-    quotient,
+    powers,
+    transversal,
 )
 
 
@@ -85,63 +88,26 @@ def generator_cosets(n: int, q: int):
 
 def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
     """For H normal in K with K/H cyclic of order n: returns (n, gen, e)
-    where gen is the least element of K whose coset generates K/H and
-    e maps each k in K to the discrete log of kH base gen."""
-    KH = quotient_in(G, K, H)
-    n = KH.order
-    gen_bar = None
-    for c in range(KH.order):
-        if KH.element_order(c) == n:
-            gen_bar = c
+    where gen is the least element of K whose order modulo H is n, and e
+    maps each k in K to the discrete log of kH base gen (a tuple over G,
+    -1 outside K).  Cached per (K, H)."""
+    key = ("cyclic_quotient", K.members, H.members)
+    if key in G._cache:
+        return G._cache[key]
+    n = K.order // H.order
+    in_h = mask(G, H)
+    t = G.table
+    for gen in K.members:
+        x, k = gen, 1
+        while not in_h[x] and k < n:
+            x, k = t[x][gen], k + 1
+        if in_h[x] and k == n:
             break
-    if gen_bar is None:
+    else:
         raise NotCyclicQuotient(f"quotient of order {n} is not cyclic")
-    log = {0: 0}
-    cur = 0
-    for j in range(1, n):
-        cur = KH.table[cur][gen_bar]
-        log[cur] = j
-    emb = _embed_map(G, K, H)
-    e = {k: log[emb[k]] for k in K.members}
-    gen = min(k for k in K.members if e[k] == 1 % n)
-    return n, gen, e
-
-
-def quotient_in(G: FiniteGroup, K: Subgroup, H: Subgroup):
-    """The quotient K/H as a standalone group (K realized as a group first)."""
-    Ksub = _as_group(G, K)
-    Hin = Subgroup(Ksub, [Ksub.meta["inv_index"][h] for h in H.members])
-    return quotient(Ksub, Hin)
-
-
-def _as_group(G: FiniteGroup, K: Subgroup) -> FiniteGroup:
-    key = ("as_group", K.members)
-    if key in G._cache:
-        return G._cache[key]
-    if K.order == G.order:
-        G.meta.setdefault("inv_index", {g: g for g in range(G.order)})
-        G._cache[key] = G
-        return G
-    idx = {g: i for i, g in enumerate(K.members)}
-    table = [[idx[G.table[a][b]] for b in K.members] for a in K.members]
-    # identity 0 is K.members[0] since members are sorted and contain 0
-    sub = FiniteGroup(table, labels=[G.labels[g] for g in K.members],
-                      name=f"{G.name}|{K.order}")
-    sub.meta["inv_index"] = idx
-    sub.meta["fwd_index"] = K.members
-    G._cache[key] = sub
-    return sub
-
-
-def _embed_map(G, K, H):
-    key = ("embed_map", K.members, H.members)
-    if key in G._cache:
-        return G._cache[key]
-    Ksub = _as_group(G, K)
-    KH = quotient_in(G, K, H)
-    inv = Ksub.meta["inv_index"]
-    out = {k: KH.push(inv[k]) for k in K.members}
-    G._cache[key] = out
+    e = np.full(G.order, -1)
+    e[G.m[np.ix_(powers(G, gen)[:n], H.members)]] = np.arange(n)[:, None]
+    G._cache[key] = out = (n, gen, tuple(e.tolist()))
     return out
 
 
@@ -164,11 +130,10 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int, rng=None):
         x = G.conj(gen, g)
         if x not in K.member_set:
             raise InternalInconsistency("normalizer element does not stabilize K")
-        mults.add((e[x] % n) if n > 1 else 1)
+        mults.add(e[x])
     by_members = {c.members: c for c in cosets}
     orbits = []
     seen = set()
-    stab_sets = []
     for c in cosets:
         if c.members in seen:
             continue
@@ -189,8 +154,8 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int, rng=None):
     E_members = None
     for c in cosets:
         stab = [g for g in acting
-                if n == 1 or tuple(sorted((e[G.conj(gen, g)] * u) % n
-                                          for u in c.members)) == c.members]
+                if tuple(sorted(e[G.conj(gen, g)] * u % n for u in c.members))
+                == c.members]
         if E_members is None:
             E_members = stab
         elif E_members != stab:
@@ -228,9 +193,8 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
     kinv = F.inv(F.from_int(K.order % F.p))
     coeffs = np.zeros(G.order, dtype=np.int16)
     for g in K.members:
-        coeffs[G.inv[g]] = F.add(coeffs[G.inv[g]], tr[j * e[g] % n])
-    coeffs = F.mul_np[kinv, coeffs]
-    return A.element(coeffs)
+        coeffs[G.inv[g]] = tr[j * e[g] % n]
+    return A.element(F.mul_np[kinv, coeffs])
 
 
 def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
@@ -262,47 +226,75 @@ class Triple:
         return (self.N.order, self.N.members, self.D.order, self.D.members)
 
 
+def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
+    """The linear characters of the abelian group A/N as (elems, values):
+    values[c, i] in Z/[A:N] is the value of character c at elems[i], and
+    elems runs over A.  Built from the trivial character of N by extending
+    along the least element g outside the subgroup B built so far: if g has
+    order k modulo B, each character of B has k extensions to B<g>, one per
+    solution v of k*v = chi(g^k) mod [A:N]."""
+    e = A.order // N.order
+    elems = np.array(N.members)
+    values = np.zeros((1, elems.size), dtype=np.int64)
+    in_b = mask(G, N)
+    pos = np.zeros(G.order, dtype=np.int64)
+    for g in A.members:
+        if in_b[g]:
+            continue
+        gs, x = [0], g
+        while not in_b[x]:
+            gs.append(x)
+            x = G.table[x][g]
+        k = len(gs)  # x = g^k lies in B
+        pos[elems] = np.arange(elems.size)
+        v = values[:, pos[x]] // k
+        v = (v[:, None] + np.arange(k) * (e // k)).reshape(-1)
+        values = np.repeat(values, k, axis=0)[:, None, :] \
+            + (v[:, None] * np.arange(k))[:, :, None]
+        values = values.reshape(v.size, -1) % e
+        elems = G.m[np.ix_(gs, elems)].reshape(-1)  # coset g^j B in row j
+        in_b[elems] = True
+    return elems, values
+
+
+def d_classes(G: FiniteGroup, N: Subgroup, A: Subgroup):
+    """The subgroups D with N <= D <= A, A/D cyclic and core_G(D) = N, as
+    a list of G-conjugacy classes, each sorted by members.
+
+    The D with A/D cyclic are the kernels of the linear characters of A/N.
+    A contains G', so it is normal; being abelian, it fixes every D by
+    conjugation.  Cores and conjugates therefore need only a transversal
+    of A in G."""
+    elems, values = _characters(G, N, A)
+    kernels = np.array(list({row.tobytes(): row for row in values == 0}.values()))
+    pos = np.zeros(G.order, dtype=np.int64)
+    pos[elems] = np.arange(elems.size)
+    # conjugates[j, d, i]: whether elems[i] lies in D_d^t, t the j-th coset rep
+    conjugates = np.stack([kernels[:, pos[G.m[G.m[t, elems], G.inv[t]]]]
+                           for t in transversal(G, A)])
+    classes = {}
+    for d in np.flatnonzero(conjugates.all(axis=0).sum(axis=1) == N.order):
+        key = min(row.tobytes() for row in conjugates[:, d])
+        classes.setdefault(key, []).append(Subgroup(G, elems[kernels[d]].tolist()))
+    return [sorted(c, key=lambda D: D.members) for c in classes.values()]
+
+
 def shoda_triples(G: FiniteGroup, rng=None):
-    """All triples (N, D, A), deduplicated up to conjugacy in G/N, sorted by
-    (|N|, N, |D|, D).  A/N is the chosen maximal abelian subgroup of G/N
-    containing its derived subgroup (see maximal_abelian_over_derived)."""
+    """All triples (N, D, A), one per G-conjugacy class of D, sorted by
+    (|N|, N, |D|, D).  A is maximal_abelian_over_derived(G, N) and D runs
+    over d_classes(G, N, A); the least D of each class is taken, or a
+    random one with rng.  Cached on G when rng is None."""
+    if rng is None and "shoda_triples" in G._cache:
+        return G._cache["shoda_triples"]
     out = []
     for N in normal_subgroups(G):
-        Q = quotient(G, N)
-        Abar = maximal_abelian_over_derived(Q, rng=rng)
-        subs, _ = all_subgroups(Q if isinstance(Q, FiniteGroup) else Q.group)
-        amem = Abar.member_set
-        cands = []
-        for Dbar in subs:
-            if not Dbar.member_set <= amem:
-                continue
-            try:
-                cyclic_quotient_data(
-                    Q if isinstance(Q, FiniteGroup) else Q.group, Abar, Dbar)
-            except NotCyclicQuotient:
-                continue
-            Qg = Q if isinstance(Q, FiniteGroup) else Q.group
-            if core(Qg, Dbar).order != 1:
-                continue
-            cands.append(Dbar)
-        # dedup up to conjugacy in G/N
-        Qg = Q if isinstance(Q, FiniteGroup) else Q.group
-        orbits = {}
-        for Dbar in cands:
-            conjs = tuple(sorted(
-                {conjugate_subgroup(Qg, Dbar, g).members for g in range(Qg.order)}))
-            orbits.setdefault(conjs, []).append(Dbar)
-        for conjs, reps in sorted(orbits.items()):
-            if rng is None:
-                pick = min(reps, key=lambda D: D.members)
-            else:
-                by_mem = {D.members: D for D in reps}
-                all_in_orbit = [by_mem.get(m, Subgroup(Qg, m)) for m in conjs]
-                pick = all_in_orbit[rng.randrange(len(all_in_orbit))]
-            D = Q.pull_back_subgroup(pick)
-            A = Q.pull_back_subgroup(Abar)
+        A = maximal_abelian_over_derived(G, N, rng=rng)
+        for cls in d_classes(G, N, A):
+            D = cls[0] if rng is None else cls[rng.randrange(len(cls))]
             out.append(Triple(N, D, A))
-    out.sort(key=lambda tr: tr.key())
+    out = tuple(sorted(out, key=Triple.key))
+    if rng is None:
+        G._cache["shoda_triples"] = out
     return out
 
 
@@ -381,11 +373,17 @@ def decompose(G: FiniteGroup, tower: FieldTower, rng=None, validate=True):
         for C in reps:
             e = ec_idempotent(A, tr.A, tr.D, C)
             descriptors.append(ComponentDescriptor(d, l, e, tr, C))
+    return summarize(A, descriptors, validate)
+
+
+def summarize(A: GroupAlgebra, descriptors, validate=True):
+    """(WedderburnSummary, descriptors) for the components found in A; with
+    validate=True the invariant suite of _validate runs first."""
     components = {}
     for dsc in descriptors:
         key = (dsc.d, dsc.l)
         components[key] = components.get(key, 0) + 1
-    summary = WedderburnSummary(order=G.order, q=q, components=components)
+    summary = WedderburnSummary(order=A.group.order, q=A.q, components=components)
     if validate:
         _validate(A, summary, descriptors)
     return summary, descriptors

@@ -3,7 +3,7 @@ G = <a, b | a^n = 1, b^t = a^k, b^{-1} a b = a^r>.
 
 The normal subgroups, the relevant pairs (K, H), and their conjugacy
 classes are produced arithmetically from the parameters (n, t, k, r)
-instead of by lattice search; the idempotents themselves are then computed
+instead of by searching the subgroups of G; the idempotents themselves are then computed
 through the same coset-sum primitives as the generic engine.
 """
 
@@ -19,11 +19,10 @@ from .groups import FiniteGroup, Subgroup, metacyclic_group, subgroup_closure
 from .idempotents import (
     ComponentDescriptor,
     Triple,
-    WedderburnSummary,
-    _validate,
     component_params,
     coset_orbits,
     ec_idempotent,
+    summarize,
 )
 
 
@@ -210,11 +209,4 @@ def metacyclic_decompose(params: MetacyclicParams, tower: FieldTower,
             for C in reps:
                 e = ec_idempotent(A, K, H, C)
                 descriptors.append(ComponentDescriptor(d, l, e, tr, C))
-    components = {}
-    for dsc in descriptors:
-        key = (dsc.d, dsc.l)
-        components[key] = components.get(key, 0) + 1
-    summary = WedderburnSummary(order=G.order, q=q, components=components)
-    if validate:
-        _validate(A, summary, descriptors)
-    return summary, descriptors
+    return summarize(A, descriptors, validate)

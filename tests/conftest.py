@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from grpalg.groups import FiniteGroup, d1_group, d2_group, metacyclic_group
+from grpalg.groups import (
+    FiniteGroup,
+    Subgroup,
+    d1_group,
+    d2_group,
+    metacyclic_group,
+    subgroup_closure,
+)
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -31,6 +38,38 @@ def a4_group():
 
 def s4_group():
     return perm_group(list(itertools.permutations(range(4))), "S4")
+
+
+def elementary_abelian(p, k):
+    """Z_p^k from its Cayley table, elements in lexicographic digit order."""
+    digits = list(itertools.product(range(p), repeat=k))
+    idx = {d: i for i, d in enumerate(digits)}
+    table = [[idx[tuple((x + y) % p for x, y in zip(a, b))] for b in digits]
+             for a in digits]
+    return FiniteGroup(table, name=f"Z{p}^{k}")
+
+
+def lattice(G):
+    """Every subgroup of G by brute force, sorted by (order, members): the
+    closure of the cyclic subgroups under joins with one cyclic subgroup
+    at a time.  A reference for the engine's lattice-free enumerations."""
+    cyclic = {}
+    for g in range(G.order):
+        cyclic.setdefault(subgroup_closure(G, [g]).member_set, g)
+    found = {frozenset((0,)): []}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for mem in frontier:
+            for cm, g in cyclic.items():
+                if cm <= mem:
+                    continue
+                J = subgroup_closure(G, found[mem] + [g]).member_set
+                if J not in found:
+                    found[J] = found[mem] + [g]
+                    nxt.append(J)
+        frontier = nxt
+    return sorted((Subgroup(G, m) for m in found), key=lambda H: (H.order, H.members))
 
 
 def corpus_groups():

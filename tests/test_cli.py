@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import s4_group
+from conftest import elementary_abelian, s4_group
 from grpalg.cli import main
 from grpalg.groups import format_cayley, metacyclic_group
 
@@ -125,3 +125,20 @@ def test_removed_flags_exit_2(capsys, flag):
     code, _, err = run(capsys, "decompose", "--d1", "2", "--p", "5", flag, "3")
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+def test_normal_subgroup_cap_exit_2(capsys, tmp_path):
+    # Z_3^5 has 2664 normal subgroups, past the cap of 512
+    path = tmp_path / "z3_5.cayley"
+    path.write_text(format_cayley(elementary_abelian(3, 5)))
+    code, out, err = run(capsys, "decompose", "--cayley", str(path), "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: more than 512 normal subgroups in group of order 243\n"
+
+
+def test_base_field_limit_exit_2(capsys):
+    code, out, err = run(capsys, "decompose", "--d1", "2", "--p", "3", "--a", "8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: base field order 6561 exceeds cap 4096\n"

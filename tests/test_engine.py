@@ -2,21 +2,26 @@ import random
 
 import pytest
 
-from conftest import PRIMES, corpus_groups
+from conftest import PRIMES, corpus_groups, elementary_abelian, lattice
 from grpalg import field
 from grpalg.algebra import GroupAlgebra
 from grpalg.errors import NotMetabelian, NotSemisimple
 from grpalg.field import FieldTower, factor_polynomial, make_field, poly_trim
 from grpalg.groups import (
     Subgroup,
+    conjugate_subgroup,
+    core,
     d2_group,
+    maximal_abelian_over_derived,
     metacyclic_group,
+    normal_subgroups,
     subgroup_closure,
 )
 from grpalg.idempotents import (
     CyclotomicCoset,
     coset_orbits,
     cyclic_quotient_data,
+    d_classes,
     decompose,
     ec_idempotent,
     epsilon_idempotent,
@@ -50,6 +55,25 @@ def test_cyclic_quotient_data():
     n2, gen2, e2 = cyclic_quotient_data(S3, Subgroup(S3, range(6)), K)
     assert n2 == 2 and e2[gen2] == 1
     assert {g for g in range(6) if e2[g] == 0} == {0, 2, 4}
+
+
+@pytest.mark.parametrize("G", corpus_groups() + [elementary_abelian(3, 3)],
+                         ids=lambda G: G.name)
+def test_d_classes_match_lattice_filter(G):
+    """The character kernels kept for each N are the lattice filter
+    N <= D <= A, A/D cyclic, core_G(D) = N, split into G-conjugacy classes."""
+    subs = lattice(G)
+    for N in normal_subgroups(G):
+        A = maximal_abelian_over_derived(G, N)
+        classes = d_classes(G, N, A)
+        want = sorted(D.members for D in subs
+                      if N <= D <= A and core(G, D).members == N.members
+                      and any(subgroup_closure(G, D.members + (a,)).members
+                              == A.members for a in A.members))
+        assert sorted(D.members for cls in classes for D in cls) == want
+        for cls in classes:
+            assert {D.members for D in cls} == {
+                conjugate_subgroup(G, cls[0], g).members for g in range(G.order)}
 
 
 def test_shoda_triples_s3():

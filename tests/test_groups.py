@@ -1,6 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import corpus_groups, elementary_abelian, lattice
+from grpalg import groups
 from grpalg.errors import (
     BadPresentation,
     CapExceeded,
@@ -12,7 +16,6 @@ from grpalg.errors import (
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
     center,
     centralizer,
     conjugacy_classes,
@@ -30,7 +33,6 @@ from grpalg.groups import (
     normal_subgroups,
     normalizer,
     parse_cayley,
-    quotient,
     subgroup_closure,
 )
 
@@ -76,7 +78,7 @@ def test_table_validation_errors():
 
 
 def test_subgroup_closure_and_lattice():
-    subs, gens = all_subgroups(D8)
+    subs = lattice(D8)
     assert len(subs) == 10
     assert len(normal_subgroups(D8)) == 6
     orders = sorted(H.order for H in subs)
@@ -85,12 +87,38 @@ def test_subgroup_closure_and_lattice():
     assert subgroup_closure(D8, [2, 1]).order == 8
 
 
-def test_cap_exceeded():
-    G = metacyclic_group(12, 1, 0, 1)  # Z_12, few subgroups; cap tiny
-    with pytest.raises(CapExceeded):
-        all_subgroups(metacyclic_group(16, 4, 0, 3), cap=3)
-    subs, _ = all_subgroups(G)
-    assert len(subs) == 6  # divisors of 12
+@pytest.mark.parametrize(
+    "G", corpus_groups() + [elementary_abelian(3, 3), elementary_abelian(3, 4)],
+    ids=lambda G: G.name)
+def test_normal_subgroups_match_lattice(G):
+    brute = [H.members for H in lattice(G) if is_normal(G, H)]
+    assert [N.members for N in normal_subgroups(G)] == brute
+
+
+@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def test_classes_and_derived_match_loops(G):
+    t, inv = G.table, G.inv
+    classes, seen = [], set()
+    for g in range(G.order):
+        if g not in seen:
+            cls = tuple(sorted({G.conj(g, x) for x in range(G.order)}))
+            seen |= set(cls)
+            classes.append(cls)
+    assert conjugacy_classes(G) == classes
+    comms = {t[t[t[inv[x]][inv[y]]][x]][y]
+             for x in range(G.order) for y in range(G.order)}
+    assert derived_subgroup(G) == subgroup_closure(G, comms)
+
+
+def test_cap_exceeded(monkeypatch):
+    # a fresh group, so that no cached list hides the cap
+    G = FiniteGroup(metacyclic_group(16, 4, 0, 3).table)
+    monkeypatch.setattr(groups, "SUBGROUP_CAP", 3)
+    with pytest.raises(CapExceeded, match="more than 3 normal subgroups"):
+        normal_subgroups(G)
+    monkeypatch.undo()
+    assert len(normal_subgroups(G)) > 3
+    assert len(normal_subgroups(metacyclic_group(12, 1, 0, 1))) == 6  # divisors of 12
 
 
 def test_center_derived_quotient():
@@ -99,24 +127,10 @@ def test_center_derived_quotient():
     assert center(Q8).order == 2
     assert derived_subgroup(S3).order == 3
     assert derived_subgroup(D8).order == 2
-    Q = quotient(D8, derived_subgroup(D8))
-    assert Q.order == 4
-    assert all(Q.table[i][j] == Q.table[j][i]
-               for i in range(4) for j in range(4))  # Klein four
-    # trivial-N quotient is the group itself
-    assert quotient(S3, Subgroup(S3, (0,))).order == 6
-
-
-def test_quotient_push_pull():
-    N = derived_subgroup(D8)
-    Q = quotient(D8, N)
-    for g in range(D8.order):
-        for h in range(D8.order):
-            assert Q.push(D8.table[g][h]) == Q.table[Q.push(g)][Q.push(h)]
-    for c in range(Q.order):
-        assert Q.push(Q.pull_back(c)) == c
-    H = Q.pull_back_subgroup(Subgroup(Q, range(Q.order)))
-    assert H.order == D8.order
+    # D8/D8' is the Klein four group: index 4, every square lies in D8'
+    dmem = derived_subgroup(D8).member_set
+    assert D8.order // len(dmem) == 4
+    assert all(D8.table[g][g] in dmem for g in range(D8.order))
 
 
 def test_conjugacy_classes():
@@ -139,7 +153,7 @@ def test_normalizer_centralizer_core():
     assert core(S3, N).members == N.members
     # core is the intersection of conjugates
     for G in (S3, D8, Q8):
-        for H in all_subgroups(G)[0]:
+        for H in lattice(G):
             C = core(G, H)
             assert is_normal(G, C)
             assert C.member_set <= H.member_set
@@ -152,16 +166,36 @@ def test_metabelian_detection(s4):
     assert is_metabelian(d1_group(3)) and is_metabelian(d2_group(2))
     assert not is_metabelian(s4)
     with pytest.raises(NotMetabelian):
-        maximal_abelian_over_derived(s4)
+        maximal_abelian_over_derived(s4, Subgroup(s4, (0,)))
 
 
 def test_maximal_abelian_over_derived():
-    A = maximal_abelian_over_derived(S3)
+    A = maximal_abelian_over_derived(S3, Subgroup(S3, (0,)))
     assert A.order == 3  # <a>
-    A8 = maximal_abelian_over_derived(D8)
+    A8 = maximal_abelian_over_derived(D8, Subgroup(D8, (0,)))
     assert A8.order == 4
     dmem = derived_subgroup(D8).member_set
     assert dmem <= A8.member_set
+
+
+def _commutes_mod(G, x, y, N):
+    t, inv = G.table, G.inv
+    return t[t[t[inv[x]][inv[y]]][x]][y] in N.member_set
+
+
+@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def test_maximal_abelian_over_derived_is_maximal(G):
+    """For every N, deterministic and random choices alike: A contains G'N,
+    A/N is abelian, and no element outside A commutes with A modulo N."""
+    rng = random.Random(7)
+    for N in normal_subgroups(G):
+        for choice in (None, rng, rng):
+            A = maximal_abelian_over_derived(G, N, rng=choice)
+            assert N.member_set | derived_subgroup(G).member_set <= A.member_set
+            assert all(_commutes_mod(G, x, y, N)
+                       for x in A.members for y in A.members)
+            assert not any(all(_commutes_mod(G, g, a, N) for a in A.members)
+                           for g in range(G.order) if g not in A)
 
 
 def test_d1_structure():
