@@ -3,6 +3,9 @@ group elements, with coefficients stored as base-field indices in a numpy
 int16 array.  Multiplication distributes one row of the group table per
 left-hand support element; since each row of the table is a permutation
 this never collides, so the convolution can be done with fancy indexing.
+Conjugation and the rows g·e of an ideal are single gathers through the
+group table, and the rank elimination is row-parallel: each pivot clears
+its column in all remaining rows at once.
 """
 
 from __future__ import annotations
@@ -42,21 +45,11 @@ class GroupAlgebra:
             raise ValueError("coefficient index out of field range")
         return AlgebraElement(self, c.copy())
 
-    def _conj_perm(self, x: int):
-        key = ("conj_perm", x)
-        cache = self.group._cache
-        perm = cache.get(key)
-        if perm is None:
-            G = self.group
-            perm = np.array([G.conj(g, x) for g in range(G.order)], dtype=np.int32)
-            cache[key] = perm
-        return perm
-
     def ideal_dimension(self, e: "AlgebraElement") -> int:
         """dim_{F_q} of the two-sided ideal F_q[G]·e for central e (as a left
-        ideal: the span of {g·e})."""
-        rows = np.stack([(self.basis(g) * e).coeffs for g in range(self.group.order)])
-        return _rank(self.field, rows)
+        ideal: the span of {g·e}, whose h-coefficient is e[g^-1 h])."""
+        G = self.group
+        return _rank(self.field, e.coeffs[G.m[G.inv_np]])
 
     def __eq__(self, other):
         return (
@@ -116,10 +109,9 @@ class AlgebraElement:
 
     def conjugate(self, x: int):
         """x^{-1} * self * x."""
-        perm = self.algebra._conj_perm(x)
-        res = np.zeros_like(self.coeffs)
-        res[perm] = self.coeffs
-        return AlgebraElement(self.algebra, res)
+        G = self.algebra.group
+        # coefficient of h in x^-1 c x is c[x h x^-1]
+        return AlgebraElement(self.algebra, self.coeffs[G.m[G.m[x], G.inv_np[x]]])
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -174,25 +166,23 @@ class AlgebraElement:
 
 def _rank(F, rows: np.ndarray) -> int:
     """Rank over F_q of a matrix of field indices, by Gaussian elimination
-    through the field tables."""
+    through the field tables; each pivot clears its column in every row
+    below it with one gather."""
     rows = rows.copy()
     nr, nc = rows.shape
     add, mul, neg, inv = F.add_np, F.mul_np, F.neg_np, F.inv_t
     rank = 0
     for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if rows[r, col]:
-                piv = r
-                break
-        if piv is None:
+        nz = np.flatnonzero(rows[rank:, col])
+        if nz.size == 0:
             continue
+        piv = rank + nz[0]
         rows[[rank, piv]] = rows[[piv, rank]]
-        pr = mul[inv[rows[rank, col]], rows[rank]]
-        for r in range(nr):
-            if r != rank and rows[r, col]:
-                rows[r] = add[rows[r], neg[mul[rows[r, col], pr]]]
-        rows[rank] = pr
+        pr = mul[inv[rows[rank, col]], rows[rank, col:]]
+        below = rank + 1 + np.flatnonzero(rows[rank + 1:, col])
+        if below.size:
+            rows[below, col:] = add[rows[below, col:],
+                                    mul[neg[rows[below, col]][:, None], pr]]
         rank += 1
         if rank == nr:
             break

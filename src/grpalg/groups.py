@@ -6,6 +6,12 @@ over a normal N with A/N maximal abelian over (G/N)'.  No quotient group
 and no subgroup lattice is ever built.  Also constructors for the group
 families the package cares about (metacyclic presentations and two
 2-group families given by normal forms) and the Cayley-table text format.
+
+A table is an int32 array, checked with array operations: shape, range,
+identity and inverses directly, associativity by Light's test over a
+greedy generating set (about log2|G| pairs of |G| x |G| gathers instead of
+|G|).  The constructors broadcast their normal-form product formulas into
+the array, and normalizers test conjugates of generators only.
 """
 
 from __future__ import annotations
@@ -29,42 +35,47 @@ SUBGROUP_CAP = 512
 
 class FiniteGroup:
     """A group on {0, ..., n-1} given by its full multiplication table.
-    Index 0 must be the identity."""
+    Index 0 must be the identity.
+
+    The table is held as the int32 array `m`; `table` is the same table as
+    a tuple of rows for the Python-loop helpers, its entries shared from
+    one tuple of ints.  `inv` and `inv_np` hold the inverses."""
 
     def __init__(self, table, labels=None, name=None, meta=None):
-        table = tuple(tuple(row) for row in table)
-        n = len(table)
-        if n == 0 or any(len(row) != n for row in table):
+        try:
+            m = np.asarray(table)
+        except ValueError as exc:  # ragged rows
+            raise ValueError("multiplication table must be square and nonempty") from exc
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise ValueError("multiplication table must be square and nonempty")
-        self.order = n
-        self.table = table
-        self.m = np.array(table, dtype=np.int32)
-        if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
+        if m.dtype.kind not in "iu":
+            raise ValueError("multiplication table entries must be integers")
+        n = m.shape[0]
+        if m.min() < 0 or m.max() >= n:
+            raise ValueError(f"multiplication table entries must lie in 0..{n - 1}")
+        m = m.astype(np.int32, copy=False)
+        xs = np.arange(n)
+        if (m[0] != xs).any() or (m[:, 0] != xs).any():
             raise NoIdentity("index 0 does not act as a two-sided identity")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == 0:
-                    inv[i] = j
-                    break
-            if inv[i] is None or table[inv[i]][i] != 0:
-                raise NoInverse(f"element {i} has no two-sided inverse")
-        self.inv = tuple(inv)
-        self._check_associative()
+        zero = m == 0
+        inv = zero.argmax(axis=1)  # the least j with i*j = 0
+        bad = ~zero[xs, inv] | (m[inv, xs] != 0)
+        if bad.any():
+            raise NoInverse(f"element {int(bad.argmax())} has no two-sided inverse")
+        witness = associativity_witness(m)
+        if witness is not None:
+            x, a, y = witness
+            raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+        self.order = n
+        self.m = m
+        ints = tuple(range(n))
+        self.table = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in m)
+        self.inv_np = inv.astype(np.int32)
+        self.inv = tuple(map(ints.__getitem__, inv.tolist()))
         self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
         self.name = name or f"G{n}"
         self.meta = dict(meta or {})
         self._cache = {}
-
-    def _check_associative(self):
-        m = self.m
-        # (i*j)*k vs i*(j*k), row-chunked to bound memory
-        for i in range(self.order):
-            lhs = m[m[i]]          # lhs[j, k] = (i*j)*k
-            rhs = m[i][m]          # rhs[j, k] = i*(j*k)
-            if not np.array_equal(lhs, rhs):
-                j, k = map(int, np.argwhere(lhs != rhs)[0])
-                raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})")
 
     def conj(self, g, x):
         """x^{-1} g x."""
@@ -80,6 +91,42 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"<{self.name}, order {self.order}>"
+
+
+def generators(m, members):
+    """Elements of `members` whose left-normed products ((a1*a2)*a3)...
+    cover `members`, picked greedily, least uncovered element first.  For a
+    subgroup of a group that is a generating set of at most log2 of its
+    order elements; the table m need not be associative."""
+    covered = np.zeros(len(m), dtype=bool)
+    covered[0] = True
+    gens = []
+    for a in members:
+        if covered[a]:
+            continue
+        gens.append(int(a))
+        frontier = np.flatnonzero(covered)
+        while frontier.size:  # close under right multiplication by gens
+            img = m[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(img[~covered[img]])
+            covered[frontier] = True
+    return gens
+
+
+def associativity_witness(m):
+    """None if the table m, with two-sided identity 0, is associative;
+    otherwise some (x, a, y) with (x*a)*y != x*(a*y).
+
+    Light's test: the a with (x*a)*y = x*(a*y) for all x, y include the
+    identity and are closed under products, so it suffices to check a over
+    generators of the table, one pair of n x n gathers each."""
+    for a in generators(m, range(len(m))):
+        lhs = m[m[:, a]]   # lhs[x, y] = (x*a)*y
+        rhs = m[:, m[a]]   # rhs[x, y] = x*(a*y)
+        if not np.array_equal(lhs, rhs):
+            x, y = map(int, np.argwhere(lhs != rhs)[0])
+            return x, a, y
+    return None
 
 
 class Subgroup:
@@ -127,12 +174,7 @@ def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
 
 
 def is_normal(G, H: Subgroup) -> bool:
-    t, inv = G.table, G.inv
-    for x in range(G.order):
-        for h in H.members:
-            if t[t[inv[x]][h]][x] not in H.member_set:
-                return False
-    return True
+    return normalizer(G, H).order == G.order
 
 
 def normal_subgroups(G):
@@ -179,7 +221,7 @@ def normal_subgroups(G):
 def derived_subgroup(G) -> Subgroup:
     if "derived" in G._cache:
         return G._cache["derived"]
-    M, inv = G.m, np.asarray(G.inv)
+    M, inv = G.m, G.inv_np
     ys = np.arange(G.order)
     comms = np.zeros(G.order, dtype=bool)
     for x in range(G.order):
@@ -202,13 +244,11 @@ def centralizer(G, H: Subgroup) -> Subgroup:
 
 
 def normalizer(G, H: Subgroup) -> Subgroup:
-    t, inv = G.table, G.inv
-    mem = H.member_set
-    ns = []
-    for g in range(G.order):
-        if all(t[t[inv[g]][h]][g] in mem for h in H.members):
-            ns.append(g)
-    return Subgroup(G, ns)
+    """The g in G with g^-1 s g in H for every s in generators of H; as
+    conjugation by g is a homomorphism, that puts g^-1 H g inside H."""
+    s = generators(G.m, H.members)
+    conj = G.m[G.m[np.ix_(G.inv_np, s)], np.arange(G.order)[:, None]]
+    return Subgroup(G, np.flatnonzero(mask(G, H)[conj].all(axis=1)).tolist())
 
 
 def core(G, H: Subgroup) -> Subgroup:
@@ -241,7 +281,7 @@ def is_metabelian(G) -> bool:
 def conjugacy_classes(G):
     if "classes" in G._cache:
         return G._cache["classes"]
-    M, inv = G.m, np.asarray(G.inv)
+    M, inv = G.m, G.inv_np
     xs = np.arange(G.order)
     seen = np.zeros(G.order, dtype=bool)
     classes = []
@@ -296,7 +336,7 @@ def maximal_abelian_over_derived(G, N: Subgroup, rng=None) -> Subgroup:
     """
     if not is_metabelian(G):
         raise NotMetabelian(f"derived subgroup of {G.name} is not abelian")
-    M, inv = G.m, np.asarray(G.inv)
+    M, inv = G.m, G.inv_np
     in_n = mask(G, N)
     members = np.unique(M[np.ix_(derived_subgroup(G).members, N.members)])
     in_a = np.zeros(G.order, dtype=bool)
@@ -330,18 +370,17 @@ def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
     if k * (r - 1) % n != 0:
         raise BadPresentation(f"k(r-1) = {k * (r - 1) % n} mod {n}, expected 0")
     order = n * t
-    table = [[0] * order for _ in range(order)]
-    # b^{-1} a b = a^r gives b^{j} a = a^{r^{-j}} b^{j}
+    # b^{-1} a b = a^r gives b^{j} a = a^{r^{-j}} b^{j}, so
+    # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2 r^-j1 + k [j1 + j2 >= t]) b^(j1 + j2 mod t)
     rinv = pow(r, -1, n) if n > 1 else 0
-    ripow = [pow(rinv, j, n) if n > 1 else 0 for j in range(t)]
-    for i1 in range(n):
-        for j1 in range(t):
-            row = table[i1 * t + j1]
-            for i2 in range(n):
-                for j2 in range(t):
-                    j = j1 + j2
-                    i = (i1 + i2 * ripow[j1] + k * (j // t)) % n
-                    row[i2 * t + j2] = i * t + (j % t)
+    ripow = np.array([pow(rinv, j, n) if n > 1 else 0 for j in range(t)], dtype=np.int32)
+    i1, j1, i2, j2 = np.ix_(*(np.arange(x, dtype=np.int32) for x in (n, t, n, t)))
+    j = j1 + j2
+    table = i1 + i2 * ripow[j1] + k * (j // t)  # below 2n^2: int32 for n < 32768
+    table %= n
+    table *= t
+    table += j % t
+    table = table.reshape(order, order)
     labels = []
     for i in range(n):
         for j in range(t):
@@ -366,17 +405,10 @@ def d1_group(m: int) -> FiniteGroup:
     n = 1 << m
     half = n >> 1
     order = 4 * n
-    table = [[0] * order for _ in range(order)]
-    for c1 in range(n):
-        for e1 in range(2):
-            for f1 in range(2):
-                row = table[c1 * 4 + e1 * 2 + f1]
-                for c2 in range(n):
-                    for e2 in range(2):
-                        for f2 in range(2):
-                            c = (c1 + c2 + f1 * e2 * half) % n
-                            row[c2 * 4 + e2 * 2 + f2] = (
-                                c * 4 + ((e1 + e2) % 2) * 2 + (f1 + f2) % 2)
+    c1, e1, f1, c2, e2, f2 = np.ix_(range(n), range(2), range(2),
+                                    range(n), range(2), range(2))
+    c = (c1 + c2 + f1 * e2 * half) % n
+    table = (c * 4 + (e1 + e2) % 2 * 2 + (f1 + f2) % 2).reshape(order, order)
     labels = []
     for c in range(n):
         for e in range(2):
@@ -404,7 +436,7 @@ def d2_group(m: int) -> FiniteGroup:
     if m < 1:
         raise BadPresentation("m must be >= 1")
     G = metacyclic_group(1 << (m + 1), 2, 2, (1 << m) + 1)
-    return FiniteGroup(G.table, labels=G.labels, name=f"D2({m})",
+    return FiniteGroup(G.m, labels=G.labels, name=f"D2({m})",
                        meta={"family": "d2", "m": m,
                              "params": G.meta["params"]})
 
@@ -429,7 +461,7 @@ def parse_cayley(text: str) -> FiniteGroup:
     table = []
     for ln in lines[1:1 + n]:
         row = [int(tok) for tok in ln.split()]
-        if len(row) != n or any(not (0 <= v < n) for v in row):
+        if len(row) != n:
             raise ValueError(f"bad table row: {ln!r}")
         table.append(row)
     labels = [f"g{i}" for i in range(n)]
@@ -441,7 +473,7 @@ def parse_cayley(text: str) -> FiniteGroup:
         if not (0 <= idx < n):
             raise ValueError(f"label index out of range: {ln!r}")
         labels[idx] = toks[2]
-    return FiniteGroup(table, labels=labels, name=f"cayley{n}")
+    return FiniteGroup(np.array(table), labels=labels, name=f"cayley{n}")
 
 
 def format_cayley(G: FiniteGroup) -> str:

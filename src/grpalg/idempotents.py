@@ -10,8 +10,8 @@ quotient group and no subgroup lattice:
   cyclic, keeping those whose core in G is N, one per G-conjugacy class.
 Each triple, together with an orbit of q-cyclotomic generator cosets
 modulo [A:D], yields one primitive central idempotent as a sum of
-conjugates of a trace-twisted coset sum, and one matrix component
-M_d(F_{q^l}).
+conjugates of a trace-twisted coset sum, one per coset of the orbit's
+stabilizer E, and one matrix component M_d(F_{q^l}).
 """
 
 from __future__ import annotations
@@ -198,17 +198,21 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
 
 
 def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
-                  C: CyclotomicCoset):
-    """Sum of the distinct G-conjugates of the (K, H, C) idempotent."""
+                  C: CyclotomicCoset, E: Subgroup):
+    """Sum of the G-conjugates of the (K, H, C) idempotent, one per right
+    coset of its centralizer E, the stabilizer of C from coset_orbits."""
     eps = epsilon_idempotent(A, K, H, C)
     seen = set()
     total = A.zero()
-    for x in range(A.group.order):
+    for x in transversal(A.group, E):
         c = eps.conjugate(x)
-        k = c.key()
-        if k not in seen:
-            seen.add(k)
-            total = total + c
+        key = c.coeffs.tobytes()
+        if key in seen:
+            raise InternalInconsistency(
+                f"conjugate by {x} repeats another: the stabilizer of C is "
+                f"not the centralizer of the (K, H, C) idempotent")
+        seen.add(key)
+        total = total + c
     return total
 
 
@@ -371,7 +375,7 @@ def decompose(G: FiniteGroup, tower: FieldTower, rng=None, validate=True):
         reps, E = coset_orbits(G, tr.A, tr.D, q, rng=rng)
         d, l = component_params(G, tr, E, q)
         for C in reps:
-            e = ec_idempotent(A, tr.A, tr.D, C)
+            e = ec_idempotent(A, tr.A, tr.D, C, E)
             descriptors.append(ComponentDescriptor(d, l, e, tr, C))
     return summarize(A, descriptors, validate)
 

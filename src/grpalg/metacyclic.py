@@ -207,6 +207,6 @@ def metacyclic_decompose(params: MetacyclicParams, tower: FieldTower,
             tr = Triple(N=N, D=H, A=K)
             d, l = component_params(G, tr, E, q)
             for C in reps:
-                e = ec_idempotent(A, K, H, C)
+                e = ec_idempotent(A, K, H, C, E)
                 descriptors.append(ComponentDescriptor(d, l, e, tr, C))
     return summarize(A, descriptors, validate)

@@ -1,7 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from grpalg.errors import NoIdentity, NoInverse, NotAssociative
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
@@ -12,6 +14,23 @@ from grpalg.groups import (
 )
 
 PRIMES = (3, 5, 7, 11, 13)
+
+# Tables that break the group axioms, with the error FiniteGroup raises.
+# The order-5 loop has identity 0 and x*x = 0 for every x, but no group of
+# order 5 is all involutions.
+BAD_TABLES = {
+    "ragged": ([[0, 1], [1]], ValueError),
+    "out_of_range": ([[0, 1], [1, 2]], ValueError),
+    "negative": ([[0, 1], [1, -1]], ValueError),
+    "no_identity": ([[1, 0], [0, 1]], NoIdentity),
+    "no_inverse": ([[0, 1, 2], [1, 1, 1], [2, 1, 1]], NoInverse),
+    "one_sided_inverse": ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], NoInverse),
+    "non_associative": ([[0, 1, 2, 3, 4],
+                         [1, 0, 3, 4, 2],
+                         [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1],
+                         [4, 3, 1, 2, 0]], NotAssociative),
+}
 
 METACYCLIC_TUPLES = [
     (4, 2, 0, 3), (5, 4, 0, 2), (7, 3, 0, 2),
@@ -70,6 +89,110 @@ def lattice(G):
                     nxt.append(J)
         frontier = nxt
     return sorted((Subgroup(G, m) for m in found), key=lambda H: (H.order, H.members))
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the array kernels of grpalg.groups and grpalg.algebra
+# ---------------------------------------------------------------------------
+
+def full_associativity_witness(m):
+    """The first (x, y, z) with (x*y)*z != x*(y*z), checking every x: the
+    reference for Light's test."""
+    for x in range(len(m)):
+        lhs = m[m[x]]      # lhs[y, z] = (x*y)*z
+        rhs = m[x][m]      # rhs[y, z] = x*(y*z)
+        if not np.array_equal(lhs, rhs):
+            y, z = map(int, np.argwhere(lhs != rhs)[0])
+            return x, y, z
+    return None
+
+
+def rank_reference(F, rows):
+    """Rank over F_q by Gauss-Jordan elimination one row at a time."""
+    rows = rows.copy()
+    nr, nc = rows.shape
+    add, mul, neg, inv = F.add_np, F.mul_np, F.neg_np, F.inv_t
+    rank = 0
+    for col in range(nc):
+        piv = None
+        for r in range(rank, nr):
+            if rows[r, col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[[rank, piv]] = rows[[piv, rank]]
+        pr = mul[inv[rows[rank, col]], rows[rank]]
+        for r in range(nr):
+            if r != rank and rows[r, col]:
+                rows[r] = add[rows[r], neg[mul[rows[r, col], pr]]]
+        rows[rank] = pr
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def metacyclic_table_loop(n, t, k, r):
+    """The table of metacyclic_group(n, t, k, r), entry by entry."""
+    r %= n
+    k %= n
+    rinv = pow(r, -1, n) if n > 1 else 0
+    ripow = [pow(rinv, j, n) if n > 1 else 0 for j in range(t)]
+    table = [[0] * (n * t) for _ in range(n * t)]
+    for i1 in range(n):
+        for j1 in range(t):
+            row = table[i1 * t + j1]
+            for i2 in range(n):
+                for j2 in range(t):
+                    j = j1 + j2
+                    i = (i1 + i2 * ripow[j1] + k * (j // t)) % n
+                    row[i2 * t + j2] = i * t + (j % t)
+    return table
+
+
+def d1_table_loop(m):
+    """The table of d1_group(m), entry by entry."""
+    n = 1 << m
+    half = n >> 1
+    table = [[0] * (4 * n) for _ in range(4 * n)]
+    for c1, e1, f1 in itertools.product(range(n), range(2), range(2)):
+        row = table[c1 * 4 + e1 * 2 + f1]
+        for c2, e2, f2 in itertools.product(range(n), range(2), range(2)):
+            c = (c1 + c2 + f1 * e2 * half) % n
+            row[c2 * 4 + e2 * 2 + f2] = c * 4 + ((e1 + e2) % 2) * 2 + (f1 + f2) % 2
+    return table
+
+
+def random_loop(n, rng):
+    """A random Latin square of order n (rows drawn one at a time as random
+    perfect matchings of columns to unused symbols), normalized so that
+    row 0 and column 0 read 0, 1, ..., n-1."""
+    rows = []
+    for _ in range(n):
+        free = [set(range(n)) - {row[c] for row in rows} for c in range(n)]
+        col_of = {}  # symbol -> column
+
+        def augment(c, seen):
+            syms = list(free[c])
+            rng.shuffle(syms)
+            for s in syms:
+                if s not in seen:
+                    seen.add(s)
+                    if s not in col_of or augment(col_of[s], seen):
+                        col_of[s] = c
+                        return True
+            return False
+
+        for c in rng.sample(range(n), n):
+            augment(c, set())
+        row = [0] * n
+        for s, c in col_of.items():
+            row[c] = s
+        rows.append(row)
+    L = np.array(rows)
+    L = L[:, np.argsort(L[0])]      # row 0 becomes the identity
+    return L[np.argsort(L[:, 0])]   # column 0 becomes the identity
 
 
 def corpus_groups():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grpalg.algebra import GroupAlgebra
+from conftest import rank_reference
+from grpalg.algebra import GroupAlgebra, _rank
 from grpalg.errors import MixedContext
 from grpalg.field import make_field
 from grpalg.groups import conjugacy_classes, metacyclic_group
@@ -112,3 +113,45 @@ def test_extension_base_field_coefficients():
     assert (y + y).key() != y.key()
     assert (B.one() * y).key() == y.key()
     assert "(2,1)*" in y.to_str()
+
+
+def _combinations(F, coef, base):
+    """Rows sum_j coef[i, j] * base[j] over F, through the field tables."""
+    out = np.zeros((coef.shape[0], base.shape[1]), dtype=np.int16)
+    for j in range(base.shape[0]):
+        out = F.add_np[out, F.mul_np[coef[:, j][:, None], base[j]]]
+    return out
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2)])
+def test_rank_matches_reference(p, a):
+    """_rank against row-at-a-time elimination, on random matrices of rank
+    at most k built as combinations of k random rows, some with zero
+    columns and repeated rows."""
+    F = make_field(p, a).base
+    rng = np.random.default_rng(1000 * p + a)
+    deficient = 0
+    for _ in range(40):
+        nr, nc = rng.integers(1, 24, size=2)
+        k = int(rng.integers(0, min(nr, nc) + 2))
+        base = rng.integers(0, F.q, size=(k, nc)).astype(np.int16)
+        rows = _combinations(F, rng.integers(0, F.q, size=(nr, k)), base)
+        if rng.random() < 0.3:
+            rows[:, rng.integers(0, nc)] = 0
+        if rng.random() < 0.3:
+            rows = np.concatenate([rows, rows[::2]])
+        want = rank_reference(F, rows)
+        assert _rank(F, rows) == want
+        deficient += want < min(rows.shape)
+    assert deficient >= 10
+
+
+def test_ideal_dimension_matches_products():
+    """The gathered rows of ideal_dimension are the products g*e."""
+    rng = np.random.default_rng(3)
+    for G, q in [(S3, 5), (metacyclic_group(4, 2, 2, 3), 3),
+                 (metacyclic_group(7, 3, 0, 2), 2)]:
+        B = GroupAlgebra(G, make_field(q))
+        for e in [B.one(), B.zero(), B.element(rng.integers(0, q, G.order))]:
+            rows = np.stack([(B.basis(g) * e).coeffs for g in range(G.order)])
+            assert B.ideal_dimension(e) == rank_reference(B.field, rows)

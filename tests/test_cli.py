@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import elementary_abelian, s4_group
+from conftest import BAD_TABLES, elementary_abelian, s4_group
 from grpalg.cli import main
 from grpalg.groups import format_cayley, metacyclic_group
 
@@ -51,6 +51,18 @@ def test_parse_error_exit_2(capsys, tmp_path):
     code3, _, err3 = run(capsys, "decompose", "--cayley",
                          str(tmp_path / "missing"), "--p", "3")
     assert code3 == 2
+
+
+@pytest.mark.parametrize("name", BAD_TABLES)
+def test_bad_cayley_table_exit_2(capsys, tmp_path, name):
+    table, _ = BAD_TABLES[name]
+    path = tmp_path / f"{name}.cayley"
+    path.write_text(f"order {len(table)}\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in table))
+    code, out, err = run(capsys, "decompose", "--cayley", str(path), "--p", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_bad_presentation_exit_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 from conftest import PRIMES, corpus_groups, elementary_abelian, lattice
 from grpalg import field
 from grpalg.algebra import GroupAlgebra
-from grpalg.errors import NotMetabelian, NotSemisimple
+from grpalg.errors import InternalInconsistency, NotMetabelian, NotSemisimple
 from grpalg.field import FieldTower, factor_polynomial, make_field, poly_trim
 from grpalg.groups import (
     Subgroup,
@@ -28,6 +28,7 @@ from grpalg.idempotents import (
     generator_cosets,
     shoda_triples,
 )
+from grpalg.metacyclic import metacyclic_decompose, params_of
 
 S3 = metacyclic_group(3, 2, 0, 2)
 D8 = metacyclic_group(4, 2, 0, 3)
@@ -103,8 +104,51 @@ def test_epsilon_hand_value_s3_f5():
     assert list(eps.coeffs) == [4, 0, 3, 0, 3, 0]
     assert eps.is_idempotent()
     # it is already central in F_5[S3]: e_C = epsilon here
-    e = ec_idempotent(A, K, H, C)
+    _, E = coset_orbits(S3, K, H, 5)
+    e = ec_idempotent(A, K, H, C, E)
     assert e.key() == eps.key()
+
+
+def ec_idempotent_reference(A, K, H, C):
+    """The sum of the distinct conjugates of epsilon over all of G."""
+    eps = epsilon_idempotent(A, K, H, C)
+    seen = set()
+    total = A.zero()
+    for x in range(A.group.order):
+        c = eps.conjugate(x)
+        if c.key() not in seen:
+            seen.add(c.key())
+            total = total + c
+    return total
+
+
+@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def test_ec_idempotent_matches_all_conjugate_sum(G):
+    """The sum over a transversal of E equals the deduplicated sum over all
+    of G, for the engine's triples and the fast path's (K, H), two fields
+    per group."""
+    for q in [q for q in PRIMES if G.order % q][:2]:
+        A = GroupAlgebra(G, make_field(q))
+        for tr in shoda_triples(G):
+            reps, E = coset_orbits(G, tr.A, tr.D, q)
+            for C in reps:
+                assert ec_idempotent(A, tr.A, tr.D, C, E) == \
+                    ec_idempotent_reference(A, tr.A, tr.D, C)
+        if "params" in G.meta:
+            _, descriptors = metacyclic_decompose(params_of(G), make_field(q))
+            for dsc in descriptors:  # in the algebra of params_of(G).group()
+                assert dsc.idempotent == ec_idempotent_reference(
+                    dsc.idempotent.algebra, dsc.triple.A, dsc.triple.D, dsc.coset)
+
+
+def test_ec_idempotent_repeated_conjugate_raises():
+    # E = G centralizes epsilon here; a smaller E repeats a conjugate
+    A = GroupAlgebra(S3, make_field(5))
+    K = subgroup_closure(S3, [2])
+    H = Subgroup(S3, (0,))
+    C = generator_cosets(3, 5)[0]
+    with pytest.raises(InternalInconsistency, match="repeats another"):
+        ec_idempotent(A, K, H, C, K)
 
 
 def test_coset_orbit_stabilizer_s3():

@@ -1,9 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_groups, elementary_abelian, lattice
+from conftest import (
+    BAD_TABLES,
+    a4_group,
+    corpus_groups,
+    d1_table_loop,
+    elementary_abelian,
+    full_associativity_witness,
+    lattice,
+    metacyclic_table_loop,
+    random_loop,
+)
 from grpalg import groups
 from grpalg.errors import (
     BadPresentation,
@@ -16,6 +27,7 @@ from grpalg.errors import (
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
+    associativity_witness,
     center,
     centralizer,
     conjugacy_classes,
@@ -26,6 +38,7 @@ from grpalg.groups import (
     d2_group,
     derived_subgroup,
     format_cayley,
+    generators,
     is_metabelian,
     is_normal,
     maximal_abelian_over_derived,
@@ -75,6 +88,87 @@ def test_table_validation_errors():
     # Z3 table with a corrupted entry: 0 stays identity, row 2 broken
     with pytest.raises((NotAssociative, NoInverse)):
         FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]][:2] + [[2, 1, 0]])
+    for table, error in BAD_TABLES.values():
+        with pytest.raises(error):
+            FiniteGroup(table)
+
+
+@pytest.mark.parametrize("params", [
+    (2, 3, 1, 1), (6, 1, 0, 1), (3, 2, 0, 2), (4, 2, 2, 3), (8, 2, 2, 5),
+    (9, 3, 3, 4), (12, 2, 6, 5), (6, 2, 3, 1), (7, 3, 0, 2), (16, 4, 0, 3),
+    (16, 4, 8, 5), (13, 3, 0, 3)])
+def test_metacyclic_table_matches_loop(params):
+    G = metacyclic_group(*params)
+    assert G.m.dtype == np.int32
+    assert G.m.tolist() == metacyclic_table_loop(*params)
+    assert G.table == tuple(map(tuple, metacyclic_table_loop(*params)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_d1_and_d2_tables_match_loops(m):
+    assert d1_group(m).m.tolist() == d1_table_loop(m)
+    assert d2_group(m).m.tolist() == metacyclic_table_loop(1 << (m + 1), 2, 2, (1 << m) + 1)
+
+
+def _relabeled(m, rng):
+    """m with its non-identity elements relabeled at random."""
+    perm = np.array([0] + rng.sample(range(1, len(m)), len(m) - 1))
+    out = np.empty_like(m)
+    out[np.ix_(perm, perm)] = perm[m]
+    return out
+
+
+def test_light_test_matches_full_check():
+    """Light's test against the all-x check on seeded random normalized
+    Latin squares of orders 4-12: random loops, relabeled group tables, and
+    group tables with one 2x2 subsquare switched, which are nearly
+    associative."""
+    rng = random.Random(5)
+    small = [metacyclic_group(*p) for p in [
+        (4, 1, 0, 1), (2, 2, 0, 1), (3, 2, 0, 2), (6, 1, 0, 1), (4, 2, 0, 3),
+        (4, 2, 2, 3), (8, 1, 0, 1), (3, 3, 0, 1), (5, 2, 0, 4), (6, 2, 0, 5),
+        (3, 4, 0, 2), (6, 2, 3, 1)]] + [elementary_abelian(2, 3), a4_group()]
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        kind = rng.choice(["loop", "group", "switched"])
+        if kind == "loop":
+            m = random_loop(rng.randint(4, 12), rng)
+        else:
+            m = _relabeled(rng.choice(small).m, rng)
+        if kind == "switched":
+            n = len(m)
+            # 2x2 subsquares u v / v u away from the identity's row and column
+            switches = [(r1, r2, c1, c2)
+                        for r1 in range(1, n) for r2 in range(r1 + 1, n)
+                        for c1 in range(1, n)
+                        for c2 in np.flatnonzero(m[r1] == m[r2, c1])
+                        if c2 > c1 and m[r2, c2] == m[r1, c1]]
+            if not switches:
+                continue
+            r1, r2, c1, c2 = rng.choice(switches)
+            u, v = m[r1, c1], m[r1, c2]
+            m[r1, c1] = m[r2, c2] = v
+            m[r1, c2] = m[r2, c1] = u
+        got, want = associativity_witness(m), full_associativity_witness(m)
+        assert (got is None) == (want is None)
+        if got is not None:
+            x, a, y = got
+            assert m[m[x, a], y] != m[x, m[a, y]]
+        outcomes[got is None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def test_generators_generate(G):
+    """generators() of each normal subgroup generate it, at most log2|H| of
+    them, and the normalizer over them matches the all-element test."""
+    for H in normal_subgroups(G) + [subgroup_closure(G, [1])]:
+        gens = generators(G.m, H.members)
+        assert subgroup_closure(G, gens) == H
+        assert 2 ** len(gens) <= H.order
+        brute = [g for g in range(G.order)
+                 if all(G.conj(h, g) in H for h in H.members)]
+        assert normalizer(G, H).members == tuple(brute)
 
 
 def test_subgroup_closure_and_lattice():
