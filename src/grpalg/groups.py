@@ -365,15 +365,15 @@ def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
         raise BadPresentation("n and t must be positive")
     r %= n
     k %= n
-    if pow(r, t, n) != 1:
+    if pow(r, t, n) != 1 % n:
         raise BadPresentation(f"r^t = {pow(r, t, n)} mod {n}, expected 1")
     if k * (r - 1) % n != 0:
         raise BadPresentation(f"k(r-1) = {k * (r - 1) % n} mod {n}, expected 0")
     order = n * t
     # b^{-1} a b = a^r gives b^{j} a = a^{r^{-j}} b^{j}, so
     # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2 r^-j1 + k [j1 + j2 >= t]) b^(j1 + j2 mod t)
-    rinv = pow(r, -1, n) if n > 1 else 0
-    ripow = np.array([pow(rinv, j, n) if n > 1 else 0 for j in range(t)], dtype=np.int32)
+    rinv = pow(r, -1, n)
+    ripow = np.array([pow(rinv, j, n) for j in range(t)], dtype=np.int32)
     i1, j1, i2, j2 = np.ix_(*(np.arange(x, dtype=np.int32) for x in (n, t, n, t)))
     j = j1 + j2
     table = i1 + i2 * ripow[j1] + k * (j // t)  # below 2n^2: int32 for n < 32768

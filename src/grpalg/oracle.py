@@ -2,7 +2,15 @@
 F_q[G] into primitive idempotents by plain linear algebra (minimal
 polynomials of class sums, factorization, CRT interpolation), and count
 the expected number of components from q-classes of conjugacy classes.
-Shares only field and group-algebra arithmetic with the main engine.
+
+The split runs in class coordinates, the classical class-matrix route of
+Dixon (Numer. Math. 1967) and Schneider (1990): a central element has one
+coordinate per conjugacy class, and multiplying it by a class sum is one
+field-table sum over an index array built once per group.  Only the final
+blocks are lifted to |G| coordinates.  The oracle shares with the engine
+only the group table, `conjugacy_classes`, the field tables and
+`factor_polynomial`; it uses none of the engine's subgroups, triples or
+group-algebra products.
 """
 
 from __future__ import annotations
@@ -49,31 +57,51 @@ def q_class_count(G: FiniteGroup, q: int) -> int:
     return count
 
 
-def class_sums(A: GroupAlgebra):
-    out = []
-    for cls in conjugacy_classes(A.group):
-        c = np.zeros(A.group.order, dtype=np.int16)
-        c[list(cls)] = 1
-        out.append(A.element(c))
-    return out
+def class_structure(G: FiniteGroup):
+    """(class_of, idx) for the center of F_q[G] in class coordinates, built
+    once per group.  A central W has one coordinate w[l] per class, W(g) =
+    w[class_of[g]].  Since (C_i·W)(z) = Σ_{x∈C_i} W(x⁻¹z), the product
+    with the class sum C_i at the representative z_l of class l is the sum
+    over the rows of w[idx[i]][:, l], where idx[i] = class_of[x⁻¹ z_l] is a
+    |C_i| × k array."""
+    if "class_structure" not in G._cache:
+        classes = conjugacy_classes(G)
+        class_of = np.empty(G.order, dtype=np.int32)
+        for i, cls in enumerate(classes):
+            class_of[list(cls)] = i
+        reps = [cls[0] for cls in classes]
+        idx = [class_of[G.m[np.ix_(G.inv_np[list(cls)], reps)]] for cls in classes]
+        G._cache["class_structure"] = (class_of, idx)
+    return G._cache["class_structure"]
 
 
-def _minimal_polynomial(A: GroupAlgebra, z: AlgebraElement, e: AlgebraElement):
-    """Minimal polynomial of multiplication by z on the ideal generated by
-    the central idempotent e; also returns the power list [e, ze, z²e, ...]
-    so that polynomials can be evaluated at z cheaply.
+def class_mul(F, idx_i, w):
+    """C_i · w in class coordinates: the field sum over the rows of
+    w[idx_i], halving the rows with F.add_np at each step."""
+    rows = w[idx_i]
+    while len(rows) > 1:
+        half = len(rows) // 2
+        top = F.add_np[rows[:half], rows[half:2 * half]]
+        rows = np.concatenate([top, rows[2 * half:]]) if len(rows) % 2 else top
+    return rows[0]
+
+
+def _minimal_polynomial(F, idx_i, e):
+    """Minimal polynomial of multiplication by the class sum C_i on the
+    ideal generated by the central idempotent e (all in class coordinates);
+    also returns the power list [e, C_i e, C_i² e, ...] so that polynomials
+    can be evaluated at C_i cheaply.
 
     Gauss-Jordan over the power rows with tracked combinations: each basis
     row is fully reduced against the others, so the first power that
     single-pass-reduces to zero yields the (monic) dependency directly.
     """
-    F = A.field
-    nmax = A.group.order + 1
+    nmax = len(e) + 1
     powers = [e]
     basis = {}  # pivot column -> (reduced row, combo over power indices)
     deg = 0
     while True:
-        v = powers[-1].coeffs.copy()
+        v = powers[-1].copy()
         combo = np.zeros(nmax, dtype=np.int16)
         combo[deg] = 1
         for piv, (br, bc) in basis.items():
@@ -94,34 +122,27 @@ def _minimal_polynomial(A: GroupAlgebra, z: AlgebraElement, e: AlgebraElement):
                 basis[p2] = (F.add_np[br, F.neg_np[F.mul_np[c, v]]],
                              F.add_np[bc, F.neg_np[F.mul_np[c, combo]]])
         basis[piv] = (v, combo)
-        powers.append(powers[-1] * z)
+        powers.append(class_mul(F, idx_i, powers[-1]))
         deg += 1
-
-
-def _eval_at_powers(A: GroupAlgebra, poly, powers):
-    F = A.field
-    acc = A.zero()
-    for i, c in enumerate(poly):
-        if c:
-            acc = acc + powers[i].scale(c)
-    return acc
 
 
 def center_split(G: FiniteGroup, tower):
     """Primitive idempotents of the center of F_q[G], found by refining
     blocks with CRT interpolation idempotents of class-sum minimal
-    polynomials.  Returned sorted by coefficient tuple."""
+    polynomials, in class coordinates.  Returned as elements of F_q[G],
+    sorted by coefficient tuple."""
     q = tower.q
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
-    A = GroupAlgebra(G, tower)
     F = tower.base
-    sums = class_sums(A)
-    blocks = [A.one()]
-    for z in sums:
+    class_of, idx = class_structure(G)
+    one = np.zeros(len(idx), dtype=np.int16)
+    one[class_of[0]] = 1
+    blocks = [one]
+    for idx_i in idx:
         refined = []
         for e in blocks:
-            mp, powers = _minimal_polynomial(A, z, e)
+            mp, powers = _minimal_polynomial(F, idx_i, e)
             mp = poly_scale(F, F.inv(mp[-1]), mp)
             factors = factor_polynomial(F, mp)
             if any(mult > 1 for _, mult in factors):
@@ -131,14 +152,20 @@ def center_split(G: FiniteGroup, tower):
                 refined.append(e)
                 continue
             for h, _ in factors:
-                # u = (mp/h) * inv(mp/h mod h); u(z)*e is the h-block piece
+                # u = (mp/h) * inv(mp/h mod h); u(C_i)*e is the h-block piece
                 comp = poly_divmod(F, mp, list(h))[0]
                 comp_mod = poly_mod(F, comp, list(h))
                 inv = _poly_inverse_mod(F, comp_mod, list(h))
                 u = poly_mod(F, poly_mul(F, comp, inv), mp)
-                refined.append(_eval_at_powers(A, u, powers))
+                b = np.zeros(len(idx), dtype=np.int16)
+                for c, power in zip(u, powers):
+                    if c:
+                        b = F.add_np[b, F.mul_np[c, power]]
+                refined.append(b)
         blocks = refined
-    return sorted(blocks, key=lambda e: e.key())
+    A = GroupAlgebra(G, tower)
+    return sorted((AlgebraElement(A, b[class_of]) for b in blocks),
+                  key=lambda e: e.key())
 
 
 def _poly_inverse_mod(F, f, m):

@@ -1,17 +1,29 @@
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
 
-from grpalg.errors import NoIdentity, NoInverse, NotAssociative
+from grpalg.algebra import GroupAlgebra
+from grpalg.errors import NoIdentity, NoInverse, NotAssociative, NotSemisimple
+from grpalg.field import (
+    factor_polynomial,
+    poly_divmod,
+    poly_mod,
+    poly_mul,
+    poly_scale,
+    poly_trim,
+)
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
+    conjugacy_classes,
     d1_group,
     d2_group,
     metacyclic_group,
     subgroup_closure,
 )
+from grpalg.oracle import _poly_inverse_mod
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -193,6 +205,93 @@ def random_loop(n, rng):
     L = np.array(rows)
     L = L[:, np.argsort(L[0])]      # row 0 becomes the identity
     return L[np.argsort(L[:, 0])]   # column 0 becomes the identity
+
+
+def relabeled(m, rng):
+    """m with its non-identity elements relabeled at random."""
+    perm = np.array([0] + rng.sample(range(1, len(m)), len(m) - 1))
+    out = np.empty_like(m)
+    out[np.ix_(perm, perm)] = perm[m]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The oracle in |G| coordinates: the reference for grpalg.oracle.center_split
+# ---------------------------------------------------------------------------
+
+def class_sums(A):
+    """The conjugacy-class sums of A = F_q[G], in class order."""
+    out = []
+    for cls in conjugacy_classes(A.group):
+        c = np.zeros(A.group.order, dtype=np.int16)
+        c[list(cls)] = 1
+        out.append(A.element(c))
+    return out
+
+
+def _minimal_polynomial_reference(A, z, e):
+    """Minimal polynomial of multiplication by z on A·e, by Gauss-Jordan over
+    the powers [e, ze, z²e, ...] in |G| coordinates; also returns the powers."""
+    F = A.field
+    nmax = A.group.order + 1
+    powers = [e]
+    basis = {}  # pivot column -> (reduced row, combo over power indices)
+    deg = 0
+    while True:
+        v = powers[-1].coeffs.copy()
+        combo = np.zeros(nmax, dtype=np.int16)
+        combo[deg] = 1
+        for piv, (br, bc) in basis.items():
+            c = int(v[piv])
+            if c:
+                v = F.add_np[v, F.neg_np[F.mul_np[c, br]]]
+                combo = F.add_np[combo, F.neg_np[F.mul_np[c, bc]]]
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return poly_trim([int(c) for c in combo]), powers
+        piv = int(nz[0])
+        inv = F.inv(int(v[piv]))
+        v = F.mul_np[inv, v]
+        combo = F.mul_np[inv, combo]
+        for p2, (br, bc) in list(basis.items()):
+            c = int(br[piv])
+            if c:
+                basis[p2] = (F.add_np[br, F.neg_np[F.mul_np[c, v]]],
+                             F.add_np[bc, F.neg_np[F.mul_np[c, combo]]])
+        basis[piv] = (v, combo)
+        powers.append(powers[-1] * z)
+        deg += 1
+
+
+def center_split_reference(G, tower):
+    """center_split computed in the full |G|-dimensional algebra, every
+    power an AlgebraElement product."""
+    if gcd(tower.q, G.order) != 1:
+        raise NotSemisimple(f"gcd({tower.q}, {G.order}) != 1")
+    A = GroupAlgebra(G, tower)
+    F = tower.base
+    blocks = [A.one()]
+    for z in class_sums(A):
+        refined = []
+        for e in blocks:
+            mp, powers = _minimal_polynomial_reference(A, z, e)
+            mp = poly_scale(F, F.inv(mp[-1]), mp)
+            factors = factor_polynomial(F, mp)
+            if any(mult > 1 for _, mult in factors):
+                raise NotSemisimple("class sum has a repeated minimal-polynomial factor")
+            if len(factors) == 1:
+                refined.append(e)
+                continue
+            for h, _ in factors:
+                comp = poly_divmod(F, mp, list(h))[0]
+                inv = _poly_inverse_mod(F, poly_mod(F, comp, list(h)), list(h))
+                acc = A.zero()
+                for i, c in enumerate(poly_mod(F, poly_mul(F, comp, inv), mp)):
+                    if c:
+                        acc = acc + powers[i].scale(c)
+                refined.append(acc)
+        blocks = refined
+    return sorted(blocks, key=lambda e: e.key())
 
 
 def corpus_groups():

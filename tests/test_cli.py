@@ -71,6 +71,18 @@ def test_bad_presentation_exit_2(capsys):
     assert code == 2
 
 
+def test_metacyclic_n1_is_cyclic(capsys):
+    # <a, b | a = 1, b^5 = 1> is Z_5; F_2[Z_5] = F_2 + F_16
+    code, out, _ = run(capsys, "decompose", "--metacyclic", "1", "5", "0", "0",
+                       "--p", "2")
+    assert code == 0
+    assert "wedderburn.algebra = F_2 + F_2^4" in out
+    code, out, _ = run(capsys, "verify", "--metacyclic", "1", "5", "0", "0",
+                       "--p", "2")
+    assert code == 0
+    assert "oracle.match = yes" in out
+
+
 def test_compare_metacyclic(capsys):
     code, out, _ = run(capsys, "compare", "--metacyclic", "9", "3", "0", "4",
                        "--p", "7")

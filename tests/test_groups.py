@@ -14,6 +14,7 @@ from conftest import (
     lattice,
     metacyclic_table_loop,
     random_loop,
+    relabeled,
 )
 from grpalg import groups
 from grpalg.errors import (
@@ -96,7 +97,7 @@ def test_table_validation_errors():
 @pytest.mark.parametrize("params", [
     (2, 3, 1, 1), (6, 1, 0, 1), (3, 2, 0, 2), (4, 2, 2, 3), (8, 2, 2, 5),
     (9, 3, 3, 4), (12, 2, 6, 5), (6, 2, 3, 1), (7, 3, 0, 2), (16, 4, 0, 3),
-    (16, 4, 8, 5), (13, 3, 0, 3)])
+    (16, 4, 8, 5), (13, 3, 0, 3), (1, 5, 0, 0)])
 def test_metacyclic_table_matches_loop(params):
     G = metacyclic_group(*params)
     assert G.m.dtype == np.int32
@@ -108,14 +109,6 @@ def test_metacyclic_table_matches_loop(params):
 def test_d1_and_d2_tables_match_loops(m):
     assert d1_group(m).m.tolist() == d1_table_loop(m)
     assert d2_group(m).m.tolist() == metacyclic_table_loop(1 << (m + 1), 2, 2, (1 << m) + 1)
-
-
-def _relabeled(m, rng):
-    """m with its non-identity elements relabeled at random."""
-    perm = np.array([0] + rng.sample(range(1, len(m)), len(m) - 1))
-    out = np.empty_like(m)
-    out[np.ix_(perm, perm)] = perm[m]
-    return out
 
 
 def test_light_test_matches_full_check():
@@ -134,7 +127,7 @@ def test_light_test_matches_full_check():
         if kind == "loop":
             m = random_loop(rng.randint(4, 12), rng)
         else:
-            m = _relabeled(rng.choice(small).m, rng)
+            m = relabeled(rng.choice(small).m, rng)
         if kind == "switched":
             n = len(m)
             # 2x2 subsquares u v / v u away from the identity's row and column

@@ -1,13 +1,33 @@
-import pytest
+import random
+from math import gcd
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    PRIMES,
+    a4_group,
+    center_split_reference,
+    class_sums,
+    corpus_groups,
+    relabeled,
+)
 from grpalg.algebra import GroupAlgebra
 from grpalg.errors import NotSemisimple
 from grpalg.field import make_field
-from grpalg.groups import FiniteGroup, d2_group, metacyclic_group
+from grpalg.groups import FiniteGroup, d1_group, d2_group, metacyclic_group
 from grpalg.idempotents import decompose
-from grpalg.oracle import center_split, q_class_count
+from grpalg.metacyclic import MetacyclicParams, metacyclic_decompose
+from grpalg.oracle import center_split, class_mul, class_structure, q_class_count
 
 S3 = metacyclic_group(3, 2, 0, 2)
+# F_4, F_9 and F_25 as (p, a)
+EXTENSIONS = ((2, 2), (3, 2), (5, 2))
+
+
+def keys(elements):
+    return sorted(e.key() for e in elements)
 
 
 def test_q_class_count_examples():
@@ -79,3 +99,67 @@ def test_oracle_over_extension_field():
     _, descs = decompose(G, tower)
     assert sorted(d.idempotent.key() for d in descs) == \
         sorted(e.key() for e in ids)
+
+
+@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def test_center_split_matches_reference(G):
+    towers = [make_field(q) for q in PRIMES if G.order % q]
+    towers += [make_field(p, a) for p, a in EXTENSIONS if G.order % p]
+    for tower in towers:
+        assert keys(center_split(G, tower)) == keys(center_split_reference(G, tower))
+
+
+def test_center_split_matches_reference_relabeled_and_non_metabelian(s4):
+    A4 = FiniteGroup(relabeled(a4_group().m, random.Random(6)), name="A4'")
+    for G in (A4, s4):
+        for tower in (make_field(5), make_field(7), make_field(5, 2)):
+            assert keys(center_split(G, tower)) == keys(center_split_reference(G, tower))
+
+
+@pytest.mark.parametrize("G", [S3, a4_group(), metacyclic_group(16, 4, 8, 5), d1_group(2)],
+                         ids=lambda G: G.name)
+def test_class_mul_matches_product(G):
+    """C_i · C_j by the class kernel equals the AlgebraElement product of
+    the two class sums, read back at the class representatives."""
+    class_of, idx = class_structure(G)
+    reps = [int(np.flatnonzero(class_of == i)[0]) for i in range(len(idx))]
+    for tower in (make_field(5), make_field(2, 2)):  # no coprimality needed
+        sums = class_sums(GroupAlgebra(G, tower))
+        for i, zi in enumerate(sums):
+            for j, zj in enumerate(sums):
+                w = np.zeros(len(idx), dtype=np.int16)
+                w[j] = 1
+                got = class_mul(tower.base, idx[i], w)
+                prod = (zi * zj).coeffs
+                assert np.array_equal(prod, prod[reps][class_of])  # central
+                assert np.array_equal(got, prod[reps])
+
+
+# F_2, F_3, F_4, F_5, F_7 and F_9 as (p, a)
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2))
+
+
+@st.composite
+def presentations(draw):
+    """A valid (n, t, k, r) of order n*t <= 60 and a field F_{p^a} with p
+    coprime to it."""
+    n = draw(st.integers(1, 30))
+    t = draw(st.integers(1, 60 // n))
+    r = draw(st.sampled_from([r for r in range(n) if pow(r, t, n) == 1 % n]))
+    k = draw(st.sampled_from([k for k in range(n) if k * (r - 1) % n == 0]))
+    field = draw(st.sampled_from([(p, a) for p, a in FIELDS if gcd(p, n * t) == 1]))
+    return (n, t, k, r), field
+
+
+@settings(max_examples=6, deadline=None)
+@given(presentations())
+def test_paths_agree_on_random_presentations(case):
+    params, field = case
+    G = metacyclic_group(*params)
+    tower = make_field(*field)
+    oracle = keys(center_split(G, tower))
+    assert oracle == keys(center_split_reference(G, tower))
+    assert oracle == keys(d.idempotent for d in decompose(G, tower)[1])
+    fast = metacyclic_decompose(MetacyclicParams(*params), tower)[1]
+    assert oracle == keys(d.idempotent for d in fast)
+    assert len(oracle) == q_class_count(G, tower.q)
