@@ -1,7 +1,7 @@
 """Exact Wedderburn decomposition of semisimple metabelian group algebras.
 
 Core entry points:
-  field.make_field(p, a)        -- F_{p^a} plus its cyclotomic traces
+  field.make_field(p, a)        -- F_{p^a}, memoizing its cyclotomic traces
   groups.metacyclic_group / d1_group / d2_group / parse_cayley
   idempotents.decompose(G, F)   -- generic engine
   metacyclic.metacyclic_decompose(params, F)  -- parameter-driven fast path
@@ -17,7 +17,7 @@ from .errors import (  # noqa: F401
     NotMetabelian,
     NotSemisimple,
 )
-from .field import FieldTower, make_field  # noqa: F401
+from .field import BaseField, make_field  # noqa: F401
 from .groups import (  # noqa: F401
     FiniteGroup,
     Subgroup,
@@ -29,4 +29,4 @@ from .groups import (  # noqa: F401
 from .algebra import AlgebraElement, GroupAlgebra  # noqa: F401
 from .idempotents import WedderburnSummary, decompose  # noqa: F401
 from .metacyclic import MetacyclicParams, metacyclic_decompose  # noqa: F401
-from .autgroup import aut_description, format_aut  # noqa: F401
+from .autgroup import aut_description  # noqa: F401

@@ -13,16 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MixedContext
-from .field import FieldTower
-from .groups import FiniteGroup
+from .field import BaseField
+from .groups import FiniteGroup, conjugacy_classes
 
 
 class GroupAlgebra:
-    def __init__(self, group: FiniteGroup, tower: FieldTower):
+    def __init__(self, group: FiniteGroup, field: BaseField):
         self.group = group
-        self.tower = tower
-        self.field = tower.base
-        self.q = tower.q
+        self.field = field
+        self.q = field.q
 
     def zero(self):
         return AlgebraElement(self, np.zeros(self.group.order, dtype=np.int16))
@@ -55,11 +54,11 @@ class GroupAlgebra:
         return (
             isinstance(other, GroupAlgebra)
             and self.group is other.group
-            and self.tower is other.tower
+            and self.field is other.field
         )
 
     def __hash__(self):
-        return hash((id(self.group), id(self.tower)))
+        return hash((id(self.group), id(self.field)))
 
     def __repr__(self):
         return f"F_{self.q}[{self.group.name}]"
@@ -122,7 +121,6 @@ class AlgebraElement:
     def is_central(self) -> bool:
         G = self.algebra.group
         # central iff coefficients are constant on conjugacy classes
-        from .groups import conjugacy_classes
         c = self.coeffs
         for cls in conjugacy_classes(G):
             if len(cls) > 1 and not (c[list(cls)] == c[cls[0]]).all():

@@ -1,137 +1,28 @@
-"""Symbolic description of the automorphism group of a semisimple group
-algebra from its Wedderburn components: each isotypic block M_d(F_{q^l})^(m)
-contributes (SL_d(F_{q^l}) . Z_l)^(m) . S_m, with degenerate pieces (trivial
-SL_1, Z_1, S_1, zeroth powers) collapsed away.
+"""The automorphism group of a semisimple group algebra, written out from its
+Wedderburn components: each isotypic block M_d(F_{q^l})^(m) contributes
+(SL_d(F_{q^l}) . Z_l)^(m) . S_m, with the trivial pieces SL_1, Z_1, S_1 and
+^(1) dropped; the blocks are joined by " + ", and "1" is the trivial group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+def block_aut(d, q, l, mult) -> str:
+    """(SL_d(F_{q^l}) . Z_l)^(mult) . S_mult, or "" when every piece is
+    trivial."""
+    fld = f"F_{q}^{l}" if l > 1 else f"F_{q}"
+    pieces = ([f"SL_{d}({fld})"] if d != 1 else []) + ([f"Z_{l}"] if l > 1 else [])
+    out = " . ".join(pieces)
+    if len(pieces) == 2:
+        out = f"({out})"
+    if out and mult not in (0, 1):
+        out = f"({out})^({mult})"
+    if mult > 1:
+        out = f"({out} . S_{mult})" if out else f"S_{mult}"
+    return out if mult else ""
 
 
-@dataclass(frozen=True)
-class Trivial:
-    def format(self):
-        return "1"
-
-
-@dataclass(frozen=True)
-class SpecialLinear:
-    d: int
-    q: int
-    l: int
-
-    def format(self):
-        fld = f"F_{self.q}^{self.l}" if self.l > 1 else f"F_{self.q}"
-        return f"SL_{self.d}({fld})"
-
-
-@dataclass(frozen=True)
-class CyclicZ:
-    n: int
-
-    def format(self):
-        return f"Z_{self.n}"
-
-
-@dataclass(frozen=True)
-class Symmetric:
-    n: int
-
-    def format(self):
-        return f"S_{self.n}"
-
-
-@dataclass(frozen=True)
-class Power:
-    term: object
-    count: int
-
-    def format(self):
-        return f"({self.term.format()})^({self.count})"
-
-
-@dataclass(frozen=True)
-class SemidirectProduct:
-    left: object
-    right: object
-
-    def format(self):
-        return f"({self.left.format()} . {self.right.format()})"
-
-
-@dataclass(frozen=True)
-class DirectSum:
-    terms: tuple
-
-    def format(self):
-        if not self.terms:
-            return "1"
-        return " + ".join(t.format() for t in self.terms)
-
-
-TRIVIAL = Trivial()
-
-
-def sl(d, q, l):
-    if d == 1:
-        return TRIVIAL
-    return SpecialLinear(d, q, l)
-
-
-def cyclic(n):
-    if n <= 1:
-        return TRIVIAL
-    return CyclicZ(n)
-
-
-def sym(n):
-    if n <= 1:
-        return TRIVIAL
-    return Symmetric(n)
-
-
-def power(term, count):
-    if count == 0 or term == TRIVIAL:
-        return TRIVIAL
-    if count == 1:
-        return term
-    return Power(term, count)
-
-
-def sdp(left, right):
-    if right == TRIVIAL:
-        return left
-    if left == TRIVIAL:
-        return right
-    return SemidirectProduct(left, right)
-
-
-def direct_sum(terms):
-    flat = []
-    for t in terms:
-        if isinstance(t, DirectSum):
-            flat.extend(t.terms)
-        elif t != TRIVIAL:
-            flat.append(t)
-    if not flat:
-        return TRIVIAL
-    if len(flat) == 1:
-        return flat[0]
-    return DirectSum(tuple(flat))
-
-
-def block_aut(d, q, l, mult):
-    """(SL_d(F_{q^l}) . Z_l)^(mult) . S_mult."""
-    inner = sdp(sl(d, q, l), cyclic(l))
-    return sdp(power(inner, mult), sym(mult))
-
-
-def aut_description(summary):
+def aut_description(summary) -> str:
     """Automorphism group of the algebra described by a WedderburnSummary."""
-    terms = [block_aut(d, summary.q, l, m) for (d, l), m in summary.sorted_items()]
-    return direct_sum(terms)
-
-
-def format_aut(term) -> str:
-    return term.format()
+    blocks = [block_aut(d, summary.q, l, m) for (d, l), m in summary.sorted_items()]
+    return " + ".join(b for b in blocks if b) or "1"

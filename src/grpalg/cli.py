@@ -18,11 +18,12 @@ import argparse
 import sys
 
 from . import __version__
-from .autgroup import aut_description, format_aut
+from .autgroup import aut_description
 from .errors import (
     GrpalgError,
     InvariantViolation,
     NotMetabelian,
+    NotPrime,
     NotSemisimple,
 )
 from .families import (
@@ -32,7 +33,7 @@ from .families import (
     d2_closed_form,
     lambda_of,
 )
-from .field import make_field
+from .field import make_field, prime_factors
 from .groups import d1_group, d2_group, metacyclic_group, parse_cayley
 from .idempotents import decompose
 from .metacyclic import metacyclic_decompose, params_of
@@ -121,7 +122,7 @@ def _emit_summary(rep, prefix, summary):
     rep.put(f"{prefix}.q", summary.q)
     rep.put(f"{prefix}.components", _format_components(summary.components))
     rep.put(f"{prefix}.algebra", summary.format())
-    rep.put(f"{prefix}.aut", format_aut(aut_description(summary)))
+    rep.put(f"{prefix}.aut", aut_description(summary))
 
 
 def _emit_idempotents(rep, prefix, descriptors):
@@ -133,13 +134,19 @@ def _emit_idempotents(rep, prefix, descriptors):
                 "[" + ", ".join(map(str, dsc.idempotent.key())) + "]")
 
 
-def cmd_decompose(args, emit_idem):
+def _start(args, command):
+    """The group, the field, and a report headed by the group and command."""
     G = make_group(args)
-    tower = make_field(args.p, args.a)
-    summary, descriptors = decompose(G, tower)
+    F = make_field(args.p, args.a)
     rep = Report()
     rep.put("group", G.name)
-    rep.put("command", "idempotents" if emit_idem else "decompose")
+    rep.put("command", command)
+    return G, F, rep
+
+
+def cmd_decompose(args, emit_idem):
+    G, F, rep = _start(args, "idempotents" if emit_idem else "decompose")
+    summary, descriptors = decompose(G, F)
     _emit_summary(rep, "wedderburn", summary)
     if emit_idem or args.emit_idempotents:
         _emit_idempotents(rep, "wedderburn", descriptors)
@@ -148,16 +155,12 @@ def cmd_decompose(args, emit_idem):
 
 
 def cmd_verify(args):
-    G = make_group(args)
-    tower = make_field(args.p, args.a)
-    rep = Report()
-    rep.put("group", G.name)
-    rep.put("command", "verify")
-    summary, descriptors = decompose(G, tower, validate=True)
+    G, F, rep = _start(args, "verify")
+    summary, descriptors = decompose(G, F, validate=True)
     _emit_summary(rep, "wedderburn", summary)
     engine_set = sorted(d.idempotent.key() for d in descriptors)
-    oracle_set = sorted(e.key() for e in center_split(G, tower))
-    n_qc = q_class_count(G, tower.q)
+    oracle_set = sorted(e.key() for e in center_split(G, F))
+    n_qc = q_class_count(G, F.q)
     rep.put("oracle.count", len(oracle_set))
     rep.put("oracle.q_class_count", n_qc)
     ok = engine_set == oracle_set and len(oracle_set) == n_qc
@@ -171,18 +174,14 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    G = make_group(args)
-    tower = make_field(args.p, args.a)
-    rep = Report()
-    rep.put("group", G.name)
-    rep.put("command", "compare")
-    summary, descriptors = decompose(G, tower)
+    G, F, rep = _start(args, "compare")
+    summary, descriptors = decompose(G, F)
     _emit_summary(rep, "generic", summary)
     mismatches = []
     fam = G.meta.get("family")
     if fam in ("metacyclic", "d2"):
         params = params_of(G)
-        msum, mdesc = metacyclic_decompose(params, tower)
+        msum, mdesc = metacyclic_decompose(params, F)
         _emit_summary(rep, "metacyclic", msum)
         same = (msum.components == summary.components and
                 sorted(d.idempotent.key() for d in mdesc)
@@ -192,7 +191,7 @@ def cmd_compare(args):
             mismatches.append("metacyclic")
     m = G.meta.get("m")
     if fam in FAMILIES and m is not None and m >= 2:
-        cf = FAMILIES[fam][1](m, tower.q)
+        cf = FAMILIES[fam][1](m, F.q)
         rep.put("closed_form.components", _format_components(cf))
         same = cf == summary.components
         rep.put("closed_form.match", "yes" if same else "no")
@@ -200,6 +199,17 @@ def cmd_compare(args):
             mismatches.append("closed_form")
     rep.dump(args.out)
     return 6 if mismatches else 0
+
+
+def _field_of_order(q):
+    """F_q for a prime power q = p^a; NotPrime for any other q."""
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    p, a = primes[0], 1
+    while p ** a < q:
+        a += 1
+    return make_field(p, a)
 
 
 def cmd_families(args):
@@ -219,8 +229,8 @@ def cmd_families(args):
                     continue
                 rep.put(f"{fam}.{m}.{q}.lambda", lambda_of(q))
                 rep.put(f"{fam}.{m}.{q}.components", _format_components(cf))
-                rep.put(f"{fam}.{m}.{q}.aut", format_aut(aut_closed_form(m, q)))
-                summary, _ = decompose(group_of(m), make_field(q))
+                rep.put(f"{fam}.{m}.{q}.aut", aut_closed_form(m, q))
+                summary, _ = decompose(group_of(m), _field_of_order(q))
                 same = summary.components == cf
                 rep.put(f"{fam}.{m}.{q}.engine_match", "yes" if same else "no")
                 if not same:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .autgroup import aut_description
 from .errors import EvenQ, InternalInconsistency
-from .groups import d1_group, d1_index, subgroup_closure
+from .groups import d1_group, d1_index, is_normal, subgroup_closure
 from .idempotents import WedderburnSummary
 
 
@@ -21,6 +21,8 @@ def lambda_of(q: int) -> int:
     q = 3 (mod 4); always >= 2."""
     if q % 2 == 0:
         raise EvenQ(f"q = {q} is even")
+    if q < 3:
+        raise ValueError(f"q = {q} is not an odd prime power")
     target = q - 1 if q % 4 == 1 else q + 1
     lam = 0
     while target % 2 == 0:
@@ -96,22 +98,12 @@ def d2_closed_form(m: int, q: int) -> dict:
     return _checked(amap, m)
 
 
-def d1_summary(m: int, q: int) -> WedderburnSummary:
-    return WedderburnSummary(order=1 << (m + 2), q=q,
-                             components=d1_closed_form(m, q))
+def d1_aut_closed_form(m: int, q: int) -> str:
+    return aut_description(WedderburnSummary(1 << (m + 2), q, d1_closed_form(m, q)))
 
 
-def d2_summary(m: int, q: int) -> WedderburnSummary:
-    return WedderburnSummary(order=1 << (m + 2), q=q,
-                             components=d2_closed_form(m, q))
-
-
-def d1_aut_closed_form(m: int, q: int):
-    return aut_description(d1_summary(m, q))
-
-
-def d2_aut_closed_form(m: int, q: int):
-    return aut_description(d2_summary(m, q))
+def d2_aut_closed_form(m: int, q: int) -> str:
+    return aut_description(WedderburnSummary(1 << (m + 2), q, d2_closed_form(m, q)))
 
 
 def d1_normal_subgroup_list(m: int):
@@ -125,9 +117,6 @@ def d1_normal_subgroup_list(m: int):
     Asserted distinct and normal; sorted by (order, members)."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    from .errors import InternalInconsistency
-    from .groups import is_normal
-
     G = d1_group(m)
 
     def el(c, e, f):

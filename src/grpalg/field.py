@@ -13,7 +13,8 @@ generator of F_q^*.
 No extension field F_{q^s} is ever built.  The idempotents only need the
 traces tr(zeta^k) of a primitive n-th root of unity zeta, and those lie in
 F_q: they are the power sums of the roots of one irreducible factor of the
-cyclotomic polynomial Phi_n over F_q (FieldTower.cyclotomic_traces).
+cyclotomic polynomial Phi_n over F_q (BaseField.cyclotomic_traces, memoized
+on the field object that make_field caches per (p, a)).
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ MAX_BASE_ORDER = 4096
 
 
 class BaseField:
-    """F_{p^a} with table-backed arithmetic on integer element indices."""
+    """F_{p^a} with table-backed arithmetic on integer element indices, and
+    the cyclotomic trace tables of the idempotents, memoized per instance."""
 
     def __init__(self, p: int, a: int = 1):
         if not is_prime(p):
@@ -274,6 +276,7 @@ class BaseField:
             self.inv_t[i] = self.mul_t[i].index(1)
         self.neg_np = np.array(self.neg_t, dtype=np.int16)
         self.inv_np = np.array(self.inv_t, dtype=np.int16)
+        self._traces = {}
 
     def _prime_power_tables(self, prime):
         """int16 add and mul tables of F_{p^a}, a >= 2, in O(q) Python work:
@@ -299,7 +302,7 @@ class BaseField:
         F_q^* in index order (products by polynomial arithmetic over F_p)."""
         mod = list(self.modulus)
         for g in range(2, self.q):
-            gpoly = poly_trim(list(self._index_to_coeffs_raw(g)))
+            gpoly = poly_trim(list(self.coeffs_of(g)))
             powers, cur = [1], [1]
             for _ in range(self.q - 2):
                 cur = poly_mod(prime, poly_mul(prime, cur, gpoly), mod)
@@ -344,49 +347,20 @@ class BaseField:
         return k % self.p
 
     # -- representation helpers
-    def _index_to_coeffs_raw(self, i):
+    def coeffs_of(self, i) -> tuple:
+        """Coefficient vector (c_0, ..., c_{a-1}) over F_p."""
         p = self.p
         return tuple((i // p ** k) % p for k in range(self.a))
 
     def _coeffs_to_index(self, coeffs):
         return sum(c * self.p ** k for k, c in enumerate(coeffs))
 
-    def coeffs_of(self, i) -> tuple:
-        """Coefficient vector (c_0, ..., c_{a-1}) over F_p."""
-        return self._index_to_coeffs_raw(i)
-
-    def lex_key(self, i):
-        return self._index_to_coeffs_raw(i)
-
     def elements_lex(self):
         """All element indices in coefficient-lex order (c_0 compared first)."""
         for c in itertools.product(range(self.p), repeat=self.a):
-            yield sum(ck * self.p ** k for k, ck in enumerate(c))
+            yield self._coeffs_to_index(c)
 
-    def __repr__(self):
-        return f"F_{self.q}" if self.a == 1 else f"F_{self.q} (= F_{self.p}^{self.a})"
-
-
-# ---------------------------------------------------------------------------
-# Cyclotomic traces
-# ---------------------------------------------------------------------------
-
-class FieldTower:
-    """F_q plus the cyclotomic trace tables of the idempotents, memoized
-    per instance."""
-
-    def __init__(self, p: int, a: int = 1):
-        self.base = BaseField(p, a)
-        self._traces = {}
-
-    @property
-    def p(self):
-        return self.base.p
-
-    @property
-    def q(self):
-        return self.base.q
-
+    # -- cyclotomic traces, memoized per field
     def cyclotomic_traces(self, n: int) -> tuple:
         """(tr(zeta^k) for k in range(n)) as base-field indices, zeta a
         primitive n-th root of unity and tr the trace from F_q(zeta) to F_q.
@@ -398,17 +372,16 @@ class FieldTower:
         """
         tr = self._traces.get(n)
         if tr is None:
-            F = self.base
-            tr = self._traces[n] = _power_sums(F, _cyclotomic_factor(F, n), n)
+            tr = self._traces[n] = _power_sums(self, _cyclotomic_factor(self, n), n)
         return tr
 
     def __repr__(self):
-        return f"FieldTower({self.base!r})"
+        return f"F_{self.q}" if self.a == 1 else f"F_{self.q} (= F_{self.p}^{self.a})"
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, a: int = 1) -> FieldTower:
-    return FieldTower(p, a)
+def make_field(p: int, a: int = 1) -> BaseField:
+    return BaseField(p, a)
 
 
 def _int_cyclotomic(n: int) -> list:
@@ -486,7 +459,7 @@ def factor_polynomial(F: BaseField, f):
         raise InternalInconsistency("factorization does not re-multiply")
     return sorted(
         ((h, e) for h, e in factors.items()),
-        key=lambda it: (len(it[0]), tuple(F.lex_key(c) for c in it[0])),
+        key=lambda it: (len(it[0]), tuple(F.coeffs_of(c) for c in it[0])),
     )
 
 

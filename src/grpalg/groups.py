@@ -32,6 +32,17 @@ from .errors import (
 # normal_subgroups raises CapExceeded past this many normal subgroups
 SUBGROUP_CAP = 512
 
+# the largest |G| whose table may be built: a 64 MB int32 table
+MAX_GROUP_ORDER = 4096
+
+
+def _check_order(order, shown=None):
+    """ValueError, before any table is allocated, when |G| = order is past
+    MAX_GROUP_ORDER; `shown` is how the message writes the order."""
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {shown or order} exceeds the limit "
+                         f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
+
 
 class FiniteGroup:
     """A group on {0, ..., n-1} given by its full multiplication table.
@@ -363,6 +374,7 @@ def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
     Element index i*t + j stands for a^i b^j."""
     if n < 1 or t < 1:
         raise BadPresentation("n and t must be positive")
+    _check_order(n * t)
     r %= n
     k %= n
     if pow(r, t, n) != 1 % n:
@@ -402,6 +414,7 @@ def d1_group(m: int) -> FiniteGroup:
     Element index c*4 + e*2 + f stands for t^c x^e y^f."""
     if m < 1:
         raise BadPresentation("m must be >= 1")
+    _check_order(1 << min(m + 2, 64), f"2^{m + 2}")  # no 2^m-bit shift
     n = 1 << m
     half = n >> 1
     order = 4 * n
@@ -435,6 +448,7 @@ def d2_group(m: int) -> FiniteGroup:
     b^{-1} a b = a^{2^m + 1}>."""
     if m < 1:
         raise BadPresentation("m must be >= 1")
+    _check_order(1 << min(m + 2, 64), f"2^{m + 2}")
     G = metacyclic_group(1 << (m + 1), 2, 2, (1 << m) + 1)
     return FiniteGroup(G.m, labels=G.labels, name=f"D2({m})",
                        meta={"family": "d2", "m": m,
@@ -456,6 +470,7 @@ def parse_cayley(text: str) -> FiniteGroup:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise ValueError("malformed order line") from exc
+    _check_order(n)
     if len(lines) < 1 + n:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
     table = []

@@ -29,7 +29,7 @@ from .errors import (
     NotMetabelian,
     NotSemisimple,
 )
-from .field import FieldTower, mult_order
+from .field import BaseField, mult_order
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -183,13 +183,12 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
     generator coset C of Z/[K:H]:
         |K|^{-1} * sum_{g in K} tr(zeta^{j*e(g)}) * g^{-1},
     j any member of C, zeta a primitive [K:H]-th root of unity."""
-    G, tower = A.group, A.tower
-    F = tower.base
+    G, F = A.group, A.field
     n, gen, e = cyclic_quotient_data(G, K, H)
     if C.modulus != n:
         raise ValueError(f"coset modulus {C.modulus} != [K:H] = {n}")
     j = C.rep
-    tr = tower.cyclotomic_traces(n)
+    tr = F.cyclotomic_traces(n)
     kinv = F.inv(F.from_int(K.order % F.p))
     coeffs = np.zeros(G.order, dtype=np.int16)
     for g in K.members:
@@ -355,7 +354,7 @@ class WedderburnSummary:
         return " + ".join(parts)
 
 
-def decompose(G: FiniteGroup, tower: FieldTower, rng=None, validate=True):
+def decompose(G: FiniteGroup, F: BaseField, rng=None, validate=True):
     """Primitive central idempotents and Wedderburn components of F_q[G].
 
     Returns (WedderburnSummary, [ComponentDescriptor]).  Raises NotSemisimple
@@ -364,12 +363,12 @@ def decompose(G: FiniteGroup, tower: FieldTower, rng=None, validate=True):
     central, pairwise orthogonal, and to sum to 1, and the dimensions to add
     to |G| (InvariantViolation otherwise).
     """
-    q = tower.q
+    q = F.q
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
     if not is_metabelian(G):
         raise NotMetabelian(f"{G.name} is not metabelian")
-    A = GroupAlgebra(G, tower)
+    A = GroupAlgebra(G, F)
     descriptors = []
     for tr in shoda_triples(G, rng=rng):
         reps, E = coset_orbits(G, tr.A, tr.D, q, rng=rng)

@@ -14,7 +14,7 @@ from math import gcd
 
 from .algebra import GroupAlgebra
 from .errors import BadPresentation, InternalInconsistency, NotSemisimple
-from .field import FieldTower, mult_order
+from .field import BaseField, mult_order
 from .groups import FiniteGroup, Subgroup, metacyclic_group, subgroup_closure
 from .idempotents import (
     ComponentDescriptor,
@@ -186,16 +186,16 @@ def core_closed_form(G: FiniteGroup, params: MetacyclicParams,
                                 element_index(params, i, delta)])
 
 
-def metacyclic_decompose(params: MetacyclicParams, tower: FieldTower,
+def metacyclic_decompose(params: MetacyclicParams, F: BaseField,
                          rng=None, validate=True):
     """Wedderburn decomposition of F_q[G] for metacyclic G, driven by the
     parameter arithmetic above; returns the same (summary, descriptors)
     shape as the generic engine."""
-    q = tower.q
+    q = F.q
     if gcd(q, params.order) != 1:
         raise NotSemisimple(f"gcd({q}, {params.order}) != 1")
     G = params.group()
-    A = GroupAlgebra(G, tower)
+    A = GroupAlgebra(G, F)
     descriptors = []
     for v, i, c in normal_triples(params):
         ov = o_v(params, v)

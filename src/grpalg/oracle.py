@@ -22,6 +22,7 @@ import numpy as np
 from .algebra import AlgebraElement, GroupAlgebra
 from .errors import NotSemisimple
 from .field import (
+    BaseField,
     factor_polynomial,
     poly_divmod,
     poly_mod,
@@ -126,15 +127,14 @@ def _minimal_polynomial(F, idx_i, e):
         deg += 1
 
 
-def center_split(G: FiniteGroup, tower):
+def center_split(G: FiniteGroup, F: BaseField):
     """Primitive idempotents of the center of F_q[G], found by refining
     blocks with CRT interpolation idempotents of class-sum minimal
     polynomials, in class coordinates.  Returned as elements of F_q[G],
     sorted by coefficient tuple."""
-    q = tower.q
+    q = F.q
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
-    F = tower.base
     class_of, idx = class_structure(G)
     one = np.zeros(len(idx), dtype=np.int16)
     one[class_of[0]] = 1
@@ -163,7 +163,7 @@ def center_split(G: FiniteGroup, tower):
                         b = F.add_np[b, F.mul_np[c, power]]
                 refined.append(b)
         blocks = refined
-    A = GroupAlgebra(G, tower)
+    A = GroupAlgebra(G, F)
     return sorted((AlgebraElement(A, b[class_of]) for b in blocks),
                   key=lambda e: e.key())
 

@@ -49,6 +49,10 @@ METACYCLIC_TUPLES = [
     (9, 3, 0, 4), (8, 2, 0, 3), (16, 4, 0, 3),
 ]
 
+# the corpus presentations plus d2_group(m), m = 1..4, as (n, t, k, r)
+ALL_METACYCLIC = METACYCLIC_TUPLES + [(1 << (m + 1), 2, 2, (1 << m) + 1)
+                                      for m in (1, 2, 3, 4)]
+
 
 def perm_group(perms, name):
     """Group from a list of permutation tuples (identity must sort first)."""
@@ -263,13 +267,12 @@ def _minimal_polynomial_reference(A, z, e):
         deg += 1
 
 
-def center_split_reference(G, tower):
+def center_split_reference(G, F):
     """center_split computed in the full |G|-dimensional algebra, every
     power an AlgebraElement product."""
-    if gcd(tower.q, G.order) != 1:
-        raise NotSemisimple(f"gcd({tower.q}, {G.order}) != 1")
-    A = GroupAlgebra(G, tower)
-    F = tower.base
+    if gcd(F.q, G.order) != 1:
+        raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
+    A = GroupAlgebra(G, F)
     blocks = [A.one()]
     for z in class_sums(A):
         refined = []

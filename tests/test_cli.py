@@ -1,6 +1,12 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import pytest
 
 from conftest import BAD_TABLES, elementary_abelian, s4_group
+from grpalg import groups, idempotents
 from grpalg.cli import main
 from grpalg.groups import format_cayley, metacyclic_group
 
@@ -166,3 +172,68 @@ def test_base_field_limit_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: base field order 6561 exceeds cap 4096\n"
+
+
+def test_families_prime_power_q(capsys):
+    code, out, _ = run(capsys, "families", "--q", "9", "25")
+    assert code == 0
+    matches = [ln for ln in out.splitlines() if ".engine_match = " in ln]
+    assert len(matches) == 12      # two families, m = 2, 3, 4, two q
+    assert all(ln.endswith(" = yes") for ln in matches)
+    assert "d1.2.9.components = " in out and "d2.4.25.aut = " in out
+
+
+def test_families_q_not_prime_power_exit_2(capsys):
+    code, out, err = run(capsys, "families", "--q", "15")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 15 is not a prime power\n"
+
+
+def test_group_order_limit(capsys, monkeypatch, tmp_path):
+    # the real limit is 4096; a lowered one keeps every table here small
+    ok, big = tmp_path / "z8.cayley", tmp_path / "z9.cayley"
+    ok.write_text(format_cayley(metacyclic_group(8, 1, 0, 1)))
+    big.write_text(format_cayley(metacyclic_group(9, 1, 0, 1)))
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 8)
+    assert groups.parse_cayley(ok.read_text()).order == 8
+    for build in (lambda: groups.parse_cayley(big.read_text()),
+                  lambda: groups.metacyclic_group(11, 1, 0, 1),
+                  lambda: groups.d1_group(9),
+                  lambda: groups.d2_group(7),
+                  lambda: groups.d2_group(10 ** 6)):  # no 2^(10^6)-bit order
+        with pytest.raises(ValueError, match="exceeds the limit MAX_GROUP_ORDER = 8"):
+            build()
+    for flags in (["--cayley", str(big)], ["--metacyclic", "13", "1", "0", "1"],
+                  ["--d1", "8"], ["--d2", "6"]):
+        code, out, err = run(capsys, "decompose", *flags, "--p", "2")
+        assert code == 2, flags
+        assert out == ""
+        assert err.startswith("error: group order ") and "Traceback" not in err
+        assert err.endswith("exceeds the limit MAX_GROUP_ORDER = 8\n")
+
+
+def test_invariant_violation_exit_5(capsys, monkeypatch):
+    real = idempotents.ec_idempotent
+    calls = []
+
+    def corrupt_first(*args):
+        e = real(*args)
+        calls.append(e)
+        return e.scale(2) if len(calls) == 1 else e
+
+    monkeypatch.setattr(idempotents, "ec_idempotent", corrupt_first)
+    code, out, err = run(capsys, "decompose", "--metacyclic", "3", "2", "0", "2",
+                         "--p", "5")
+    assert code == 5
+    assert out == ""
+    assert err == "error: invariant 'idempotent' violated: {'component': 0}\n"
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(code, {})
+    assert buf.getvalue().splitlines()[0] == "F_3^(2) + F_3^2 + M_4(F_3)"

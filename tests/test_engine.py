@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,8 +6,13 @@ import pytest
 from conftest import PRIMES, corpus_groups, elementary_abelian, lattice
 from grpalg import field
 from grpalg.algebra import GroupAlgebra
-from grpalg.errors import InternalInconsistency, NotMetabelian, NotSemisimple
-from grpalg.field import FieldTower, factor_polynomial, make_field, poly_trim
+from grpalg.errors import (
+    InternalInconsistency,
+    InvariantViolation,
+    NotMetabelian,
+    NotSemisimple,
+)
+from grpalg.field import BaseField, factor_polynomial, make_field, poly_trim
 from grpalg.groups import (
     Subgroup,
     conjugate_subgroup,
@@ -19,6 +25,8 @@ from grpalg.groups import (
 )
 from grpalg.idempotents import (
     CyclotomicCoset,
+    WedderburnSummary,
+    _validate,
     coset_orbits,
     cyclic_quotient_data,
     d_classes,
@@ -210,6 +218,40 @@ def test_validation_runs_and_passes():
     assert total.key() == A.one().key()
 
 
+def _corrupted(invariant):
+    """A decomposition of F_5[S3] with one fault by hand, that only the named
+    invariant catches, with the witness it must carry."""
+    A = GroupAlgebra(S3, make_field(5))
+    summary, ds = decompose(S3, make_field(5))
+    e0, e1 = ds[0].idempotent, ds[1].idempotent
+    with_e0 = lambda e: [dataclasses.replace(ds[0], idempotent=e)] + ds[1:]  # noqa: E731
+    half_one_plus_b = A.element([3, 3, 0, 0, 0, 0])  # (1 + b)/2, b = index 1
+    cases = {
+        "dimension_sum": (WedderburnSummary(6, 5, {(1, 1): 2}), ds,
+                          {"got": 2, "expected": 6}),
+        "nonzero": (summary, with_e0(A.zero()), {"component": 0}),
+        "idempotent": (summary, with_e0(e0.scale(2)), {"component": 0}),
+        "central": (summary, with_e0(half_one_plus_b), {"component": 0}),
+        "ideal_dimension": (summary, with_e0(e0 + e1),
+                            {"component": 0, "got": ds[0].dim + ds[1].dim,
+                             "expected": ds[0].dim}),
+        "orthogonal": (summary, [ds[0]] + ds, {"components": (0, 1)}),
+        "sum_to_one": (summary, ds[:-1], {"sum": (e0 + e1).to_str()}),
+    }
+    return A, cases[invariant]
+
+
+@pytest.mark.parametrize("invariant", ["dimension_sum", "nonzero", "idempotent",
+                                       "central", "ideal_dimension", "orthogonal",
+                                       "sum_to_one"])
+def test_validate_names_each_violated_invariant(invariant):
+    A, (summary, descriptors, witness) = _corrupted(invariant)
+    with pytest.raises(InvariantViolation) as exc:
+        _validate(A, summary, descriptors)
+    assert exc.value.invariant == invariant
+    assert exc.value.witness == witness
+
+
 def test_not_semisimple_and_not_metabelian(s4):
     with pytest.raises(NotSemisimple):
         decompose(S3, make_field(3))
@@ -243,12 +285,12 @@ def test_trace_factor_choice_independence(monkeypatch):
 
     for G in corpus_groups():
         for q in [p for p in PRIMES if G.order % p][:2]:
-            base_summary, base = decompose(G, FieldTower(q), validate=False)
+            base_summary, base = decompose(G, BaseField(q), validate=False)
             base_set = sorted(d.idempotent.key() for d in base)
             with monkeypatch.context() as m:
                 m.setattr(field, "_cyclotomic_factor", random_factor)
                 for _ in range(2):
-                    summary, descs = decompose(G, FieldTower(q), validate=False)
+                    summary, descs = decompose(G, BaseField(q), validate=False)
                     assert summary.components == base_summary.components
                     assert sorted(d.idempotent.key() for d in descs) == base_set, \
                         (G.name, q)

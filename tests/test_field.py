@@ -10,7 +10,6 @@ from grpalg import field
 from grpalg.errors import NotCoprime, NotPrime
 from grpalg.field import (
     BaseField,
-    FieldTower,
     factor_polynomial,
     is_irreducible,
     is_prime,
@@ -153,7 +152,7 @@ TRACE_GRID = [(2, 1, 7), (2, 1, 21), (2, 1, 63), (3, 1, 13), (3, 1, 40),
 
 def test_cyclotomic_traces_match_companion_matrix():
     for p, a, n in TRACE_GRID:
-        F = make_field(p, a).base
+        F = make_field(p, a)
         f0 = field._cyclotomic_factor(F, n)
         assert len(f0) - 1 == mult_order(n, F.q) and is_irreducible(F, f0)
         phi = poly_trim([F.from_int(c) for c in field._int_cyclotomic(n)])
@@ -180,10 +179,10 @@ def test_trace_values():
     assert make_field(2, 2).cyclotomic_traces(1) == (1,)
     # tr(1) = s and tr is Frobenius-invariant: tr(zeta^k) = tr(zeta^{kq})
     for p, a, n in TRACE_GRID:
-        tw = make_field(p, a)
-        tr = tw.cyclotomic_traces(n)
-        assert tr[0] == mult_order(n, tw.q) % p
-        assert all(tr[k] == tr[k * tw.q % n] for k in range(n))
+        F = make_field(p, a)
+        tr = F.cyclotomic_traces(n)
+        assert tr[0] == mult_order(n, F.q) % p
+        assert all(tr[k] == tr[k * F.q % n] for k in range(n))
 
 
 def test_int_cyclotomic_known_values():
@@ -211,7 +210,7 @@ def test_int_cyclotomic_known_values():
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=7),
        st.lists(st.integers(0, 4), min_size=1, max_size=5))
 def test_poly_divmod_roundtrip(f, g):
-    F = make_field(5).base
+    F = make_field(5)
     g = poly_trim(g)
     if not g:
         return
@@ -274,18 +273,18 @@ def test_poly_eval():
 
 def test_root_of_unity_deterministic():
     # the root zeta is fixed by the chosen factor f0 of Phi_n; both, and so
-    # the traces, must not depend on the tower instance
-    F = make_field(5).base
+    # the traces, must not depend on the field instance
+    F = make_field(5)
     assert field._cyclotomic_factor(F, 8) == field._cyclotomic_factor(F, 8)
     assert make_field(5).cyclotomic_traces(8) == make_field(5).cyclotomic_traces(8)
 
 
 def test_tower_extension_cached():
-    # the per-tower trace memo replaces the extension cache: it starts
+    # the per-field trace memo replaces the extension cache: it starts
     # empty and hands back the same tuple on a repeated call
-    tw = FieldTower(3)
-    assert tw._traces == {}
-    tr = tw.cyclotomic_traces(4)
-    assert tw.cyclotomic_traces(4) is tr
-    assert tw.cyclotomic_traces(1) is tw.cyclotomic_traces(1)
-    assert FieldTower(3)._traces == {}
+    F = BaseField(3)
+    assert F._traces == {}
+    tr = F.cyclotomic_traces(4)
+    assert F.cyclotomic_traces(4) is tr
+    assert F.cyclotomic_traces(1) is F.cyclotomic_traces(1)
+    assert BaseField(3)._traces == {}

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import METACYCLIC_TUPLES
+from conftest import ALL_METACYCLIC
 from grpalg.errors import BadPresentation
 from grpalg.field import make_field
 from grpalg.groups import conjugate_subgroup, core, normal_subgroups
@@ -17,10 +17,6 @@ from grpalg.metacyclic import (
     x_classes,
     x_triples,
 )
-
-ALL_TUPLES = METACYCLIC_TUPLES + [(1 << (m + 1), 2, 2, (1 << m) + 1)
-                                  for m in (1, 2, 3, 4)]
-
 
 def test_params_validation():
     with pytest.raises(BadPresentation):
@@ -52,7 +48,7 @@ def test_normal_triples_d8():
     assert triple_subgroup(G, p, 1, 0, 1).order == 8
 
 
-@pytest.mark.parametrize("tup", ALL_TUPLES)
+@pytest.mark.parametrize("tup", ALL_METACYCLIC)
 def test_normal_triples_match_brute_force(tup):
     p = MetacyclicParams(*tup)
     G = p.group()
@@ -72,7 +68,7 @@ def test_abelian_case_degenerates():
     assert len(normal_triples(p)) == len(normal_subgroups(G))
 
 
-@pytest.mark.parametrize("tup", ALL_TUPLES)
+@pytest.mark.parametrize("tup", ALL_METACYCLIC)
 def test_conjugacy_law(tup):
     # H_{v,a1,b1*o_v} ~ H_{v,a2,b2*o_v} iff b1 = b2 and a1 = a2 r^j (mod v)
     p = MetacyclicParams(*tup)
@@ -91,7 +87,7 @@ def test_conjugacy_law(tup):
                     (tup, v, i, c, (a1, b1), (a2, b2))
 
 
-@pytest.mark.parametrize("tup", ALL_TUPLES)
+@pytest.mark.parametrize("tup", ALL_METACYCLIC)
 def test_core_formula(tup):
     p = MetacyclicParams(*tup)
     G = p.group()
@@ -123,15 +119,15 @@ def test_x_classes_singletons_when_r_trivial():
         assert sorted(x_classes(p, v, i, c)) == sorted(xt)
 
 
-@pytest.mark.parametrize("tup", ALL_TUPLES)
+@pytest.mark.parametrize("tup", ALL_METACYCLIC)
 def test_fast_path_matches_engine(tup):
     p = MetacyclicParams(*tup)
     G = p.group()
     qs = [q for q in (3, 5, 7, 11, 13) if p.order % q][:2]
     for q in qs:
-        tower = make_field(q)
-        s1, d1 = decompose(G, tower)
-        s2, d2 = metacyclic_decompose(p, tower)
+        F = make_field(q)
+        s1, d1 = decompose(G, F)
+        s2, d2 = metacyclic_decompose(p, F)
         assert s1.components == s2.components
         assert sorted(x.idempotent.key() for x in d1) == \
             sorted(x.idempotent.key() for x in d2)

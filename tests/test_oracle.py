@@ -56,9 +56,9 @@ def test_f2_c3_hand_values():
 def test_center_split_properties():
     for G, q in [(S3, 5), (metacyclic_group(4, 2, 0, 3), 3),
                  (d2_group(2), 3), (metacyclic_group(9, 3, 0, 4), 7)]:
-        tower = make_field(q)
-        A = GroupAlgebra(G, tower)
-        ids = center_split(G, tower)
+        F = make_field(q)
+        A = GroupAlgebra(G, F)
+        ids = center_split(G, F)
         assert len(ids) == q_class_count(G, q)
         total = A.zero()
         for i, e in enumerate(ids):
@@ -79,10 +79,10 @@ def test_center_split_deterministic():
 
 def test_oracle_matches_engine_spot():
     for G, q in [(S3, 5), (d2_group(1), 3)]:
-        tower = make_field(q)
-        _, descs = decompose(G, tower)
+        F = make_field(q)
+        _, descs = decompose(G, F)
         assert sorted(d.idempotent.key() for d in descs) == \
-            sorted(e.key() for e in center_split(G, tower))
+            sorted(e.key() for e in center_split(G, F))
 
 
 def test_non_metabelian_still_splits(s4):
@@ -93,27 +93,27 @@ def test_non_metabelian_still_splits(s4):
 
 def test_oracle_over_extension_field():
     G = metacyclic_group(5, 4, 0, 2)
-    tower = make_field(3, 2)
-    ids = center_split(G, tower)
+    F = make_field(3, 2)
+    ids = center_split(G, F)
     assert len(ids) == q_class_count(G, 9)
-    _, descs = decompose(G, tower)
+    _, descs = decompose(G, F)
     assert sorted(d.idempotent.key() for d in descs) == \
         sorted(e.key() for e in ids)
 
 
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
 def test_center_split_matches_reference(G):
-    towers = [make_field(q) for q in PRIMES if G.order % q]
-    towers += [make_field(p, a) for p, a in EXTENSIONS if G.order % p]
-    for tower in towers:
-        assert keys(center_split(G, tower)) == keys(center_split_reference(G, tower))
+    fields = [make_field(q) for q in PRIMES if G.order % q]
+    fields += [make_field(p, a) for p, a in EXTENSIONS if G.order % p]
+    for F in fields:
+        assert keys(center_split(G, F)) == keys(center_split_reference(G, F))
 
 
 def test_center_split_matches_reference_relabeled_and_non_metabelian(s4):
     A4 = FiniteGroup(relabeled(a4_group().m, random.Random(6)), name="A4'")
     for G in (A4, s4):
-        for tower in (make_field(5), make_field(7), make_field(5, 2)):
-            assert keys(center_split(G, tower)) == keys(center_split_reference(G, tower))
+        for F in (make_field(5), make_field(7), make_field(5, 2)):
+            assert keys(center_split(G, F)) == keys(center_split_reference(G, F))
 
 
 @pytest.mark.parametrize("G", [S3, a4_group(), metacyclic_group(16, 4, 8, 5), d1_group(2)],
@@ -123,13 +123,13 @@ def test_class_mul_matches_product(G):
     the two class sums, read back at the class representatives."""
     class_of, idx = class_structure(G)
     reps = [int(np.flatnonzero(class_of == i)[0]) for i in range(len(idx))]
-    for tower in (make_field(5), make_field(2, 2)):  # no coprimality needed
-        sums = class_sums(GroupAlgebra(G, tower))
+    for F in (make_field(5), make_field(2, 2)):  # no coprimality needed
+        sums = class_sums(GroupAlgebra(G, F))
         for i, zi in enumerate(sums):
             for j, zj in enumerate(sums):
                 w = np.zeros(len(idx), dtype=np.int16)
                 w[j] = 1
-                got = class_mul(tower.base, idx[i], w)
+                got = class_mul(F, idx[i], w)
                 prod = (zi * zj).coeffs
                 assert np.array_equal(prod, prod[reps][class_of])  # central
                 assert np.array_equal(got, prod[reps])
@@ -156,10 +156,10 @@ def presentations(draw):
 def test_paths_agree_on_random_presentations(case):
     params, field = case
     G = metacyclic_group(*params)
-    tower = make_field(*field)
-    oracle = keys(center_split(G, tower))
-    assert oracle == keys(center_split_reference(G, tower))
-    assert oracle == keys(d.idempotent for d in decompose(G, tower)[1])
-    fast = metacyclic_decompose(MetacyclicParams(*params), tower)[1]
+    F = make_field(*field)
+    oracle = keys(center_split(G, F))
+    assert oracle == keys(center_split_reference(G, F))
+    assert oracle == keys(d.idempotent for d in decompose(G, F)[1])
+    fast = metacyclic_decompose(MetacyclicParams(*params), F)[1]
     assert oracle == keys(d.idempotent for d in fast)
-    assert len(oracle) == q_class_count(G, tower.q)
+    assert len(oracle) == q_class_count(G, F.q)
