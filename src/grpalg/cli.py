@@ -33,8 +33,14 @@ from .families import (
     d2_closed_form,
     lambda_of,
 )
-from .field import make_field, prime_factors
-from .groups import d1_group, d2_group, metacyclic_group, parse_cayley
+from .field import MAX_BASE_ORDER, make_field, prime_factors
+from .groups import (
+    check_family_order,
+    d1_group,
+    d2_group,
+    metacyclic_group,
+    parse_cayley,
+)
 from .idempotents import decompose
 from .metacyclic import metacyclic_decompose, params_of
 from .oracle import center_split, q_class_count
@@ -202,7 +208,10 @@ def cmd_compare(args):
 
 
 def _field_of_order(q):
-    """F_q for a prime power q = p^a; NotPrime for any other q."""
+    """F_q for a prime power q = p^a; NotPrime for any other q, and
+    ValueError past MAX_BASE_ORDER before q is factored."""
+    if q > MAX_BASE_ORDER:
+        raise ValueError(f"base field order {q} exceeds cap {MAX_BASE_ORDER}")
     primes = prime_factors(q)
     if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
@@ -220,6 +229,7 @@ def cmd_families(args):
     for fam in fams:
         group_of, closed_form, aut_closed_form = FAMILIES[fam]
         for m in args.m:
+            check_family_order(m)  # before the closed forms, which loop to m
             for q in args.q:
                 try:
                     cf = closed_form(m, q)

@@ -252,9 +252,10 @@ class BaseField:
             raise NotPrime(f"{p} is not prime")
         if a < 1:
             raise ValueError("exponent must be >= 1")
-        q = p ** a
-        if q > MAX_BASE_ORDER:
-            raise ValueError(f"base field order {q} exceeds cap {MAX_BASE_ORDER}")
+        q = p ** a if a < 64 else None  # p^a >= 2^64 is past the cap; not built
+        if q is None or q > MAX_BASE_ORDER:
+            raise ValueError(f"base field order {q or f'{p}^{a}'} exceeds cap "
+                             f"{MAX_BASE_ORDER}")
         self.p, self.a, self.q = p, a, q
         self.zero, self.one = 0, 1
         if a == 1:

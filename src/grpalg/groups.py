@@ -7,11 +7,12 @@ and no subgroup lattice is ever built.  Also constructors for the group
 families the package cares about (metacyclic presentations and two
 2-group families given by normal forms) and the Cayley-table text format.
 
-A table is an int32 array, checked with array operations: shape, range,
-identity and inverses directly, associativity by Light's test over a
-greedy generating set (about log2|G| pairs of |G| x |G| gathers instead of
-|G|).  The constructors broadcast their normal-form product formulas into
-the array, and normalizers test conjugates of generators only.
+A table is the one int32 array `m`, checked with array operations: shape,
+range, identity and inverses directly, associativity by Light's test over
+a greedy generating set (about log2|G| pairs of |G| x |G| gathers instead
+of |G|).  The constructors broadcast their normal-form product formulas
+into int32 arrays; the helpers are array expressions over `m`, and the
+walks (powers, closures) read one column of `m` as a list.
 """
 
 from __future__ import annotations
@@ -44,13 +45,19 @@ def _check_order(order, shown=None):
                          f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
 
 
+def check_family_order(m):
+    """_check_order for the order-2^{m+2} families d1_group and d2_group,
+    with no 2^m-bit shift for a huge m."""
+    _check_order(1 << min(max(m + 2, 0), 64), f"2^{m + 2}")
+
+
 class FiniteGroup:
     """A group on {0, ..., n-1} given by its full multiplication table.
     Index 0 must be the identity.
 
-    The table is held as the int32 array `m`; `table` is the same table as
-    a tuple of rows for the Python-loop helpers, its entries shared from
-    one tuple of ints.  `inv` and `inv_np` hold the inverses."""
+    The table is the int32 array `m`, m[g, h] = g*h, and `inv_np` the
+    int32 array of inverses; no per-element Python objects besides the
+    `labels` strings are kept."""
 
     def __init__(self, table, labels=None, name=None, meta=None):
         try:
@@ -68,9 +75,8 @@ class FiniteGroup:
         xs = np.arange(n)
         if (m[0] != xs).any() or (m[:, 0] != xs).any():
             raise NoIdentity("index 0 does not act as a two-sided identity")
-        zero = m == 0
-        inv = zero.argmax(axis=1)  # the least j with i*j = 0
-        bad = ~zero[xs, inv] | (m[inv, xs] != 0)
+        inv = (m == 0).argmax(axis=1)  # the least j with i*j = 0
+        bad = (m[xs, inv] != 0) | (m[inv, xs] != 0)
         if bad.any():
             raise NoInverse(f"element {int(bad.argmax())} has no two-sided inverse")
         witness = associativity_witness(m)
@@ -79,29 +85,52 @@ class FiniteGroup:
             raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
         self.order = n
         self.m = m
-        ints = tuple(range(n))
-        self.table = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in m)
         self.inv_np = inv.astype(np.int32)
-        self.inv = tuple(map(ints.__getitem__, inv.tolist()))
         self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
         self.name = name or f"G{n}"
         self.meta = dict(meta or {})
         self._cache = {}
 
-    def conj(self, g, x):
-        """x^{-1} g x."""
-        t = self.table
-        return t[t[self.inv[x]][g]][x]
-
     def element_order(self, g):
         return len(powers(self, g))
 
     def power(self, g, e):
-        gs = powers(self, g)
-        return gs[e % len(gs)]
+        """g^e by repeated squaring, elementwise when g is an array."""
+        x, e = (self.inv_np[g], -e) if e < 0 else (np.asarray(g), e)
+        out = np.zeros_like(x)
+        while e:
+            if e & 1:
+                out = self.m[out, x]
+            x = self.m[x, x]
+            e >>= 1
+        return out if np.ndim(out) else int(out)
 
     def __repr__(self):
         return f"<{self.name}, order {self.order}>"
+
+
+def _closure(m, elems):
+    """(gens, covered): `covered` is the closure of {0} under right
+    multiplication by `elems` in the table m, and `gens` the elements that
+    were not covered when reached.  A BFS over one column of m, read as a
+    list, per element of gens; the table m need not be associative."""
+    covered, gens, cols = {0}, [], []
+    for a in elems:
+        if a in covered:
+            continue
+        gens.append(int(a))
+        cols.append(m[:, a].tolist())
+        frontier = list(covered)  # the new column applies to all of it
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for col in cols:
+                    x = col[h]
+                    if x not in covered:
+                        covered.add(x)
+                        nxt.append(x)
+            frontier = nxt
+    return gens, covered
 
 
 def generators(m, members):
@@ -109,19 +138,7 @@ def generators(m, members):
     cover `members`, picked greedily, least uncovered element first.  For a
     subgroup of a group that is a generating set of at most log2 of its
     order elements; the table m need not be associative."""
-    covered = np.zeros(len(m), dtype=bool)
-    covered[0] = True
-    gens = []
-    for a in members:
-        if covered[a]:
-            continue
-        gens.append(int(a))
-        frontier = np.flatnonzero(covered)
-        while frontier.size:  # close under right multiplication by gens
-            img = m[np.ix_(frontier, gens)].ravel()
-            frontier = np.unique(img[~covered[img]])
-            covered[frontier] = True
-    return gens
+    return _closure(m, members)[0]
 
 
 def associativity_witness(m):
@@ -130,13 +147,16 @@ def associativity_witness(m):
 
     Light's test: the a with (x*a)*y = x*(a*y) for all x, y include the
     identity and are closed under products, so it suffices to check a over
-    generators of the table, one pair of n x n gathers each."""
+    generators of the table, one pair of n x n gathers each, taken 256 rows
+    at a time so that the gathers stay small next to the table."""
     for a in generators(m, range(len(m))):
-        lhs = m[m[:, a]]   # lhs[x, y] = (x*a)*y
-        rhs = m[:, m[a]]   # rhs[x, y] = x*(a*y)
-        if not np.array_equal(lhs, rhs):
-            x, y = map(int, np.argwhere(lhs != rhs)[0])
-            return x, a, y
+        for x0 in range(0, len(m), 256):
+            rows = m[x0:x0 + 256]
+            lhs = m[rows[:, a]]   # lhs[x, y] = (x*a)*y
+            rhs = rows[:, m[a]]   # rhs[x, y] = x*(a*y)
+            if not np.array_equal(lhs, rhs):
+                x, y = map(int, np.argwhere(lhs != rhs)[0])
+                return x0 + x, a, y
     return None
 
 
@@ -168,20 +188,9 @@ class Subgroup:
 
 
 def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
-    seen = {0}
-    frontier = [0]
-    gens = [g for g in gens]
-    t = G.table
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                x = t[h][g]
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return Subgroup(G, seen)
+    """The subgroup generated by gens; a long list of gens costs one
+    membership test per element already reached."""
+    return Subgroup(G, _closure(G.m, gens)[1])
 
 
 def is_normal(G, H: Subgroup) -> bool:
@@ -243,15 +252,12 @@ def derived_subgroup(G) -> Subgroup:
 
 
 def center(G) -> Subgroup:
-    t = G.table
-    zs = [g for g in range(G.order) if all(t[g][x] == t[x][g] for x in range(G.order))]
-    return Subgroup(G, zs)
+    return centralizer(G, Subgroup(G, range(G.order)))
 
 
 def centralizer(G, H: Subgroup) -> Subgroup:
-    t = G.table
-    zs = [g for g in range(G.order) if all(t[g][h] == t[h][g] for h in H.members)]
-    return Subgroup(G, zs)
+    h = list(H.members)
+    return Subgroup(G, np.flatnonzero((G.m[:, h] == G.m[h].T).all(axis=1)).tolist())
 
 
 def normalizer(G, H: Subgroup) -> Subgroup:
@@ -263,24 +269,21 @@ def normalizer(G, H: Subgroup) -> Subgroup:
 
 
 def core(G, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G inside H (intersection of conjugates)."""
-    t, inv = G.table, G.inv
-    acc = set(H.members)
-    for g in range(G.order):
-        acc &= {t[t[inv[g]][h]][g] for h in H.members}
-        if len(acc) == 1:
-            break
-    return Subgroup(G, acc)
+    """Largest normal subgroup of G inside H: the h in H with x^-1 h x in H
+    for every x in G."""
+    h = np.array(H.members)
+    conj = G.m[G.m[np.ix_(G.inv_np, h)], np.arange(G.order)[:, None]]
+    return Subgroup(G, h[mask(G, H)[conj].all(axis=0)].tolist())
 
 
 def conjugate_subgroup(G, H: Subgroup, g) -> Subgroup:
-    t, inv = G.table, G.inv
-    return Subgroup(G, (t[t[inv[g]][h]][g] for h in H.members))
+    """g^-1 H g."""
+    return Subgroup(G, G.m[G.m[G.inv_np[g], list(H.members)], g].tolist())
 
 
 def is_abelian_subgroup(G, H: Subgroup) -> bool:
-    t = G.table
-    return all(t[a][b] == t[b][a] for a in H.members for b in H.members)
+    sub = G.m[np.ix_(H.members, H.members)]
+    return np.array_equal(sub, sub.T)
 
 
 def is_metabelian(G) -> bool:
@@ -318,11 +321,12 @@ def mask(G, H: Subgroup):
 
 
 def powers(G, g):
-    """[1, g, g^2, ...] up to the order of g."""
+    """[1, g, g^2, ...] up to the order of g, walking column g of G.m."""
+    col = G.m[:, g].tolist()
     out, x = [0], g
     while x != 0:
         out.append(x)
-        x = G.table[x][g]
+        x = col[x]
     return out
 
 
@@ -388,7 +392,8 @@ def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
     ripow = np.array([pow(rinv, j, n) for j in range(t)], dtype=np.int32)
     i1, j1, i2, j2 = np.ix_(*(np.arange(x, dtype=np.int32) for x in (n, t, n, t)))
     j = j1 + j2
-    table = i1 + i2 * ripow[j1] + k * (j // t)  # below 2n^2: int32 for n < 32768
+    # one full-size sum; below 2n^2, so int32 for n < 32768
+    table = i2 * ripow[j1] + (i1 + k * (j // t))
     table %= n
     table *= t
     table += j % t
@@ -414,14 +419,16 @@ def d1_group(m: int) -> FiniteGroup:
     Element index c*4 + e*2 + f stands for t^c x^e y^f."""
     if m < 1:
         raise BadPresentation("m must be >= 1")
-    _check_order(1 << min(m + 2, 64), f"2^{m + 2}")  # no 2^m-bit shift
+    check_family_order(m)
     n = 1 << m
     half = n >> 1
     order = 4 * n
-    c1, e1, f1, c2, e2, f2 = np.ix_(range(n), range(2), range(2),
-                                    range(n), range(2), range(2))
-    c = (c1 + c2 + f1 * e2 * half) % n
-    table = (c * 4 + (e1 + e2) % 2 * 2 + (f1 + f2) % 2).reshape(order, order)
+    c1, e1, f1, c2, e2, f2 = np.ix_(*(np.arange(x, dtype=np.int32)
+                                      for x in (n, 2, 2, n, 2, 2)))
+    c = c1 + c2 + f1 * e2 * half  # a quarter of the table, int32
+    c %= n
+    c *= 4
+    table = (c + ((e1 + e2) % 2 * 2 + (f1 + f2) % 2)).reshape(order, order)
     labels = []
     for c in range(n):
         for e in range(2):
@@ -448,7 +455,7 @@ def d2_group(m: int) -> FiniteGroup:
     b^{-1} a b = a^{2^m + 1}>."""
     if m < 1:
         raise BadPresentation("m must be >= 1")
-    _check_order(1 << min(m + 2, 64), f"2^{m + 2}")
+    check_family_order(m)
     G = metacyclic_group(1 << (m + 1), 2, 2, (1 << m) + 1)
     return FiniteGroup(G.m, labels=G.labels, name=f"D2({m})",
                        meta={"family": "d2", "m": m,
@@ -493,7 +500,7 @@ def parse_cayley(text: str) -> FiniteGroup:
 
 def format_cayley(G: FiniteGroup) -> str:
     out = [f"order {G.order}"]
-    for row in G.table:
+    for row in G.m.tolist():
         out.append(" ".join(map(str, row)))
     for i, lab in enumerate(G.labels):
         if lab != f"g{i}":

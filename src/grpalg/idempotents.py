@@ -12,6 +12,8 @@ Each triple, together with an orbit of q-cyclotomic generator cosets
 modulo [A:D], yields one primitive central idempotent as a sum of
 conjugates of a trace-twisted coset sum, one per coset of the orbit's
 stabilizer E, and one matrix component M_d(F_{q^l}).
+The orbits and E come from one gather over the int32 table G.m of the
+multipliers by which N_G(D) ∩ N_G(A) acts on the cyclic quotient A/D.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     NotMetabelian,
     NotSemisimple,
 )
-from .field import BaseField, mult_order
+from .field import BaseField, mult_order, prime_factors
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -89,25 +91,26 @@ def generator_cosets(n: int, q: int):
 def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
     """For H normal in K with K/H cyclic of order n: returns (n, gen, e)
     where gen is the least element of K whose order modulo H is n, and e
-    maps each k in K to the discrete log of kH base gen (a tuple over G,
-    -1 outside K).  Cached per (K, H)."""
+    maps each k in K to the discrete log of kH base gen (an int array over
+    G, -1 outside K).  Cached per (K, H).
+
+    kH has order n iff (kH)^(n/p) != H for every prime p | n; those powers
+    are taken for all of K at once."""
     key = ("cyclic_quotient", K.members, H.members)
     if key in G._cache:
         return G._cache[key]
     n = K.order // H.order
     in_h = mask(G, H)
-    t = G.table
-    for gen in K.members:
-        x, k = gen, 1
-        while not in_h[x] and k < n:
-            x, k = t[x][gen], k + 1
-        if in_h[x] and k == n:
-            break
-    else:
+    ks = np.array(K.members)
+    ok = np.ones(ks.size, dtype=bool)
+    for p in prime_factors(n):
+        ok &= ~in_h[G.power(ks, n // p)]
+    if not ok.any():
         raise NotCyclicQuotient(f"quotient of order {n} is not cyclic")
+    gen = int(ks[ok.argmax()])
     e = np.full(G.order, -1)
     e[G.m[np.ix_(powers(G, gen)[:n], H.members)]] = np.arange(n)[:, None]
-    G._cache[key] = out = (n, gen, tuple(e.tolist()))
+    G._cache[key] = out = (n, gen, e)
     return out
 
 
@@ -118,59 +121,31 @@ def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
 def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int, rng=None):
     """Orbits of the q-cyclotomic generator cosets mod n = [K:H] under the
     action of N_G(H) ∩ N_G(K): g acts by C -> m·C where g^{-1}·gen·g lies in
-    the coset gen^m H.  Returns (reps, E) with one coset per orbit and the
-    common stabilizer subgroup E (checked independent of the coset)."""
+    the coset gen^m H.  Returns (reps, E) with one coset per orbit (the
+    least, or a random one with rng) and the common stabilizer subgroup E
+    (checked independent of the coset).  The m(g) form a group, so the orbit
+    of C_i is read off img[:, i], the indices of the cosets m·C_i."""
     n, gen, e = cyclic_quotient_data(G, K, H)
     cosets = generator_cosets(n, q)
-    NH = normalizer(G, H)
-    NK = normalizer(G, K)
-    acting = sorted(NH.member_set & NK.member_set)
-    mults = set()
-    for g in acting:
-        x = G.conj(gen, g)
-        if x not in K.member_set:
-            raise InternalInconsistency("normalizer element does not stabilize K")
-        mults.add(e[x])
-    by_members = {c.members: c for c in cosets}
-    orbits = []
-    seen = set()
-    for c in cosets:
-        if c.members in seen:
-            continue
-        orbit = {c.members}
-        frontier = [c.members]
-        while frontier:
-            nf = []
-            for mem in frontier:
-                for m in mults:
-                    img = tuple(sorted((m * u) % n for u in mem))
-                    if img not in orbit:
-                        orbit.add(img)
-                        nf.append(img)
-            frontier = nf
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    # stabilizer of each coset; must be the same subgroup for all cosets
-    E_members = None
-    for c in cosets:
-        stab = [g for g in acting
-                if tuple(sorted(e[G.conj(gen, g)] * u % n for u in c.members))
-                == c.members]
-        if E_members is None:
-            E_members = stab
-        elif E_members != stab:
-            raise InternalInconsistency(
-                "coset stabilizer varies across generator cosets")
-    E = Subgroup(G, E_members)
-    reps = []
-    for orbit in orbits:
-        if rng is None:
-            pick = min(orbit, key=lambda mem: min(mem))
-        else:
-            pick = orbit[rng.randrange(len(orbit))]
-        reps.append(by_members[pick])
-    reps.sort(key=lambda c: c.rep)
-    return reps, E
+    acting = np.flatnonzero(mask(G, normalizer(G, H)) & mask(G, normalizer(G, K)))
+    x = G.m[G.m[G.inv_np[acting], gen], acting]  # g^-1 gen g
+    if not mask(G, K)[x].all():
+        raise InternalInconsistency("normalizer element does not stabilize K")
+    mult = e[x]
+    mults = np.flatnonzero(np.bincount(mult, minlength=n))  # without repeats
+    label = np.zeros(n, dtype=np.int64)
+    for i, c in enumerate(cosets):
+        label[list(c.members)] = i
+    img = label[mults[:, None] * [c.rep for c in cosets] % n]
+    stab = img == np.arange(len(cosets))
+    if not (stab == stab[:, :1]).all():
+        raise InternalInconsistency("coset stabilizer varies across generator cosets")
+    E = Subgroup(G, acting[label[mult * cosets[0].rep % n] == 0].tolist())
+    leaders = np.flatnonzero(img.min(axis=0) == np.arange(len(cosets)))
+    if rng is not None:  # one draw per orbit, in the order of their least cosets
+        orbits = (np.unique(img[:, i]) for i in leaders)
+        leaders = sorted(orbit[rng.randrange(orbit.size)] for orbit in orbits)
+    return [cosets[i] for i in leaders], E
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +166,8 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
     tr = F.cyclotomic_traces(n)
     kinv = F.inv(F.from_int(K.order % F.p))
     coeffs = np.zeros(G.order, dtype=np.int16)
-    for g in K.members:
-        coeffs[G.inv[g]] = tr[j * e[g] % n]
+    ks = np.array(K.members)
+    coeffs[G.inv_np[ks]] = np.array(tr)[j * e[ks] % n]
     return A.element(F.mul_np[kinv, coeffs])
 
 
@@ -244,10 +219,11 @@ def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
     for g in A.members:
         if in_b[g]:
             continue
+        col = G.m[:, g].tolist()
         gs, x = [0], g
         while not in_b[x]:
             gs.append(x)
-            x = G.table[x][g]
+            x = col[x]
         k = len(gs)  # x = g^k lies in B
         pos[elems] = np.arange(elems.size)
         v = values[:, pos[x]] // k
@@ -273,7 +249,7 @@ def d_classes(G: FiniteGroup, N: Subgroup, A: Subgroup):
     pos = np.zeros(G.order, dtype=np.int64)
     pos[elems] = np.arange(elems.size)
     # conjugates[j, d, i]: whether elems[i] lies in D_d^t, t the j-th coset rep
-    conjugates = np.stack([kernels[:, pos[G.m[G.m[t, elems], G.inv[t]]]]
+    conjugates = np.stack([kernels[:, pos[G.m[G.m[t, elems], G.inv_np[t]]]]
                            for t in transversal(G, A)])
     classes = {}
     for d in np.flatnonzero(conjugates.all(axis=0).sum(axis=1) == N.order):

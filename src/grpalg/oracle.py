@@ -44,7 +44,7 @@ def q_class_count(G: FiniteGroup, q: int) -> int:
     for idx, cls in enumerate(classes):
         for g in cls:
             class_of[g] = idx
-    step = [class_of[G.power(cls[0], q)] for cls in classes]
+    step = [class_of[g] for g in G.power(np.array([c[0] for c in classes]), q).tolist()]
     seen = set()
     count = 0
     for i in range(len(classes)):

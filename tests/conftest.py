@@ -21,8 +21,10 @@ from grpalg.groups import (
     d1_group,
     d2_group,
     metacyclic_group,
+    normalizer,
     subgroup_closure,
 )
+from grpalg.idempotents import cyclic_quotient_data, generator_cosets
 from grpalg.oracle import _poly_inverse_mod
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -111,6 +113,11 @@ def lattice(G):
 # Loop references for the array kernels of grpalg.groups and grpalg.algebra
 # ---------------------------------------------------------------------------
 
+def conj(G, g, x):
+    """x^-1 g x, read from G.m entry by entry."""
+    return int(G.m[G.m[G.inv_np[x], g], x])
+
+
 def full_associativity_witness(m):
     """The first (x, y, z) with (x*y)*z != x*(y*z), checking every x: the
     reference for Light's test."""
@@ -121,6 +128,57 @@ def full_associativity_witness(m):
             y, z = map(int, np.argwhere(lhs != rhs)[0])
             return x, y, z
     return None
+
+
+def coset_orbits_reference(G, K, H, q, rng=None):
+    """coset_orbits by closure loops: each orbit grown by BFS under the set
+    of multipliers, and the stabilizer of each coset found element by
+    element.  The reference for the one-gather coset_orbits."""
+    n, gen, e = cyclic_quotient_data(G, K, H)
+    cosets = generator_cosets(n, q)
+    NH = normalizer(G, H)
+    NK = normalizer(G, K)
+    acting = sorted(NH.member_set & NK.member_set)
+    mults = set()
+    for g in acting:
+        x = conj(G, gen, g)
+        assert x in K.member_set
+        mults.add(int(e[x]))
+    by_members = {c.members: c for c in cosets}
+    orbits = []
+    seen = set()
+    for c in cosets:
+        if c.members in seen:
+            continue
+        orbit = {c.members}
+        frontier = [c.members]
+        while frontier:
+            nf = []
+            for mem in frontier:
+                for m in mults:
+                    img = tuple(sorted((m * u) % n for u in mem))
+                    if img not in orbit:
+                        orbit.add(img)
+                        nf.append(img)
+            frontier = nf
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    E_members = None
+    for c in cosets:
+        stab = [g for g in acting
+                if tuple(sorted(int(e[conj(G, gen, g)]) * u % n for u in c.members))
+                == c.members]
+        assert E_members is None or E_members == stab
+        E_members = stab
+    reps = []
+    for orbit in orbits:
+        if rng is None:
+            pick = min(orbit, key=lambda mem: min(mem))
+        else:
+            pick = orbit[rng.randrange(len(orbit))]
+        reps.append(by_members[pick])
+    reps.sort(key=lambda c: c.rep)
+    return reps, Subgroup(G, E_members)
 
 
 def rank_reference(F, rows):

@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,6 +192,29 @@ def test_families_q_not_prime_power_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: 15 is not a prime power\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["families", "--family", "d2", "--m", "2", "--q", "1000000000000000003"],
+     "error: base field order 1000000000000000003 exceeds cap 4096\n"),
+    (["decompose", "--metacyclic", "3", "2", "0", "2", "--p", "5", "--a", "100000000"],
+     "error: base field order 5^100000000 exceeds cap 4096\n"),
+    (["families", "--family", "d1", "--m", "100000000", "--q", "3"],
+     "error: group order 2^100000002 exceeds the limit MAX_GROUP_ORDER = 4096\n"),
+], ids=["families-q", "decompose-a", "families-m"])
+def test_limits_checked_before_work(argv, message):
+    """Each input is rejected before work that grows with it (factoring q,
+    building p^a, a closed form looping to m); a subprocess with a timeout
+    and 1 GiB of address space keeps a regression from stalling the suite
+    or filling the memory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "grpalg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_group_order_limit(capsys, monkeypatch, tmp_path):

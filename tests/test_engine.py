@@ -1,9 +1,17 @@
 import dataclasses
 import random
+from math import gcd
 
 import pytest
 
-from conftest import PRIMES, corpus_groups, elementary_abelian, lattice
+from conftest import (
+    ALL_METACYCLIC,
+    PRIMES,
+    corpus_groups,
+    coset_orbits_reference,
+    elementary_abelian,
+    lattice,
+)
 from grpalg import field
 from grpalg.algebra import GroupAlgebra
 from grpalg.errors import (
@@ -36,7 +44,16 @@ from grpalg.idempotents import (
     generator_cosets,
     shoda_triples,
 )
-from grpalg.metacyclic import metacyclic_decompose, params_of
+from grpalg.metacyclic import (
+    MetacyclicParams,
+    g_ov_subgroup,
+    metacyclic_decompose,
+    normal_triples,
+    o_v,
+    params_of,
+    triple_subgroup,
+    x_classes,
+)
 
 S3 = metacyclic_group(3, 2, 0, 2)
 D8 = metacyclic_group(4, 2, 0, 3)
@@ -115,6 +132,12 @@ def test_epsilon_hand_value_s3_f5():
     _, E = coset_orbits(S3, K, H, 5)
     e = ec_idempotent(A, K, H, C, E)
     assert e.key() == eps.key()
+    # over F_7 the coset C = {1} is not -C, and a * eps = zeta * eps pins
+    # the g^{-1} in the sum: with g it would be zeta^{-1} * eps
+    A7 = GroupAlgebra(S3, make_field(7))
+    eps7 = epsilon_idempotent(A7, K, H, generator_cosets(3, 7)[0])
+    zeta = make_field(7).cyclotomic_traces(3)[1]
+    assert A7.basis(2) * eps7 == eps7.scale(zeta)
 
 
 def ec_idempotent_reference(A, K, H, C):
@@ -170,6 +193,41 @@ def test_coset_orbit_stabilizer_s3():
     # stabilizes and the two cosets form one orbit
     reps7, E7 = coset_orbits(S3, K, H, 7)
     assert len(reps7) == 1 and E7.order == 3
+
+
+def _fast_path_pairs(tup):
+    """The (K, H) pairs metacyclic_decompose passes to coset_orbits."""
+    params = MetacyclicParams(*tup)
+    G = params.group()
+    for v, i, c in normal_triples(params):
+        ov = o_v(params, v)
+        K = g_ov_subgroup(G, params, ov)
+        for alpha, beta in x_classes(params, v, i, c):
+            yield G, K, triple_subgroup(G, params, v, alpha, beta * ov)
+
+
+@pytest.mark.parametrize(
+    "source", corpus_groups() + ALL_METACYCLIC,
+    ids=lambda s: f"fast{s}" if isinstance(s, tuple) else s.name)
+def test_coset_orbits_match_reference(source):
+    """The one-gather coset_orbits gives the loop reference's (reps, E) on
+    the engine's triples of a corpus group or the fast path's (K, H) pairs
+    of a presentation, for every coprime q, deterministically and with two
+    generators seeded alike, which must also draw the same numbers."""
+    if isinstance(source, tuple):
+        cases = _fast_path_pairs(source)
+    else:
+        cases = [(source, tr.A, tr.D) for tr in shoda_triples(source)]
+    for G, K, H in cases:
+        for q in (2, 3, 4, 5, 7, 9):
+            if gcd(q, G.order) != 1:
+                continue
+            assert coset_orbits(G, K, H, q) == coset_orbits_reference(G, K, H, q)
+            for seed in (0, 4, 6):  # 0 moves some pick off the least coset
+                r1, r2 = random.Random(seed), random.Random(seed)
+                assert coset_orbits(G, K, H, q, rng=r1) == \
+                    coset_orbits_reference(G, K, H, q, rng=r2)
+                assert r1.getstate() == r2.getstate()
 
 
 def frozen(G, q):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     BAD_TABLES,
     a4_group,
+    conj,
     corpus_groups,
     d1_table_loop,
     elementary_abelian,
@@ -62,10 +63,14 @@ def test_metacyclic_relations():
         G = metacyclic_group(n, t, k, r)
         a, b = t, 1  # index of a = 1*t + 0, index of b = 0*t + 1
         assert G.element_order(a) == n or n == 1
-        conj = G.conj(a, b)
-        assert conj == G.power(a, r % n)
+        assert conj(G, a, b) == G.power(a, r % n)
         # b^t = a^k
         assert G.power(b, t) == G.power(a, k % n)
+        # elementwise over an array, and negative exponents through inverses
+        xs = np.arange(G.order)
+        assert G.power(xs, t).tolist() == [G.power(x, t) for x in range(G.order)]
+        assert G.power(xs, -1).tolist() == G.inv_np.tolist()
+        assert G.power(a, -2) == G.power(int(G.inv_np[a]), 2)
 
 
 def test_bad_presentation():
@@ -102,7 +107,7 @@ def test_metacyclic_table_matches_loop(params):
     G = metacyclic_group(*params)
     assert G.m.dtype == np.int32
     assert G.m.tolist() == metacyclic_table_loop(*params)
-    assert G.table == tuple(map(tuple, metacyclic_table_loop(*params)))
+    assert G.inv_np.tolist() == [row.index(0) for row in metacyclic_table_loop(*params)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -149,6 +154,13 @@ def test_light_test_matches_full_check():
             assert m[m[x, a], y] != m[x, m[a, y]]
         outcomes[got is None] += 1
     assert min(outcomes.values()) >= 50, outcomes
+    # Z_600 with the subsquare of rows 280, 580 and columns 5, 305 switched:
+    # the first violation, (279*1)*5, lies past the first 256-row block
+    m = metacyclic_group(600, 1, 0, 1).m.copy()
+    m[[280, 580], 5], m[[280, 580], 305] = m[[280, 580], 305], m[[280, 580], 5]
+    x, a, y = associativity_witness(m)
+    assert x >= 256 and m[m[x, a], y] != m[x, m[a, y]]
+    assert full_associativity_witness(m) is not None
 
 
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
@@ -160,7 +172,7 @@ def test_generators_generate(G):
         assert subgroup_closure(G, gens) == H
         assert 2 ** len(gens) <= H.order
         brute = [g for g in range(G.order)
-                 if all(G.conj(h, g) in H for h in H.members)]
+                 if all(conj(G, h, g) in H for h in H.members)]
         assert normalizer(G, H).members == tuple(brute)
 
 
@@ -184,11 +196,11 @@ def test_normal_subgroups_match_lattice(G):
 
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
 def test_classes_and_derived_match_loops(G):
-    t, inv = G.table, G.inv
+    t, inv = G.m.tolist(), G.inv_np.tolist()
     classes, seen = [], set()
     for g in range(G.order):
         if g not in seen:
-            cls = tuple(sorted({G.conj(g, x) for x in range(G.order)}))
+            cls = tuple(sorted({conj(G, g, x) for x in range(G.order)}))
             seen |= set(cls)
             classes.append(cls)
     assert conjugacy_classes(G) == classes
@@ -199,7 +211,7 @@ def test_classes_and_derived_match_loops(G):
 
 def test_cap_exceeded(monkeypatch):
     # a fresh group, so that no cached list hides the cap
-    G = FiniteGroup(metacyclic_group(16, 4, 0, 3).table)
+    G = FiniteGroup(metacyclic_group(16, 4, 0, 3).m)
     monkeypatch.setattr(groups, "SUBGROUP_CAP", 3)
     with pytest.raises(CapExceeded, match="more than 3 normal subgroups"):
         normal_subgroups(G)
@@ -217,7 +229,7 @@ def test_center_derived_quotient():
     # D8/D8' is the Klein four group: index 4, every square lies in D8'
     dmem = derived_subgroup(D8).member_set
     assert D8.order // len(dmem) == 4
-    assert all(D8.table[g][g] in dmem for g in range(D8.order))
+    assert all(D8.m[g, g] in dmem for g in range(D8.order))
 
 
 def test_conjugacy_classes():
@@ -266,8 +278,7 @@ def test_maximal_abelian_over_derived():
 
 
 def _commutes_mod(G, x, y, N):
-    t, inv = G.table, G.inv
-    return t[t[t[inv[x]][inv[y]]][x]][y] in N.member_set
+    return int(G.m[conj(G, G.inv_np[y], x), y]) in N.member_set  # [x, y] in N
 
 
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
@@ -293,10 +304,10 @@ def test_d1_structure():
         y = d1_index(m, 0, 0, 1)
         assert G.element_order(t) == 1 << m
         assert G.element_order(x) == 2 and G.element_order(y) == 2
-        assert G.table[t][x] == G.table[x][t]  # t central against x
+        assert G.m[t, x] == G.m[x, t]  # t central against x
         # yx = xy * t^{2^{m-1}}
         z = d1_index(m, 1 << (m - 1), 0, 0)
-        assert G.table[y][x] == G.table[G.table[x][y]][z]
+        assert G.m[y, x] == G.m[G.m[x, y], z]
         assert derived_subgroup(G).members == (0, z) or \
             derived_subgroup(G).members == tuple(sorted((0, z)))
 
@@ -310,7 +321,7 @@ def test_q8_is_d2_1():
 def test_cayley_roundtrip():
     text = format_cayley(S3)
     G = parse_cayley(text)
-    assert G.table == S3.table
+    assert np.array_equal(G.m, S3.m)
     assert G.labels == S3.labels
 
 
