@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MixedContext
 from .field import BaseField
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, class_index
 
 
 class GroupAlgebra:
@@ -119,16 +119,13 @@ class AlgebraElement:
         return np.array_equal((self * self).coeffs, self.coeffs)
 
     def is_central(self) -> bool:
-        G = self.algebra.group
-        # central iff coefficients are constant on conjugacy classes
+        # central iff the coefficients are constant on conjugacy classes:
+        # w keeps one coefficient per class, read back through class_of
+        class_of = class_index(self.algebra.group)
         c = self.coeffs
-        for cls in conjugacy_classes(G):
-            if len(cls) > 1 and not (c[list(cls)] == c[cls[0]]).all():
-                return False
-        return True
-
-    def is_orthogonal_to(self, other) -> bool:
-        return (self * other).is_zero() and (other * self).is_zero()
+        w = np.empty_like(c)
+        w[class_of] = c
+        return np.array_equal(w[class_of], c)
 
     def key(self):
         return tuple(int(c) for c in self.coeffs)
@@ -168,7 +165,7 @@ def _rank(F, rows: np.ndarray) -> int:
     below it with one gather."""
     rows = rows.copy()
     nr, nc = rows.shape
-    add, mul, neg, inv = F.add_np, F.mul_np, F.neg_np, F.inv_t
+    add, mul, neg, inv = F.add_np, F.mul_np, F.neg_np, F.inv_np
     rank = 0
     for col in range(nc):
         nz = np.flatnonzero(rows[rank:, col])

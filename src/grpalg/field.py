@@ -3,10 +3,10 @@ cyclotomic traces the idempotents need.
 
 Base fields F_q (q = p^a) represent elements as integer indices 0..q-1;
 index i encodes the coefficient vector (c_0, ..., c_{a-1}) with
-i = sum c_k p^k, so the constant c embeds as the index c.  Scalar
-arithmetic goes through precomputed q x q tables (both plain lists for
-scalar lookups and numpy arrays for vectorized use by the group-algebra
-layer).  For a >= 2 the modulus is the lex-least irreducible of degree a
+i = sum c_k p^k, so the constant c embeds as the index c.  Arithmetic
+goes through precomputed q x q int16 tables: gathers for vectorized use
+by the group-algebra layer, and row memoryviews for scalar lookups.
+For a >= 2 the modulus is the lex-least irreducible of degree a
 over F_p, and the product table comes from discrete-log tables of a
 generator of F_q^*.
 
@@ -14,44 +14,25 @@ No extension field F_{q^s} is ever built.  The idempotents only need the
 traces tr(zeta^k) of a primitive n-th root of unity zeta, and those lie in
 F_q: they are the power sums of the roots of one irreducible factor of the
 cyclotomic polynomial Phi_n over F_q (BaseField.cyclotomic_traces, memoized
-on the field object that make_field caches per (p, a)).
+on the field object that make_field caches per (p, a)).  Factoring is
+for squarefree input only: the minimal polynomials the oracle splits are
+squarefree whenever F_q[G] is semisimple.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from .errors import InternalInconsistency, NotCoprime, NotPrime
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, exact for n < 3.3e24
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division; BaseField calls it only for p <= MAX_BASE_ORDER."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def prime_factors(n: int) -> list[int]:
@@ -124,12 +105,14 @@ def poly_scale(F, c, f):
 def poly_mul(F, f, g):
     if not f or not g:
         return []
+    add = F._add
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
+            row = F._mul[a]  # one row view per outer step
             for j, b in enumerate(g):
                 if b:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+                    out[i + j] = add[out[i + j]][row[b]]
     return poly_trim(out)
 
 
@@ -137,6 +120,7 @@ def poly_divmod(F, f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
+    add = F._add
     dg = len(g) - 1
     lg_inv = F.inv(g[-1])
     quot = [0] * max(0, len(f) - dg)
@@ -147,8 +131,9 @@ def poly_divmod(F, f, g):
         c = F.mul(f[-1], lg_inv)
         shift = len(f) - 1 - dg
         quot[shift] = c
+        row = F._mul[F.neg(c)]  # f -= c x^shift g, one row view per step
         for i, b in enumerate(g):
-            f[shift + i] = F.sub(f[shift + i], F.mul(c, b))
+            f[shift + i] = add[f[shift + i]][row[b]]
     return poly_trim(quot), poly_trim(f)
 
 
@@ -184,13 +169,6 @@ def poly_pow_mod(F, f, e, m):
 
 def poly_deriv(F, f):
     return poly_trim([F.mul(F.from_int(i), c) for i, c in enumerate(f)][1:])
-
-
-def poly_eval(F, f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def is_irreducible(F, f) -> bool:
@@ -245,38 +223,37 @@ MAX_BASE_ORDER = 4096
 
 class BaseField:
     """F_{p^a} with table-backed arithmetic on integer element indices, and
-    the cyclotomic trace tables of the idempotents, memoized per instance."""
+    the cyclotomic trace tables of the idempotents, memoized per instance.
+
+    The int16 arrays add_np, mul_np, neg_np and inv_np (inv_np[0] = 0) are
+    the only tables; the scalar ops read them through one memoryview per
+    row, which returns Python ints."""
 
     def __init__(self, p: int, a: int = 1):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if a < 1:
             raise ValueError("exponent must be >= 1")
         q = p ** a if a < 64 else None  # p^a >= 2^64 is past the cap; not built
         if q is None or q > MAX_BASE_ORDER:
             raise ValueError(f"base field order {q or f'{p}^{a}'} exceeds cap "
                              f"{MAX_BASE_ORDER}")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p, self.a, self.q = p, a, q
         self.zero, self.one = 0, 1
         if a == 1:
             self.modulus = None
             i = np.arange(p, dtype=np.int32)  # products reach p^2 > 2^15
-            self.add_np = ((i[:, None] + i[None, :]) % p).astype(np.int16)
-            self.mul_np = ((i[:, None] * i[None, :]) % p).astype(np.int16)
+            self.add_np = (np.add.outer(i, i) % p).astype(np.int16)
+            self.mul_np = (np.multiply.outer(i, i) % p).astype(np.int16)
         else:
             prime = BaseField(p, 1)
             self.modulus = lex_least_irreducible(prime, a)
             self.add_np, self.mul_np = self._prime_power_tables(prime)
-        self.add_t, self.mul_t = self.add_np.tolist(), self.mul_np.tolist()
-        self.neg_t = [0] * q
-        for i in range(q):
-            row = self.add_t[i]
-            self.neg_t[i] = row.index(0)
-        self.inv_t = [0] * q
-        for i in range(1, q):
-            self.inv_t[i] = self.mul_t[i].index(1)
-        self.neg_np = np.array(self.neg_t, dtype=np.int16)
-        self.inv_np = np.array(self.inv_t, dtype=np.int16)
+        self.neg_np = (self.add_np == 0).argmax(axis=1).astype(np.int16)
+        self.inv_np = (self.mul_np == 1).argmax(axis=1).astype(np.int16)
+        self._add = [memoryview(row) for row in self.add_np]
+        self._mul = [memoryview(row) for row in self.mul_np]
+        self._neg, self._inv = memoryview(self.neg_np), memoryview(self.inv_np)
         self._traces = {}
 
     def _prime_power_tables(self, prime):
@@ -317,32 +294,21 @@ class BaseField:
 
     # -- scalar ops on indices
     def add(self, i, j):
-        return self.add_t[i][j]
+        return self._add[i][j]
 
     def sub(self, i, j):
-        return self.add_t[i][self.neg_t[j]]
+        return self._add[i][self._neg[j]]
 
     def neg(self, i):
-        return self.neg_t[i]
+        return self._neg[i]
 
     def mul(self, i, j):
-        return self.mul_t[i][j]
+        return self._mul[i][j]
 
     def inv(self, i):
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.inv_t[i]
-
-    def pow(self, i, e):
-        if e < 0:
-            i, e = self.inv(i), -e
-        result, base = 1, i
-        while e > 0:
-            if e & 1:
-                result = self.mul_t[result][base]
-            base = self.mul_t[base][base]
-            e >>= 1
-        return result
+        return self._inv[i]
 
     def from_int(self, k: int) -> int:
         return k % self.p
@@ -443,72 +409,38 @@ def _power_sums(F: BaseField, f, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def factor_polynomial(F: BaseField, f):
-    """Factor a monic polynomial over F_q into (irreducible, multiplicity)
-    pairs, sorted by (degree, coefficient-lex)."""
+    """The monic irreducible factors of a squarefree monic polynomial over
+    F_q, sorted by (degree, coefficient-lex): distinct-degree, then
+    equal-degree splitting.  ValueError for a constant, non-monic or
+    non-squarefree (gcd(f, f') != 1) f."""
     f = poly_trim(list(f))
     if poly_deg(f) < 1:
         raise ValueError("degree must be >= 1")
     if f[-1] != F.one:
         raise ValueError("polynomial must be monic")
-    factors: dict[tuple, int] = {}
-    _factor_into(F, f, 1, factors)
-    check = [F.one]
-    for h, e in factors.items():
-        for _ in range(e):
-            check = poly_mul(F, check, list(h))
-    if check != f:
-        raise InternalInconsistency("factorization does not re-multiply")
-    return sorted(
-        ((h, e) for h, e in factors.items()),
-        key=lambda it: (len(it[0]), tuple(F.coeffs_of(c) for c in it[0])),
-    )
-
-
-def _factor_into(F, f, mult, factors):
-    if poly_deg(f) < 1:
-        return
-    d = poly_deriv(F, f)
-    if not d:
-        # f = g(x^p); p-th root of each coefficient is c^(q/p)
-        root = [F.pow(c, F.q // F.p) for c in f[:: F.p]]
-        _factor_into(F, root, mult * F.p, factors)
-        return
-    w = poly_divmod(F, f, poly_gcd(F, f, d))[0]  # distinct-factor part
-    rem = list(f)
-    for h in _factor_squarefree(F, w):
-        e = 0
-        while True:
-            quot, r = poly_divmod(F, rem, list(h))
-            if r:
-                break
-            rem, e = quot, e + 1
-        factors[h] = factors.get(h, 0) + e * mult
-    if poly_deg(rem) >= 1:
-        # remaining multiplicities all divisible by p
-        root = [F.pow(c, F.q // F.p) for c in rem[:: F.p]]
-        _factor_into(F, root, mult * F.p, factors)
-
-
-def _factor_squarefree(F, f):
-    """Irreducible factors of a squarefree monic f (distinct-degree then
-    equal-degree splitting)."""
-    out = []
-    f = poly_monic(F, f)
+    if poly_deg(poly_gcd(F, f, poly_deriv(F, f))) > 0:
+        raise ValueError("polynomial is not squarefree")
+    factors, rest = [], f
     x = [0, F.one]
     h = list(x)
     d = 0
-    while poly_deg(f) > 0:
+    while poly_deg(rest) > 0:
         d += 1
-        if 2 * d > poly_deg(f):
-            out.append(tuple(f))
+        if 2 * d > poly_deg(rest):
+            factors.append(tuple(rest))
             break
-        h = poly_pow_mod(F, h, F.q, f)
-        g = poly_gcd(F, poly_sub(F, h, x), f)
+        h = poly_pow_mod(F, h, F.q, rest)
+        g = poly_gcd(F, poly_sub(F, h, x), rest)
         if poly_deg(g) > 0:
-            out.extend(tuple(irr) for irr in _split_equal_degree(F, g, d))
-            f = poly_divmod(F, f, g)[0]
-            h = poly_mod(F, h, f)
-    return out
+            factors.extend(tuple(irr) for irr in _split_equal_degree(F, g, d))
+            rest = poly_divmod(F, rest, g)[0]
+            h = poly_mod(F, h, rest)
+    check = [F.one]
+    for h in factors:
+        check = poly_mul(F, check, list(h))
+    if check != f:
+        raise InternalInconsistency("factorization does not re-multiply")
+    return sorted(factors, key=lambda h: (len(h), tuple(F.coeffs_of(c) for c in h)))
 
 
 def _split_equal_degree(F, f, d):

@@ -293,20 +293,29 @@ def is_metabelian(G) -> bool:
 
 
 def conjugacy_classes(G):
+    """The conjugacy classes as sorted tuples, ordered by least member;
+    built once per group together with class_index(G)."""
     if "classes" in G._cache:
         return G._cache["classes"]
     M, inv = G.m, G.inv_np
     xs = np.arange(G.order)
-    seen = np.zeros(G.order, dtype=bool)
+    class_of = np.full(G.order, -1, dtype=np.int32)
     classes = []
     for g in range(G.order):
-        if seen[g]:
+        if class_of[g] >= 0:
             continue
         cls = np.unique(M[M[inv, g], xs])  # x^-1 g x for every x
-        seen[cls] = True
+        class_of[cls] = len(classes)
         classes.append(tuple(cls.tolist()))
-    G._cache["classes"] = classes
+    G._cache["classes"], G._cache["class_of"] = classes, class_of
     return classes
+
+
+def class_index(G):
+    """class_of, the int32 array of the index of each element's class in
+    conjugacy_classes(G)."""
+    conjugacy_classes(G)
+    return G._cache["class_of"]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +385,15 @@ def maximal_abelian_over_derived(G, N: Subgroup, rng=None) -> Subgroup:
 def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
     """<a, b | a^n = 1, b^t = a^k, b^{-1} a b = a^r>, order n*t.
     Element index i*t + j stands for a^i b^j."""
+    table, labels = _metacyclic_table(n, t, k, r)
+    k, r = k % n, r % n
+    return FiniteGroup(table, labels=labels, name=f"M({n},{t},{k},{r})",
+                       meta={"family": "metacyclic", "params": (n, t, k, r)})
+
+
+def _metacyclic_table(n, t, k, r):
+    """(table, labels) of metacyclic_group(n, t, k, r), after the checks
+    that the presentation is valid and its order within MAX_GROUP_ORDER."""
     if n < 1 or t < 1:
         raise BadPresentation("n and t must be positive")
     _check_order(n * t)
@@ -407,9 +425,7 @@ def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
             if j:
                 parts.append("b" if j == 1 else f"b^{j}")
             labels.append("*".join(parts) if parts else "1")
-    G = FiniteGroup(table, labels=labels, name=f"M({n},{t},{k},{r})",
-                    meta={"family": "metacyclic", "params": (n, t, k % n, r % n)})
-    return G
+    return table, labels
 
 
 @lru_cache(maxsize=None)
@@ -456,10 +472,10 @@ def d2_group(m: int) -> FiniteGroup:
     if m < 1:
         raise BadPresentation("m must be >= 1")
     check_family_order(m)
-    G = metacyclic_group(1 << (m + 1), 2, 2, (1 << m) + 1)
-    return FiniteGroup(G.m, labels=G.labels, name=f"D2({m})",
-                       meta={"family": "d2", "m": m,
-                             "params": G.meta["params"]})
+    params = (1 << (m + 1), 2, 2, (1 << m) + 1)
+    table, labels = _metacyclic_table(*params)
+    return FiniteGroup(table, labels=labels, name=f"D2({m})",
+                       meta={"family": "d2", "m": m, "params": params})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ conjugates of a trace-twisted coset sum, one per coset of the orbit's
 stabilizer E, and one matrix component M_d(F_{q^l}).
 The orbits and E come from one gather over the int32 table G.m of the
 multipliers by which N_G(D) ∩ N_G(A) acts on the cyclic quotient A/D.
+triple_components is that per-triple step; the metacyclic fast path
+feeds it its own triples.
 """
 
 from __future__ import annotations
@@ -309,6 +311,16 @@ class ComponentDescriptor:
         return self.d * self.d * self.l
 
 
+def triple_components(A: GroupAlgebra, tr: Triple, rng=None):
+    """The components of one triple, one per orbit of generator cosets
+    (coset_orbits), all with the (d, l) of the orbits' stabilizer E."""
+    G = A.group
+    reps, E = coset_orbits(G, tr.A, tr.D, A.q, rng=rng)
+    d, l = component_params(G, tr, E, A.q)
+    return [ComponentDescriptor(d, l, ec_idempotent(A, tr.A, tr.D, C, E), tr, C)
+            for C in reps]
+
+
 @dataclass
 class WedderburnSummary:
     order: int
@@ -339,19 +351,13 @@ def decompose(G: FiniteGroup, F: BaseField, rng=None, validate=True):
     central, pairwise orthogonal, and to sum to 1, and the dimensions to add
     to |G| (InvariantViolation otherwise).
     """
-    q = F.q
-    if gcd(q, G.order) != 1:
-        raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
+    if gcd(F.q, G.order) != 1:
+        raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
     if not is_metabelian(G):
         raise NotMetabelian(f"{G.name} is not metabelian")
     A = GroupAlgebra(G, F)
-    descriptors = []
-    for tr in shoda_triples(G, rng=rng):
-        reps, E = coset_orbits(G, tr.A, tr.D, q, rng=rng)
-        d, l = component_params(G, tr, E, q)
-        for C in reps:
-            e = ec_idempotent(A, tr.A, tr.D, C, E)
-            descriptors.append(ComponentDescriptor(d, l, e, tr, C))
+    descriptors = [dsc for tr in shoda_triples(G, rng=rng)
+                   for dsc in triple_components(A, tr, rng)]
     return summarize(A, descriptors, validate)
 
 
@@ -389,10 +395,11 @@ def _validate(A: GroupAlgebra, summary, descriptors):
             fail("ideal_dimension", {"component": i, "got": dim,
                                      "expected": dsc.dim})
         total = total + e
-    for i in range(len(descriptors)):
-        for j in range(i + 1, len(descriptors)):
-            if not descriptors[i].idempotent.is_orthogonal_to(
-                    descriptors[j].idempotent):
+    # every e_i is central by now, so e_j·e_i = e_i·e_j: one product a pair
+    es = [dsc.idempotent for dsc in descriptors]
+    for i in range(len(es)):
+        for j in range(i + 1, len(es)):
+            if not (es[i] * es[j]).is_zero():
                 fail("orthogonal", {"components": (i, j)})
     if total != A.one():
         fail("sum_to_one", {"sum": total.to_str()})

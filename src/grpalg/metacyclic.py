@@ -3,8 +3,8 @@ G = <a, b | a^n = 1, b^t = a^k, b^{-1} a b = a^r>.
 
 The normal subgroups, the relevant pairs (K, H), and their conjugacy
 classes are produced arithmetically from the parameters (n, t, k, r)
-instead of by searching the subgroups of G; the idempotents themselves are then computed
-through the same coset-sum primitives as the generic engine.
+instead of by searching the subgroups of G; each triple then goes through
+the generic engine's per-triple step, idempotents.triple_components.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from .algebra import GroupAlgebra
 from .errors import BadPresentation, InternalInconsistency, NotSemisimple
 from .field import BaseField, mult_order
 from .groups import FiniteGroup, Subgroup, metacyclic_group, subgroup_closure
-from .idempotents import (
-    ComponentDescriptor,
-    Triple,
-    component_params,
-    coset_orbits,
-    ec_idempotent,
-    summarize,
-)
+from .idempotents import Triple, summarize, triple_components
 
 
 @dataclass(frozen=True)
@@ -191,9 +184,8 @@ def metacyclic_decompose(params: MetacyclicParams, F: BaseField,
     """Wedderburn decomposition of F_q[G] for metacyclic G, driven by the
     parameter arithmetic above; returns the same (summary, descriptors)
     shape as the generic engine."""
-    q = F.q
-    if gcd(q, params.order) != 1:
-        raise NotSemisimple(f"gcd({q}, {params.order}) != 1")
+    if gcd(F.q, params.order) != 1:
+        raise NotSemisimple(f"gcd({F.q}, {params.order}) != 1")
     G = params.group()
     A = GroupAlgebra(G, F)
     descriptors = []
@@ -203,10 +195,5 @@ def metacyclic_decompose(params: MetacyclicParams, F: BaseField,
         N = triple_subgroup(G, params, v, i, c)
         for alpha, beta in x_classes(params, v, i, c, rng=rng):
             H = triple_subgroup(G, params, v, alpha, beta * ov)
-            reps, E = coset_orbits(G, K, H, q, rng=rng)
-            tr = Triple(N=N, D=H, A=K)
-            d, l = component_params(G, tr, E, q)
-            for C in reps:
-                e = ec_idempotent(A, K, H, C, E)
-                descriptors.append(ComponentDescriptor(d, l, e, tr, C))
+            descriptors += triple_components(A, Triple(N=N, D=H, A=K), rng)
     return summarize(A, descriptors, validate)

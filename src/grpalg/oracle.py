@@ -8,9 +8,9 @@ Dixon (Numer. Math. 1967) and Schneider (1990): a central element has one
 coordinate per conjugacy class, and multiplying it by a class sum is one
 field-table sum over an index array built once per group.  Only the final
 blocks are lifted to |G| coordinates.  The oracle shares with the engine
-only the group table, `conjugacy_classes`, the field tables and
-`factor_polynomial`; it uses none of the engine's subgroups, triples or
-group-algebra products.
+only the group table, `conjugacy_classes` with its `class_index`, the
+field tables and the squarefree `factor_polynomial`; it uses none of the
+engine's subgroups, triples or group-algebra products.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .field import (
     poly_sub,
     poly_trim,
 )
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, class_index, conjugacy_classes
 
 
 def q_class_count(G: FiniteGroup, q: int) -> int:
@@ -40,11 +40,7 @@ def q_class_count(G: FiniteGroup, q: int) -> int:
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
     classes = conjugacy_classes(G)
-    class_of = {}
-    for idx, cls in enumerate(classes):
-        for g in cls:
-            class_of[g] = idx
-    step = [class_of[g] for g in G.power(np.array([c[0] for c in classes]), q).tolist()]
+    step = class_index(G)[G.power(np.array([c[0] for c in classes]), q)].tolist()
     seen = set()
     count = 0
     for i in range(len(classes)):
@@ -67,9 +63,7 @@ def class_structure(G: FiniteGroup):
     |C_i| × k array."""
     if "class_structure" not in G._cache:
         classes = conjugacy_classes(G)
-        class_of = np.empty(G.order, dtype=np.int32)
-        for i, cls in enumerate(classes):
-            class_of[list(cls)] = i
+        class_of = class_index(G)
         reps = [cls[0] for cls in classes]
         idx = [class_of[G.m[np.ix_(G.inv_np[list(cls)], reps)]] for cls in classes]
         G._cache["class_structure"] = (class_of, idx)
@@ -144,14 +138,15 @@ def center_split(G: FiniteGroup, F: BaseField):
         for e in blocks:
             mp, powers = _minimal_polynomial(F, idx_i, e)
             mp = poly_scale(F, F.inv(mp[-1]), mp)
-            factors = factor_polynomial(F, mp)
-            if any(mult > 1 for _, mult in factors):
+            try:
+                factors = factor_polynomial(F, mp)
+            except ValueError:  # mp is monic of degree >= 1: not squarefree
                 raise NotSemisimple(
-                    "class sum has a repeated minimal-polynomial factor")
+                    "class sum has a repeated minimal-polynomial factor") from None
             if len(factors) == 1:
                 refined.append(e)
                 continue
-            for h, _ in factors:
+            for h in factors:
                 # u = (mp/h) * inv(mp/h mod h); u(C_i)*e is the h-block piece
                 comp = poly_divmod(F, mp, list(h))[0]
                 comp_mod = poly_mod(F, comp, list(h))

@@ -185,7 +185,7 @@ def rank_reference(F, rows):
     """Rank over F_q by Gauss-Jordan elimination one row at a time."""
     rows = rows.copy()
     nr, nc = rows.shape
-    add, mul, neg, inv = F.add_np, F.mul_np, F.neg_np, F.inv_t
+    add, mul, neg, inv = F.add_np, F.mul_np, F.neg_np, F.inv_np
     rank = 0
     for col in range(nc):
         piv = None
@@ -337,13 +337,15 @@ def center_split_reference(G, F):
         for e in blocks:
             mp, powers = _minimal_polynomial_reference(A, z, e)
             mp = poly_scale(F, F.inv(mp[-1]), mp)
-            factors = factor_polynomial(F, mp)
-            if any(mult > 1 for _, mult in factors):
-                raise NotSemisimple("class sum has a repeated minimal-polynomial factor")
+            try:
+                factors = factor_polynomial(F, mp)
+            except ValueError:
+                raise NotSemisimple(
+                    "class sum has a repeated minimal-polynomial factor") from None
             if len(factors) == 1:
                 refined.append(e)
                 continue
-            for h, _ in factors:
+            for h in factors:
                 comp = poly_divmod(F, mp, list(h))[0]
                 inv = _poly_inverse_mod(F, poly_mod(F, comp, list(h)), list(h))
                 acc = A.zero()

@@ -74,7 +74,7 @@ def test_criterion_1_invariant_suite():
             bad.append((G.name, q, "sum != 1"))
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
-                if not es[i].is_orthogonal_to(es[j]):
+                if not ((es[i] * es[j]).is_zero() and (es[j] * es[i]).is_zero()):
                     bad.append((G.name, q, f"not orthogonal ({i},{j})"))
     elapsed = time.time() - t0
     entries = len(results)

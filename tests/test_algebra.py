@@ -62,6 +62,23 @@ def test_central_detection():
     assert not A.basis(1).is_central()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([S3, metacyclic_group(4, 2, 0, 3), metacyclic_group(7, 3, 0, 2)]),
+       st.data())
+def test_is_central_matches_class_loop(G, data):
+    # an element constant on classes, then one coefficient maybe changed
+    classes = conjugacy_classes(G)
+    values = data.draw(st.lists(st.integers(0, 4), min_size=len(classes),
+                                max_size=len(classes)))
+    c = np.zeros(G.order, dtype=np.int16)
+    for cls, v in zip(classes, values):
+        c[list(cls)] = v
+    c[data.draw(st.integers(0, G.order - 1))] = data.draw(st.integers(0, 4))
+    e = GroupAlgebra(G, F5).element(c)
+    assert e.is_central() == all(len(set(c[list(cls)].tolist())) == 1
+                                 for cls in classes)
+
+
 def test_mixed_context_rejected():
     B = GroupAlgebra(S3, make_field(7))
     with pytest.raises(MixedContext):
@@ -80,8 +97,8 @@ def test_idempotent_predicates():
     assert e.is_central()
     f = one - e
     assert f.is_idempotent()
-    assert e.is_orthogonal_to(f)
-    assert not e.is_orthogonal_to(one)
+    assert (e * f).is_zero() and (f * e).is_zero()
+    assert not (e * one).is_zero() and not (one * e).is_zero()
 
 
 def test_ideal_dimension():

@@ -5,9 +5,11 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_TABLES, elementary_abelian, s4_group
 from grpalg import groups, idempotents
@@ -264,3 +266,107 @@ def test_readme_library_example():
     with contextlib.redirect_stdout(buf):
         exec(code, {})
     assert buf.getvalue().splitlines()[0] == "F_3^(2) + F_3^2 + M_4(F_3)"
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs drawn at random: each exits 2 with a one-line error
+# ---------------------------------------------------------------------------
+
+def run_quiet(*argv):
+    """main(argv) with stdout and stderr captured, for tests that take no
+    function-scoped fixtures (Hypothesis runs one test body many times)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(map(str, argv)))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_rejected(code, out, err):
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+S3_ROWS = metacyclic_group(3, 2, 0, 2).m.tolist()
+NON_INTEGER = st.text(alphabet="abxyz.+-_", min_size=1)
+
+
+@st.composite
+def malformed_cayley(draw):
+    """S3's table text with one fault that no group table can have."""
+    n = len(S3_ROWS)
+    rows = [list(map(str, row)) for row in S3_ROWS]
+    tail = ["label 1 b"]
+    fault = draw(st.sampled_from(["entry", "swap", "order", "drop", "trailing",
+                                  "no_order"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    order = str(n)
+    if fault == "entry":
+        rows[i][j] = str(draw(st.one_of(st.integers(max_value=-1),
+                                        st.integers(min_value=n), NON_INTEGER)))
+    elif fault == "swap":  # a row stays a permutation, two columns do not
+        k = draw(st.integers(0, n - 1).filter(lambda k: k != j))
+        rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
+    elif fault == "order":
+        order = str(draw(st.one_of(st.integers().filter(lambda m: m != n),
+                                   NON_INTEGER, st.just(""))))
+    elif fault == "drop":
+        del rows[i]
+    elif fault == "trailing":
+        tail.append(draw(st.one_of(
+            st.builds("label {} x".format, st.one_of(st.integers(max_value=-1),
+                                                    st.integers(min_value=n))),
+            st.just("label 2"), NON_INTEGER)))
+    else:
+        return draw(st.text(alphabet=st.characters(blacklist_characters="o")))
+    return "\n".join([f"order {order}", *map(" ".join, rows), *tail]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_cayley(), st.sampled_from(["decompose", "verify"]))
+def test_malformed_cayley_text_exit_2(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.cayley"
+        path.write_text(text, encoding="utf-8")
+        assert_rejected(*run_quiet(command, "--cayley", path, "--p", "5"))
+
+
+def composite(n):
+    return n > 3 and any(n % d == 0 for d in range(2, int(n ** 0.5) + 1))
+
+
+BAD_P = st.one_of(st.integers(max_value=1), st.integers(min_value=4097),
+                  st.integers(4, 4096).filter(composite))
+BAD_M = st.one_of(st.integers(max_value=0), st.integers(11, 10 ** 12))
+BAD_ODD_Q = st.one_of(st.integers(max_value=1), st.integers(min_value=4097)) \
+    .map(lambda q: 2 * (q // 2) + 1)
+BAD_FLAGS = st.one_of(
+    st.tuples(st.just("--p"), BAD_P).map(lambda f: ["--metacyclic", 3, 2, 0, 2, *f]),
+    st.tuples(st.just("--a"), st.one_of(st.integers(max_value=0),
+                                        st.integers(min_value=8)))
+    .map(lambda f: ["--d2", 2, "--p", 3, *f]),
+    st.tuples(st.sampled_from(["--d1", "--d2"]), BAD_M).map(lambda f: [*f, "--p", 3]),
+    st.tuples(st.integers(max_value=0), st.integers(1, 9))
+    .map(lambda nt: ["--metacyclic", *nt, 0, 1, "--p", 5]),
+    st.tuples(st.integers(1, 9), st.integers(max_value=0))
+    .map(lambda nt: ["--metacyclic", *nt, 0, 1, "--p", 5]),
+    st.tuples(st.integers(65, 10 ** 6), st.integers(65, 10 ** 6))
+    .map(lambda nt: ["--metacyclic", *nt, 0, 1, "--p", 5]),  # |G| > 4096
+    # r^t != 1 or k(r - 1) != 0 mod n
+    st.tuples(st.integers(2, 30), st.integers(1, 6), st.integers(0, 60),
+              st.integers(0, 60))
+    .filter(lambda p: pow(p[3], p[1], p[0]) != 1 or p[2] * (p[3] - 1) % p[0])
+    .map(lambda p: ["--metacyclic", *p, "--p", 5]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["decompose", "idempotents", "verify", "compare"]), BAD_FLAGS)
+def test_out_of_range_flags_exit_2(command, flags):
+    assert_rejected(*run_quiet(command, *flags))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(st.just("--m"), BAD_M), st.tuples(st.just("--q"), BAD_ODD_Q)))
+def test_families_out_of_range_exit_2(flag):
+    assert_rejected(*run_quiet("families", "--family", "d2", *flag, *(
+        ["--m", 2] if flag[0] == "--q" else [])))

@@ -230,6 +230,20 @@ def test_coset_orbits_match_reference(source):
                 assert r1.getstate() == r2.getstate()
 
 
+def test_both_engines_draw_cosets_with_rng():
+    """decompose and metacyclic_decompose pass their rng on to the coset
+    pick: with Random(0) some component of M(16,4,0,3) over F_5 carries a
+    coset that is not the least of its orbit, and the idempotents match
+    those of the deterministic run."""
+    G, F = metacyclic_group(16, 4, 0, 3), make_field(5)
+    expected = sorted(d.idempotent.key() for d in decompose(G, F)[1])
+    for run in (decompose, lambda G, F, rng: metacyclic_decompose(params_of(G), F, rng=rng)):
+        ds = run(G, F, rng=random.Random(0))[1]
+        assert sorted(d.idempotent.key() for d in ds) == expected
+        assert any(d.coset not in coset_orbits(G, d.triple.A, d.triple.D, F.q)[0]
+                   for d in ds)
+
+
 def frozen(G, q):
     s, _ = decompose(G, make_field(q))
     return s.components
@@ -337,7 +351,7 @@ def test_trace_factor_choice_independence(monkeypatch):
     def random_factor(F, n):
         nonlocal picked_other
         phi = poly_trim([F.from_int(c) for c in field._int_cyclotomic(n)])
-        f0 = list(rng.choice(factor_polynomial(F, phi))[0])
+        f0 = list(rng.choice(factor_polynomial(F, phi)))
         picked_other += f0 != choose(F, n)
         return f0
 

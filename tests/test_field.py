@@ -1,6 +1,11 @@
 import functools
 import itertools
+import os
+import resource
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,6 @@ from grpalg.field import (
     make_field,
     mult_order,
     poly_divmod,
-    poly_eval,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -66,6 +70,10 @@ def test_mult_order_brute():
 def test_base_field_requires_prime():
     with pytest.raises(NotPrime):
         BaseField(6)
+    # the cap comes first, so no primality test runs on a huge p
+    for p, a in [(10000, 1), (10 ** 40 + 1, 1), (65, 2)]:
+        with pytest.raises(ValueError, match="exceeds cap 4096"):
+            BaseField(p, a)
 
 
 def test_f4_f9_moduli_are_lex_least():
@@ -125,7 +133,40 @@ def test_prime_power_tables_match_naive_product(p, a):
     add, mul = naive_tables(p, a, F.modulus)
     assert F.add_np.dtype == F.mul_np.dtype == np.int16
     assert np.array_equal(F.add_np, add) and np.array_equal(F.mul_np, mul)
-    assert F.add_t == add.tolist() and F.mul_t == mul.tolist()
+    els = range(F.q)
+    assert [[F.add(i, j) for j in els] for i in els] == add.tolist()
+    assert [[F.mul(i, j) for j in els] for i in els] == mul.tolist()
+    # negatives and inverses, checked against the naive tables as well
+    assert all(add[i, F.neg(i)] == 0 and F.neg_np[i] == F.neg(i) for i in els)
+    assert all(mul[i, F.inv(i)] == 1 and F.inv_np[i] == F.inv(i) for i in els[1:])
+    assert all(F.sub(i, j) == add[i, F.neg(j)] for i in els for j in (0, 1, F.q - 1))
+
+
+def test_largest_fields_stay_small():
+    """The int16 arrays are the only tables, with no q x q Python copy: in
+    a fresh process F_4093 and F_{2^12} each peak under 300 MB (ru_maxrss,
+    KiB on Linux), and verify runs at the largest prime below the cap.  1
+    GiB of address space keeps a regression from filling the memory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                              text=True, timeout=120,
+                              preexec_fn=lambda: resource.setrlimit(
+                                  resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+
+    for args in ("4093", "2, 12"):
+        proc = run("-c", "import resource; from grpalg.field import make_field; "
+                         f"make_field({args}); "
+                         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 300 * 1024, (args, int(proc.stdout) // 1024)
+    proc = run("-m", "grpalg.cli", "verify", "--metacyclic", "3", "2", "0", "2",
+               "--p", "4093")
+    assert proc.returncode == 0, proc.stderr
+    assert "oracle.match = yes" in proc.stdout.splitlines()
 
 
 def companion_traces(F, f, n):
@@ -225,35 +266,57 @@ def test_poly_divmod_roundtrip(f, g):
     assert len(r) < len(g) or not r
 
 
+def has_square_factor(F, f):
+    """Whether some monic irreducible h of degree <= deg(f)/2 has h^2 | f,
+    by exhaustive division over a prime field."""
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        hs = [(c, 1) for c in range(F.q)] if d == 1 else brute_irreducibles(F, d)
+        if any(not poly_divmod(F, f, poly_mul(F, list(h), list(h)))[1] for h in hs):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_factor_polynomial_remultiplies(p):
+    # every monic quartic: the squarefree ones factor into distinct
+    # irreducibles whose product is f, the others are rejected
     F = BaseField(p)
     for coeffs in itertools.product(range(p), repeat=4):
         f = list(coeffs) + [1]
+        if has_square_factor(F, f):
+            with pytest.raises(ValueError, match="not squarefree"):
+                factor_polynomial(F, f)
+            continue
         factors = factor_polynomial(F, f)
+        assert len(set(factors)) == len(factors)
         prod = [1]
-        for h, e in factors:
+        for h in factors:
             assert is_irreducible(F, list(h))
-            for _ in range(e):
-                prod = poly_mul(F, prod, list(h))
+            prod = poly_mul(F, prod, list(h))
         assert prod == f
 
 
 def test_factor_known_values():
     F = BaseField(3)
     # x^2 + 1 irreducible over F_3
-    assert factor_polynomial(F, [1, 0, 1]) == [((1, 0, 1), 1)]
+    assert factor_polynomial(F, [1, 0, 1]) == [(1, 0, 1)]
     # x^2 - 1 = (x+1)(x+2)
-    assert factor_polynomial(F, [2, 0, 1]) == [((1, 1), 1), ((2, 1), 1)]
+    assert factor_polynomial(F, [2, 0, 1]) == [(1, 1), (2, 1)]
     # x^3 - x = x (x+1)(x+2) over F_3
-    assert factor_polynomial(F, [0, 2, 0, 1]) == \
-        [((0, 1), 1), ((1, 1), 1), ((2, 1), 1)]
-    # inseparable part: x^3 + 1 = (x+1)^3 in char 3
-    assert factor_polynomial(F, [1, 0, 0, 1]) == [((1, 1), 3)]
-    # char 2 equal-degree split
-    F2 = BaseField(2)
-    # x^4 + x^2 + 1 = (x^2+x+1)^2
-    assert factor_polynomial(F2, [1, 0, 1, 0, 1]) == [((1, 1, 1), 2)]
+    assert factor_polynomial(F, [0, 2, 0, 1]) == [(0, 1), (1, 1), (2, 1)]
+    # x^2 + x + 2 takes the values 2, 1, 2 on F_3, so it is irreducible
+    assert factor_polynomial(F, [2, 1, 1]) == [(2, 1, 1)]
+    # repeated factors are rejected: x^3 + 1 = (x+1)^3 in char 3, whose
+    # derivative is 0, and, over F_2, x^4 + x^2 + 1 = (x^2+x+1)^2
+    with pytest.raises(ValueError, match="not squarefree"):
+        factor_polynomial(F, [1, 0, 0, 1])
+    with pytest.raises(ValueError, match="not squarefree"):
+        factor_polynomial(BaseField(2), [1, 0, 1, 0, 1])
+    with pytest.raises(ValueError, match="not squarefree"):
+        factor_polynomial(F, [1, 2, 1])  # (x + 1)^2
+    # char 2 equal-degree split: x^4 + x = x (x + 1)(x^2 + x + 1)
+    assert factor_polynomial(BaseField(2), [0, 1, 0, 0, 1]) == \
+        [(0, 1), (1, 1), (1, 1, 1)]
 
 
 def test_factor_rejects_nonmonic_and_constant():
@@ -262,13 +325,6 @@ def test_factor_rejects_nonmonic_and_constant():
         factor_polynomial(F, [1])
     with pytest.raises(ValueError):
         factor_polynomial(F, [0, 2])
-
-
-def test_poly_eval():
-    F = BaseField(7)
-    f = [1, 2, 3]  # 3x^2 + 2x + 1
-    for x in range(7):
-        assert poly_eval(F, f, x) == (3 * x * x + 2 * x + 1) % 7
 
 
 def test_root_of_unity_deterministic():

@@ -32,6 +32,7 @@ from grpalg.groups import (
     associativity_witness,
     center,
     centralizer,
+    class_index,
     conjugacy_classes,
     conjugate_subgroup,
     core,
@@ -114,6 +115,25 @@ def test_metacyclic_table_matches_loop(params):
 def test_d1_and_d2_tables_match_loops(m):
     assert d1_group(m).m.tolist() == d1_table_loop(m)
     assert d2_group(m).m.tolist() == metacyclic_table_loop(1 << (m + 1), 2, 2, (1 << m) + 1)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_d2_group_is_built_and_checked_once(monkeypatch, m):
+    real, calls = groups.associativity_witness, []
+
+    def counted(table):
+        calls.append(len(table))
+        return real(table)
+
+    monkeypatch.setattr(groups, "associativity_witness", counted)
+    # past both constructor caches: a build from nothing
+    monkeypatch.setattr(groups, "metacyclic_group", groups.metacyclic_group.__wrapped__)
+    G = groups.d2_group.__wrapped__(m)
+    assert calls == [1 << (m + 2)]
+    M = metacyclic_group(1 << (m + 1), 2, 2, (1 << m) + 1)
+    assert np.array_equal(G.m, M.m) and G.labels == M.labels
+    assert (G.name, G.meta) == (f"D2({m})", {"family": "d2", "m": m,
+                                             "params": M.meta["params"]})
 
 
 def test_light_test_matches_full_check():
@@ -204,6 +224,10 @@ def test_classes_and_derived_match_loops(G):
             seen |= set(cls)
             classes.append(cls)
     assert conjugacy_classes(G) == classes
+    class_of = class_index(G)
+    assert class_of.dtype == np.int32
+    assert class_of.tolist() == [next(i for i, c in enumerate(classes) if g in c)
+                                 for g in range(G.order)]
     comms = {t[t[t[inv[x]][inv[y]]][x]][y]
              for x in range(G.order) for y in range(G.order)}
     assert derived_subgroup(G) == subgroup_closure(G, comms)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from conftest import (
     PRIMES,
     a4_group,
@@ -14,6 +15,7 @@ from conftest import (
     relabeled,
 )
 from grpalg.algebra import GroupAlgebra
+from grpalg import oracle
 from grpalg.errors import NotSemisimple
 from grpalg.field import make_field
 from grpalg.groups import FiniteGroup, d1_group, d2_group, metacyclic_group
@@ -66,9 +68,21 @@ def test_center_split_properties():
             assert e.is_idempotent()
             assert e.is_central()
             for f in ids[i + 1:]:
-                assert e.is_orthogonal_to(f)
+                assert (e * f).is_zero() and (f * e).is_zero()
             total = total + e
         assert total.key() == A.one().key()
+
+
+def test_repeated_minimal_polynomial_factor_not_semisimple(monkeypatch):
+    # past the gcd(q, |G|) check, the class sum of the transpositions of
+    # S3 over F_3 squares to 0, so its minimal polynomial x^2 is not
+    # squarefree
+    monkeypatch.setattr(oracle, "gcd", lambda a, b: 1)
+    monkeypatch.setattr(conftest, "gcd", lambda a, b: 1)
+    for split in (center_split, center_split_reference):
+        with pytest.raises(NotSemisimple,
+                           match="^class sum has a repeated minimal-polynomial factor$"):
+            split(S3, make_field(3))
 
 
 def test_center_split_deterministic():
