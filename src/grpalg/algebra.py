@@ -1,11 +1,11 @@
 """The group algebra F_q[G]: elements are coefficient vectors indexed by
 group elements, with coefficients stored as base-field indices in a numpy
-int16 array.  Multiplication distributes one row of the group table per
-left-hand support element; since each row of the table is a permutation
-this never collides, so the convolution can be done with fancy indexing.
-Conjugation and the rows g·e of an ideal are single gathers through the
-group table, and the rank elimination is row-parallel: each pivot clears
-its column in all remaining rows at once.
+int16 array.  GroupAlgebra.product is the one product kernel: for each
+block of at most PRODUCT_BLOCK support elements g of x, one gather of
+y[g⁻¹h] through the group table, scaled by x[g], and one BaseField.sum_rows;
+`at` evaluates it only at chosen h, such as the class representatives when
+x and y are central.  The rows g·e of an ideal are one gather, and the
+rank elimination clears each pivot column in all remaining rows at once.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 from .errors import MixedContext
 from .field import BaseField
 from .groups import FiniteGroup, class_index
+
+PRODUCT_BLOCK = 256  # support rows per gather: 256·|G| int16 at most
 
 
 class GroupAlgebra:
@@ -27,9 +29,7 @@ class GroupAlgebra:
         return AlgebraElement(self, np.zeros(self.group.order, dtype=np.int16))
 
     def one(self):
-        c = np.zeros(self.group.order, dtype=np.int16)
-        c[0] = 1
-        return AlgebraElement(self, c)
+        return self.basis(0)
 
     def basis(self, g: int):
         c = np.zeros(self.group.order, dtype=np.int16)
@@ -43,6 +43,17 @@ class GroupAlgebra:
         if c.min() < 0 or c.max() >= self.q:
             raise ValueError("coefficient index out of field range")
         return AlgebraElement(self, c.copy())
+
+    def product(self, x: np.ndarray, y: np.ndarray, at=None) -> np.ndarray:
+        """The coefficients (x·y)(h) = Σ_g x[g]·y[g⁻¹h] of the product of two
+        coefficient vectors, at every h or only at the elements `at`."""
+        G, F = self.group, self.field
+        support = np.flatnonzero(x)
+        parts = []
+        for g in np.split(support, range(PRODUCT_BLOCK, support.size, PRODUCT_BLOCK)):
+            cols = G.m[G.inv_np[g]] if at is None else G.m[np.ix_(G.inv_np[g], at)]
+            parts.append(F.sum_rows(F.mul_np[x[g][:, None], y[cols]]))
+        return F.sum_rows(parts)
 
     def ideal_dimension(self, e: "AlgebraElement") -> int:
         """dim_{F_q} of the two-sided ideal F_q[G]·e for central e (as a left
@@ -93,24 +104,12 @@ class AlgebraElement:
 
     def __mul__(self, other):
         self._check(other)
-        F = self.algebra.field
-        M = self.algebra.group.m
-        at, mt = F.add_np, F.mul_np
-        x, y = self.coeffs, other.coeffs
-        res = np.zeros_like(x)
-        for g in np.nonzero(x)[0]:
-            res[M[g]] = at[res[M[g]], mt[x[g], y]]
-        return AlgebraElement(self.algebra, res)
+        return AlgebraElement(self.algebra,
+                              self.algebra.product(self.coeffs, other.coeffs))
 
     def scale(self, c: int):
         F = self.algebra.field
         return AlgebraElement(self.algebra, F.mul_np[c, self.coeffs])
-
-    def conjugate(self, x: int):
-        """x^{-1} * self * x."""
-        G = self.algebra.group
-        # coefficient of h in x^-1 c x is c[x h x^-1]
-        return AlgebraElement(self.algebra, self.coeffs[G.m[G.m[x], G.inv_np[x]]])
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()

@@ -174,9 +174,7 @@ def cmd_verify(args):
     if args.emit_idempotents:
         _emit_idempotents(rep, "wedderburn", descriptors)
     rep.dump(args.out)
-    if not ok:
-        return 6
-    return 0
+    return 0 if ok else 6
 
 
 def cmd_compare(args):
@@ -237,10 +235,11 @@ def cmd_families(args):
                     rep.put(f"{fam}.{m}.{q}.error", type(exc).__name__)
                     bad = True
                     continue
+                F = _field_of_order(q)  # before the group is built
                 rep.put(f"{fam}.{m}.{q}.lambda", lambda_of(q))
                 rep.put(f"{fam}.{m}.{q}.components", _format_components(cf))
                 rep.put(f"{fam}.{m}.{q}.aut", aut_closed_form(m, q))
-                summary, _ = decompose(group_of(m), _field_of_order(q))
+                summary, _ = decompose(group_of(m), F)
                 same = summary.components == cf
                 rep.put(f"{fam}.{m}.{q}.engine_match", "yes" if same else "no")
                 if not same:

@@ -5,7 +5,8 @@ Base fields F_q (q = p^a) represent elements as integer indices 0..q-1;
 index i encodes the coefficient vector (c_0, ..., c_{a-1}) with
 i = sum c_k p^k, so the constant c embeds as the index c.  Arithmetic
 goes through precomputed q x q int16 tables: gathers for vectorized use
-by the group-algebra layer, and row memoryviews for scalar lookups.
+(BaseField.sum_rows, the one reduction of many vectors to their sum), and
+row memoryviews for scalar lookups.
 For a >= 2 the modulus is the lex-least irreducible of degree a
 over F_p, and the product table comes from discrete-log tables of a
 generator of F_q^*.
@@ -257,16 +258,15 @@ class BaseField:
         self._traces = {}
 
     def _prime_power_tables(self, prime):
-        """int16 add and mul tables of F_{p^a}, a >= 2, in O(q) Python work:
-        add digit by digit, mul as exp[(log i + log j) mod (q - 1)] with
-        row and column 0 zeroed.  Every intermediate stays q x q int16
-        (q <= MAX_BASE_ORDER keeps 2(q - 2) below 2^15)."""
+        """int16 add and mul tables of F_{p^a}, a >= 2, in O(a) numpy calls:
+        add by one broadcast per digit, mul as exp[(log i + log j) mod
+        (q - 1)] with row and column 0 zeroed.  Every intermediate stays
+        q x q int16 (q <= MAX_BASE_ORDER keeps 2(q - 2) below 2^15)."""
         p, q = self.p, self.q
-        idx = np.arange(q, dtype=np.int16)
-        add = np.zeros((q, q), dtype=np.int16)
-        for k in range(self.a):
-            digit = idx // p ** k % p
-            add += (digit[:, None] + digit[None, :]) % p * p ** k
+        add = base = prime.add_np
+        for k in range(1, self.a):  # index p·i + c: c is the new least digit
+            n = p ** k
+            add = (p * add[:, None, :, None] + base[None, :, None, :]).reshape(n * p, n * p)
         exp = self._generator_powers(prime)
         log = np.zeros(q, dtype=np.int16)
         log[exp] = np.arange(q - 1, dtype=np.int16)
@@ -312,6 +312,17 @@ class BaseField:
 
     def from_int(self, k: int) -> int:
         return k % self.p
+
+    def sum_rows(self, rows) -> np.ndarray:
+        """The field sum over axis 0 of an array of element indices (zeros
+        for no rows): add the top half of the rows to the bottom half
+        through add_np until one row is left, an odd last row kept aside."""
+        rows = np.asarray(rows)
+        while len(rows) > 1:
+            half = len(rows) // 2
+            top = self.add_np[rows[:half], rows[half:2 * half]]
+            rows = np.concatenate([top, rows[2 * half:]]) if len(rows) % 2 else top
+        return rows[0].copy() if len(rows) else np.zeros(rows.shape[1:], np.int16)
 
     # -- representation helpers
     def coeffs_of(self, i) -> tuple:

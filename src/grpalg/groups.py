@@ -391,18 +391,23 @@ def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
                        meta={"family": "metacyclic", "params": (n, t, k, r)})
 
 
-def _metacyclic_table(n, t, k, r):
-    """(table, labels) of metacyclic_group(n, t, k, r), after the checks
-    that the presentation is valid and its order within MAX_GROUP_ORDER."""
+def check_presentation(n, t, k, r):
+    """BadPresentation unless n, t >= 1, r^t = 1 and k(r-1) = 0 (mod n)."""
     if n < 1 or t < 1:
         raise BadPresentation("n and t must be positive")
-    _check_order(n * t)
-    r %= n
-    k %= n
     if pow(r, t, n) != 1 % n:
         raise BadPresentation(f"r^t = {pow(r, t, n)} mod {n}, expected 1")
     if k * (r - 1) % n != 0:
         raise BadPresentation(f"k(r-1) = {k * (r - 1) % n} mod {n}, expected 0")
+
+
+def _metacyclic_table(n, t, k, r):
+    """(table, labels) of metacyclic_group(n, t, k, r), after the checks
+    that the presentation is valid and its order within MAX_GROUP_ORDER."""
+    check_presentation(n, t, k, r)
+    _check_order(n * t)
+    r %= n
+    k %= n
     order = n * t
     # b^{-1} a b = a^r gives b^{j} a = a^{r^{-j}} b^{j}, so
     # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2 r^-j1 + k [j1 + j2 >= t]) b^(j1 + j2 mod t)

@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import GroupAlgebra
+from .algebra import AlgebraElement, GroupAlgebra
 from .errors import (
     InternalInconsistency,
     InvariantViolation,
@@ -37,6 +37,7 @@ from .field import BaseField, mult_order, prime_factors
 from .groups import (
     FiniteGroup,
     Subgroup,
+    conjugacy_classes,
     is_metabelian,
     mask,
     maximal_abelian_over_derived,
@@ -176,20 +177,20 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
 def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
                   C: CyclotomicCoset, E: Subgroup):
     """Sum of the G-conjugates of the (K, H, C) idempotent, one per right
-    coset of its centralizer E, the stabilizer of C from coset_orbits."""
-    eps = epsilon_idempotent(A, K, H, C)
-    seen = set()
-    total = A.zero()
-    for x in transversal(A.group, E):
-        c = eps.conjugate(x)
-        key = c.coeffs.tobytes()
-        if key in seen:
-            raise InternalInconsistency(
-                f"conjugate by {x} repeats another: the stabilizer of C is "
-                f"not the centralizer of the (K, H, C) idempotent")
-        seen.add(key)
-        total = total + c
-    return total
+    coset of its centralizer E, the stabilizer of C from coset_orbits; row i
+    of one gather is the conjugate x_i^-1·eps·x_i, coefficients eps[x_i h x_i^-1]."""
+    G = A.group
+    xs = np.array(transversal(G, E))
+    rows = epsilon_idempotent(A, K, H, C).coeffs[G.m[G.m[xs], G.inv_np[xs][:, None]]]
+    # one void scalar per row: np.unique(rows, axis=0) builds a field per column
+    as_bytes = rows.view(f"V{rows.itemsize * G.order}")[:, 0]
+    _, first, which = np.unique(as_bytes, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[which] != np.arange(xs.size))
+    if repeats.size:
+        raise InternalInconsistency(
+            f"conjugate by {xs[repeats[0]]} repeats another: the stabilizer of C "
+            f"is not the centralizer of the (K, H, C) idempotent")
+    return AlgebraElement(A, A.field.sum_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +382,27 @@ def _validate(A: GroupAlgebra, summary, descriptors):
     if summary.dimension() != A.group.order:
         fail("dimension_sum", {"got": summary.dimension(),
                                "expected": A.group.order})
-    total = A.zero()
+    # a central element is known by its class-representative coefficients,
+    # so once e is central, e·e and e_i·e_j are evaluated only there
+    reps = [cls[0] for cls in conjugacy_classes(A.group)]
+    es = [dsc.idempotent.coeffs for dsc in descriptors]
     for i, dsc in enumerate(descriptors):
         e = dsc.idempotent
         if e.is_zero():
             fail("nonzero", {"component": i})
-        if not e.is_idempotent():
-            fail("idempotent", {"component": i})
         if not e.is_central():
             fail("central", {"component": i})
+        if not np.array_equal(A.product(es[i], es[i], at=reps), es[i][reps]):
+            fail("idempotent", {"component": i})
         dim = A.ideal_dimension(e)
         if dim != dsc.dim:
             fail("ideal_dimension", {"component": i, "got": dim,
                                      "expected": dsc.dim})
-        total = total + e
-    # every e_i is central by now, so e_j·e_i = e_i·e_j: one product a pair
-    es = [dsc.idempotent for dsc in descriptors]
+    # e_j·e_i = e_i·e_j for central idempotents: one product a pair
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            if not (es[i] * es[j]).is_zero():
+            if A.product(es[i], es[j], at=reps).any():
                 fail("orthogonal", {"components": (i, j)})
+    total = AlgebraElement(A, A.field.sum_rows(es))
     if total != A.one():
         fail("sum_to_one", {"sum": total.to_str()})

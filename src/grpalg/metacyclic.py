@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .algebra import GroupAlgebra
-from .errors import BadPresentation, InternalInconsistency, NotSemisimple
+from .errors import InternalInconsistency, NotSemisimple
 from .field import BaseField, mult_order
-from .groups import FiniteGroup, Subgroup, metacyclic_group, subgroup_closure
+from .groups import (FiniteGroup, Subgroup, check_presentation, metacyclic_group,
+                     subgroup_closure)
 from .idempotents import Triple, summarize, triple_components
 
 
@@ -27,13 +28,7 @@ class MetacyclicParams:
     r: int
 
     def __post_init__(self):
-        n, t, k, r = self.n, self.t, self.k, self.r
-        if n < 1 or t < 1:
-            raise BadPresentation("n and t must be positive")
-        if pow(r, t, n) != 1 % n:
-            raise BadPresentation(f"r^t != 1 mod {n}")
-        if k * (r - 1) % n != 0:
-            raise BadPresentation(f"k(r-1) != 0 mod {n}")
+        check_presentation(self.n, self.t, self.k, self.r)
 
     @property
     def order(self):

@@ -4,13 +4,16 @@ polynomials of class sums, factorization, CRT interpolation), and count
 the expected number of components from q-classes of conjugacy classes.
 
 The split runs in class coordinates, the classical class-matrix route of
-Dixon (Numer. Math. 1967) and Schneider (1990): a central element has one
-coordinate per conjugacy class, and multiplying it by a class sum is one
-field-table sum over an index array built once per group.  Only the final
-blocks are lifted to |G| coordinates.  The oracle shares with the engine
-only the group table, `conjugacy_classes` with its `class_index`, the
-field tables and the squarefree `factor_polynomial`; it uses none of the
-engine's subgroups, triples or group-algebra products.
+Dixon (Numer. Math. 1967) and Schneider (1990): a central element w has one
+coordinate per conjugacy class, and the product C_i·w with a class sum is
+F.sum_rows(w[idx[i]]), one gather through an index array built once per
+group (class_structure) and one field sum.  A CRT block is one sum_rows of
+the powers C_i^j·e scaled by the interpolating polynomial's coefficients.
+Only the final blocks are lifted to |G| coordinates.  The oracle shares
+with the engine only the group table, `conjugacy_classes` with its
+`class_index`, the field tables with `BaseField.sum_rows` and the
+squarefree `factor_polynomial`; it uses none of the engine's subgroups,
+triples or group-algebra products.
 """
 
 from __future__ import annotations
@@ -70,17 +73,6 @@ def class_structure(G: FiniteGroup):
     return G._cache["class_structure"]
 
 
-def class_mul(F, idx_i, w):
-    """C_i · w in class coordinates: the field sum over the rows of
-    w[idx_i], halving the rows with F.add_np at each step."""
-    rows = w[idx_i]
-    while len(rows) > 1:
-        half = len(rows) // 2
-        top = F.add_np[rows[:half], rows[half:2 * half]]
-        rows = np.concatenate([top, rows[2 * half:]]) if len(rows) % 2 else top
-    return rows[0]
-
-
 def _minimal_polynomial(F, idx_i, e):
     """Minimal polynomial of multiplication by the class sum C_i on the
     ideal generated by the central idempotent e (all in class coordinates);
@@ -117,7 +109,7 @@ def _minimal_polynomial(F, idx_i, e):
                 basis[p2] = (F.add_np[br, F.neg_np[F.mul_np[c, v]]],
                              F.add_np[bc, F.neg_np[F.mul_np[c, combo]]])
         basis[piv] = (v, combo)
-        powers.append(class_mul(F, idx_i, powers[-1]))
+        powers.append(F.sum_rows(powers[-1][idx_i]))  # C_i · powers[-1]
         deg += 1
 
 
@@ -151,12 +143,8 @@ def center_split(G: FiniteGroup, F: BaseField):
                 comp = poly_divmod(F, mp, list(h))[0]
                 comp_mod = poly_mod(F, comp, list(h))
                 inv = _poly_inverse_mod(F, comp_mod, list(h))
-                u = poly_mod(F, poly_mul(F, comp, inv), mp)
-                b = np.zeros(len(idx), dtype=np.int16)
-                for c, power in zip(u, powers):
-                    if c:
-                        b = F.add_np[b, F.mul_np[c, power]]
-                refined.append(b)
+                u = np.array(poly_mod(F, poly_mul(F, comp, inv), mp))
+                refined.append(F.sum_rows(F.mul_np[u[:, None], np.array(powers[:u.size])]))
         blocks = refined
     A = GroupAlgebra(G, F)
     return sorted((AlgebraElement(A, b[class_of]) for b in blocks),

@@ -181,6 +181,30 @@ def coset_orbits_reference(G, K, H, q, rng=None):
     return reps, Subgroup(G, E_members)
 
 
+def convolution_reference(A, x, y):
+    """The coefficients of x·y in A = F_q[G] by the definition: for every
+    pair (g, k), the scalar x[g]·y[k] is added to the coefficient of g·k."""
+    F, G = A.field, A.group
+    out = [0] * G.order
+    for g in range(G.order):
+        for k in range(G.order):
+            h = int(G.m[g, k])
+            out[h] = F.add(out[h], F.mul(int(x[g]), int(y[k])))
+    return np.array(out, dtype=np.int16)
+
+
+def add_table_reference(p, a):
+    """The addition table of F_{p^a}, indices i = sum c_k p^k, built digit
+    by digit: four q x q int16 passes for each of the a digits."""
+    q = p ** a
+    idx = np.arange(q, dtype=np.int16)
+    add = np.zeros((q, q), dtype=np.int16)
+    for k in range(a):
+        digit = idx // p ** k % p
+        add += (digit[:, None] + digit[None, :]) % p * p ** k
+    return add
+
+
 def rank_reference(F, rows):
     """Rank over F_q by Gauss-Jordan elimination one row at a time."""
     rows = rows.copy()

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rank_reference
-from grpalg.algebra import GroupAlgebra, _rank
+from conftest import convolution_reference, rank_reference
+from grpalg.algebra import PRODUCT_BLOCK, GroupAlgebra, _rank
 from grpalg.errors import MixedContext
 from grpalg.field import make_field
-from grpalg.groups import conjugacy_classes, metacyclic_group
+from grpalg.groups import conjugacy_classes, d2_group, metacyclic_group
 
 S3 = metacyclic_group(3, 2, 0, 2)
 F5 = make_field(5)
@@ -38,13 +38,6 @@ def test_basis_multiplication_matches_table():
 def test_noncommutative():
     # a*b != b*a in S3 (indices: a = 2, b = 1)
     assert (A.basis(2) * A.basis(1)).key() != (A.basis(1) * A.basis(2)).key()
-
-
-def test_conjugate_permutes_coefficients():
-    x = A.element([1, 2, 3, 4, 0, 1])
-    for g in range(6):
-        c = x.conjugate(g)
-        assert (A.basis(int(S3.inv_np[g])) * x * A.basis(g)).key() == c.key()
 
 
 def test_class_sums_central():
@@ -172,3 +165,75 @@ def test_ideal_dimension_matches_products():
         for e in [B.one(), B.zero(), B.element(rng.integers(0, q, G.order))]:
             rows = np.stack([(B.basis(g) * e).coeffs for g in range(G.order)])
             assert B.ideal_dimension(e) == rank_reference(B.field, rows)
+
+
+# F_2, F_3, F_4, F_5, F_7 and F_9 as (p, a)
+PRODUCT_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
+
+
+def _supports(rng, q, n):
+    """Coefficient vectors with no support, one support element (the last
+    and a random one), a sparse and a full support."""
+    out = [np.zeros(n, dtype=np.int16)]
+    for g in (n - 1, int(rng.integers(n))):
+        x = np.zeros(n, dtype=np.int16)
+        x[g] = rng.integers(1, q)
+        out.append(x)
+    sparse = rng.integers(0, q, n) * (rng.random(n) < 0.3)
+    out += [sparse.astype(np.int16), rng.integers(1, q, n).astype(np.int16)]
+    return out
+
+
+@pytest.mark.parametrize("p,a", PRODUCT_FIELDS)
+def test_product_matches_convolution(p, a):
+    """GroupAlgebra.product on all of G and at the class representatives,
+    against the pairwise definition, for every pair of test supports."""
+    F = make_field(p, a)
+    rng = np.random.default_rng(10 * p + a)
+    for G in (S3, metacyclic_group(4, 2, 0, 3), d2_group(1), metacyclic_group(7, 3, 0, 2)):
+        B = GroupAlgebra(G, F)
+        reps = [cls[0] for cls in conjugacy_classes(G)]
+        vectors = _supports(rng, F.q, G.order)
+        for x in vectors:
+            for y in vectors:
+                want = convolution_reference(B, x, y)
+                assert np.array_equal(B.product(x, y), want)
+                assert np.array_equal(B.product(x, y, at=reps), want[reps])
+
+
+def test_product_crosses_block_boundary():
+    """Left supports of PRODUCT_BLOCK + 1 elements and of all of a group of
+    order 272 take two gathers; both agree with the definition."""
+    G = metacyclic_group(17, 16, 0, 3)
+    assert G.order > PRODUCT_BLOCK + 1
+    B = GroupAlgebra(G, make_field(3))
+    rng = np.random.default_rng(272)
+    y = rng.integers(0, 3, G.order).astype(np.int16)
+    reps = [cls[0] for cls in conjugacy_classes(G)]
+    block = np.zeros(G.order, dtype=np.int16)
+    block[rng.choice(G.order, PRODUCT_BLOCK + 1, replace=False)] = 2
+    for x in (block, rng.integers(1, 3, G.order).astype(np.int16)):
+        want = convolution_reference(B, x, y)
+        assert np.array_equal(B.product(x, y), want)
+        assert np.array_equal(B.product(x, y, at=reps), want[reps])
+        assert np.array_equal((B.element(x) * B.element(y)).coeffs, want)
+
+
+@pytest.mark.parametrize("p,a", PRODUCT_FIELDS)
+def test_sum_rows_matches_fold(p, a):
+    """BaseField.sum_rows against a left-to-right fold through add_np, on
+    even and odd numbers of rows; no rows sum to zeros, and the sum of one
+    row is a copy of it."""
+    F = make_field(p, a)
+    rng = np.random.default_rng(100 * p + a)
+    assert np.array_equal(F.sum_rows(np.zeros((0, 5), dtype=np.int16)), np.zeros(5))
+    for nrows in (1, 2, 3, 4, 5, 7, 8, 31, 64):
+        rows = rng.integers(0, F.q, size=(nrows, 5)).astype(np.int16)
+        before = rows.copy()
+        want = rows[0].copy()
+        for row in rows[1:]:
+            want = F.add_np[want, row]
+        got = F.sum_rows(rows)
+        assert got.dtype == np.int16 and np.array_equal(got, want), nrows
+        got[:] = 0
+        assert np.array_equal(rows, before)

@@ -196,6 +196,17 @@ def test_families_q_not_prime_power_exit_2(capsys):
     assert err == "error: 15 is not a prime power\n"
 
 
+def test_families_checks_q_before_building_the_group(capsys):
+    """An out-of-range q exits 2 before d1_group(10), of order 4096, is
+    built or looked up."""
+    before = groups.d1_group.cache_info()
+    code, out, err = run(capsys, "families", "--family", "d1", "--m", "10",
+                         "--q", "4097")
+    assert (code, out, err) == (2, "", "error: base field order 4097 exceeds cap 4096\n")
+    after = groups.d1_group.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["families", "--family", "d2", "--m", "2", "--q", "1000000000000000003"],
      "error: base field order 1000000000000000003 exceeds cap 4096\n"),

@@ -141,12 +141,13 @@ def test_epsilon_hand_value_s3_f5():
 
 
 def ec_idempotent_reference(A, K, H, C):
-    """The sum of the distinct conjugates of epsilon over all of G."""
+    """The sum of the distinct conjugates x^-1·epsilon·x over all of G, each
+    a product with basis elements."""
     eps = epsilon_idempotent(A, K, H, C)
     seen = set()
     total = A.zero()
     for x in range(A.group.order):
-        c = eps.conjugate(x)
+        c = A.basis(int(A.group.inv_np[x])) * eps * A.basis(x)
         if c.key() not in seen:
             seen.add(c.key())
             total = total + c
@@ -180,6 +181,16 @@ def test_ec_idempotent_repeated_conjugate_raises():
     C = generator_cosets(3, 5)[0]
     with pytest.raises(InternalInconsistency, match="repeats another"):
         ec_idempotent(A, K, H, C, K)
+
+
+def test_ec_idempotent_names_the_first_repeating_conjugate():
+    # epsilon is central, so over the trivial E every conjugate repeats the
+    # first; the witness is the first transversal element that repeats
+    A = GroupAlgebra(S3, make_field(5))
+    K = subgroup_closure(S3, [2])
+    C = generator_cosets(3, 5)[0]
+    with pytest.raises(InternalInconsistency, match="^conjugate by 1 repeats another"):
+        ec_idempotent(A, K, Subgroup(S3, (0,)), C, Subgroup(S3, (0,)))
 
 
 def test_coset_orbit_stabilizer_s3():

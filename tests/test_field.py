@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import add_table_reference
 from grpalg import field
 from grpalg.errors import NotCoprime, NotPrime
 from grpalg.field import (
@@ -140,6 +141,18 @@ def test_prime_power_tables_match_naive_product(p, a):
     assert all(add[i, F.neg(i)] == 0 and F.neg_np[i] == F.neg(i) for i in els)
     assert all(mul[i, F.inv(i)] == 1 and F.inv_np[i] == F.inv(i) for i in els[1:])
     assert all(F.sub(i, j) == add[i, F.neg(j)] for i in els for j in (0, 1, F.q - 1))
+
+
+PRIME_POWERS_TO_4096 = [(p, a) for p in range(2, 65) if is_prime(p)
+                        for a in range(2, 13) if p ** a <= 4096]
+
+
+@pytest.mark.parametrize("p,a", PRIME_POWERS_TO_4096)
+def test_add_table_matches_digit_loop(p, a):
+    """The broadcast F_{p^a} addition table against the digit-by-digit
+    build, for every p^a <= MAX_BASE_ORDER with a >= 2 (BaseField, not the
+    make_field cache, so no table outlives its case)."""
+    assert np.array_equal(BaseField(p, a).add_np, add_table_reference(p, a))
 
 
 def test_largest_fields_stay_small():
