@@ -33,10 +33,6 @@ class BadPresentation(GrpalgError):
     pass
 
 
-class CapExceeded(GrpalgError):
-    pass
-
-
 class NotMetabelian(GrpalgError):
     pass
 

@@ -81,15 +81,6 @@ def poly_deg(f):
     return len(f) - 1
 
 
-def poly_add(F, f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = F.add(out[i], c)
-    return poly_trim(out)
-
-
 def poly_sub(F, f, g):
     out = list(f) + [0] * max(0, len(g) - len(f))
     for i, c in enumerate(g):
@@ -472,10 +463,12 @@ def _split_once(F, f, d):
         if poly_deg(T) < 1:
             continue
         if F.p == 2:
+            # the trace T + T^2 + ... + T^(2^(ad-1)) mod f; in
+            # characteristic 2, poly_sub adds
             acc, cur = list(T), list(T)
             for _ in range(F.a * d - 1):
-                cur = poly_pow_mod(F, poly_mul(F, cur, cur), 1, f)
-                acc = poly_add(F, acc, cur)
+                cur = poly_mod(F, poly_mul(F, cur, cur), f)
+                acc = poly_sub(F, acc, cur)
             g = poly_gcd(F, acc, f)
         else:
             e = (F.q ** d - 1) // 2

@@ -1,11 +1,12 @@
 """Finite groups as explicit multiplication tables, plus the subgroup
 machinery the engine needs, all computed inside G itself: closures,
-normality, the normal subgroups (products of normal closures of conjugacy
-classes), conjugacy, cores, centralizers/normalizers, and the subgroups A
+normality, conjugacy, cores, centralizers/normalizers, and the subgroups A
 over a normal N with A/N maximal abelian over (G/N)'.  No quotient group
-and no subgroup lattice is ever built.  Also constructors for the group
-families the package cares about (metacyclic presentations and two
-2-group families given by normal forms) and the Cayley-table text format.
+and no subgroup lattice is ever built: the engine takes its normal
+subgroups from character kernels (idempotents.kernel_cores).  Also
+constructors for the group families the package cares about (metacyclic
+presentations and two 2-group families given by normal forms) and the
+Cayley-table text format.
 
 A table is the one int32 array `m`, checked with array operations: shape,
 range, identity and inverses directly, associativity by Light's test over
@@ -23,15 +24,11 @@ import numpy as np
 
 from .errors import (
     BadPresentation,
-    CapExceeded,
     NoIdentity,
     NoInverse,
     NotAssociative,
     NotMetabelian,
 )
-
-# normal_subgroups raises CapExceeded past this many normal subgroups
-SUBGROUP_CAP = 512
 
 # the largest |G| whose table may be built: a 64 MB int32 table
 MAX_GROUP_ORDER = 4096
@@ -195,47 +192,6 @@ def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
 
 def is_normal(G, H: Subgroup) -> bool:
     return normalizer(G, H).order == G.order
-
-
-def normal_subgroups(G):
-    """Every normal subgroup of G, sorted by (order, members).
-
-    Each one is a product of normal closures of conjugacy classes, so the
-    list is the closure of those under products N·C with one class closure
-    C at a time.  Raises CapExceeded past SUBGROUP_CAP subgroups.
-    """
-    if "normal_subgroups" in G._cache:
-        return G._cache["normal_subgroups"]
-    atoms = {}
-    for cls in conjugacy_classes(G):
-        C = subgroup_closure(G, cls)
-        atoms.setdefault(C.members, C)
-    atom_of = np.concatenate([[i] * C.order for i, C in enumerate(atoms.values())])
-    atom_elems = np.concatenate([C.members for C in atoms.values()])
-    xs = np.arange(G.order)
-    trivial = Subgroup(G, (0,))
-    found = {mask(G, trivial).tobytes(): trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for N in frontier:
-            # x and y lie in the same coset of N iff label[x] == label[y]
-            label = G.m[np.array(N.members)[:, None], xs].min(axis=0)
-            hit = np.zeros((len(atoms), G.order), dtype=bool)
-            hit[atom_of, label[atom_elems]] = True
-            for row in hit[:, label]:  # row i: the product of N and atom i
-                key = row.tobytes()
-                if key not in found:
-                    if len(found) >= SUBGROUP_CAP:
-                        raise CapExceeded(
-                            f"more than {SUBGROUP_CAP} normal subgroups in group "
-                            f"of order {G.order}")
-                    found[key] = H = Subgroup(G, np.flatnonzero(row).tolist())
-                    nxt.append(H)
-        frontier = nxt
-    out = sorted(found.values(), key=lambda H: (H.order, H.members))
-    G._cache["normal_subgroups"] = out
-    return out
 
 
 def derived_subgroup(G) -> Subgroup:

@@ -3,7 +3,9 @@ semisimple metabelian group algebra F_q[G].
 
 The pipeline enumerates triples (N, D, A), working in G itself with no
 quotient group and no subgroup lattice:
-- N runs over the normal subgroups of G (groups.normal_subgroups);
+- N runs over the cores in G of character kernels (kernel_cores): two
+  rounds of linear characters of abelian sections give every kernel of an
+  irreducible character of G, and only those carry triples;
 - A is grown from G'N so that A/N is a maximal abelian subgroup of G/N
   containing (G/N)' (groups.maximal_abelian_over_derived);
 - D runs over the kernels of the linear characters of A/N, so that A/D is
@@ -38,10 +40,10 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     conjugacy_classes,
+    generators,
     is_metabelian,
     mask,
     maximal_abelian_over_derived,
-    normal_subgroups,
     normalizer,
     powers,
     transversal,
@@ -239,37 +241,81 @@ def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
     return elems, values
 
 
-def d_classes(G: FiniteGroup, N: Subgroup, A: Subgroup):
-    """The subgroups D with N <= D <= A, A/D cyclic and core_G(D) = N, as
-    a list of G-conjugacy classes, each sorted by members.
-
-    The D with A/D cyclic are the kernels of the linear characters of A/N.
-    A contains G', so it is normal; being abelian, it fixes every D by
-    conjugation.  Cores and conjugates therefore need only a transversal
-    of A in G."""
+def _kernel_conjugates(G: FiniteGroup, N: Subgroup, A: Subgroup):
+    """(elems, conjugates): elems runs over A, and conjugates[j, d, i] says
+    whether elems[i] lies in D_d^t for D_d the d-th distinct kernel of the
+    linear characters of A/N and t the j-th element of transversal(G, A).
+    A contains G' and [D, A] <= N <= D, so A is normal and normalizes each
+    D.  t = 1 comes first: conjugates[0] are the kernels, and
+    conjugates.all(axis=0) their cores in G."""
     elems, values = _characters(G, N, A)
     kernels = np.array(list({row.tobytes(): row for row in values == 0}.values()))
     pos = np.zeros(G.order, dtype=np.int64)
     pos[elems] = np.arange(elems.size)
-    # conjugates[j, d, i]: whether elems[i] lies in D_d^t, t the j-th coset rep
     conjugates = np.stack([kernels[:, pos[G.m[G.m[t, elems], G.inv_np[t]]]]
                            for t in transversal(G, A)])
+    return elems, conjugates
+
+
+def d_classes(G: FiniteGroup, N: Subgroup, A: Subgroup):
+    """The subgroups D with N <= D <= A, A/D cyclic and core_G(D) = N, as
+    a list of G-conjugacy classes, each sorted by members: the kernels of
+    the linear characters of A/N whose core is N."""
+    elems, conjugates = _kernel_conjugates(G, N, A)
     classes = {}
     for d in np.flatnonzero(conjugates.all(axis=0).sum(axis=1) == N.order):
         key = min(row.tobytes() for row in conjugates[:, d])
-        classes.setdefault(key, []).append(Subgroup(G, elems[kernels[d]].tolist()))
+        D = Subgroup(G, elems[conjugates[0, d]].tolist())
+        classes.setdefault(key, []).append(D)
     return [sorted(c, key=lambda D: D.members) for c in classes.values()]
+
+
+def kernel_cores(G: FiniteGroup):
+    """The normal subgroups N that can carry a triple, sorted by (order,
+    members), in two rounds.  Round 1: core_G(D) for the D <= A1 with A1/D
+    cyclic, A1 = maximal_abelian_over_derived(G, 1).  Round 2, for each M
+    of round 1 with some x outside A1 and [x, g] in M for every generator
+    g of G: core_G(D) for M <= D <= A_M with A_M/D cyclic, where
+    A_M = maximal_abelian_over_derived(G, M).
+
+    Why this suffices: a triple's N is the kernel of the irreducible
+    lambda^G, as (A, D) is a strong Shoda pair.  Let chi be irreducible
+    with kernel N, and M = N ∩ A1.  A1 contains G', so it is normal, and
+    by Clifford's theorem M = core_G(ker mu) for a linear constituent mu of
+    chi on A1: M is in round 1.  [N, G] <= N ∩ G' <= M, so N/M is central
+    in G/M; N = M, or an x in N outside A1 passes round 2's test for M.
+    Then N <= A_M, as A_M/M is maximal abelian in G/M, and Clifford's
+    theorem on A_M gives N = core_G(ker nu) with M <= N <= ker nu for a
+    constituent nu of chi on A_M; so nu is linear on A_M/M, which is
+    abelian, and A_M/ker nu is cyclic."""
+    def cores(N, A):
+        elems, conjugates = _kernel_conjugates(G, N, A)
+        return {frozenset(elems[c].tolist()) for c in conjugates.all(axis=0)}
+
+    one = Subgroup(G, (0,))
+    A1 = maximal_abelian_over_derived(G, one)
+    found = cores(one, A1)
+    # [x, g] for x outside A1 (rows) and g in a generating set of G (columns)
+    x = np.flatnonzero(~mask(G, A1))[:, None]
+    gens = np.array(generators(G.m, range(G.order)), dtype=np.int64)
+    comm = G.m[G.m[G.m[G.inv_np[x], G.inv_np[gens]], x], gens]
+    for members in list(found):
+        M = Subgroup(G, members)
+        if mask(G, M)[comm].all(axis=1).any():
+            found |= cores(M, maximal_abelian_over_derived(G, M))
+    return sorted((Subgroup(G, N) for N in found), key=lambda N: (N.order, N.members))
 
 
 def shoda_triples(G: FiniteGroup, rng=None):
     """All triples (N, D, A), one per G-conjugacy class of D, sorted by
-    (|N|, N, |D|, D).  A is maximal_abelian_over_derived(G, N) and D runs
-    over d_classes(G, N, A); the least D of each class is taken, or a
+    (|N|, N, |D|, D).  N runs over kernel_cores(G), A is
+    maximal_abelian_over_derived(G, N) and D runs over d_classes(G, N, A),
+    which is empty for some N; the least D of each class is taken, or a
     random one with rng.  Cached on G when rng is None."""
     if rng is None and "shoda_triples" in G._cache:
         return G._cache["shoda_triples"]
     out = []
-    for N in normal_subgroups(G):
+    for N in kernel_cores(G):
         A = maximal_abelian_over_derived(G, N, rng=rng)
         for cls in d_classes(G, N, A):
             D = cls[0] if rng is None else cls[rng.randrange(len(cls))]
@@ -386,6 +432,7 @@ def _validate(A: GroupAlgebra, summary, descriptors):
     # so once e is central, e·e and e_i·e_j are evaluated only there
     reps = [cls[0] for cls in conjugacy_classes(A.group)]
     es = [dsc.idempotent.coeffs for dsc in descriptors]
+    dims = []
     for i, dsc in enumerate(descriptors):
         e = dsc.idempotent
         if e.is_zero():
@@ -394,15 +441,18 @@ def _validate(A: GroupAlgebra, summary, descriptors):
             fail("central", {"component": i})
         if not np.array_equal(A.product(es[i], es[i], at=reps), es[i][reps]):
             fail("idempotent", {"component": i})
-        dim = A.ideal_dimension(e)
-        if dim != dsc.dim:
-            fail("ideal_dimension", {"component": i, "got": dim,
+        dims.append(A.ideal_dimension(e))
+        if dims[-1] != dsc.dim:
+            fail("ideal_dimension", {"component": i, "got": dims[-1],
                                      "expected": dsc.dim})
-    # e_j·e_i = e_i·e_j for central idempotents: one product a pair
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if A.product(es[i], es[j], at=reps).any():
-                fail("orthogonal", {"components": (i, j)})
     total = AlgebraElement(A, A.field.sum_rows(es))
+    # idempotents with sum 1 whose ideals' dimensions add up to |G| span
+    # F_q[G] = ⊕ F_q[G]e_i, so e_j = sum_i e_j·e_i gives e_j·e_i = 0 (i != j)
+    if total != A.one() or sum(dims) != A.group.order:
+        # e_j·e_i = e_i·e_j for central idempotents: one product a pair
+        for i in range(len(es)):
+            for j in range(i + 1, len(es)):
+                if A.product(es[i], es[j], at=reps).any():
+                    fail("orthogonal", {"components": (i, j)})
     if total != A.one():
         fail("sum_to_one", {"sum": total.to_str()})

@@ -1,11 +1,18 @@
 import itertools
+import random
 from math import gcd
 
 import numpy as np
 import pytest
 
-from grpalg.algebra import GroupAlgebra
-from grpalg.errors import NoIdentity, NoInverse, NotAssociative, NotSemisimple
+from grpalg.algebra import AlgebraElement, GroupAlgebra
+from grpalg.errors import (
+    InvariantViolation,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
+    NotSemisimple,
+)
 from grpalg.field import (
     factor_polynomial,
     poly_divmod,
@@ -20,11 +27,18 @@ from grpalg.groups import (
     conjugacy_classes,
     d1_group,
     d2_group,
+    mask,
+    maximal_abelian_over_derived,
     metacyclic_group,
     normalizer,
     subgroup_closure,
 )
-from grpalg.idempotents import cyclic_quotient_data, generator_cosets
+from grpalg.idempotents import (
+    Triple,
+    cyclic_quotient_data,
+    d_classes,
+    generator_cosets,
+)
 from grpalg.oracle import _poly_inverse_mod
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -107,6 +121,117 @@ def lattice(G):
                     nxt.append(J)
         frontier = nxt
     return sorted((Subgroup(G, m) for m in found), key=lambda H: (H.order, H.members))
+
+
+def normal_subgroups(G):
+    """Every normal subgroup of G, sorted by (order, members), cached on G.
+
+    Each one is a product of normal closures of conjugacy classes, so the
+    list is the closure of those under products N·C with one class closure
+    C at a time.  The reference for the lattice-free kernel_cores."""
+    if "normal_subgroups" in G._cache:
+        return G._cache["normal_subgroups"]
+    atoms = {}
+    for cls in conjugacy_classes(G):
+        C = subgroup_closure(G, cls)
+        atoms.setdefault(C.members, C)
+    atom_of = np.concatenate([[i] * C.order for i, C in enumerate(atoms.values())])
+    atom_elems = np.concatenate([C.members for C in atoms.values()])
+    xs = np.arange(G.order)
+    trivial = Subgroup(G, (0,))
+    found = {mask(G, trivial).tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for N in frontier:
+            # x and y lie in the same coset of N iff label[x] == label[y]
+            label = G.m[np.array(N.members)[:, None], xs].min(axis=0)
+            hit = np.zeros((len(atoms), G.order), dtype=bool)
+            hit[atom_of, label[atom_elems]] = True
+            for row in hit[:, label]:  # row i: the product of N and atom i
+                key = row.tobytes()
+                if key not in found:
+                    found[key] = H = Subgroup(G, np.flatnonzero(row).tolist())
+                    nxt.append(H)
+        frontier = nxt
+    out = sorted(found.values(), key=lambda H: (H.order, H.members))
+    G._cache["normal_subgroups"] = out
+    return out
+
+
+def shoda_triples_reference(G):
+    """shoda_triples with N over every normal subgroup of G: the reference
+    for the kernel_cores route."""
+    out = []
+    for N in normal_subgroups(G):
+        A = maximal_abelian_over_derived(G, N)
+        out += [Triple(N, cls[0], A) for cls in d_classes(G, N, A)]
+    return tuple(sorted(out, key=Triple.key))
+
+
+def direct_product(G1, G2, name):
+    """G1 x G2, the pair (g1, g2) at index g1·|G2| + g2."""
+    n2 = G2.order
+    m = G1.m[:, None, :, None] * n2 + G2.m[None, :, None, :]
+    return FiniteGroup(m.reshape(G1.order * n2, -1), name=name)
+
+
+# small metacyclic presentations for the random products, by name
+SMALL_METACYCLIC = {
+    "Z2": (2, 1, 0, 1), "Z3": (3, 1, 0, 1), "Z4": (4, 1, 0, 1),
+    "Z2^2": (2, 2, 0, 1), "S3": (3, 2, 0, 2), "D8": (4, 2, 0, 3),
+    "Q8": (4, 2, 2, 3), "Z6": (6, 1, 0, 1), "D10": (5, 2, 0, 4),
+    "Z3:Z4": (3, 4, 0, 2), "M(7,3,0,2)": (7, 3, 0, 2),
+}
+
+
+def random_metabelian_groups(count, seed, max_order=64):
+    """`count` seeded random metabelian Cayley tables: direct products of
+    two small metacyclic groups, of order at most max_order, with their
+    non-identity elements relabeled at random."""
+    rng = random.Random(seed)
+    names = sorted(SMALL_METACYCLIC)
+    out = []
+    while len(out) < count:
+        a, b = rng.choice(names), rng.choice(names)
+        G1, G2 = (metacyclic_group(*SMALL_METACYCLIC[x]) for x in (a, b))
+        if G1.order * G2.order > max_order:
+            continue
+        m = relabeled(direct_product(G1, G2, "").m, rng)
+        out.append(FiniteGroup(m, name=f"{a}x{b}#{len(out)}"))
+    return out
+
+
+def validate_reference(A, summary, descriptors):
+    """_validate with the pairwise orthogonality loop run on every input:
+    the reference for the lemma that lets _validate skip it."""
+    def fail(name, witness):
+        raise InvariantViolation(name, witness)
+
+    if summary.dimension() != A.group.order:
+        fail("dimension_sum", {"got": summary.dimension(),
+                               "expected": A.group.order})
+    reps = [cls[0] for cls in conjugacy_classes(A.group)]
+    es = [dsc.idempotent.coeffs for dsc in descriptors]
+    for i, dsc in enumerate(descriptors):
+        e = dsc.idempotent
+        if e.is_zero():
+            fail("nonzero", {"component": i})
+        if not e.is_central():
+            fail("central", {"component": i})
+        if not np.array_equal(A.product(es[i], es[i], at=reps), es[i][reps]):
+            fail("idempotent", {"component": i})
+        dim = A.ideal_dimension(e)
+        if dim != dsc.dim:
+            fail("ideal_dimension", {"component": i, "got": dim,
+                                     "expected": dsc.dim})
+    for i in range(len(es)):
+        for j in range(i + 1, len(es)):
+            if A.product(es[i], es[j], at=reps).any():
+                fail("orthogonal", {"components": (i, j)})
+    total = AlgebraElement(A, A.field.sum_rows(es))
+    if total != A.one():
+        fail("sum_to_one", {"sum": total.to_str()})
 
 
 # ---------------------------------------------------------------------------

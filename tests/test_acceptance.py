@@ -6,7 +6,13 @@ import random
 import time
 
 
-from conftest import ALL_METACYCLIC, PRIMES, corpus_grid, corpus_groups
+from conftest import (
+    ALL_METACYCLIC,
+    PRIMES,
+    corpus_grid,
+    corpus_groups,
+    normal_subgroups,
+)
 from grpalg.algebra import GroupAlgebra
 from grpalg.autgroup import aut_description
 from grpalg.families import (
@@ -22,7 +28,6 @@ from grpalg.groups import (
     core,
     d1_group,
     d2_group,
-    normal_subgroups,
 )
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import (

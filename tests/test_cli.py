@@ -163,14 +163,13 @@ def test_removed_flags_exit_2(capsys, flag):
     assert "unrecognized arguments" in err
 
 
-def test_normal_subgroup_cap_exit_2(capsys, tmp_path):
-    # Z_3^5 has 2664 normal subgroups, past the cap of 512
-    path = tmp_path / "z3_5.cayley"
-    path.write_text(format_cayley(elementary_abelian(3, 5)))
-    code, out, err = run(capsys, "decompose", "--cayley", str(path), "--p", "2")
-    assert code == 2
-    assert out == ""
-    assert err == "error: more than 512 normal subgroups in group of order 243\n"
+def test_many_normal_subgroups_decompose(capsys, tmp_path):
+    # Z_2^6 has 2825 subgroups, all normal; no count of them limits the input
+    path = tmp_path / "z2_6.cayley"
+    path.write_text(format_cayley(elementary_abelian(2, 6)))
+    code, out, err = run(capsys, "decompose", "--cayley", str(path), "--p", "3")
+    assert (code, err) == (0, "")
+    assert "wedderburn.components = [(1, 1, 64)]" in out
 
 
 def test_base_field_limit_exit_2(capsys):

@@ -9,8 +9,13 @@ from conftest import (
     PRIMES,
     corpus_groups,
     coset_orbits_reference,
+    direct_product,
     elementary_abelian,
     lattice,
+    normal_subgroups,
+    random_metabelian_groups,
+    shoda_triples_reference,
+    validate_reference,
 )
 from grpalg import field
 from grpalg.algebra import GroupAlgebra
@@ -28,7 +33,6 @@ from grpalg.groups import (
     d2_group,
     maximal_abelian_over_derived,
     metacyclic_group,
-    normal_subgroups,
     subgroup_closure,
 )
 from grpalg.idempotents import (
@@ -54,6 +58,7 @@ from grpalg.metacyclic import (
     triple_subgroup,
     x_classes,
 )
+from grpalg.oracle import q_class_count
 
 S3 = metacyclic_group(3, 2, 0, 2)
 D8 = metacyclic_group(4, 2, 0, 3)
@@ -100,6 +105,30 @@ def test_d_classes_match_lattice_filter(G):
         for cls in classes:
             assert {D.members for D in cls} == {
                 conjugate_subgroup(G, cls[0], g).members for g in range(G.order)}
+
+
+TRIPLE_GROUPS = (corpus_groups()
+                 + [elementary_abelian(3, 3), elementary_abelian(3, 4),
+                    # round 1 alone finds 4 of its 7 candidate kernels
+                    direct_product(S3, metacyclic_group(2, 1, 0, 1), "S3xZ2")]
+                 + random_metabelian_groups(12, seed=2011))
+
+
+@pytest.mark.parametrize("G", TRIPLE_GROUPS, ids=lambda G: G.name)
+def test_shoda_triples_match_lattice_reference(G):
+    """The triples found from kernel_cores are those found by running over
+    every normal subgroup, in the same order."""
+    def members(triples):
+        return [(t.N.members, t.D.members, t.A.members) for t in triples]
+
+    assert members(shoda_triples(G)) == members(shoda_triples_reference(G))
+
+
+def test_z3_5_decomposes():
+    """Z_3^5 has 2664 normal subgroups and 122 q-classes over F_2."""
+    G = elementary_abelian(3, 5)
+    _, descriptors = decompose(G, make_field(2), validate=True)
+    assert len(descriptors) == 122 == q_class_count(G, 2)
 
 
 def test_shoda_triples_s3():
@@ -322,6 +351,56 @@ def _corrupted(invariant):
         "sum_to_one": (summary, ds[:-1], {"sum": (e0 + e1).to_str()}),
     }
     return A, cases[invariant]
+
+
+def _verdict(check, A, summary, descriptors):
+    """(invariant, witness) of the InvariantViolation check raises, or None."""
+    try:
+        check(A, summary, descriptors)
+    except InvariantViolation as exc:
+        return exc.invariant, exc.witness
+    return None
+
+
+@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def test_validate_matches_full_loop_reference(G):
+    """_validate, which skips the pairwise loop when the idempotents sum to
+    1 and their ideals to |G|, gives the verdict and witness of the full
+    loop on corrupted decompositions of G over two corpus primes."""
+    for q in [p for p in PRIMES if G.order % p][:2]:
+        A = GroupAlgebra(G, make_field(q))
+        summary, ds = decompose(G, A.field, validate=False)
+        first, last = ds[0], ds[-1]
+        merged = dataclasses.replace(first, d=1, l=first.dim + last.dim,
+                                     idempotent=first.idempotent + last.idempotent)
+        cases = {
+            "intact": ds,
+            "duplicated": [last] + ds,
+            # q more copies add 0 to the sum but break the dimension count
+            "duplicated q-fold": ds + [first] * q,
+            "dropped": ds[1:],
+            "merged": [merged] + ds[1:-1],
+            "scaled": [dataclasses.replace(first, idempotent=first.idempotent.scale(2))]
+            + ds[1:],
+        }
+        # one component replaced by a copy of another of the same dimension:
+        # the dimensions still add up to |G|, the sum is no longer 1
+        same = [(i, j) for i in range(len(ds)) for j in range(i + 1, len(ds))
+                if ds[i].dim == ds[j].dim]
+        if same:
+            i, j = same[0]
+            cases["replaced"] = ds[:j] + [ds[i]] + ds[j + 1:]
+        outside = [g for g in range(G.order)
+                   if (G.m[g] != G.m[:, g]).any()]  # not central
+        if outside:
+            x = A.zero().coeffs.copy()
+            x[outside[0]] = 1
+            cases["non-central"] = ds[:-1] + [dataclasses.replace(
+                last, idempotent=A.element(x))]
+        for name, descriptors in cases.items():
+            want = _verdict(validate_reference, A, summary, descriptors)
+            assert _verdict(_validate, A, summary, descriptors) == want, (q, name)
+            assert (want is None) == (name in ("intact", "merged")), (q, name)
 
 
 @pytest.mark.parametrize("invariant", ["dimension_sum", "nonzero", "idempotent",

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import normal_subgroups
 from grpalg.autgroup import aut_description
 from grpalg.errors import EvenQ
 from grpalg.families import (
@@ -11,7 +12,7 @@ from grpalg.families import (
     lambda_of,
 )
 from grpalg.field import make_field, mult_order
-from grpalg.groups import d1_group, d2_group, is_normal, normal_subgroups
+from grpalg.groups import d1_group, d2_group, is_normal
 from grpalg.idempotents import decompose
 
 GRID_Q = (3, 5, 7, 13)
