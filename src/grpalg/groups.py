@@ -1,6 +1,6 @@
 """Finite groups as explicit multiplication tables, plus the subgroup
 machinery the engine needs, all computed inside G itself: closures,
-normality, conjugacy, cores, centralizers/normalizers, and the subgroups A
+normality, conjugacy, cores, normalizers, and the subgroups A
 over a normal N with A/N maximal abelian over (G/N)'.  No quotient group
 and no subgroup lattice is ever built: the engine takes its normal
 subgroups from character kernels (idempotents.kernel_cores).  Also
@@ -207,15 +207,6 @@ def derived_subgroup(G) -> Subgroup:
     return H
 
 
-def center(G) -> Subgroup:
-    return centralizer(G, Subgroup(G, range(G.order)))
-
-
-def centralizer(G, H: Subgroup) -> Subgroup:
-    h = list(H.members)
-    return Subgroup(G, np.flatnonzero((G.m[:, h] == G.m[h].T).all(axis=1)).tolist())
-
-
 def normalizer(G, H: Subgroup) -> Subgroup:
     """The g in G with g^-1 s g in H for every s in generators of H; as
     conjugation by g is a homomorphism, that puts g^-1 H g inside H."""
@@ -230,11 +221,6 @@ def core(G, H: Subgroup) -> Subgroup:
     h = np.array(H.members)
     conj = G.m[G.m[np.ix_(G.inv_np, h)], np.arange(G.order)[:, None]]
     return Subgroup(G, h[mask(G, H)[conj].all(axis=0)].tolist())
-
-
-def conjugate_subgroup(G, H: Subgroup, g) -> Subgroup:
-    """g^-1 H g."""
-    return Subgroup(G, G.m[G.m[G.inv_np[g], list(H.members)], g].tolist())
 
 
 def is_abelian_subgroup(G, H: Subgroup) -> bool:

@@ -9,7 +9,11 @@ coordinate per conjugacy class, and the product C_i·w with a class sum is
 F.sum_rows(w[idx[i]]), one gather through an index array built once per
 group (class_structure) and one field sum.  A CRT block is one sum_rows of
 the powers C_i^j·e scaled by the interpolating polynomial's coefficients.
-Only the final blocks are lifted to |G| coordinates.  The oracle shares
+The split stops early, before the next class sum, once lower bounds on the
+block dimensions add up to the class count k, which certifies every block
+primitive (proof in center_split); it never reads q_class_count, which
+stays the independent count.  Only the final blocks are lifted to |G|
+coordinates.  The oracle shares
 with the engine only the group table, `conjugacy_classes` with its
 `class_index`, the field tables with `BaseField.sum_rows` and the
 squarefree `factor_polynomial`; it uses none of the engine's subgroups,
@@ -23,10 +27,11 @@ from math import gcd
 import numpy as np
 
 from .algebra import AlgebraElement, GroupAlgebra
-from .errors import NotSemisimple
+from .errors import InternalInconsistency, NotSemisimple
 from .field import (
     BaseField,
     factor_polynomial,
+    poly_deg,
     poly_divmod,
     poly_mod,
     poly_mul,
@@ -114,20 +119,38 @@ def _minimal_polynomial(F, idx_i, e):
 
 
 def center_split(G: FiniteGroup, F: BaseField):
-    """Primitive idempotents of the center of F_q[G], found by refining
+    """Primitive idempotents of the center Z of F_q[G], found by refining
     blocks with CRT interpolation idempotents of class-sum minimal
     polynomials, in class coordinates.  Returned as elements of F_q[G],
-    sorted by coefficient tuple."""
+    sorted by coefficient tuple.
+
+    Each block e carries a lower bound d on dim_{F_q} Ze: 1 for the start
+    block 1, deg h for the CRT piece of an irreducible factor h, and
+    max(d, deg mp) when the minimal polynomial mp of a class sum on Ze is
+    irreducible.  Before each class sum the split stops once Σ d = k, the
+    number of classes.  This certifies every block primitive:
+      - d is the dimension of a subfield of Ze: F_q·e for the start block,
+        else F_q[C_i e] ≅ F_q[x]/(f) for the irreducible minimal
+        polynomial f (h or mp) of C_i on Ze, so d ≤ dim Ze;
+      - the blocks are orthogonal idempotents summing to 1, so
+        Σ dim Ze = dim Z = k;
+      - so Σ d = k forces each Ze to be that subfield, a field, and a
+        field has no idempotents but 0 and 1.
+    The full split could therefore split no block further, and the result
+    is the same.  The premise Σ e = 1 is checked on the way out
+    (InternalInconsistency otherwise)."""
     q = F.q
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
     class_of, idx = class_structure(G)
     one = np.zeros(len(idx), dtype=np.int16)
     one[class_of[0]] = 1
-    blocks = [one]
+    blocks = [(one, 1)]  # (e, d): d <= dim Ze
     for idx_i in idx:
+        if sum(d for _, d in blocks) == len(idx):
+            break  # every Ze is a field: each e is primitive
         refined = []
-        for e in blocks:
+        for e, d in blocks:
             mp, powers = _minimal_polynomial(F, idx_i, e)
             mp = poly_scale(F, F.inv(mp[-1]), mp)
             try:
@@ -136,7 +159,7 @@ def center_split(G: FiniteGroup, F: BaseField):
                 raise NotSemisimple(
                     "class sum has a repeated minimal-polynomial factor") from None
             if len(factors) == 1:
-                refined.append(e)
+                refined.append((e, max(d, poly_deg(mp))))
                 continue
             for h in factors:
                 # u = (mp/h) * inv(mp/h mod h); u(C_i)*e is the h-block piece
@@ -144,8 +167,14 @@ def center_split(G: FiniteGroup, F: BaseField):
                 comp_mod = poly_mod(F, comp, list(h))
                 inv = _poly_inverse_mod(F, comp_mod, list(h))
                 u = np.array(poly_mod(F, poly_mul(F, comp, inv), mp))
-                refined.append(F.sum_rows(F.mul_np[u[:, None], np.array(powers[:u.size])]))
+                refined.append((F.sum_rows(F.mul_np[u[:, None], np.array(powers[:u.size])]),
+                                poly_deg(h)))
         blocks = refined
+    blocks = np.array([e for e, _ in blocks])
+    total = F.sum_rows(blocks)
+    if not np.array_equal(total, one):
+        raise InternalInconsistency(
+            f"center blocks sum to {total.tolist()} in class coordinates, not 1")
     A = GroupAlgebra(G, F)
     return sorted((AlgebraElement(A, b[class_of]) for b in blocks),
                   key=lambda e: e.key())

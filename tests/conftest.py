@@ -169,6 +169,20 @@ def shoda_triples_reference(G):
     return tuple(sorted(out, key=Triple.key))
 
 
+def center(G):
+    return centralizer(G, Subgroup(G, range(G.order)))
+
+
+def centralizer(G, H):
+    h = list(H.members)
+    return Subgroup(G, np.flatnonzero((G.m[:, h] == G.m[h].T).all(axis=1)).tolist())
+
+
+def conjugate_subgroup(G, H, g):
+    """g^-1 H g."""
+    return Subgroup(G, G.m[G.m[G.inv_np[g], list(H.members)], g].tolist())
+
+
 def direct_product(G1, G2, name):
     """G1 x G2, the pair (g1, g2) at index g1·|G2| + g2."""
     n2 = G2.order

@@ -9,6 +9,7 @@ import time
 from conftest import (
     ALL_METACYCLIC,
     PRIMES,
+    conjugate_subgroup,
     corpus_grid,
     corpus_groups,
     normal_subgroups,
@@ -24,7 +25,6 @@ from grpalg.families import (
 )
 from grpalg.field import make_field
 from grpalg.groups import (
-    conjugate_subgroup,
     core,
     d1_group,
     d2_group,

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     ALL_METACYCLIC,
     PRIMES,
+    conjugate_subgroup,
     corpus_groups,
     coset_orbits_reference,
     direct_product,
@@ -28,7 +29,6 @@ from grpalg.errors import (
 from grpalg.field import BaseField, factor_polynomial, make_field, poly_trim
 from grpalg.groups import (
     Subgroup,
-    conjugate_subgroup,
     core,
     d2_group,
     maximal_abelian_over_derived,

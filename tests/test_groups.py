@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     BAD_TABLES,
     a4_group,
+    center,
+    centralizer,
     conj,
+    conjugate_subgroup,
     corpus_groups,
     d1_table_loop,
     elementary_abelian,
@@ -30,11 +33,8 @@ from grpalg.groups import (
     FiniteGroup,
     Subgroup,
     associativity_witness,
-    center,
-    centralizer,
     class_index,
     conjugacy_classes,
-    conjugate_subgroup,
     core,
     d1_group,
     d1_index,

@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import ALL_METACYCLIC, normal_subgroups
+from conftest import ALL_METACYCLIC, conjugate_subgroup, normal_subgroups
 from grpalg.errors import BadPresentation
 from grpalg.field import make_field
-from grpalg.groups import conjugate_subgroup, core
+from grpalg.groups import core
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import (
     MetacyclicParams,

@@ -12,11 +12,12 @@ from conftest import (
     center_split_reference,
     class_sums,
     corpus_groups,
+    elementary_abelian,
     relabeled,
 )
 from grpalg.algebra import GroupAlgebra
 from grpalg import oracle
-from grpalg.errors import NotSemisimple
+from grpalg.errors import InternalInconsistency, NotSemisimple
 from grpalg.field import make_field
 from grpalg.groups import FiniteGroup, d1_group, d2_group, metacyclic_group
 from grpalg.idempotents import decompose
@@ -83,6 +84,56 @@ def test_repeated_minimal_polynomial_factor_not_semisimple(monkeypatch):
         with pytest.raises(NotSemisimple,
                            match="^class sum has a repeated minimal-polynomial factor$"):
             split(S3, make_field(3))
+
+
+def count_minimal_polynomials(monkeypatch):
+    calls = []
+    inner = oracle._minimal_polynomial
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(oracle, "_minimal_polynomial", counted)
+    return calls
+
+
+def test_early_stop_fires(monkeypatch):
+    # M(53,2,0,52) over F_3 has 28 classes and 3 blocks; the full split
+    # takes 80 minimal polynomials, the block degrees reach 28 after 5
+    G, F = metacyclic_group(53, 2, 0, 52), make_field(3)
+    calls = count_minimal_polynomials(monkeypatch)
+    ids = center_split(G, F)
+    assert len(calls) <= 5
+    assert keys(ids) == keys(center_split_reference(G, F))
+
+
+def test_early_stop_cannot_fire_on_unsplit_class_sum(monkeypatch):
+    # Z_3 x Z_3 over F_2, g = (0, 1) and g^-1 = (0, 2) in classes 1 and 2:
+    # the class sum of g leaves Ze = F_2 x F_4 (d = 1) and a block with
+    # d = 2, so sum d = 3 < 9 classes; the class sum of g^-1 splits
+    # neither block, yet the split must go on to 5 blocks
+    G, F = elementary_abelian(3, 2), make_field(2)
+    _, idx = class_structure(G)
+    calls = count_minimal_polynomials(monkeypatch)
+    ids = center_split(G, F)
+    blocks_at = [sum(1 for c in calls if c[1] is idx_i) for idx_i in idx]
+    assert blocks_at[:4] == [1, 1, 2, 2]
+    assert len(ids) == q_class_count(G, 2) == 5
+    assert keys(ids) == keys(center_split_reference(G, F))
+
+
+def test_blocks_not_summing_to_one_is_inconsistent(monkeypatch):
+    # drop one CRT piece of every split: the blocks no longer sum to 1
+    factor = oracle.factor_polynomial
+
+    def all_but_last(F, f):
+        factors = factor(F, f)
+        return factors[:-1] if len(factors) > 1 else factors
+
+    monkeypatch.setattr(oracle, "factor_polynomial", all_but_last)
+    with pytest.raises(InternalInconsistency, match="^center blocks sum to "):
+        center_split(S3, make_field(5))
 
 
 def test_center_split_deterministic():
@@ -166,14 +217,15 @@ def presentations(draw):
     return (n, t, k, r), field
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(presentations())
 def test_paths_agree_on_random_presentations(case):
     params, field = case
     G = metacyclic_group(*params)
     F = make_field(*field)
     oracle = keys(center_split(G, F))
-    assert oracle == keys(center_split_reference(G, F))
+    if G.order <= 24:  # the |G|-coordinate reference is the slow part
+        assert oracle == keys(center_split_reference(G, F))
     assert oracle == keys(d.idempotent for d in decompose(G, F)[1])
     fast = metacyclic_decompose(MetacyclicParams(*params), F)[1]
     assert oracle == keys(d.idempotent for d in fast)
