@@ -54,12 +54,10 @@ def mult_order(n: int, q: int) -> int:
     """Least s >= 1 with q^s = 1 mod n; ord_1(q) = 1 by convention."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    if n == 1:
-        return 1
     if gcd(n, q) != 1:
         raise NotCoprime(f"gcd({n}, {q}) != 1")
     s, acc = 1, q % n
-    while acc != 1:
+    while acc != 1 % n:
         acc = acc * q % n
         s += 1
     return s

@@ -3,7 +3,7 @@ machinery the engine needs, all computed inside G itself: closures,
 normality, conjugacy, cores, normalizers, and the subgroups A
 over a normal N with A/N maximal abelian over (G/N)'.  No quotient group
 and no subgroup lattice is ever built: the engine takes its normal
-subgroups from character kernels (idempotents.kernel_cores).  Also
+subgroups from character kernels (idempotents.shoda_triples).  Also
 constructors for the group families the package cares about (metacyclic
 presentations and two 2-group families given by normal forms) and the
 Cayley-table text format.
@@ -292,13 +292,13 @@ def transversal(G, H: Subgroup):
     return out
 
 
-def maximal_abelian_over_derived(G, N: Subgroup, rng=None) -> Subgroup:
+def maximal_abelian_over_derived(G, N: Subgroup) -> Subgroup:
     """A subgroup A of G containing G'N with A/N abelian, maximal among
     such: A/N is a maximal abelian subgroup of G/N containing (G/N)'.
 
     Grown from G'N one element at a time: g joins when [g, b] lies in N for
-    every b already in A.  The least such g, or a random one with rng; any
-    inclusion-maximal result serves the decomposition.
+    every b already in A.  The least such g joins; any inclusion-maximal
+    result serves the decomposition.
     """
     if not is_metabelian(G):
         raise NotMetabelian(f"derived subgroup of {G.name} is not abelian")
@@ -312,7 +312,7 @@ def maximal_abelian_over_derived(G, N: Subgroup, rng=None) -> Subgroup:
     comm = M[M[M[inv[x], inv[b]], x], b]
     cands = x[in_n[comm].all(axis=1), 0]
     while cands.size:
-        g = int(cands[0] if rng is None else cands[rng.randrange(cands.size)])
+        g = int(cands[0])
         members = np.unique(M[np.ix_(members, powers(G, g))])
         in_a[members] = True
         cands = cands[~in_a[cands] & in_n[M[M[M[inv[cands], inv[g]], cands], g]]]

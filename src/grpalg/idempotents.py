@@ -2,21 +2,26 @@
 semisimple metabelian group algebra F_q[G].
 
 The pipeline enumerates triples (N, D, A), working in G itself with no
-quotient group and no subgroup lattice:
-- N runs over the cores in G of character kernels (kernel_cores): two
-  rounds of linear characters of abelian sections give every kernel of an
-  irreducible character of G, and only those carry triples;
+quotient group and no subgroup lattice (shoda_triples):
+- N runs over the cores in G of character kernels: two rounds of linear
+  characters of abelian sections give every kernel of an irreducible
+  character of G, and only those carry triples;
 - A is grown from G'N so that A/N is a maximal abelian subgroup of G/N
   containing (G/N)' (groups.maximal_abelian_over_derived);
 - D runs over the kernels of the linear characters of A/N, so that A/D is
   cyclic, keeping those whose core in G is N, one per G-conjugacy class.
+Each (N, A) pair and its character kernels are built once and serve both
+the rounds and the D-classes.
 Each triple, together with an orbit of q-cyclotomic generator cosets
 modulo [A:D], yields one primitive central idempotent as a sum of
 conjugates of a trace-twisted coset sum, one per coset of the orbit's
 stabilizer E, and one matrix component M_d(F_{q^l}).
 The orbits and E come from one gather over the int32 table G.m of the
-multipliers by which N_G(D) ∩ N_G(A) acts on the cyclic quotient A/D.
-triple_components is that per-triple step; the metacyclic fast path
+multipliers by which N_G(D) acts on the cyclic quotient A/D (A contains
+G', so it is normal).
+Every choice (the element that joins A next, the D of a class, the coset
+of an orbit) is the least one; the idempotents do not depend on it.
+triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
 """
 
@@ -70,10 +75,8 @@ class CyclotomicCoset:
 def generator_cosets(n: int, q: int):
     """The q-cyclotomic cosets of the generators of Z/n: the orbits of the
     units mod n under multiplication by q, sorted by least member.  For
-    n = 1 the single coset {0}."""
-    if n == 1:
-        return [CyclotomicCoset(1, (0,))]
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    n = 1 the single coset {0}, as gcd(0, 1) = 1."""
+    units = [u for u in range(n) if gcd(u, n) == 1]
     seen = set()
     out = []
     for u in units:
@@ -123,16 +126,18 @@ def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
 # Orbits of generator cosets under the normalizer action
 # ---------------------------------------------------------------------------
 
-def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int, rng=None):
+def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
     """Orbits of the q-cyclotomic generator cosets mod n = [K:H] under the
-    action of N_G(H) ∩ N_G(K): g acts by C -> m·C where g^{-1}·gen·g lies in
-    the coset gen^m H.  Returns (reps, E) with one coset per orbit (the
-    least, or a random one with rng) and the common stabilizer subgroup E
-    (checked independent of the coset).  The m(g) form a group, so the orbit
-    of C_i is read off img[:, i], the indices of the cosets m·C_i."""
+    action of N_G(H): g acts by C -> m·C where g^{-1}·gen·g lies in the
+    coset gen^m H.  K must contain G', so that it is normal and N_G(H) ∩
+    N_G(K) = N_G(H); the engine's A contains G'N and the fast path's
+    <a, b^{o_v}> contains <a> ⊇ G'.  Returns (reps, E) with the least coset
+    of each orbit and the common stabilizer subgroup E (checked independent
+    of the coset).  The m(g) form a group, so the orbit of C_i is read off
+    img[:, i], the indices of the cosets m·C_i."""
     n, gen, e = cyclic_quotient_data(G, K, H)
     cosets = generator_cosets(n, q)
-    acting = np.flatnonzero(mask(G, normalizer(G, H)) & mask(G, normalizer(G, K)))
+    acting = np.flatnonzero(mask(G, normalizer(G, H)))
     x = G.m[G.m[G.inv_np[acting], gen], acting]  # g^-1 gen g
     if not mask(G, K)[x].all():
         raise InternalInconsistency("normalizer element does not stabilize K")
@@ -147,9 +152,6 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int, rng=None):
         raise InternalInconsistency("coset stabilizer varies across generator cosets")
     E = Subgroup(G, acting[label[mult * cosets[0].rep % n] == 0].tolist())
     leaders = np.flatnonzero(img.min(axis=0) == np.arange(len(cosets)))
-    if rng is not None:  # one draw per orbit, in the order of their least cosets
-        orbits = (np.unique(img[:, i]) for i in leaders)
-        leaders = sorted(orbit[rng.randrange(orbit.size)] for orbit in orbits)
     return [cosets[i] for i in leaders], E
 
 
@@ -257,11 +259,12 @@ def _kernel_conjugates(G: FiniteGroup, N: Subgroup, A: Subgroup):
     return elems, conjugates
 
 
-def d_classes(G: FiniteGroup, N: Subgroup, A: Subgroup):
+def d_classes(G: FiniteGroup, N: Subgroup, kernels):
     """The subgroups D with N <= D <= A, A/D cyclic and core_G(D) = N, as
     a list of G-conjugacy classes, each sorted by members: the kernels of
-    the linear characters of A/N whose core is N."""
-    elems, conjugates = _kernel_conjugates(G, N, A)
+    the linear characters of A/N whose core is N.  kernels is
+    _kernel_conjugates(G, N, A)."""
+    elems, conjugates = kernels
     classes = {}
     for d in np.flatnonzero(conjugates.all(axis=0).sum(axis=1) == N.order):
         key = min(row.tobytes() for row in conjugates[:, d])
@@ -270,13 +273,16 @@ def d_classes(G: FiniteGroup, N: Subgroup, A: Subgroup):
     return [sorted(c, key=lambda D: D.members) for c in classes.values()]
 
 
-def kernel_cores(G: FiniteGroup):
-    """The normal subgroups N that can carry a triple, sorted by (order,
-    members), in two rounds.  Round 1: core_G(D) for the D <= A1 with A1/D
-    cyclic, A1 = maximal_abelian_over_derived(G, 1).  Round 2, for each M
+def shoda_triples(G: FiniteGroup):
+    """All triples (N, D, A), one per G-conjugacy class of D, sorted by
+    (|N|, N, |D|, D) and cached on G.  A is
+    maximal_abelian_over_derived(G, N), D the least of each class of
+    d_classes(G, N, ...), and N runs over the cores of character kernels
+    found in two rounds; each (N, A) pair and its kernels are built once
+    and serve both the cores and the D-classes.  Round 1: core_G(D) for
+    the D <= A1 with A1/D cyclic, A1 = A for N = 1.  Round 2, for each M
     of round 1 with some x outside A1 and [x, g] in M for every generator
-    g of G: core_G(D) for M <= D <= A_M with A_M/D cyclic, where
-    A_M = maximal_abelian_over_derived(G, M).
+    g of G: core_G(D) for M <= D <= A_M with A_M/D cyclic.
 
     Why this suffices: a triple's N is the kernel of the irreducible
     lambda^G, as (A, D) is a strong Shoda pair.  Let chi be irreducible
@@ -288,41 +294,35 @@ def kernel_cores(G: FiniteGroup):
     theorem on A_M gives N = core_G(ker nu) with M <= N <= ker nu for a
     constituent nu of chi on A_M; so nu is linear on A_M/M, which is
     abelian, and A_M/ker nu is cyclic."""
-    def cores(N, A):
-        elems, conjugates = _kernel_conjugates(G, N, A)
-        return {frozenset(elems[c].tolist()) for c in conjugates.all(axis=0)}
+    if "shoda_triples" in G._cache:
+        return G._cache["shoda_triples"]
+    pairs = {}  # N.members -> (A, _kernel_conjugates(G, N, A))
+
+    def pair(N):
+        if N.members not in pairs:
+            A = maximal_abelian_over_derived(G, N)
+            pairs[N.members] = A, _kernel_conjugates(G, N, A)
+        return pairs[N.members]
+
+    def cores(N):
+        elems, conjugates = pair(N)[1]
+        return {Subgroup(G, elems[c].tolist()) for c in conjugates.all(axis=0)}
 
     one = Subgroup(G, (0,))
-    A1 = maximal_abelian_over_derived(G, one)
-    found = cores(one, A1)
+    found = cores(one)
     # [x, g] for x outside A1 (rows) and g in a generating set of G (columns)
-    x = np.flatnonzero(~mask(G, A1))[:, None]
+    x = np.flatnonzero(~mask(G, pair(one)[0]))[:, None]
     gens = np.array(generators(G.m, range(G.order)), dtype=np.int64)
     comm = G.m[G.m[G.m[G.inv_np[x], G.inv_np[gens]], x], gens]
-    for members in list(found):
-        M = Subgroup(G, members)
+    for M in list(found):
         if mask(G, M)[comm].all(axis=1).any():
-            found |= cores(M, maximal_abelian_over_derived(G, M))
-    return sorted((Subgroup(G, N) for N in found), key=lambda N: (N.order, N.members))
-
-
-def shoda_triples(G: FiniteGroup, rng=None):
-    """All triples (N, D, A), one per G-conjugacy class of D, sorted by
-    (|N|, N, |D|, D).  N runs over kernel_cores(G), A is
-    maximal_abelian_over_derived(G, N) and D runs over d_classes(G, N, A),
-    which is empty for some N; the least D of each class is taken, or a
-    random one with rng.  Cached on G when rng is None."""
-    if rng is None and "shoda_triples" in G._cache:
-        return G._cache["shoda_triples"]
+            found |= cores(M)
     out = []
-    for N in kernel_cores(G):
-        A = maximal_abelian_over_derived(G, N, rng=rng)
-        for cls in d_classes(G, N, A):
-            D = cls[0] if rng is None else cls[rng.randrange(len(cls))]
-            out.append(Triple(N, D, A))
+    for N in found:
+        A, kernels = pair(N)
+        out += [Triple(N, cls[0], A) for cls in d_classes(G, N, kernels)]
     out = tuple(sorted(out, key=Triple.key))
-    if rng is None:
-        G._cache["shoda_triples"] = out
+    G._cache["shoda_triples"] = out
     return out
 
 
@@ -358,11 +358,11 @@ class ComponentDescriptor:
         return self.d * self.d * self.l
 
 
-def triple_components(A: GroupAlgebra, tr: Triple, rng=None):
+def triple_components(A: GroupAlgebra, tr: Triple):
     """The components of one triple, one per orbit of generator cosets
     (coset_orbits), all with the (d, l) of the orbits' stabilizer E."""
     G = A.group
-    reps, E = coset_orbits(G, tr.A, tr.D, A.q, rng=rng)
+    reps, E = coset_orbits(G, tr.A, tr.D, A.q)
     d, l = component_params(G, tr, E, A.q)
     return [ComponentDescriptor(d, l, ec_idempotent(A, tr.A, tr.D, C, E), tr, C)
             for C in reps]
@@ -389,7 +389,7 @@ class WedderburnSummary:
         return " + ".join(parts)
 
 
-def decompose(G: FiniteGroup, F: BaseField, rng=None, validate=True):
+def decompose(G: FiniteGroup, F: BaseField, validate=True):
     """Primitive central idempotents and Wedderburn components of F_q[G].
 
     Returns (WedderburnSummary, [ComponentDescriptor]).  Raises NotSemisimple
@@ -403,8 +403,7 @@ def decompose(G: FiniteGroup, F: BaseField, rng=None, validate=True):
     if not is_metabelian(G):
         raise NotMetabelian(f"{G.name} is not metabelian")
     A = GroupAlgebra(G, F)
-    descriptors = [dsc for tr in shoda_triples(G, rng=rng)
-                   for dsc in triple_components(A, tr, rng)]
+    descriptors = [dsc for tr in shoda_triples(G) for dsc in triple_components(A, tr)]
     return summarize(A, descriptors, validate)
 
 

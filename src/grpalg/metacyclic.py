@@ -106,10 +106,10 @@ def x_triples(params: MetacyclicParams, v: int, i: int, c: int):
       v | r^{o_v} - 1,  o_v*beta | t,  v | k + alpha*t/(o_v*beta)."""
     n, t, k, r = params.n, params.t, params.k, params.r
     ov = o_v(params, v)
-    if (pow(r, ov, v) - 1) % v if v > 1 else 0:
+    if (pow(r, ov, v) - 1) % v:
         return []
     out = []
-    for alpha in range(v) if v > 1 else [0]:
+    for alpha in range(v):
         g = gcd(alpha * (r - 1), v)  # gcd(0, v) = v
         num = c * g
         if num % (v * ov):
@@ -129,24 +129,17 @@ def x_triples(params: MetacyclicParams, v: int, i: int, c: int):
     return out
 
 
-def x_classes(params: MetacyclicParams, v: int, i: int, c: int, rng=None):
-    """Representatives of X_{v,i,c} modulo the relation
+def x_classes(params: MetacyclicParams, v: int, i: int, c: int):
+    """The least member of each class of X_{v,i,c} modulo the relation
     (alpha1, beta) ~ (alpha2, beta) iff alpha1 = alpha2 * r^j (mod v)."""
     triples = x_triples(params, v, i, c)
     r = params.r
     ov = o_v(params, v)
     classes = {}
     for alpha, beta in triples:
-        orbit = tuple(sorted({(alpha * pow(r, j, v)) % v if v > 1 else 0
-                              for j in range(ov)}))
+        orbit = tuple(sorted({alpha * pow(r, j, v) % v for j in range(ov)}))
         classes.setdefault((beta, orbit), []).append((alpha, beta))
-    reps = []
-    for (beta, orbit), mem in sorted(classes.items()):
-        if rng is None:
-            reps.append(min(mem))
-        else:
-            reps.append(mem[rng.randrange(len(mem))])
-    return reps
+    return [min(mem) for _, mem in sorted(classes.items())]
 
 
 def conjugate_in_g(params: MetacyclicParams, v: int,
@@ -155,8 +148,6 @@ def conjugate_in_g(params: MetacyclicParams, v: int,
     conjugate iff b1 = b2 and a1 = a2 * r^j (mod v) for some j."""
     if b1 != b2:
         return False
-    if v == 1:
-        return True
     r, ov = params.r, o_v(params, v)
     return any((a2 * pow(r, j, v)) % v == a1 % v for j in range(ov))
 
@@ -167,15 +158,14 @@ def core_closed_form(G: FiniteGroup, params: MetacyclicParams,
     with delta = beta*u*o_u / gcd(alpha*(r-1), u) (gcd(0, u) = u)."""
     r = params.r
     ou = o_v(params, u)
-    g = gcd(alpha * (r - 1), u) if u > 1 else 1
+    g = gcd(alpha * (r - 1), u)
     delta = beta * u * ou // g
     i = alpha * delta // (beta * ou)
     return subgroup_closure(G, [element_index(params, u, 0),
                                 element_index(params, i, delta)])
 
 
-def metacyclic_decompose(params: MetacyclicParams, F: BaseField,
-                         rng=None, validate=True):
+def metacyclic_decompose(params: MetacyclicParams, F: BaseField, validate=True):
     """Wedderburn decomposition of F_q[G] for metacyclic G, driven by the
     parameter arithmetic above; returns the same (summary, descriptors)
     shape as the generic engine."""
@@ -188,7 +178,7 @@ def metacyclic_decompose(params: MetacyclicParams, F: BaseField,
         ov = o_v(params, v)
         K = g_ov_subgroup(G, params, ov)
         N = triple_subgroup(G, params, v, i, c)
-        for alpha, beta in x_classes(params, v, i, c, rng=rng):
+        for alpha, beta in x_classes(params, v, i, c):
             H = triple_subgroup(G, params, v, alpha, beta * ov)
-            descriptors += triple_components(A, Triple(N=N, D=H, A=K), rng)
+            descriptors += triple_components(A, Triple(N=N, D=H, A=K))
     return summarize(A, descriptors, validate)

@@ -35,6 +35,7 @@ from grpalg.groups import (
 )
 from grpalg.idempotents import (
     Triple,
+    _kernel_conjugates,
     cyclic_quotient_data,
     d_classes,
     generator_cosets,
@@ -128,7 +129,7 @@ def normal_subgroups(G):
 
     Each one is a product of normal closures of conjugacy classes, so the
     list is the closure of those under products N·C with one class closure
-    C at a time.  The reference for the lattice-free kernel_cores."""
+    C at a time.  The reference for the lattice-free shoda_triples."""
     if "normal_subgroups" in G._cache:
         return G._cache["normal_subgroups"]
     atoms = {}
@@ -161,11 +162,12 @@ def normal_subgroups(G):
 
 def shoda_triples_reference(G):
     """shoda_triples with N over every normal subgroup of G: the reference
-    for the kernel_cores route."""
+    for its character-kernel route."""
     out = []
     for N in normal_subgroups(G):
         A = maximal_abelian_over_derived(G, N)
-        out += [Triple(N, cls[0], A) for cls in d_classes(G, N, A)]
+        out += [Triple(N, cls[0], A)
+                for cls in d_classes(G, N, _kernel_conjugates(G, N, A))]
     return tuple(sorted(out, key=Triple.key))
 
 
@@ -211,7 +213,7 @@ def random_metabelian_groups(count, seed, max_order=64):
         G1, G2 = (metacyclic_group(*SMALL_METACYCLIC[x]) for x in (a, b))
         if G1.order * G2.order > max_order:
             continue
-        m = relabeled(direct_product(G1, G2, "").m, rng)
+        m, _ = relabeled(direct_product(G1, G2, "").m, rng)
         out.append(FiniteGroup(m, name=f"{a}x{b}#{len(out)}"))
     return out
 
@@ -269,7 +271,7 @@ def full_associativity_witness(m):
     return None
 
 
-def coset_orbits_reference(G, K, H, q, rng=None):
+def coset_orbits_reference(G, K, H, q):
     """coset_orbits by closure loops: each orbit grown by BFS under the set
     of multipliers, and the stabilizer of each coset found element by
     element.  The reference for the one-gather coset_orbits."""
@@ -309,14 +311,8 @@ def coset_orbits_reference(G, K, H, q, rng=None):
                 == c.members]
         assert E_members is None or E_members == stab
         E_members = stab
-    reps = []
-    for orbit in orbits:
-        if rng is None:
-            pick = min(orbit, key=lambda mem: min(mem))
-        else:
-            pick = orbit[rng.randrange(len(orbit))]
-        reps.append(by_members[pick])
-    reps.sort(key=lambda c: c.rep)
+    reps = sorted((by_members[min(orbit, key=min)] for orbit in orbits),
+                  key=lambda c: c.rep)
     return reps, Subgroup(G, E_members)
 
 
@@ -433,11 +429,12 @@ def random_loop(n, rng):
 
 
 def relabeled(m, rng):
-    """m with its non-identity elements relabeled at random."""
+    """(m', perm): m with its non-identity elements relabeled at random,
+    element g of m becoming perm[g] of m'."""
     perm = np.array([0] + rng.sample(range(1, len(m)), len(m) - 1))
     out = np.empty_like(m)
     out[np.ix_(perm, perm)] = perm[m]
-    return out
+    return out, perm
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from conftest import (
     shoda_triples_reference,
     validate_reference,
 )
-from grpalg import field
+from grpalg import field, idempotents
 from grpalg.algebra import GroupAlgebra
 from grpalg.errors import (
     InternalInconsistency,
@@ -28,16 +28,20 @@ from grpalg.errors import (
 )
 from grpalg.field import BaseField, factor_polynomial, make_field, poly_trim
 from grpalg.groups import (
+    FiniteGroup,
     Subgroup,
     core,
     d2_group,
     maximal_abelian_over_derived,
     metacyclic_group,
+    normalizer,
     subgroup_closure,
 )
 from grpalg.idempotents import (
     CyclotomicCoset,
+    Triple,
     WedderburnSummary,
+    _kernel_conjugates,
     _validate,
     coset_orbits,
     cyclic_quotient_data,
@@ -47,9 +51,11 @@ from grpalg.idempotents import (
     epsilon_idempotent,
     generator_cosets,
     shoda_triples,
+    triple_components,
 )
 from grpalg.metacyclic import (
     MetacyclicParams,
+    conjugate_in_g,
     g_ov_subgroup,
     metacyclic_decompose,
     normal_triples,
@@ -57,6 +63,7 @@ from grpalg.metacyclic import (
     params_of,
     triple_subgroup,
     x_classes,
+    x_triples,
 )
 from grpalg.oracle import q_class_count
 
@@ -96,7 +103,7 @@ def test_d_classes_match_lattice_filter(G):
     subs = lattice(G)
     for N in normal_subgroups(G):
         A = maximal_abelian_over_derived(G, N)
-        classes = d_classes(G, N, A)
+        classes = d_classes(G, N, _kernel_conjugates(G, N, A))
         want = sorted(D.members for D in subs
                       if N <= D <= A and core(G, D).members == N.members
                       and any(subgroup_closure(G, D.members + (a,)).members
@@ -116,12 +123,28 @@ TRIPLE_GROUPS = (corpus_groups()
 
 @pytest.mark.parametrize("G", TRIPLE_GROUPS, ids=lambda G: G.name)
 def test_shoda_triples_match_lattice_reference(G):
-    """The triples found from kernel_cores are those found by running over
-    every normal subgroup, in the same order."""
+    """The triples found from character kernels are those found by
+    running over every normal subgroup, in the same order."""
     def members(triples):
         return [(t.N.members, t.D.members, t.A.members) for t in triples]
 
     assert members(shoda_triples(G)) == members(shoda_triples_reference(G))
+
+
+@pytest.mark.parametrize("G", TRIPLE_GROUPS, ids=lambda G: G.name)
+def test_shoda_triples_build_each_pair_once(G, monkeypatch):
+    """Each (N, A_N) pair's character kernels are built once, and serve
+    both the cores found from it and its D-classes."""
+    calls = []
+
+    def counting(G, N, A):
+        calls.append((N.members, A.members))
+        return kernel_conjugates(G, N, A)
+
+    kernel_conjugates = idempotents._kernel_conjugates
+    monkeypatch.setattr(idempotents, "_kernel_conjugates", counting)
+    shoda_triples(FiniteGroup(G.m, name=G.name))  # a fresh, uncached copy
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_z3_5_decomposes():
@@ -235,9 +258,13 @@ def test_coset_orbit_stabilizer_s3():
     assert len(reps7) == 1 and E7.order == 3
 
 
-def _fast_path_pairs(tup):
-    """The (K, H) pairs metacyclic_decompose passes to coset_orbits."""
-    params = MetacyclicParams(*tup)
+def _coset_cases(source):
+    """(G, K, H) for the engine's triples of a group, or for the (K, H)
+    pairs metacyclic_decompose passes to coset_orbits for a presentation."""
+    if not isinstance(source, tuple):
+        yield from ((source, tr.A, tr.D) for tr in shoda_triples(source))
+        return
+    params = MetacyclicParams(*source)
     G = params.group()
     for v, i, c in normal_triples(params):
         ov = o_v(params, v)
@@ -252,36 +279,70 @@ def _fast_path_pairs(tup):
 def test_coset_orbits_match_reference(source):
     """The one-gather coset_orbits gives the loop reference's (reps, E) on
     the engine's triples of a corpus group or the fast path's (K, H) pairs
-    of a presentation, for every coprime q, deterministically and with two
-    generators seeded alike, which must also draw the same numbers."""
-    if isinstance(source, tuple):
-        cases = _fast_path_pairs(source)
-    else:
-        cases = [(source, tr.A, tr.D) for tr in shoda_triples(source)]
-    for G, K, H in cases:
+    of a presentation, for every coprime q."""
+    for G, K, H in _coset_cases(source):
         for q in (2, 3, 4, 5, 7, 9):
             if gcd(q, G.order) != 1:
                 continue
             assert coset_orbits(G, K, H, q) == coset_orbits_reference(G, K, H, q)
-            for seed in (0, 4, 6):  # 0 moves some pick off the least coset
-                r1, r2 = random.Random(seed), random.Random(seed)
-                assert coset_orbits(G, K, H, q, rng=r1) == \
-                    coset_orbits_reference(G, K, H, q, rng=r2)
-                assert r1.getstate() == r2.getstate()
 
 
-def test_both_engines_draw_cosets_with_rng():
-    """decompose and metacyclic_decompose pass their rng on to the coset
-    pick: with Random(0) some component of M(16,4,0,3) over F_5 carries a
-    coset that is not the least of its orbit, and the idempotents match
-    those of the deterministic run."""
-    G, F = metacyclic_group(16, 4, 0, 3), make_field(5)
-    expected = sorted(d.idempotent.key() for d in decompose(G, F)[1])
-    for run in (decompose, lambda G, F, rng: metacyclic_decompose(params_of(G), F, rng=rng)):
-        ds = run(G, F, rng=random.Random(0))[1]
-        assert sorted(d.idempotent.key() for d in ds) == expected
-        assert any(d.coset not in coset_orbits(G, d.triple.A, d.triple.D, F.q)[0]
-                   for d in ds)
+def test_coset_choice_independence():
+    """Every generator coset C gives, through ec_idempotent, the idempotent
+    of its orbit under N_G(H), and distinct orbits distinct idempotents: so
+    coset_orbits' least coset per orbit is no choice at all.  Exhaustive
+    over the engine's triples of the corpus and the fast path's (K, H)
+    pairs of every presentation, over two coprime q each."""
+    cases = 0
+    for source in corpus_groups() + ALL_METACYCLIC:
+        for G, K, H in _coset_cases(source):
+            n, gen, e = cyclic_quotient_data(G, K, H)
+            mults = {int(e[G.m[G.m[G.inv_np[g], gen], g]])
+                     for g in normalizer(G, H).members}
+            for q in [q for q in (2, 3, 5, 7, 11) if gcd(q, G.order) == 1][:2]:
+                A = GroupAlgebra(G, make_field(q))
+                reps, E = coset_orbits(G, K, H, q)
+                key = {C: ec_idempotent(A, K, H, C, E).key()
+                       for C in generator_cosets(n, q)}
+                for C in key:  # the m·C, m over a group, are the orbit of C
+                    orbit = {CyclotomicCoset(n, tuple(sorted(m * u % n
+                                                             for u in C.members)))
+                             for m in mults}
+                    assert {key[D] for D in orbit} == {key[C]}
+                assert len(set(key.values())) == len(reps)
+                cases += 1
+    assert cases > 200
+
+
+@pytest.mark.parametrize("tup", [(3, 6, 0, 2), (4, 4, 2, 3), (4, 8, 0, 3)],
+                         ids=lambda t: f"M{t}")
+def test_fast_path_class_choice_independence(tup):
+    """Every member (alpha, beta) of a class that x_classes groups gives the
+    same triple_components idempotents as the least member it keeps.  These
+    presentations have classes of two members; none in ALL_METACYCLIC has."""
+    params = MetacyclicParams(*tup)
+    G = params.group()
+    moved = 0
+    for q in [q for q in PRIMES if params.order % q][:2]:
+        A = GroupAlgebra(G, make_field(q))
+        for v, i, c in normal_triples(params):
+            ov = o_v(params, v)
+            K = g_ov_subgroup(G, params, ov)
+            N = triple_subgroup(G, params, v, i, c)
+
+            def keys(alpha, beta):
+                H = triple_subgroup(G, params, v, alpha, beta * ov)
+                return sorted(d.idempotent.key()
+                              for d in triple_components(A, Triple(N=N, D=H, A=K)))
+
+            reps = x_classes(params, v, i, c)
+            for alpha, beta in x_triples(params, v, i, c):
+                rep, = [(a, b) for a, b in reps
+                        if conjugate_in_g(params, v, alpha, beta, a, b)]
+                if rep != (alpha, beta):
+                    moved += 1
+                    assert keys(alpha, beta) == keys(*rep)
+    assert moved
 
 
 def frozen(G, q):

@@ -175,7 +175,7 @@ def test_center_split_matches_reference(G):
 
 
 def test_center_split_matches_reference_relabeled_and_non_metabelian(s4):
-    A4 = FiniteGroup(relabeled(a4_group().m, random.Random(6)), name="A4'")
+    A4 = FiniteGroup(relabeled(a4_group().m, random.Random(6))[0], name="A4'")
     for G in (A4, s4):
         for F in (make_field(5), make_field(7), make_field(5, 2)):
             assert keys(center_split(G, F)) == keys(center_split_reference(G, F))
