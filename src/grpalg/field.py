@@ -17,12 +17,17 @@ F_q: they are the power sums of the roots of one irreducible factor of the
 cyclotomic polynomial Phi_n over F_q (BaseField.cyclotomic_traces, memoized
 on the field object that make_field caches per (p, a)).  Factoring is
 for squarefree input only: the minimal polynomials the oracle splits are
-squarefree whenever F_q[G] is semisimple.
+squarefree whenever F_q[G] is semisimple.  It is Cantor-Zassenhaus as
+published: one distinct-degree loop (which also serves Ben-Or's
+irreducibility test), then equal-degree splitting with random candidates
+from a generator seeded with a constant, so every result depends only on
+its arguments.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -162,29 +167,12 @@ def poly_deriv(F, f):
 
 
 def is_irreducible(F, f) -> bool:
-    """Deterministic test: x^{q^s} = x mod f and gcd(x^{q^{s/l}} - x, f) = 1
-    for every prime l | s."""
+    """Ben-Or's test: f of degree s >= 1 is irreducible iff
+    gcd(x^{q^d} - x, f) = 1 for every d <= s/2, that is, iff the first
+    distinct-degree piece is f itself.  Any f, squarefree or not."""
     f = poly_monic(F, poly_trim(list(f)))
     s = poly_deg(f)
-    if s < 1:
-        return False
-    if s == 1:
-        return True
-    if f[0] == 0:  # divisible by x
-        return False
-    x = [0, F.one]
-    h = list(x)
-    powers = {}
-    for i in range(1, s + 1):
-        h = poly_pow_mod(F, h, F.q, f)
-        powers[i] = h
-    if poly_sub(F, powers[s], x):
-        return False
-    for ell in prime_factors(s):
-        g = poly_gcd(F, poly_sub(F, powers[s // ell], x), f)
-        if poly_deg(g) != 0:
-            return False
-    return True
+    return s >= 1 and next(_distinct_degree(F, f))[0] == s
 
 
 def lex_least_irreducible(F, s):
@@ -410,9 +398,9 @@ def _power_sums(F: BaseField, f, n: int) -> tuple:
 
 def factor_polynomial(F: BaseField, f):
     """The monic irreducible factors of a squarefree monic polynomial over
-    F_q, sorted by (degree, coefficient-lex): distinct-degree, then
-    equal-degree splitting.  ValueError for a constant, non-monic or
-    non-squarefree (gcd(f, f') != 1) f."""
+    F_q, sorted by (degree, coefficient-lex): the distinct-degree pieces,
+    each split by equal-degree splitting.  ValueError for a constant,
+    non-monic or non-squarefree (gcd(f, f') != 1) f."""
     f = poly_trim(list(f))
     if poly_deg(f) < 1:
         raise ValueError("degree must be >= 1")
@@ -420,27 +408,35 @@ def factor_polynomial(F: BaseField, f):
         raise ValueError("polynomial must be monic")
     if poly_deg(poly_gcd(F, f, poly_deriv(F, f))) > 0:
         raise ValueError("polynomial is not squarefree")
-    factors, rest = [], f
-    x = [0, F.one]
-    h = list(x)
-    d = 0
-    while poly_deg(rest) > 0:
-        d += 1
-        if 2 * d > poly_deg(rest):
-            factors.append(tuple(rest))
-            break
-        h = poly_pow_mod(F, h, F.q, rest)
-        g = poly_gcd(F, poly_sub(F, h, x), rest)
-        if poly_deg(g) > 0:
-            factors.extend(tuple(irr) for irr in _split_equal_degree(F, g, d))
-            rest = poly_divmod(F, rest, g)[0]
-            h = poly_mod(F, h, rest)
+    factors = [tuple(irr) for d, g in _distinct_degree(F, f)
+               for irr in _split_equal_degree(F, g, d)]
     check = [F.one]
     for h in factors:
         check = poly_mul(F, check, list(h))
     if check != f:
         raise InternalInconsistency("factorization does not re-multiply")
     return sorted(factors, key=lambda h: (len(h), tuple(F.coeffs_of(c) for c in h)))
+
+
+def _distinct_degree(F, f):
+    """The distinct-degree pieces (d, g) of the monic f, d increasing: g is
+    gcd(x^{q^d} - x, rest), rest being f over the earlier pieces.  For
+    squarefree f, g is the product of the degree-d irreducible factors.
+    Once 2d > deg rest, rest has no factor of degree below d, so it is
+    irreducible and comes last as (deg rest, rest)."""
+    x = [0, F.one]
+    h, rest, d = x, f, 0
+    while poly_deg(rest) > 0:
+        d += 1
+        if 2 * d > poly_deg(rest):
+            yield poly_deg(rest), rest
+            return
+        h = poly_pow_mod(F, h, F.q, rest)
+        g = poly_gcd(F, poly_sub(F, h, x), rest)
+        if poly_deg(g) > 0:
+            yield d, g
+            rest = poly_divmod(F, rest, g)[0]
+            h = poly_mod(F, h, rest)
 
 
 def _split_equal_degree(F, f, d):
@@ -453,13 +449,19 @@ def _split_equal_degree(F, f, d):
 
 def _split_once(F, f, d):
     """A proper monic factor of the squarefree monic f, every irreducible
-    factor of which has degree d < deg f (Cantor-Zassenhaus with the
-    candidates T taken in a fixed order)."""
+    factor of which has degree d < deg f: Cantor-Zassenhaus with random
+    candidates T of degree < deg f, drawn from a generator seeded with a
+    constant on every call, so the factor depends only on (F, f, d).
+
+    A draw fails only if the residues of T modulo two distinct factors
+    fall in the same class: trace 0 or 1 for even q (probability 1/2),
+    T^((q^d-1)/2) = 1 or not for odd q (at most 1/9 + 4/9, as q^d >= 3).
+    So all 64 draws fail, raising InternalInconsistency, with probability
+    below (5/9)^64 < 10^-16."""
     n = poly_deg(f)
-    for coeffs in itertools.product(F.elements_lex(), repeat=n):
-        T = poly_trim(list(coeffs))
-        if poly_deg(T) < 1:
-            continue
+    rng = random.Random(0)
+    for _ in range(64):
+        T = poly_trim([rng.randrange(F.q) for _ in range(n)])
         if F.p == 2:
             # the trace T + T^2 + ... + T^(2^(ad-1)) mod f; in
             # characteristic 2, poly_sub adds
@@ -473,4 +475,4 @@ def _split_once(F, f, d):
             g = poly_gcd(F, poly_sub(F, poly_pow_mod(F, T, e, f), [F.one]), f)
         if 0 < poly_deg(g) < n:
             return g
-    raise InternalInconsistency("equal-degree splitting exhausted candidates")
+    raise InternalInconsistency("equal-degree splitting failed on every draw")

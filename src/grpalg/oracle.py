@@ -84,9 +84,13 @@ def _minimal_polynomial(F, idx_i, e):
     also returns the power list [e, C_i e, C_i² e, ...] so that polynomials
     can be evaluated at C_i cheaply.
 
-    Gauss-Jordan over the power rows with tracked combinations: each basis
-    row is fully reduced against the others, so the first power that
-    single-pass-reduces to zero yields the (monic) dependency directly.
+    Elimination over the power rows with tracked combinations, in one
+    pass: each new power is reduced against the stored rows in insertion
+    order, and every stored row is zero at the pivots of the rows stored
+    before it, so a reduced power is zero at every pivot.  The first power
+    that reduces to zero yields the dependency directly, monic because its
+    combination has 1 at its own index and the stored combinations live
+    below it.
     """
     nmax = len(e) + 1
     powers = [e]
@@ -108,11 +112,6 @@ def _minimal_polynomial(F, idx_i, e):
         inv = F.inv(int(v[piv]))
         v = F.mul_np[inv, v]
         combo = F.mul_np[inv, combo]
-        for p2, (br, bc) in list(basis.items()):
-            c = int(br[piv])
-            if c:
-                basis[p2] = (F.add_np[br, F.neg_np[F.mul_np[c, v]]],
-                             F.add_np[bc, F.neg_np[F.mul_np[c, combo]]])
         basis[piv] = (v, combo)
         powers.append(F.sum_rows(powers[-1][idx_i]))  # C_i · powers[-1]
         deg += 1
@@ -152,7 +151,6 @@ def center_split(G: FiniteGroup, F: BaseField):
         refined = []
         for e, d in blocks:
             mp, powers = _minimal_polynomial(F, idx_i, e)
-            mp = poly_scale(F, F.inv(mp[-1]), mp)
             try:
                 factors = factor_polynomial(F, mp)
             except ValueError:  # mp is monic of degree >= 1: not squarefree

@@ -15,11 +15,17 @@ from grpalg.errors import (
 )
 from grpalg.field import (
     factor_polynomial,
+    poly_deg,
     poly_divmod,
+    poly_gcd,
     poly_mod,
+    poly_monic,
     poly_mul,
+    poly_pow_mod,
     poly_scale,
+    poly_sub,
     poly_trim,
+    prime_factors,
 )
 from grpalg.groups import (
     FiniteGroup,
@@ -248,6 +254,33 @@ def validate_reference(A, summary, descriptors):
     total = AlgebraElement(A, A.field.sum_rows(es))
     if total != A.one():
         fail("sum_to_one", {"sum": total.to_str()})
+
+
+def is_irreducible_reference(F, f) -> bool:
+    """Rabin's test: x^{q^s} = x mod f and gcd(x^{q^{s/l}} - x, f) = 1 for
+    every prime l | s.  The reference for field.is_irreducible, which is
+    Ben-Or's test on the shared distinct-degree loop."""
+    f = poly_monic(F, poly_trim(list(f)))
+    s = poly_deg(f)
+    if s < 1:
+        return False
+    if s == 1:
+        return True
+    if f[0] == 0:  # divisible by x
+        return False
+    x = [0, F.one]
+    h = list(x)
+    powers = {}
+    for i in range(1, s + 1):
+        h = poly_pow_mod(F, h, F.q, f)
+        powers[i] = h
+    if poly_sub(F, powers[s], x):
+        return False
+    for ell in prime_factors(s):
+        g = poly_gcd(F, poly_sub(F, powers[s // ell], x), f)
+        if poly_deg(g) != 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

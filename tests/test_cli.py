@@ -149,6 +149,15 @@ def test_cayley_group_decomposes(capsys, tmp_path):
     assert "oracle.match = yes" in out
 
 
+def test_verify_z81_over_f4(capsys):
+    # over F_4 the Frobenius of F_2 swaps two factors of Phi_27 and of
+    # Phi_81, so few splitting candidates separate them
+    code, out, _ = run(capsys, "verify", "--metacyclic", "1", "81", "0", "0",
+                       "--p", "2", "--a", "2")
+    assert code == 0
+    assert "oracle.match = yes" in out
+
+
 def test_extension_field_flag(capsys):
     code, out, _ = run(capsys, "decompose", "--metacyclic", "5", "4", "0", "2",
                        "--p", "3", "--a", "2")

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add_table_reference
+from conftest import add_table_reference, is_irreducible_reference as is_irreducible
 from grpalg import field
 from grpalg.errors import NotCoprime, NotPrime
 from grpalg.field import (
     BaseField,
     factor_polynomial,
-    is_irreducible,
     is_prime,
     lex_least_irreducible,
     make_field,
@@ -342,10 +341,31 @@ def test_factor_rejects_nonmonic_and_constant():
 
 def test_root_of_unity_deterministic():
     # the root zeta is fixed by the chosen factor f0 of Phi_n; both, and so
-    # the traces, must not depend on the field instance
+    # the traces, must not depend on the field instance, nor on the splits
+    # run in between (the splitting candidates are drawn afresh per call)
     F = make_field(5)
-    assert field._cyclotomic_factor(F, 8) == field._cyclotomic_factor(F, 8)
+    f0 = field._cyclotomic_factor(F, 8)
+    factor_polynomial(F, [1, 0, 0, 0, 0, 0, 0, 0, 1])  # Phi_16 = x^8 + 1
+    assert field._cyclotomic_factor(F, 8) == f0
     assert make_field(5).cyclotomic_traces(8) == make_field(5).cyclotomic_traces(8)
+    # over F_4, Phi_27 has two factors that the Frobenius of F_2 swaps
+    F = make_field(2, 2)
+    f0 = field._cyclotomic_factor(F, 27)
+    factor_polynomial(F, poly_trim([F.from_int(c) for c in field._int_cyclotomic(27)]))
+    assert field._cyclotomic_factor(F, 27) == f0
+    assert BaseField(2, 2).cyclotomic_traces(27) == BaseField(2, 2).cyclotomic_traces(27)
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2)])
+def test_ben_or_matches_rabin(p, a):
+    """field.is_irreducible (Ben-Or, on the shared distinct-degree loop)
+    against the reference Rabin test on every monic polynomial of degree
+    1-4, squarefree or not: lex_least_irreducible feeds it both kinds."""
+    F = BaseField(p, a)
+    for s in range(1, 5):
+        for coeffs in itertools.product(range(F.q), repeat=s):
+            f = [*coeffs, F.one]
+            assert field.is_irreducible(F, f) == is_irreducible(F, f), f
 
 
 def test_tower_extension_cached():

@@ -3,7 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import conftest
 from conftest import (
@@ -13,6 +13,7 @@ from conftest import (
     class_sums,
     corpus_groups,
     elementary_abelian,
+    random_metabelian_groups,
     relabeled,
 )
 from grpalg.algebra import GroupAlgebra
@@ -217,10 +218,9 @@ def presentations(draw):
     return (n, t, k, r), field
 
 
-@settings(max_examples=30, deadline=None)
-@given(presentations())
-def test_paths_agree_on_random_presentations(case):
-    params, field = case
+def assert_paths_agree(params, field):
+    """The oracle, decompose (validated), the fast path and q_class_count
+    agree on M(n, t, k, r) over F_{p^a}, field = (p, a)."""
     G = metacyclic_group(*params)
     F = make_field(*field)
     oracle = keys(center_split(G, F))
@@ -230,3 +230,34 @@ def test_paths_agree_on_random_presentations(case):
     fast = metacyclic_decompose(MetacyclicParams(*params), F)[1]
     assert oracle == keys(d.idempotent for d in fast)
     assert len(oracle) == q_class_count(G, F.q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(presentations())
+@example(((1, 27, 0, 0), (2, 2)))
+@example(((7, 7, 1, 1), (2, 2)))
+def test_paths_agree_on_random_presentations(case):
+    assert_paths_agree(*case)
+
+
+@pytest.mark.parametrize("params", [(1, 27, 0, 0), (27, 1, 0, 1), (3, 9, 1, 1),
+                                    (1, 49, 0, 0), (7, 7, 1, 1), (1, 81, 0, 0)])
+def test_paths_agree_where_f4_splitting_stalled(params):
+    """Over F_4 the F_2-trace of a splitting candidate can separate two
+    factors only on a structured set of candidates (the Frobenius of F_2
+    swaps the two factors of Phi_27 and of Phi_81), which a fixed candidate
+    order can miss for minutes.  All three paths must agree, and fast."""
+    assert_paths_agree(params, (2, 2))
+
+
+@pytest.mark.parametrize("G", random_metabelian_groups(12, seed=2011),
+                         ids=lambda G: G.name)
+def test_oracle_on_random_metabelian_products(G):
+    """The seeded random direct products, relabeled: the oracle against the
+    engine and q_class_count over the first two fields coprime to |G|."""
+    fields = [f for f in FIELDS if gcd(f[0], G.order) == 1][:2]
+    for field in fields:
+        F = make_field(*field)
+        oracle = keys(center_split(G, F))
+        assert oracle == keys(d.idempotent for d in decompose(G, F)[1])
+        assert len(oracle) == q_class_count(G, F.q)
