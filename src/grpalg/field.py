@@ -119,17 +119,14 @@ def poly_divmod(F, f, g):
     dg = len(g) - 1
     lg_inv = F.inv(g[-1])
     quot = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and any(f):
-        f = poly_trim(f)
-        if len(f) - 1 < dg:
-            break
-        c = F.mul(f[-1], lg_inv)
-        shift = len(f) - 1 - dg
-        quot[shift] = c
-        row = F._mul[F.neg(c)]  # f -= c x^shift g, one row view per step
-        for i, b in enumerate(g):
-            f[shift + i] = add[f[shift + i]][row[b]]
-    return poly_trim(quot), poly_trim(f)
+    terms = [(i, b) for i, b in enumerate(g) if b]  # zero terms leave f as is
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = F.mul(f[shift + dg], lg_inv)
+        if c:
+            row = F._mul[F.neg(c)]  # f -= c x^shift g, one row view per step
+            for i, b in terms:
+                f[shift + i] = add[f[shift + i]][row[b]]
+    return poly_trim(quot), poly_trim(f[:dg])
 
 
 def poly_mod(F, f, g):

@@ -307,8 +307,10 @@ def maximal_abelian_over_derived(G, N: Subgroup) -> Subgroup:
     members = np.unique(M[np.ix_(derived_subgroup(G).members, N.members)])
     in_a = np.zeros(G.order, dtype=bool)
     in_a[members] = True
-    # [x, b] = x^-1 b^-1 x b for x outside A (rows) and b in A (columns)
-    x, b = np.flatnonzero(~in_a)[:, None], members[None, :]
+    # [x, b] = x^-1 b^-1 x b for x outside A (rows) and b generating A
+    # (columns): [x, b1] and [x, b2] in the normal N put [x, b1·b2] in N
+    x = np.flatnonzero(~in_a)[:, None]
+    b = np.array(generators(M, members), dtype=np.int64)
     comm = M[M[M[inv[x], inv[b]], x], b]
     cands = x[in_n[comm].all(axis=1), 0]
     while cands.size:

@@ -3,15 +3,16 @@ semisimple metabelian group algebra F_q[G].
 
 The pipeline enumerates triples (N, D, A), working in G itself with no
 quotient group and no subgroup lattice (shoda_triples):
-- N runs over the cores in G of character kernels: two rounds of linear
-  characters of abelian sections give every kernel of an irreducible
-  character of G, and only those carry triples;
+- N runs over a closure of cores in G of character kernels: from N = 1,
+  the cores of the kernels of the linear characters of A/N join until no
+  new one appears; that gives every kernel of an irreducible character of
+  G, and only those carry triples;
 - A is grown from G'N so that A/N is a maximal abelian subgroup of G/N
   containing (G/N)' (groups.maximal_abelian_over_derived);
 - D runs over the kernels of the linear characters of A/N, so that A/D is
   cyclic, keeping those whose core in G is N, one per G-conjugacy class.
 Each (N, A) pair and its character kernels are built once and serve both
-the rounds and the D-classes.
+the closure and the D-classes.
 Each triple, together with an orbit of q-cyclotomic generator cosets
 modulo [A:D], yields one primitive central idempotent as a sum of
 conjugates of a trace-twisted coset sum, one per coset of the orbit's
@@ -45,7 +46,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     conjugacy_classes,
-    generators,
     is_metabelian,
     mask,
     maximal_abelian_over_derived,
@@ -277,50 +277,36 @@ def shoda_triples(G: FiniteGroup):
     """All triples (N, D, A), one per G-conjugacy class of D, sorted by
     (|N|, N, |D|, D) and cached on G.  A is
     maximal_abelian_over_derived(G, N), D the least of each class of
-    d_classes(G, N, ...), and N runs over the cores of character kernels
-    found in two rounds; each (N, A) pair and its kernels are built once
-    and serve both the cores and the D-classes.  Round 1: core_G(D) for
-    the D <= A1 with A1/D cyclic, A1 = A for N = 1.  Round 2, for each M
-    of round 1 with some x outside A1 and [x, g] in M for every generator
-    g of G: core_G(D) for M <= D <= A_M with A_M/D cyclic.
+    d_classes(G, N, ...), and N runs over a closure: starting from N = 1,
+    each new N yields its pair (N, A_N) and the cores core_G(D) of the
+    kernels D of the linear characters of A_N/N, which join as new N until
+    none is new.  Each pair and its kernels are built once and serve both
+    the closure and the D-classes.
 
     Why this suffices: a triple's N is the kernel of the irreducible
     lambda^G, as (A, D) is a strong Shoda pair.  Let chi be irreducible
-    with kernel N, and M = N ∩ A1.  A1 contains G', so it is normal, and
-    by Clifford's theorem M = core_G(ker mu) for a linear constituent mu of
-    chi on A1: M is in round 1.  [N, G] <= N ∩ G' <= M, so N/M is central
-    in G/M; N = M, or an x in N outside A1 passes round 2's test for M.
-    Then N <= A_M, as A_M/M is maximal abelian in G/M, and Clifford's
-    theorem on A_M gives N = core_G(ker nu) with M <= N <= ker nu for a
-    constituent nu of chi on A_M; so nu is linear on A_M/M, which is
-    abelian, and A_M/ker nu is cyclic."""
+    with kernel N, A1 = A for N = 1 and M = N ∩ A1.  A1 contains G', so it
+    is normal, and by Clifford's theorem M = core_G(ker mu) for a linear
+    constituent mu of chi on A1: M is a core of the pair of 1.
+    [N, G] <= N ∩ G' <= M, so N/M is central in G/M and N <= A_M, as
+    A_M/M is maximal abelian in G/M.  Clifford's theorem on A_M gives
+    N = core_G(ker nu) with M <= N <= ker nu for a constituent nu of chi
+    on A_M, which is linear on the abelian A_M/M: N is a core of the pair
+    of M, which the closure expands."""
     if "shoda_triples" in G._cache:
         return G._cache["shoda_triples"]
-    pairs = {}  # N.members -> (A, _kernel_conjugates(G, N, A))
-
-    def pair(N):
-        if N.members not in pairs:
-            A = maximal_abelian_over_derived(G, N)
-            pairs[N.members] = A, _kernel_conjugates(G, N, A)
-        return pairs[N.members]
-
-    def cores(N):
-        elems, conjugates = pair(N)[1]
-        return {Subgroup(G, elems[c].tolist()) for c in conjugates.all(axis=0)}
-
-    one = Subgroup(G, (0,))
-    found = cores(one)
-    # [x, g] for x outside A1 (rows) and g in a generating set of G (columns)
-    x = np.flatnonzero(~mask(G, pair(one)[0]))[:, None]
-    gens = np.array(generators(G.m, range(G.order)), dtype=np.int64)
-    comm = G.m[G.m[G.m[G.inv_np[x], G.inv_np[gens]], x], gens]
-    for M in list(found):
-        if mask(G, M)[comm].all(axis=1).any():
-            found |= cores(M)
-    out = []
-    for N in found:
-        A, kernels = pair(N)
-        out += [Triple(N, cls[0], A) for cls in d_classes(G, N, kernels)]
+    pairs = {}  # N -> (A_N, _kernel_conjugates(G, N, A_N))
+    todo = [Subgroup(G, (0,))]
+    while todo:
+        N = todo.pop()
+        if N in pairs:
+            continue
+        A = maximal_abelian_over_derived(G, N)
+        pairs[N] = A, _kernel_conjugates(G, N, A)
+        elems, conjugates = pairs[N][1]
+        todo += [Subgroup(G, elems[c].tolist()) for c in conjugates.all(axis=0)]
+    out = [Triple(N, cls[0], A) for N, (A, kernels) in pairs.items()
+           for cls in d_classes(G, N, kernels)]
     out = tuple(sorted(out, key=Triple.key))
     G._cache["shoda_triples"] = out
     return out

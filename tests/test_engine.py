@@ -15,6 +15,7 @@ from conftest import (
     lattice,
     normal_subgroups,
     random_metabelian_groups,
+    relabeled,
     shoda_triples_reference,
     validate_reference,
 )
@@ -114,11 +115,22 @@ def test_d_classes_match_lattice_filter(G):
                 conjugate_subgroup(G, cls[0], g).members for g in range(G.order)}
 
 
+def relabeled_metacyclic(params, seed):
+    G = metacyclic_group(*params)
+    return FiniteGroup(relabeled(G.m, random.Random(seed))[0], name=f"{G.name}~")
+
+
 TRIPLE_GROUPS = (corpus_groups()
                  + [elementary_abelian(3, 3), elementary_abelian(3, 4),
-                    # round 1 alone finds 4 of its 7 candidate kernels
-                    direct_product(S3, metacyclic_group(2, 1, 0, 1), "S3xZ2")]
-                 + random_metabelian_groups(12, seed=2011))
+                    # the pair of N = 1 yields 4 of the 7 N in its closure
+                    direct_product(S3, metacyclic_group(2, 1, 0, 1), "S3xZ2"),
+                    # b^t = a^k != 1: not direct products
+                    relabeled_metacyclic((8, 2, 4, 3), 1),
+                    relabeled_metacyclic((9, 3, 3, 4), 2)]
+                 + random_metabelian_groups(12, seed=2011)
+                 # the closure builds 41 pairs on each, where two rounds of
+                 # cores with a commutator filter between them built 38
+                 + [random_metabelian_groups(40, seed=7)[i] for i in (7, 16, 21)])
 
 
 @pytest.mark.parametrize("G", TRIPLE_GROUPS, ids=lambda G: G.name)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -276,6 +277,22 @@ def test_poly_divmod_roundtrip(f, g):
         recon[i] = F.add(recon[i], c)
     assert poly_trim(recon) == poly_trim(list(f))
     assert len(r) < len(g) or not r
+
+
+@pytest.mark.parametrize("p, a", [(3, 1), (2, 2)])
+def test_poly_divmod_by_sparse_binomials(p, a):
+    """Dense f of degree up to 600 divided by u·x^k + c with u != 0 and k up
+    to 300 (the shape of Phi_{2^j} = x^{2^(j-1)} + 1): q·g + r = f and
+    deg r < k."""
+    F = make_field(p, a)
+    rng = random.Random(p * 10 + a)
+    for _ in range(25):
+        k = rng.randint(1, 300)
+        g = [rng.randrange(F.q)] + [0] * (k - 1) + [rng.randrange(1, F.q)]
+        f = [rng.randrange(F.q) for _ in range(rng.randint(1, 601))]
+        q, r = poly_divmod(F, f, g)
+        assert poly_mul(F, g, q) == poly_sub(F, f, r)
+        assert len(r) <= k
 
 
 def has_square_factor(F, f):
