@@ -161,16 +161,19 @@ class AlgebraElement:
 def _rank(F, rows: np.ndarray) -> int:
     """Rank over F_q of a matrix of field indices, by Gaussian elimination
     through the field tables; each pivot clears its column in every row
-    below it with one gather."""
+    below it with one gather.  The next pivot column is found 64 columns
+    at a time, so the columns past the last pivot cost one test a block."""
     rows = rows.copy()
     nr, nc = rows.shape
     add, mul, neg, inv = F.add_np, F.mul_np, F.neg_np, F.inv_np
-    rank = 0
-    for col in range(nc):
-        nz = np.flatnonzero(rows[rank:, col])
-        if nz.size == 0:
+    rank = col = 0
+    while rank < nr and col < nc:
+        live = rows[rank:, col:col + 64].any(axis=0)
+        if not live.any():
+            col += 64
             continue
-        piv = rank + nz[0]
+        col += int(live.argmax())
+        piv = rank + np.flatnonzero(rows[rank:, col])[0]
         rows[[rank, piv]] = rows[[piv, rank]]
         pr = mul[inv[rows[rank, col]], rows[rank, col:]]
         below = rank + 1 + np.flatnonzero(rows[rank + 1:, col])
@@ -178,6 +181,5 @@ def _rank(F, rows: np.ndarray) -> int:
             rows[below, col:] = add[rows[below, col:],
                                     mul[neg[rows[below, col]][:, None], pr]]
         rank += 1
-        if rank == nr:
-            break
+        col += 1
     return rank

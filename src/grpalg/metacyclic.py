@@ -1,10 +1,13 @@
 """Fast-path decomposition for metacyclic groups
 G = <a, b | a^n = 1, b^t = a^k, b^{-1} a b = a^r>.
 
-The normal subgroups, the relevant pairs (K, H), and their conjugacy
-classes are produced arithmetically from the parameters (n, t, k, r)
-instead of by searching the subgroups of G; each triple then goes through
-the generic engine's per-triple step, idempotents.triple_components.
+Everything a subgroup search would find comes from the parameters
+(n, t, k, r) instead: the normal subgroups N = H_{v,i,c} = <a^v, a^i b^c>
+(normal_triples), for each the set X_{v,i,c} (x_triples), and its
+conjugacy classes, one per <r>-orbit of alpha mod v (x_classes).  Each
+class (alpha, beta) gives the triple N, D = H_{v,alpha,beta*o_v},
+A = G_{o_v} = <a, b^{o_v}>, which goes through the generic engine's
+per-triple step, idempotents.triple_components.
 """
 
 from __future__ import annotations
@@ -93,52 +96,40 @@ def triple_subgroup(G: FiniteGroup, params: MetacyclicParams,
     return H
 
 
-def g_ov_subgroup(G: FiniteGroup, params: MetacyclicParams, ov: int) -> Subgroup:
-    """G_{o_v} = <a, b^{o_v}>."""
-    return subgroup_closure(
-        G, [element_index(params, 1, 0), element_index(params, 0, ov)])
-
-
 def x_triples(params: MetacyclicParams, v: int, i: int, c: int):
-    """The set X_{v,i,c}: pairs (alpha, beta) with
-      beta*o_v | c,  alpha*(c/(beta*o_v)) = i (mod v),
-      beta = c*gcd(alpha*(r-1), v) / (v*o_v),  gcd(v, alpha, beta) = 1,
-      v | r^{o_v} - 1,  o_v*beta | t,  v | k + alpha*t/(o_v*beta)."""
-    n, t, k, r = params.n, params.t, params.k, params.r
-    ov = o_v(params, v)
-    if (pow(r, ov, v) - 1) % v:
-        return []
+    """The set X_{v,i,c} of a normal triple (v, i, c): the (alpha, beta),
+    0 <= alpha < v, with g = gcd(alpha*(r-1), v) (gcd(0, v) = v) and
+      beta = c*g / (v*o_v) an integer,  alpha*v/g = i (mod v),
+      gcd(v, alpha, beta) = 1.
+    The theorem's other conditions follow from these and from (v, i, c):
+      v | r^{o_v} - 1, since o_v = ord_v(r);
+      o_v*beta | t, since c/(beta*o_v) = v/g is an integer and c | t;
+      v | k + alpha*t/(o_v*beta), since alpha*t/(o_v*beta)
+        = (alpha*v/g)(t/c) = i*t/c (mod v) and v | k + i*t/c."""
+    v_ov = v * o_v(params, v)
     out = []
     for alpha in range(v):
-        g = gcd(alpha * (r - 1), v)  # gcd(0, v) = v
-        num = c * g
-        if num % (v * ov):
-            continue
-        beta = num // (v * ov)
-        if beta <= 0 or c % (beta * ov):
-            continue
-        if (alpha * (c // (beta * ov)) - i) % v:
-            continue
-        if gcd(gcd(v, alpha), beta) != 1:
-            continue
-        if t % (ov * beta):
-            continue
-        if (k + alpha * (t // (ov * beta))) % v:
-            continue
-        out.append((alpha, beta))
+        g = gcd(alpha * (params.r - 1), v)
+        beta, rem = divmod(c * g, v_ov)
+        if not rem and (alpha * (v // g) - i) % v == 0 and gcd(gcd(v, alpha), beta) == 1:
+            out.append((alpha, beta))
     return out
 
 
-def x_classes(params: MetacyclicParams, v: int, i: int, c: int):
-    """The least member of each class of X_{v,i,c} modulo the relation
-    (alpha1, beta) ~ (alpha2, beta) iff alpha1 = alpha2 * r^j (mod v)."""
-    triples = x_triples(params, v, i, c)
+def alpha_orbit(params: MetacyclicParams, v: int, alpha: int):
+    """The <r>-orbit of alpha mod v, sorted: H_{v,a1,beta*o_v} and
+    H_{v,a2,beta*o_v} are conjugate in G iff a1 and a2 share it."""
     r = params.r
-    ov = o_v(params, v)
+    return tuple(sorted({alpha * pow(r, j, v) % v for j in range(o_v(params, v))}))
+
+
+def x_classes(params: MetacyclicParams, v: int, i: int, c: int):
+    """The least member of each conjugacy class of X_{v,i,c}: (alpha1, beta1)
+    and (alpha2, beta2) are conjugate iff beta1 = beta2 and alpha1, alpha2
+    share their <r>-orbit mod v (conjugate_in_g)."""
     classes = {}
-    for alpha, beta in triples:
-        orbit = tuple(sorted({alpha * pow(r, j, v) % v for j in range(ov)}))
-        classes.setdefault((beta, orbit), []).append((alpha, beta))
+    for alpha, beta in x_triples(params, v, i, c):
+        classes.setdefault((beta, alpha_orbit(params, v, alpha)), []).append((alpha, beta))
     return [min(mem) for _, mem in sorted(classes.items())]
 
 
@@ -146,16 +137,16 @@ def conjugate_in_g(params: MetacyclicParams, v: int,
                    a1: int, b1: int, a2: int, b2: int) -> bool:
     """Conjugacy criterion for H_{v,a1,b1*o_v} vs H_{v,a2,b2*o_v}:
     conjugate iff b1 = b2 and a1 = a2 * r^j (mod v) for some j."""
-    if b1 != b2:
-        return False
-    r, ov = params.r, o_v(params, v)
-    return any((a2 * pow(r, j, v)) % v == a1 % v for j in range(ov))
+    return b1 == b2 and alpha_orbit(params, v, a1) == alpha_orbit(params, v, a2)
 
 
 def core_closed_form(G: FiniteGroup, params: MetacyclicParams,
                      u: int, alpha: int, beta: int) -> Subgroup:
     """core of H_{u,alpha,beta*o_u} as <a^u, a^{alpha*delta/(beta*o_u)} b^delta>
-    with delta = beta*u*o_u / gcd(alpha*(r-1), u) (gcd(0, u) = u)."""
+    with delta = beta*u*o_u / g, g = gcd(alpha*(r-1), u) (gcd(0, u) = u).
+    For (alpha, beta) in X_{u,i,c}, beta*o_u = c*g/u, so delta = c and
+    alpha*delta/(beta*o_u) = alpha*u/g = i (mod u): the core of each D is
+    N = H_{u,i,c}."""
     r = params.r
     ou = o_v(params, u)
     g = gcd(alpha * (r - 1), u)
@@ -165,20 +156,22 @@ def core_closed_form(G: FiniteGroup, params: MetacyclicParams,
                                 element_index(params, i, delta)])
 
 
-def metacyclic_decompose(params: MetacyclicParams, F: BaseField, validate=True):
+def metacyclic_decompose(params: MetacyclicParams, F: BaseField):
     """Wedderburn decomposition of F_q[G] for metacyclic G, driven by the
     parameter arithmetic above; returns the same (summary, descriptors)
-    shape as the generic engine."""
+    shape as the generic engine.  The A of every triple with N = H_{v,i,c}
+    is G_{o_v} = <a, b^{o_v}> = H_{1,0,o_v}, built once per o_v."""
     if gcd(F.q, params.order) != 1:
         raise NotSemisimple(f"gcd({F.q}, {params.order}) != 1")
     G = params.group()
     A = GroupAlgebra(G, F)
+    G_ov = {ov: triple_subgroup(G, params, 1, 0, ov)
+            for ov in {o_v(params, v) for v in divisors(params.n)}}
     descriptors = []
     for v, i, c in normal_triples(params):
         ov = o_v(params, v)
-        K = g_ov_subgroup(G, params, ov)
         N = triple_subgroup(G, params, v, i, c)
         for alpha, beta in x_classes(params, v, i, c):
             H = triple_subgroup(G, params, v, alpha, beta * ov)
-            descriptors += triple_components(A, Triple(N=N, D=H, A=K))
-    return summarize(A, descriptors, validate)
+            descriptors += triple_components(A, Triple(N=N, D=H, A=G_ov[ov]))
+    return summarize(A, descriptors)

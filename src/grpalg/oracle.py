@@ -107,7 +107,7 @@ def _minimal_polynomial(F, idx_i, e):
                 combo = F.add_np[combo, F.neg_np[F.mul_np[c, bc]]]
         nz = np.nonzero(v)[0]
         if nz.size == 0:
-            return poly_trim([int(c) for c in combo]), powers
+            return combo[:deg + 1].tolist(), powers
         piv = int(nz[0])
         inv = F.inv(int(v[piv]))
         v = F.mul_np[inv, v]

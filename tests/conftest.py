@@ -46,6 +46,7 @@ from grpalg.idempotents import (
     d_classes,
     generator_cosets,
 )
+from grpalg.metacyclic import o_v
 from grpalg.oracle import _poly_inverse_mod
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -415,6 +416,36 @@ def metacyclic_table_loop(n, t, k, r):
                     i = (i1 + i2 * ripow[j1] + k * (j // t)) % n
                     row[i2 * t + j2] = i * t + (j % t)
     return table
+
+
+def x_triples_reference(params, v, i, c):
+    """X_{v,i,c} by every condition of the metacyclic theorem, as stated:
+    the (alpha, beta) with beta*o_v | c, alpha*(c/(beta*o_v)) = i (mod v),
+    beta = c*gcd(alpha*(r-1), v) / (v*o_v), gcd(v, alpha, beta) = 1,
+    v | r^{o_v} - 1, o_v*beta | t and v | k + alpha*t/(o_v*beta)."""
+    n, t, k, r = params.n, params.t, params.k, params.r
+    ov = o_v(params, v)
+    if (pow(r, ov, v) - 1) % v:
+        return []
+    out = []
+    for alpha in range(v):
+        g = gcd(alpha * (r - 1), v)  # gcd(0, v) = v
+        num = c * g
+        if num % (v * ov):
+            continue
+        beta = num // (v * ov)
+        if beta <= 0 or c % (beta * ov):
+            continue
+        if (alpha * (c // (beta * ov)) - i) % v:
+            continue
+        if gcd(gcd(v, alpha), beta) != 1:
+            continue
+        if t % (ov * beta):
+            continue
+        if (k + alpha * (t // (ov * beta))) % v:
+            continue
+        out.append((alpha, beta))
+    return out
 
 
 def d1_table_loop(m):

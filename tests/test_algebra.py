@@ -156,6 +156,26 @@ def test_rank_matches_reference(p, a):
     assert deficient >= 10
 
 
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2)])
+def test_rank_skips_empty_column_blocks(p, a):
+    """_rank against row-at-a-time elimination on wide matrices whose
+    nonzero columns are separated by runs of zero columns around the
+    64-column block _rank tests at once, so pivots fall on both sides of
+    block edges, and after the last pivot."""
+    F = make_field(p, a)
+    rng = np.random.default_rng(7000 + 10 * p + a)
+    for _ in range(40):
+        gaps = rng.choice([1, 2, 63, 64, 65, 66, 130], size=int(rng.integers(1, 8)))
+        live = np.cumsum(gaps) - 1
+        nc = int(live[-1]) + 1 + int(rng.choice([0, 1, 64, 100]))
+        nr = int(rng.integers(1, 12))
+        k = int(rng.integers(1, min(nr, live.size) + 1))
+        base = np.zeros((k, nc), dtype=np.int16)
+        base[:, live] = rng.integers(0, F.q, size=(k, live.size))
+        rows = _combinations(F, rng.integers(0, F.q, size=(nr, k)), base)
+        assert _rank(F, rows) == rank_reference(F, rows)
+
+
 def test_ideal_dimension_matches_products():
     """The gathered rows of ideal_dimension are the products g*e."""
     rng = np.random.default_rng(3)

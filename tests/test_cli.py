@@ -112,6 +112,22 @@ def test_compare_closed_form(capsys):
     assert "closed_form.match = yes" in out2
 
 
+def test_verify_emit_idempotents(capsys):
+    """verify --emit-idempotents passes the oracle and emits the same
+    idempotent lines as the idempotents command."""
+    flags = ["--metacyclic", "3", "2", "0", "2", "--p", "5"]
+    code, out, _ = run(capsys, "verify", *flags, "--emit-idempotents")
+    assert code == 0
+    assert "oracle.match = yes" in out.splitlines()
+    code2, out2, _ = run(capsys, "idempotents", *flags)
+    assert code2 == 0
+
+    def idempotent_lines(text):
+        return [ln for ln in text.splitlines() if ln.startswith("wedderburn.idempotent.")]
+
+    assert idempotent_lines(out) and idempotent_lines(out) == idempotent_lines(out2)
+
+
 def test_families_sweep(capsys):
     code, out, _ = run(capsys, "families", "--family", "d2", "--m", "2",
                        "--q", "3", "5")
@@ -197,6 +213,17 @@ def test_families_prime_power_q(capsys):
     assert "d1.2.9.components = " in out and "d2.4.25.aut = " in out
 
 
+def test_families_even_q_reports_error_and_exits_6(capsys):
+    """An even q gives <family>.<m>.<q>.error = EvenQ for each family, the
+    odd q's cells are still reported, and the exit code is 6."""
+    code, out, _ = run(capsys, "families", "--m", "2", "--q", "8", "3")
+    assert code == 6
+    lines = out.splitlines()
+    assert "d1.2.8.error = EvenQ" in lines and "d2.2.8.error = EvenQ" in lines
+    assert not [ln for ln in lines if ".2.8." in ln and ".error = " not in ln]
+    assert "d1.2.3.engine_match = yes" in lines and "d2.2.3.engine_match = yes" in lines
+
+
 def test_families_q_not_prime_power_exit_2(capsys):
     code, out, err = run(capsys, "families", "--q", "15")
     assert code == 2
@@ -244,6 +271,9 @@ def test_group_order_limit(capsys, monkeypatch, tmp_path):
     ok.write_text(format_cayley(metacyclic_group(8, 1, 0, 1)))
     big.write_text(format_cayley(metacyclic_group(9, 1, 0, 1)))
     monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 8)
+    # a group an earlier test left in a builder's cache would skip the check
+    for builder in (groups.metacyclic_group, groups.d1_group, groups.d2_group):
+        builder.cache_clear()
     assert groups.parse_cayley(ok.read_text()).order == 8
     for build in (lambda: groups.parse_cayley(big.read_text()),
                   lambda: groups.metacyclic_group(11, 1, 0, 1),

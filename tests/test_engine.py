@@ -57,7 +57,6 @@ from grpalg.idempotents import (
 from grpalg.metacyclic import (
     MetacyclicParams,
     conjugate_in_g,
-    g_ov_subgroup,
     metacyclic_decompose,
     normal_triples,
     o_v,
@@ -280,7 +279,7 @@ def _coset_cases(source):
     G = params.group()
     for v, i, c in normal_triples(params):
         ov = o_v(params, v)
-        K = g_ov_subgroup(G, params, ov)
+        K = triple_subgroup(G, params, 1, 0, ov)
         for alpha, beta in x_classes(params, v, i, c):
             yield G, K, triple_subgroup(G, params, v, alpha, beta * ov)
 
@@ -339,7 +338,7 @@ def test_fast_path_class_choice_independence(tup):
         A = GroupAlgebra(G, make_field(q))
         for v, i, c in normal_triples(params):
             ov = o_v(params, v)
-            K = g_ov_subgroup(G, params, ov)
+            K = triple_subgroup(G, params, 1, 0, ov)
             N = triple_subgroup(G, params, v, i, c)
 
             def keys(alpha, beta):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import ALL_METACYCLIC, conjugate_subgroup, normal_subgroups
+from conftest import ALL_METACYCLIC, conjugate_subgroup, normal_subgroups, x_triples_reference
 from grpalg.errors import BadPresentation
 from grpalg.field import make_field
 from grpalg.groups import core
@@ -9,7 +9,6 @@ from grpalg.metacyclic import (
     MetacyclicParams,
     conjugate_in_g,
     core_closed_form,
-    g_ov_subgroup,
     metacyclic_decompose,
     normal_triples,
     o_v,
@@ -100,13 +99,33 @@ def test_core_formula(tup):
                 (tup, v, alpha, beta)
 
 
+def test_x_triples_match_reference():
+    """x_triples' three tests give the theorem's X_{v,i,c}, all of whose
+    conditions x_triples_reference checks, on every normal triple of every
+    valid presentation with n <= 24 and t <= 8."""
+    triples = 0
+    for n in range(1, 25):
+        for t in range(1, 9):
+            for k in range(n):
+                for r in range(n):
+                    try:
+                        p = MetacyclicParams(n, t, k, r)
+                    except BadPresentation:
+                        continue
+                    for v, i, c in normal_triples(p):
+                        assert x_triples(p, v, i, c) == x_triples_reference(p, v, i, c), \
+                            ((n, t, k, r), (v, i, c))
+                        triples += 1
+    assert triples == 35609
+
+
 def test_x_classes_d8_trivial_n():
     p = MetacyclicParams(4, 2, 0, 3)
     # N = trivial: (4,0,2); the only class is (alpha=0, beta=1) -> H = <a^4> = 1
     cls = x_classes(p, 4, 0, 2)
     assert cls == [(0, 1)]
     G = p.group()
-    K = g_ov_subgroup(G, p, o_v(p, 4))
+    K = triple_subgroup(G, p, 1, 0, o_v(p, 4))
     assert K.order == 4  # <a, b^2> = <a>
     assert triple_subgroup(G, p, 4, 0, 2).order == 1
 
