@@ -5,7 +5,7 @@ Core entry points:
   groups.metacyclic_group / d1_group / d2_group / parse_cayley
   idempotents.decompose(G, F)   -- generic engine
   metacyclic.metacyclic_decompose(params, F)  -- parameter-driven fast path
-  families.d1_closed_form / d2_closed_form    -- closed-form tables
+  families.d1_closed_form / d2_closed_form    -- closed-form WedderburnSummary
   oracle.center_split / q_class_count         -- independent verification
 """
 
@@ -29,4 +29,3 @@ from .groups import (  # noqa: F401
 from .algebra import AlgebraElement, GroupAlgebra  # noqa: F401
 from .idempotents import WedderburnSummary, decompose  # noqa: F401
 from .metacyclic import MetacyclicParams, metacyclic_decompose  # noqa: F401
-from .autgroup import aut_description  # noqa: F401

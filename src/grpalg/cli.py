@@ -18,7 +18,6 @@ import argparse
 import sys
 
 from . import __version__
-from .autgroup import aut_description
 from .errors import (
     GrpalgError,
     InvariantViolation,
@@ -26,13 +25,7 @@ from .errors import (
     NotPrime,
     NotSemisimple,
 )
-from .families import (
-    d1_aut_closed_form,
-    d1_closed_form,
-    d2_aut_closed_form,
-    d2_closed_form,
-    lambda_of,
-)
+from .families import d1_closed_form, d2_closed_form, lambda_of
 from .field import MAX_BASE_ORDER, make_field, prime_factors
 from .groups import (
     check_family_order,
@@ -45,10 +38,10 @@ from .idempotents import decompose
 from .metacyclic import metacyclic_decompose, params_of
 from .oracle import center_split, q_class_count
 
-# family name -> (group constructor, closed-form components, closed-form aut)
+# family name -> (group constructor, closed form)
 FAMILIES = {
-    "d1": (d1_group, d1_closed_form, d1_aut_closed_form),
-    "d2": (d2_group, d2_closed_form, d2_aut_closed_form),
+    "d1": (d1_group, d1_closed_form),
+    "d2": (d2_group, d2_closed_form),
 }
 
 
@@ -117,18 +110,12 @@ class Report:
                 fh.write(text)
 
 
-def _format_components(components):
-    """[(d, l, multiplicity), ...] for a {(d, l): multiplicity} dict."""
-    return "[" + ", ".join(f"({d}, {l}, {m})"
-                           for (d, l), m in sorted(components.items())) + "]"
-
-
 def _emit_summary(rep, prefix, summary):
     rep.put(f"{prefix}.order", summary.order)
     rep.put(f"{prefix}.q", summary.q)
-    rep.put(f"{prefix}.components", _format_components(summary.components))
+    rep.put(f"{prefix}.components", summary.table())
     rep.put(f"{prefix}.algebra", summary.format())
-    rep.put(f"{prefix}.aut", aut_description(summary))
+    rep.put(f"{prefix}.aut", summary.aut())
 
 
 def _emit_idempotents(rep, prefix, descriptors):
@@ -196,8 +183,8 @@ def cmd_compare(args):
     m = G.meta.get("m")
     if fam in FAMILIES and m is not None and m >= 2:
         cf = FAMILIES[fam][1](m, F.q)
-        rep.put("closed_form.components", _format_components(cf))
-        same = cf == summary.components
+        rep.put("closed_form.components", cf.table())
+        same = cf.components == summary.components
         rep.put("closed_form.match", "yes" if same else "no")
         if not same:
             mismatches.append("closed_form")
@@ -225,7 +212,7 @@ def cmd_families(args):
     fams = list(FAMILIES) if args.family == "both" else [args.family]
     bad = False
     for fam in fams:
-        group_of, closed_form, aut_closed_form = FAMILIES[fam]
+        group_of, closed_form = FAMILIES[fam]
         for m in args.m:
             check_family_order(m)  # before the closed forms, which loop to m
             for q in args.q:
@@ -237,10 +224,10 @@ def cmd_families(args):
                     continue
                 F = _field_of_order(q)  # before the group is built
                 rep.put(f"{fam}.{m}.{q}.lambda", lambda_of(q))
-                rep.put(f"{fam}.{m}.{q}.components", _format_components(cf))
-                rep.put(f"{fam}.{m}.{q}.aut", aut_closed_form(m, q))
+                rep.put(f"{fam}.{m}.{q}.components", cf.table())
+                rep.put(f"{fam}.{m}.{q}.aut", cf.aut())
                 summary, _ = decompose(group_of(m), F)
-                same = summary.components == cf
+                same = summary.components == cf.components
                 rep.put(f"{fam}.{m}.{q}.engine_match", "yes" if same else "no")
                 if not same:
                     bad = True

@@ -4,13 +4,13 @@ commutator (d1_group) and the metacyclic family <a, b | a^{2^{m+1}} = 1,
 b^2 = a^2, b^{-1} a b = a^{2^m + 1}> (d2_group).
 
 Everything here is a function of m and the 2-adic valuation lambda of
-q -+ 1; the maps return {(d, l): multiplicity} and are checked to account
-for the full dimension 2^{m+2}.
+q -+ 1; the closed forms return a WedderburnSummary, the same result type
+as the engine and the metacyclic fast path, checked to account for the
+full dimension 2^{m+2}.
 """
 
 from __future__ import annotations
 
-from .autgroup import aut_description
 from .errors import EvenQ, InternalInconsistency
 from .groups import d1_group, d1_index, is_normal, subgroup_closure
 from .idempotents import WedderburnSummary
@@ -33,17 +33,16 @@ def lambda_of(q: int) -> int:
     return lam
 
 
-def _checked(amap: dict, m: int) -> dict:
-    amap = {k: v for k, v in amap.items() if v > 0}
-    dim = sum(d * d * l * mult for (d, l), mult in amap.items())
-    if dim != 1 << (m + 2):
+def _checked(amap: dict, m: int, q: int) -> WedderburnSummary:
+    out = WedderburnSummary(1 << (m + 2), q, {k: v for k, v in amap.items() if v > 0})
+    if out.dimension() != out.order:
         raise InternalInconsistency(
-            f"closed form sums to dimension {dim}, expected {1 << (m + 2)}")
-    return amap
+            f"closed form sums to dimension {out.dimension()}, expected {out.order}")
+    return out
 
 
-def d1_closed_form(m: int, q: int) -> dict:
-    """(d, l) -> multiplicity for the order-2^{m+2} group d1_group(m)."""
+def d1_closed_form(m: int, q: int) -> WedderburnSummary:
+    """The Wedderburn table of F_q[d1_group(m)], of order 2^{m+2}."""
     lam = lambda_of(q)
     if q % 4 == 1:
         if m < 1:
@@ -69,11 +68,11 @@ def d1_closed_form(m: int, q: int) -> dict:
             for a in range(lam + 2, m):
                 amap[(1, 1 << (a - lam))] = 1 << (lam + 1)
             amap[(2, 1 << (m - lam))] = 1 << (lam - 1)
-    return _checked(amap, m)
+    return _checked(amap, m, q)
 
 
-def d2_closed_form(m: int, q: int) -> dict:
-    """(d, l) -> multiplicity for the order-2^{m+2} group d2_group(m)."""
+def d2_closed_form(m: int, q: int) -> WedderburnSummary:
+    """The Wedderburn table of F_q[d2_group(m)], of order 2^{m+2}."""
     lam = lambda_of(q)
     if q % 4 == 1:
         if m < 1:
@@ -95,15 +94,7 @@ def d2_closed_form(m: int, q: int) -> dict:
             for a in range(lam + 2, m + 1):
                 amap[(1, 1 << (a - lam))] = 1 << lam
             amap[(2, 1 << (m - lam))] = 1 << (lam - 1)
-    return _checked(amap, m)
-
-
-def d1_aut_closed_form(m: int, q: int) -> str:
-    return aut_description(WedderburnSummary(1 << (m + 2), q, d1_closed_form(m, q)))
-
-
-def d2_aut_closed_form(m: int, q: int) -> str:
-    return aut_description(WedderburnSummary(1 << (m + 2), q, d2_closed_form(m, q)))
+    return _checked(amap, m, q)
 
 
 def d1_normal_subgroup_list(m: int):

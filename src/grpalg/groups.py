@@ -1,12 +1,12 @@
 """Finite groups as explicit multiplication tables, plus the subgroup
 machinery the engine needs, all computed inside G itself: closures,
-normality, conjugacy, cores, normalizers, and the subgroups A
-over a normal N with A/N maximal abelian over (G/N)'.  No quotient group
-and no subgroup lattice is ever built: the engine takes its normal
-subgroups from character kernels (idempotents.shoda_triples).  Also
-constructors for the group families the package cares about (metacyclic
-presentations and two 2-group families given by normal forms) and the
-Cayley-table text format.
+normality, conjugacy, normalizers, and the subgroups A over a normal N
+with A/N maximal abelian over (G/N)'.  No quotient group and no subgroup
+lattice is ever built: the engine takes its normal subgroups from
+character kernels, whose cores it reads off their conjugates
+(idempotents.shoda_triples).  Also constructors for the group families
+the package cares about (metacyclic presentations and two 2-group
+families given by normal forms) and the Cayley-table text format.
 
 A table is the one int32 array `m`, checked with array operations: shape,
 range, identity and inverses directly, associativity by Light's test over
@@ -19,6 +19,7 @@ walks (powers, closures) read one column of `m` as a list.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -87,9 +88,6 @@ class FiniteGroup:
         self.name = name or f"G{n}"
         self.meta = dict(meta or {})
         self._cache = {}
-
-    def element_order(self, g):
-        return len(powers(self, g))
 
     def power(self, g, e):
         """g^e by repeated squaring, elementwise when g is an array."""
@@ -215,22 +213,11 @@ def normalizer(G, H: Subgroup) -> Subgroup:
     return Subgroup(G, np.flatnonzero(mask(G, H)[conj].all(axis=1)).tolist())
 
 
-def core(G, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G inside H: the h in H with x^-1 h x in H
-    for every x in G."""
-    h = np.array(H.members)
-    conj = G.m[G.m[np.ix_(G.inv_np, h)], np.arange(G.order)[:, None]]
-    return Subgroup(G, h[mask(G, H)[conj].all(axis=0)].tolist())
-
-
-def is_abelian_subgroup(G, H: Subgroup) -> bool:
-    sub = G.m[np.ix_(H.members, H.members)]
-    return np.array_equal(sub, sub.T)
-
-
 def is_metabelian(G) -> bool:
     if "metabelian" not in G._cache:
-        G._cache["metabelian"] = is_abelian_subgroup(G, derived_subgroup(G))
+        h = derived_subgroup(G).members
+        sub = G.m[np.ix_(h, h)]
+        G._cache["metabelian"] = np.array_equal(sub, sub.T)
     return G._cache["metabelian"]
 
 
@@ -325,6 +312,16 @@ def maximal_abelian_over_derived(G, N: Subgroup) -> Subgroup:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _word_labels(*letters):
+    """Labels of the normal-form words g1^x1 * g2^x2 * ... for letters
+    (g1, n1), (g2, n2), ..., 0 <= xi < ni, in index order (the last
+    exponent runs fastest): g for exponent 1, g^x above, "1" for the
+    identity."""
+    return ["*".join(g if x == 1 else f"{g}^{x}"
+                     for (g, _), x in zip(letters, xs) if x) or "1"
+            for xs in product(*(range(n) for _, n in letters))]
+
+
 @lru_cache(maxsize=None)
 def metacyclic_group(n: int, t: int, k: int, r: int) -> FiniteGroup:
     """<a, b | a^n = 1, b^t = a^k, b^{-1} a b = a^r>, order n*t.
@@ -365,16 +362,7 @@ def _metacyclic_table(n, t, k, r):
     table *= t
     table += j % t
     table = table.reshape(order, order)
-    labels = []
-    for i in range(n):
-        for j in range(t):
-            parts = []
-            if i:
-                parts.append("a" if i == 1 else f"a^{i}")
-            if j:
-                parts.append("b" if j == 1 else f"b^{j}")
-            labels.append("*".join(parts) if parts else "1")
-    return table, labels
+    return table, _word_labels(("a", n), ("b", t))
 
 
 @lru_cache(maxsize=None)
@@ -394,20 +382,8 @@ def d1_group(m: int) -> FiniteGroup:
     c %= n
     c *= 4
     table = (c + ((e1 + e2) % 2 * 2 + (f1 + f2) % 2)).reshape(order, order)
-    labels = []
-    for c in range(n):
-        for e in range(2):
-            for f in range(2):
-                parts = []
-                if c:
-                    parts.append("t" if c == 1 else f"t^{c}")
-                if e:
-                    parts.append("x")
-                if f:
-                    parts.append("y")
-                labels.append("*".join(parts) if parts else "1")
-    return FiniteGroup(table, labels=labels, name=f"D1({m})",
-                       meta={"family": "d1", "m": m})
+    return FiniteGroup(table, labels=_word_labels(("t", n), ("x", 2), ("y", 2)),
+                       name=f"D1({m})", meta={"family": "d1", "m": m})
 
 
 def d1_index(m: int, c: int, e: int, f: int) -> int:

@@ -24,6 +24,9 @@ Every choice (the element that joins A next, the D of a class, the coset
 of an orbit) is the least one; the idempotents do not depend on it.
 triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
+WedderburnSummary is the result type of the engine, the fast path and the
+closed forms (families), and the one writer of its table, its algebra and
+its automorphism group.
 """
 
 from __future__ import annotations
@@ -356,6 +359,9 @@ def triple_components(A: GroupAlgebra, tr: Triple):
 
 @dataclass
 class WedderburnSummary:
+    """The Wedderburn table {(d, l): multiplicity} of F_q[G] for |G| = order,
+    with its three written forms: table(), format() for the algebra and
+    aut() for its automorphism group."""
     order: int
     q: int
     components: dict  # (d, l) -> multiplicity
@@ -366,13 +372,42 @@ class WedderburnSummary:
     def sorted_items(self):
         return sorted(self.components.items())
 
+    def _field(self, l):
+        return f"F_{self.q}^{l}" if l > 1 else f"F_{self.q}"
+
+    def table(self):
+        """[(d, l, multiplicity), ...], sorted by (d, l)."""
+        return "[" + ", ".join(f"({d}, {l}, {m})"
+                               for (d, l), m in self.sorted_items()) + "]"
+
     def format(self):
+        """The algebra: M_d(F_{q^l})^(m) per block, with M_1 and ^(1)
+        dropped, joined by " + "."""
         parts = []
         for (d, l), m in self.sorted_items():
-            core_s = f"F_{self.q}^{l}" if l > 1 else f"F_{self.q}"
-            mat = core_s if d == 1 else f"M_{d}({core_s})"
+            mat = self._field(l) if d == 1 else f"M_{d}({self._field(l)})"
             parts.append(mat if m == 1 else f"{mat}^({m})")
         return " + ".join(parts)
+
+    def aut(self):
+        """The automorphism group of the algebra: each block
+        M_d(F_{q^l})^(m) contributes (SL_d(F_{q^l}) . Z_l)^(m) . S_m, with
+        the trivial pieces SL_1, Z_1, S_1 and ^(1) dropped; the blocks are
+        joined by " + ", and "1" is the trivial group."""
+        blocks = []
+        for (d, l), m in self.sorted_items():
+            pieces = ([f"SL_{d}({self._field(l)})"] if d != 1 else []) \
+                + ([f"Z_{l}"] if l > 1 else [])
+            out = " . ".join(pieces)
+            if len(pieces) == 2:
+                out = f"({out})"
+            if out and m not in (0, 1):
+                out = f"({out})^({m})"
+            if m > 1:
+                out = f"({out} . S_{m})" if out else f"S_{m}"
+            if out and m:
+                blocks.append(out)
+        return " + ".join(blocks) or "1"
 
 
 def decompose(G: FiniteGroup, F: BaseField, validate=True):

@@ -187,6 +187,14 @@ def centralizer(G, H):
     return Subgroup(G, np.flatnonzero((G.m[:, h] == G.m[h].T).all(axis=1)).tolist())
 
 
+def core(G, H):
+    """Largest normal subgroup of G inside H, by explicit search: the h in
+    H with x^-1 h x in H for every x in G."""
+    h = np.array(H.members)
+    conj = G.m[G.m[np.ix_(G.inv_np, h)], np.arange(G.order)[:, None]]
+    return Subgroup(G, h[mask(G, H)[conj].all(axis=0)].tolist())
+
+
 def conjugate_subgroup(G, H, g):
     """g^-1 H g."""
     return Subgroup(G, G.m[G.m[G.inv_np[g], list(H.members)], g].tolist())

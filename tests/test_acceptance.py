@@ -10,24 +10,21 @@ from conftest import (
     ALL_METACYCLIC,
     PRIMES,
     conjugate_subgroup,
+    core,
     corpus_grid,
     corpus_groups,
     normal_subgroups,
     relabeled,
 )
 from grpalg.algebra import GroupAlgebra
-from grpalg.autgroup import aut_description
 from grpalg.families import (
-    d1_aut_closed_form,
     d1_closed_form,
     d1_normal_subgroup_list,
-    d2_aut_closed_form,
     d2_closed_form,
 )
 from grpalg.field import make_field
 from grpalg.groups import (
     FiniteGroup,
-    core,
     d1_group,
     d2_group,
 )
@@ -143,13 +140,13 @@ def test_criterion_5_closed_form_regression():
     for m in (2, 3, 4):
         for q in (3, 5, 7, 13):
             s1, _ = decompose(d1_group(m), make_field(q))
-            if s1.components != d1_closed_form(m, q):
+            if s1.components != d1_closed_form(m, q).components:
                 bad.append(("d1", m, q))
             s2, _ = decompose(d2_group(m), make_field(q))
-            if s2.components != d2_closed_form(m, q):
+            if s2.components != d2_closed_form(m, q).components:
                 bad.append(("d2", m, q))
-    spot1 = d1_closed_form(2, 5) == {(1, 1): 8, (2, 1): 2}
-    spot2 = d2_closed_form(2, 3) == {(1, 1): 4, (1, 2): 2, (2, 2): 1}
+    spot1 = d1_closed_form(2, 5).components == {(1, 1): 8, (2, 1): 2}
+    spot2 = d2_closed_form(2, 3).components == {(1, 1): 4, (1, 2): 2, (2, 2): 1}
     ok = not bad and spot1 and spot2
     report(5, ok, "closed forms match engine on m in {2,3,4} x q in {3,5,7,13}"
            if ok else f"{bad} spot1={spot1} spot2={spot2}")
@@ -208,19 +205,19 @@ def test_criterion_8_aut_term_agreement():
     for m in (2, 3, 4):
         for q in (3, 5, 7, 13):
             s1, _ = decompose(d1_group(m), make_field(q))
-            if aut_description(s1) != d1_aut_closed_form(m, q):
+            if s1.aut() != d1_closed_form(m, q).aut():
                 bad.append(("d1", m, q))
             s2, _ = decompose(d2_group(m), make_field(q))
-            if aut_description(s2) != d2_aut_closed_form(m, q):
+            if s2.aut() != d2_closed_form(m, q).aut():
                 bad.append(("d2", m, q))
     # the large-m block (SL_2 . Z)^(2^{lambda-1}) . S_{2^{lambda-1}} at m=5, q=3
     # lambda(3) = 2, so l = 2^(m - lambda) = 8 and the multiplicity is 2
     m, q = 5, 3
     s, _ = decompose(d1_group(m), make_field(q))
-    t = aut_description(s)
+    t = s.aut()
     h_block = "(((SL_2(F_3^8) . Z_8))^(2) . S_2)"
     found = h_block in t.split(" + ")
-    ok = not bad and t == d1_aut_closed_form(m, q) and found
+    ok = not bad and t == d1_closed_form(m, q).aut() and found
     report(8, ok, "aut terms equal incl. the m=5, q=3 block"
            if ok else f"{bad} h_block={'ok' if found else 'missing'}")
 

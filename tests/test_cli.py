@@ -308,6 +308,52 @@ def test_invariant_violation_exit_5(capsys, monkeypatch):
     assert err == "error: invariant 'idempotent' violated: {'component': 0}\n"
 
 
+def test_readme_decompose_report(capsys):
+    """The README's decompose example is the whole report, byte for byte."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    argv, report = re.search(r"```sh\ngrpalg (decompose --d1 2 --p 5)\n((?:# .*\n)+)",
+                             readme).groups()
+    expected = "".join(line[2:] + "\n" for line in report.splitlines())
+    assert run(capsys, *argv.split()) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    ("families --m 2 --q 3 8", 6, """\
+command = families
+d1.2.3.lambda = 2
+d1.2.3.components = [(1, 1, 8), (2, 2, 1)]
+d1.2.3.aut = S_8 + (SL_2(F_3^2) . Z_2)
+d1.2.3.engine_match = yes
+d1.2.8.error = EvenQ
+d2.2.3.lambda = 2
+d2.2.3.components = [(1, 1, 4), (1, 2, 2), (2, 2, 1)]
+d2.2.3.aut = S_4 + ((Z_2)^(2) . S_2) + (SL_2(F_3^2) . Z_2)
+d2.2.3.engine_match = yes
+d2.2.8.error = EvenQ
+"""),
+    ("compare --d2 2 --p 7", 0, """\
+group = D2(2)
+command = compare
+generic.order = 16
+generic.q = 7
+generic.components = [(1, 1, 4), (1, 2, 2), (2, 2, 1)]
+generic.algebra = F_7^(4) + F_7^2^(2) + M_2(F_7^2)
+generic.aut = S_4 + ((Z_2)^(2) . S_2) + (SL_2(F_7^2) . Z_2)
+metacyclic.order = 16
+metacyclic.q = 7
+metacyclic.components = [(1, 1, 4), (1, 2, 2), (2, 2, 1)]
+metacyclic.algebra = F_7^(4) + F_7^2^(2) + M_2(F_7^2)
+metacyclic.aut = S_4 + ((Z_2)^(2) . S_2) + (SL_2(F_7^2) . Z_2)
+metacyclic.match = yes
+closed_form.components = [(1, 1, 4), (1, 2, 2), (2, 2, 1)]
+closed_form.match = yes
+"""),
+], ids=["families-even-q", "compare-d2"])
+def test_golden_report(capsys, argv, code, expected):
+    """Whole reports, pinned byte for byte with their exit codes."""
+    assert run(capsys, *argv.split()) == (code, expected, "")
+
+
 def test_readme_library_example():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)

@@ -8,6 +8,7 @@ from conftest import (
     ALL_METACYCLIC,
     PRIMES,
     conjugate_subgroup,
+    core,
     corpus_groups,
     coset_orbits_reference,
     direct_product,
@@ -31,7 +32,6 @@ from grpalg.field import BaseField, factor_polynomial, make_field, poly_trim
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
-    core,
     d2_group,
     maximal_abelian_over_derived,
     metacyclic_group,

@@ -1,13 +1,10 @@
 import pytest
 
 from conftest import normal_subgroups
-from grpalg.autgroup import aut_description
 from grpalg.errors import EvenQ
 from grpalg.families import (
-    d1_aut_closed_form,
     d1_closed_form,
     d1_normal_subgroup_list,
-    d2_aut_closed_form,
     d2_closed_form,
     lambda_of,
 )
@@ -40,17 +37,17 @@ def test_order_formula_above_lambda():
 
 
 def test_spot_values():
-    assert d1_closed_form(2, 5) == {(1, 1): 8, (2, 1): 2}
-    assert d2_closed_form(2, 3) == {(1, 1): 4, (1, 2): 2, (2, 2): 1}
+    assert d1_closed_form(2, 5).components == {(1, 1): 8, (2, 1): 2}
+    assert d2_closed_form(2, 3).components == {(1, 1): 4, (1, 2): 2, (2, 2): 1}
     # exact evaluation of the m >= lambda+2 display at (m=4, q=5)
-    assert d1_closed_form(4, 5) == {(1, 1): 16, (1, 2): 8, (2, 4): 2}
+    assert d1_closed_form(4, 5).components == {(1, 1): 16, (1, 2): 8, (2, 4): 2}
 
 
 def test_dimension_identity():
     for q in GRID_Q:
         for m in range(2, 8):
             for form in (d1_closed_form, d2_closed_form):
-                amap = form(m, q)
+                amap = form(m, q).components
                 assert sum(d * d * l * mult
                            for (d, l), mult in amap.items()) == 1 << (m + 2)
                 assert all(mult > 0 for mult in amap.values())
@@ -61,9 +58,9 @@ def test_dimension_identity():
 def test_closed_forms_match_engine(m, q):
     F = make_field(q)
     s1, _ = decompose(d1_group(m), F)
-    assert s1.components == d1_closed_form(m, q)
+    assert s1.components == d1_closed_form(m, q).components
     s2, _ = decompose(d2_group(m), F)
-    assert s2.components == d2_closed_form(m, q)
+    assert s2.components == d2_closed_form(m, q).components
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -71,16 +68,16 @@ def test_closed_forms_match_engine(m, q):
 def test_aut_closed_forms_match_engine(m, q):
     F = make_field(q)
     s1, _ = decompose(d1_group(m), F)
-    assert aut_description(s1) == d1_aut_closed_form(m, q)
+    assert s1.aut() == d1_closed_form(m, q).aut()
     s2, _ = decompose(d2_group(m), F)
-    assert aut_description(s2) == d2_aut_closed_form(m, q)
+    assert s2.aut() == d2_closed_form(m, q).aut()
 
 
 def test_aut_structure_spot_values():
     # D1(2) over F_5: S_8 + (SL_2(F_5)^(2) . S_2)
-    assert d1_aut_closed_form(2, 5) == "S_8 + ((SL_2(F_5))^(2) . S_2)"
+    assert d1_closed_form(2, 5).aut() == "S_8 + ((SL_2(F_5))^(2) . S_2)"
     # D2(2) over F_3: S_4 + (Z_2^(2) . S_2) + (SL_2(F_9) . Z_2)
-    assert d2_aut_closed_form(2, 3) == (
+    assert d2_closed_form(2, 3).aut() == (
         "S_4 + ((Z_2)^(2) . S_2) + (SL_2(F_3^2) . Z_2)")
 
 
@@ -88,7 +85,7 @@ def test_h_lambda_term_for_large_m():
     # m >= lambda+2 produces the block
     # (SL_2(F_{q^{2^{m-lambda}}}) . Z_{2^{m-lambda}})^(2^{lambda-1}) . S_{2^{lambda-1}}
     # at m = 5, q = 3 (lambda = 2): l = 2^3 and multiplicity 2^1
-    blocks = d1_aut_closed_form(5, 3).split(" + ")
+    blocks = d1_closed_form(5, 3).aut().split(" + ")
     assert "(((SL_2(F_3^8) . Z_8))^(2) . S_2)" in blocks
 
 
@@ -96,10 +93,10 @@ def test_pure_symmetric_for_split_abelian_like():
     # all components (1,1): the aut term is a single symmetric group
     from grpalg.idempotents import WedderburnSummary
     s = WedderburnSummary(order=4, q=5, components={(1, 1): 4})
-    assert aut_description(s) == "S_4"
+    assert s.aut() == "S_4"
     # F_5[1] = F_5: every piece of the one block is trivial
     one = WedderburnSummary(order=1, q=5, components={(1, 1): 1})
-    assert aut_description(one) == "1"
+    assert one.aut() == "1"
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -11,6 +11,7 @@ from conftest import (
     centralizer,
     conj,
     conjugate_subgroup,
+    core,
     corpus_groups,
     d1_table_loop,
     elementary_abelian,
@@ -35,7 +36,6 @@ from grpalg.groups import (
     associativity_witness,
     class_index,
     conjugacy_classes,
-    core,
     d1_group,
     d1_index,
     d2_group,
@@ -48,6 +48,7 @@ from grpalg.groups import (
     metacyclic_group,
     normalizer,
     parse_cayley,
+    powers,
     subgroup_closure,
 )
 
@@ -62,7 +63,7 @@ def test_metacyclic_relations():
                          (5, 4, 0, 2), (16, 4, 0, 3), (8, 2, 2, 5)]:
         G = metacyclic_group(n, t, k, r)
         a, b = t, 1  # index of a = 1*t + 0, index of b = 0*t + 1
-        assert G.element_order(a) == n or n == 1
+        assert len(powers(G, a)) == n or n == 1
         assert conj(G, a, b) == G.power(a, r % n)
         # b^t = a^k
         assert G.power(b, t) == G.power(a, k % n)
@@ -83,8 +84,8 @@ def test_bad_presentation():
 def test_known_orders():
     assert S3.order == 6 and D8.order == 8 and Q8.order == 8
     assert d1_group(2).order == 16 and d2_group(3).order == 32
-    assert sorted(S3.element_order(g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
-    assert sorted(Q8.element_order(g) for g in range(8)) == \
+    assert sorted(len(powers(S3, g)) for g in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(len(powers(Q8, g)) for g in range(8)) == \
         [1, 2, 4, 4, 4, 4, 4, 4]
 
 
@@ -321,8 +322,8 @@ def test_d1_structure():
         t = d1_index(m, 1, 0, 0)
         x = d1_index(m, 0, 1, 0)
         y = d1_index(m, 0, 0, 1)
-        assert G.element_order(t) == 1 << m
-        assert G.element_order(x) == 2 and G.element_order(y) == 2
+        assert len(powers(G, t)) == 1 << m
+        assert len(powers(G, x)) == 2 and len(powers(G, y)) == 2
         assert G.m[t, x] == G.m[x, t]  # t central against x
         # yx = xy * t^{2^{m-1}}
         z = d1_index(m, 1 << (m - 1), 0, 0)
@@ -331,10 +332,15 @@ def test_d1_structure():
             derived_subgroup(G).members == tuple(sorted((0, z)))
 
 
+def test_word_labels():
+    assert metacyclic_group(3, 2, 0, 2).labels == ('1', 'b', 'a', 'a*b', 'a^2', 'a^2*b')
+    assert d1_group(1).labels == ('1', 'y', 'x', 'x*y', 't', 't*y', 't*x', 't*x*y')
+
+
 def test_q8_is_d2_1():
     # <a, b | a^4, b^2 = a^2, b^{-1}ab = a^3> is the quaternion group
     assert Q8.meta["params"] == (4, 2, 2, 3)
-    assert sum(1 for g in range(8) if Q8.element_order(g) == 2) == 1
+    assert sum(1 for g in range(8) if len(powers(Q8, g)) == 2) == 1
 
 
 def test_cayley_roundtrip():

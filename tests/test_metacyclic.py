@@ -1,9 +1,14 @@
 import pytest
 
-from conftest import ALL_METACYCLIC, conjugate_subgroup, normal_subgroups, x_triples_reference
+from conftest import (
+    ALL_METACYCLIC,
+    conjugate_subgroup,
+    core,
+    normal_subgroups,
+    x_triples_reference,
+)
 from grpalg.errors import BadPresentation
 from grpalg.field import make_field
-from grpalg.groups import core
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import (
     MetacyclicParams,
