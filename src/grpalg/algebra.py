@@ -4,8 +4,11 @@ int16 array.  GroupAlgebra.product is the one product kernel: for each
 block of at most PRODUCT_BLOCK support elements g of x, one gather of
 y[g⁻¹h] through the group table, scaled by x[g], and one BaseField.sum_rows;
 `at` evaluates it only at chosen h, such as the class representatives when
-x and y are central.  The rows g·e of an ideal are one gather, and the
-rank elimination clears each pivot column in all remaining rows at once.
+x and y are central.  The dimension of an ideal F_q[G]·e is [G:S] times
+the rank of one |S|×|S| block, S the subgroup that the support of e
+generates: the rows s·e for s in S are one gather through the group
+table, read on the columns S, and the rank elimination clears each pivot
+column in all remaining rows at once.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import MixedContext
 from .field import BaseField
-from .groups import FiniteGroup, class_index
+from .groups import FiniteGroup, class_index, subgroup_closure
 
 PRODUCT_BLOCK = 256  # support rows per gather: 256·|G| int16 at most
 
@@ -56,10 +59,20 @@ class GroupAlgebra:
         return F.sum_rows(parts)
 
     def ideal_dimension(self, e: "AlgebraElement") -> int:
-        """dim_{F_q} of the two-sided ideal F_q[G]·e for central e (as a left
-        ideal: the span of {g·e}, whose h-coefficient is e[g^-1 h])."""
+        """dim_{F_q} of the left ideal F_q[G]·e, the span of the rows g·e
+        whose h-coefficient is e[g⁻¹h]; for central e, the two-sided ideal.
+
+        Let S be the subgroup generated by the support of e.  Row g is
+        supported on the left coset gS, since e[g⁻¹h] ≠ 0 puts g⁻¹h in S.
+        So the |G|×|G| matrix is block-diagonal over the left cosets of S.
+        For g = xs and h = xt with s, t in S, entry (g, h) is e[s⁻¹t]: the
+        block of the coset xS is B[s, t] = e[s⁻¹t] with rows and columns
+        relabeled by s ↦ xs.  The rank is [G:S]·rank(B), for every e."""
         G = self.group
-        return _rank(self.field, e.coeffs[G.m[G.inv_np]])
+        S = np.array(subgroup_closure(G, np.flatnonzero(e.coeffs).tolist()).members)
+        # the rows s·e, then their columns S: one |S|×|G| index table at a time
+        block = e.coeffs[G.m[G.inv_np[S]]].take(S, axis=1)
+        return G.order // S.size * _rank(self.field, block)
 
     def __eq__(self, other):
         return (

@@ -21,6 +21,7 @@ from . import __version__
 from .errors import (
     GrpalgError,
     InvariantViolation,
+    NoClosedForm,
     NotMetabelian,
     NotPrime,
     NotSemisimple,
@@ -180,9 +181,11 @@ def cmd_compare(args):
         rep.put("metacyclic.match", "yes" if same else "no")
         if not same:
             mismatches.append("metacyclic")
-    m = G.meta.get("m")
-    if fam in FAMILIES and m is not None and m >= 2:
-        cf = FAMILIES[fam][1](m, F.q)
+    try:
+        cf = FAMILIES[fam][1](G.meta["m"], F.q) if fam in FAMILIES else None
+    except NoClosedForm:
+        cf = None
+    if cf is not None:
         rep.put("closed_form.components", cf.table())
         same = cf.components == summary.components
         rep.put("closed_form.match", "yes" if same else "no")

@@ -49,6 +49,11 @@ class EvenQ(GrpalgError):
     pass
 
 
+class NoClosedForm(GrpalgError, ValueError):
+    """The family's closed form does not cover these parameters (m = 1
+    when q = 3 mod 4); the group exists and the engine decomposes it."""
+
+
 class InternalInconsistency(GrpalgError):
     """An internal invariant failed; indicates a bug, not bad input."""
 

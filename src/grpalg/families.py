@@ -11,7 +11,7 @@ full dimension 2^{m+2}.
 
 from __future__ import annotations
 
-from .errors import EvenQ, InternalInconsistency
+from .errors import EvenQ, InternalInconsistency, NoClosedForm
 from .groups import d1_group, d1_index, is_normal, subgroup_closure
 from .idempotents import WedderburnSummary
 
@@ -58,7 +58,7 @@ def d1_closed_form(m: int, q: int) -> WedderburnSummary:
             amap[(2, 1 << (m - lam))] = 1 << (lam - 1)
     else:
         if m < 2:
-            raise ValueError("m must be >= 2 when q = 3 (mod 4)")
+            raise NoClosedForm("m must be >= 2 when q = 3 (mod 4)")
         if m <= lam + 1:
             amap = {(1, 1): 8, (1, 2): (1 << m) - 4, (2, 2): 1 << (m - 2)}
         elif m == lam + 2:
@@ -86,7 +86,7 @@ def d2_closed_form(m: int, q: int) -> WedderburnSummary:
             amap[(2, 1 << (m - lam))] = 1 << (lam - 1)
     else:
         if m < 2:
-            raise ValueError("m must be >= 2 when q = 3 (mod 4)")
+            raise NoClosedForm("m must be >= 2 when q = 3 (mod 4)")
         if m <= lam + 1:
             amap = {(1, 1): 4, (1, 2): (1 << m) - 2, (2, 2): 1 << (m - 2)}
         else:

@@ -6,7 +6,14 @@ from conftest import convolution_reference, rank_reference
 from grpalg.algebra import PRODUCT_BLOCK, GroupAlgebra, _rank
 from grpalg.errors import MixedContext
 from grpalg.field import make_field
-from grpalg.groups import conjugacy_classes, d2_group, metacyclic_group
+from grpalg.groups import (
+    conjugacy_classes,
+    d2_group,
+    is_normal,
+    metacyclic_group,
+    subgroup_closure,
+)
+from grpalg.idempotents import decompose
 
 S3 = metacyclic_group(3, 2, 0, 2)
 F5 = make_field(5)
@@ -185,6 +192,50 @@ def test_ideal_dimension_matches_products():
         for e in [B.one(), B.zero(), B.element(rng.integers(0, q, G.order))]:
             rows = np.stack([(B.basis(g) * e).coeffs for g in range(G.order)])
             assert B.ideal_dimension(e) == rank_reference(B.field, rows)
+
+
+def _on(rng, q, n, members, sparse):
+    """A random coefficient vector supported inside `members`: nonzero on
+    all of them, or on a random part of them when `sparse`."""
+    c = np.zeros(n, dtype=np.int16)
+    c[members] = rng.integers(1, q, len(members))
+    if sparse:
+        c[members] *= rng.random(len(members)) < 0.5
+    return c
+
+
+def test_ideal_dimension_on_subgroup_support():
+    """ideal_dimension eliminates one block over the subgroup S generated
+    by the support and multiplies by [G:S]; it must equal the rank of all
+    products g*e.  Supports: the normal <a> of M(7,3,0,2); the non-normal,
+    non-abelian <a^3, b> = S_3 of M(9,2,0,8) = D_9; and {a^3, b}, not a
+    subgroup itself, which generates that S_3."""
+    rng = np.random.default_rng(18)
+    M7, D9 = metacyclic_group(7, 3, 0, 2), metacyclic_group(9, 2, 0, 8)
+    a7 = [3 * i for i in range(7)]                  # a^i b^j is i*t + j
+    s3 = [2 * i + j for i in (0, 3, 6) for j in (0, 1)]
+    assert not is_normal(D9, subgroup_closure(D9, s3))
+    assert subgroup_closure(D9, [6, 1]).members == tuple(s3)
+    for G, members in [(M7, a7), (D9, s3), (D9, [6, 1])]:
+        for p, a in [(2, 1), (3, 1), (2, 2)]:
+            B = GroupAlgebra(G, make_field(p, a))
+            for sparse in (False, True, True):
+                e = B.element(_on(rng, B.q, G.order, members, sparse))
+                rows = np.stack([(B.basis(g) * e).coeffs for g in range(G.order)])
+                assert B.ideal_dimension(e) == rank_reference(B.field, rows)
+
+
+def test_ideal_dimension_of_descriptors_matches_full_gather():
+    """Every primitive central idempotent of F_2[M(31,5,0,2)] against the
+    rank of the full |G|x|G| gather of the rows g*e."""
+    G = metacyclic_group(31, 5, 0, 2)
+    F = make_field(2)
+    B = GroupAlgebra(G, F)
+    _, descriptors = decompose(G, F)
+    assert {d.d for d in descriptors} == {1, 5}
+    for d in descriptors:
+        e = d.idempotent
+        assert B.ideal_dimension(e) == _rank(F, e.coeffs[G.m[G.inv_np]])
 
 
 # F_2, F_3, F_4, F_5, F_7 and F_9 as (p, a)

@@ -348,7 +348,47 @@ metacyclic.match = yes
 closed_form.components = [(1, 1, 4), (1, 2, 2), (2, 2, 1)]
 closed_form.match = yes
 """),
-], ids=["families-even-q", "compare-d2"])
+    ("families --m 1 --q 5 3", 6, """\
+command = families
+d1.1.5.lambda = 2
+d1.1.5.components = [(1, 1, 4), (2, 1, 1)]
+d1.1.5.aut = S_4 + SL_2(F_5)
+d1.1.5.engine_match = yes
+d1.1.3.error = NoClosedForm
+d2.1.5.lambda = 2
+d2.1.5.components = [(1, 1, 4), (2, 1, 1)]
+d2.1.5.aut = S_4 + SL_2(F_5)
+d2.1.5.engine_match = yes
+d2.1.3.error = NoClosedForm
+"""),
+    ("compare --d1 1 --p 5", 0, """\
+group = D1(1)
+command = compare
+generic.order = 8
+generic.q = 5
+generic.components = [(1, 1, 4), (2, 1, 1)]
+generic.algebra = F_5^(4) + M_2(F_5)
+generic.aut = S_4 + SL_2(F_5)
+closed_form.components = [(1, 1, 4), (2, 1, 1)]
+closed_form.match = yes
+"""),
+    ("compare --d2 1 --p 3", 0, """\
+group = D2(1)
+command = compare
+generic.order = 8
+generic.q = 3
+generic.components = [(1, 1, 4), (2, 1, 1)]
+generic.algebra = F_3^(4) + M_2(F_3)
+generic.aut = S_4 + SL_2(F_3)
+metacyclic.order = 8
+metacyclic.q = 3
+metacyclic.components = [(1, 1, 4), (2, 1, 1)]
+metacyclic.algebra = F_3^(4) + M_2(F_3)
+metacyclic.aut = S_4 + SL_2(F_3)
+metacyclic.match = yes
+"""),
+], ids=["families-even-q", "compare-d2", "families-no-closed-form",
+        "compare-d1-m1", "compare-no-closed-form"])
 def test_golden_report(capsys, argv, code, expected):
     """Whole reports, pinned byte for byte with their exit codes."""
     assert run(capsys, *argv.split()) == (code, expected, "")
