@@ -1,21 +1,22 @@
 """The group algebra F_q[G]: elements are coefficient vectors indexed by
 group elements, with coefficients stored as base-field indices in a numpy
-int16 array.  GroupAlgebra.product is the one product kernel: for each
+int16 array.  An AlgebraElement is a read-only result, such as an
+idempotent.  GroupAlgebra.product is the one product kernel: for each
 block of at most PRODUCT_BLOCK support elements g of x, one gather of
-y[g⁻¹h] through the group table, scaled by x[g], and one BaseField.sum_rows;
-`at` evaluates it only at chosen h, such as the class representatives when
-x and y are central.  The dimension of an ideal F_q[G]·e is [G:S] times
-the rank of one |S|×|S| block, S the subgroup that the support of e
-generates: the rows s·e for s in S are one gather through the group
-table, read on the columns S, and the rank elimination clears each pivot
-column in all remaining rows at once.
+y[g⁻¹h] through the group table, scaled by x[g], and one BaseField.sum_rows.
+The required `at` names the h where x·y is evaluated: the class
+representatives when x and y are central, np.arange(|G|) for all of x·y.
+The dimension of an ideal F_q[G]·e is [G:S] times the rank of one |S|×|S|
+block, S the subgroup that the support of e generates: the rows s·e for
+s in S are one gather through the group table, read on the columns S,
+and the rank elimination clears each pivot column in all remaining rows
+at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MixedContext
 from .field import BaseField
 from .groups import FiniteGroup, class_index, subgroup_closure
 
@@ -28,33 +29,20 @@ class GroupAlgebra:
         self.field = field
         self.q = field.q
 
-    def zero(self):
-        return AlgebraElement(self, np.zeros(self.group.order, dtype=np.int16))
-
     def one(self):
-        return self.basis(0)
-
-    def basis(self, g: int):
         c = np.zeros(self.group.order, dtype=np.int16)
-        c[g] = 1
+        c[0] = 1
         return AlgebraElement(self, c)
 
-    def element(self, coeffs):
-        c = np.asarray(coeffs, dtype=np.int16)
-        if c.shape != (self.group.order,):
-            raise ValueError("coefficient vector has wrong length")
-        if c.min() < 0 or c.max() >= self.q:
-            raise ValueError("coefficient index out of field range")
-        return AlgebraElement(self, c.copy())
-
-    def product(self, x: np.ndarray, y: np.ndarray, at=None) -> np.ndarray:
+    def product(self, x: np.ndarray, y: np.ndarray, at) -> np.ndarray:
         """The coefficients (x·y)(h) = Σ_g x[g]·y[g⁻¹h] of the product of two
-        coefficient vectors, at every h or only at the elements `at`."""
+        coefficient vectors, at the elements h of `at`; all of x·y is
+        at=np.arange(|G|)."""
         G, F = self.group, self.field
         support = np.flatnonzero(x)
         parts = []
         for g in np.split(support, range(PRODUCT_BLOCK, support.size, PRODUCT_BLOCK)):
-            cols = G.m[G.inv_np[g]] if at is None else G.m[np.ix_(G.inv_np[g], at)]
+            cols = G.m[np.ix_(G.inv_np[g], at)]
             parts.append(F.sum_rows(F.mul_np[x[g][:, None], y[cols]]))
         return F.sum_rows(parts)
 
@@ -95,40 +83,8 @@ class AlgebraElement:
         self.algebra = algebra
         self.coeffs = coeffs
 
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise MixedContext(
-                f"cannot combine elements of {self.algebra!r} and {other.algebra!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        F = self.algebra.field
-        return AlgebraElement(self.algebra, F.add_np[self.coeffs, other.coeffs])
-
-    def __sub__(self, other):
-        self._check(other)
-        F = self.algebra.field
-        return AlgebraElement(self.algebra,
-                              F.add_np[self.coeffs, F.neg_np[other.coeffs]])
-
-    def __neg__(self):
-        F = self.algebra.field
-        return AlgebraElement(self.algebra, F.neg_np[self.coeffs])
-
-    def __mul__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra,
-                              self.algebra.product(self.coeffs, other.coeffs))
-
-    def scale(self, c: int):
-        F = self.algebra.field
-        return AlgebraElement(self.algebra, F.mul_np[c, self.coeffs])
-
     def is_zero(self) -> bool:
         return not self.coeffs.any()
-
-    def is_idempotent(self) -> bool:
-        return np.array_equal((self * self).coeffs, self.coeffs)
 
     def is_central(self) -> bool:
         # central iff the coefficients are constant on conjugacy classes:

@@ -58,6 +58,8 @@ def build_parser():
         _group_flags(p)
         _field_flags(p)
         _common_flags(p)
+        if name != "compare":  # compare and families print no idempotents
+            p.add_argument("--emit-idempotents", action="store_true")
     fam = sub.add_parser("families")
     fam.add_argument("--family", choices=["d1", "d2", "both"], default="both")
     fam.add_argument("--m", type=int, nargs="+", default=[2, 3, 4])
@@ -81,7 +83,6 @@ def _field_flags(p):
 
 def _common_flags(p):
     p.add_argument("--out", metavar="PATH", help="write the report here as well")
-    p.add_argument("--emit-idempotents", action="store_true")
 
 
 def make_group(args):

@@ -41,10 +41,6 @@ class NotSemisimple(GrpalgError):
     pass
 
 
-class MixedContext(GrpalgError):
-    pass
-
-
 class EvenQ(GrpalgError):
     pass
 

@@ -43,10 +43,10 @@ def _checked(amap: dict, m: int, q: int) -> WedderburnSummary:
 
 def d1_closed_form(m: int, q: int) -> WedderburnSummary:
     """The Wedderburn table of F_q[d1_group(m)], of order 2^{m+2}."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     lam = lambda_of(q)
     if q % 4 == 1:
-        if m < 1:
-            raise ValueError("m must be >= 1")
         if m <= lam:
             amap = {(1, 1): 1 << (m + 1), (2, 1): 1 << (m - 1)}
         elif m == lam + 1:
@@ -73,10 +73,10 @@ def d1_closed_form(m: int, q: int) -> WedderburnSummary:
 
 def d2_closed_form(m: int, q: int) -> WedderburnSummary:
     """The Wedderburn table of F_q[d2_group(m)], of order 2^{m+2}."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     lam = lambda_of(q)
     if q % 4 == 1:
-        if m < 1:
-            raise ValueError("m must be >= 1")
         if m <= lam:
             amap = {(1, 1): 1 << (m + 1), (2, 1): 1 << (m - 1)}
         else:

@@ -44,8 +44,10 @@ def _check_order(order, shown=None):
 
 
 def check_family_order(m):
-    """_check_order for the order-2^{m+2} families d1_group and d2_group,
-    with no 2^m-bit shift for a huge m."""
+    """BadPresentation for m < 1, and _check_order for the order-2^{m+2}
+    families d1_group and d2_group, with no 2^m-bit shift for a huge m."""
+    if m < 1:
+        raise BadPresentation("m must be >= 1")
     _check_order(1 << min(max(m + 2, 0), 64), f"2^{m + 2}")
 
 
@@ -370,8 +372,6 @@ def d1_group(m: int) -> FiniteGroup:
     """Order 2^{m+2} group generated by t, x, y with t of order 2^m, x and y
     of order 2, x and y commuting with t, and yx = xy t^{2^{m-1}}.
     Element index c*4 + e*2 + f stands for t^c x^e y^f."""
-    if m < 1:
-        raise BadPresentation("m must be >= 1")
     check_family_order(m)
     n = 1 << m
     half = n >> 1
@@ -394,8 +394,6 @@ def d1_index(m: int, c: int, e: int, f: int) -> int:
 def d2_group(m: int) -> FiniteGroup:
     """Order 2^{m+2} group <a, b | a^{2^{m+1}} = 1, b^2 = a^2,
     b^{-1} a b = a^{2^m + 1}>."""
-    if m < 1:
-        raise BadPresentation("m must be >= 1")
     check_family_order(m)
     params = (1 << (m + 1), 2, 2, (1 << m) + 1)
     table, labels = _metacyclic_table(*params)

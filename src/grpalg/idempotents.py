@@ -178,7 +178,7 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
     coeffs = np.zeros(G.order, dtype=np.int16)
     ks = np.array(K.members)
     coeffs[G.inv_np[ks]] = np.array(tr)[j * e[ks] % n]
-    return A.element(F.mul_np[kinv, coeffs])
+    return AlgebraElement(A, F.mul_np[kinv, coeffs])
 
 
 def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,

@@ -370,6 +370,23 @@ def convolution_reference(A, x, y):
     return np.array(out, dtype=np.int16)
 
 
+def full_product(A, x, y):
+    """All of x·y, for coefficient vectors x and y of A = F_q[G]."""
+    return A.product(x, y, at=np.arange(A.group.order))
+
+
+def basis_vector(A, g):
+    """The coefficient vector of the group element g in A."""
+    c = np.zeros(A.group.order, dtype=np.int16)
+    c[g] = 1
+    return c
+
+
+def is_idempotent(e):
+    """e·e = e in the algebra of the AlgebraElement e."""
+    return np.array_equal(full_product(e.algebra, e.coeffs, e.coeffs), e.coeffs)
+
+
 def add_table_reference(p, a):
     """The addition table of F_{p^a}, indices i = sum c_k p^k, built digit
     by digit: four q x q int16 passes for each of the a digits."""
@@ -514,12 +531,13 @@ def relabeled(m, rng):
 # ---------------------------------------------------------------------------
 
 def class_sums(A):
-    """The conjugacy-class sums of A = F_q[G], in class order."""
+    """The coefficient vectors of the conjugacy-class sums of A = F_q[G],
+    in class order."""
     out = []
     for cls in conjugacy_classes(A.group):
         c = np.zeros(A.group.order, dtype=np.int16)
         c[list(cls)] = 1
-        out.append(A.element(c))
+        out.append(c)
     return out
 
 
@@ -532,7 +550,7 @@ def _minimal_polynomial_reference(A, z, e):
     basis = {}  # pivot column -> (reduced row, combo over power indices)
     deg = 0
     while True:
-        v = powers[-1].coeffs.copy()
+        v = powers[-1].copy()
         combo = np.zeros(nmax, dtype=np.int16)
         combo[deg] = 1
         for piv, (br, bc) in basis.items():
@@ -553,17 +571,17 @@ def _minimal_polynomial_reference(A, z, e):
                 basis[p2] = (F.add_np[br, F.neg_np[F.mul_np[c, v]]],
                              F.add_np[bc, F.neg_np[F.mul_np[c, combo]]])
         basis[piv] = (v, combo)
-        powers.append(powers[-1] * z)
+        powers.append(full_product(A, powers[-1], z))
         deg += 1
 
 
 def center_split_reference(G, F):
     """center_split computed in the full |G|-dimensional algebra, every
-    power an AlgebraElement product."""
+    power a product of coefficient vectors at every h."""
     if gcd(F.q, G.order) != 1:
         raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
     A = GroupAlgebra(G, F)
-    blocks = [A.one()]
+    blocks = [A.one().coeffs]
     for z in class_sums(A):
         refined = []
         for e in blocks:
@@ -580,13 +598,13 @@ def center_split_reference(G, F):
             for h in factors:
                 comp = poly_divmod(F, mp, list(h))[0]
                 inv = _poly_inverse_mod(F, poly_mod(F, comp, list(h)), list(h))
-                acc = A.zero()
+                acc = np.zeros(G.order, dtype=np.int16)
                 for i, c in enumerate(poly_mod(F, poly_mul(F, comp, inv), mp)):
                     if c:
-                        acc = acc + powers[i].scale(c)
+                        acc = F.add_np[acc, F.mul_np[c, powers[i]]]
                 refined.append(acc)
         blocks = refined
-    return sorted(blocks, key=lambda e: e.key())
+    return sorted((AlgebraElement(A, b) for b in blocks), key=lambda e: e.key())
 
 
 def corpus_groups():

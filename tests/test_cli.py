@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_TABLES, elementary_abelian, s4_group
 from grpalg import groups, idempotents
+from grpalg.algebra import AlgebraElement
 from grpalg.cli import main
 from grpalg.groups import format_cayley, metacyclic_group
 
@@ -298,7 +299,9 @@ def test_invariant_violation_exit_5(capsys, monkeypatch):
     def corrupt_first(*args):
         e = real(*args)
         calls.append(e)
-        return e.scale(2) if len(calls) == 1 else e
+        if len(calls) > 1:
+            return e
+        return AlgebraElement(e.algebra, e.algebra.field.mul_np[2, e.coeffs])
 
     monkeypatch.setattr(idempotents, "ec_idempotent", corrupt_first)
     code, out, err = run(capsys, "decompose", "--metacyclic", "3", "2", "0", "2",
@@ -392,6 +395,21 @@ metacyclic.match = yes
 def test_golden_report(capsys, argv, code, expected):
     """Whole reports, pinned byte for byte with their exit codes."""
     assert run(capsys, *argv.split()) == (code, expected, "")
+
+
+@pytest.mark.parametrize("argv", ["families --m 0 --q 3", "families --m 0 2 --q 5",
+                                  "families --m -1 --q 7"])
+def test_families_m_below_1_exit_2(capsys, argv):
+    """m < 1 is a bad presentation for every q, as for decompose --d1 0: no
+    cell is reported, not even NoClosedForm for q = 3 (mod 4)."""
+    assert run(capsys, *argv.split()) == (2, "", "error: m must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", ["compare --d1 2 --p 5", "families --m 2 --q 5"])
+def test_emit_idempotents_rejected_where_none_are_printed(capsys, argv):
+    code, out, err = run(capsys, *argv.split(), "--emit-idempotents")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --emit-idempotents" in err
 
 
 def test_readme_library_example():

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import normal_subgroups
-from grpalg.errors import EvenQ
+from grpalg.errors import EvenQ, NoClosedForm
 from grpalg.families import (
     d1_closed_form,
     d1_normal_subgroup_list,
@@ -41,6 +41,18 @@ def test_spot_values():
     assert d2_closed_form(2, 3).components == {(1, 1): 4, (1, 2): 2, (2, 2): 1}
     # exact evaluation of the m >= lambda+2 display at (m=4, q=5)
     assert d1_closed_form(4, 5).components == {(1, 1): 16, (1, 2): 8, (2, 4): 2}
+
+
+def test_closed_forms_reject_m_below_1():
+    """m < 1 is a ValueError for every q; NoClosedForm is kept for m = 1
+    with q = 3 (mod 4), where the group exists."""
+    for form in (d1_closed_form, d2_closed_form):
+        for m, q in [(0, 3), (0, 5), (-1, 7)]:
+            with pytest.raises(ValueError, match="^m must be >= 1$") as exc:
+                form(m, q)
+            assert not isinstance(exc.value, NoClosedForm)
+        with pytest.raises(NoClosedForm):
+            form(1, 3)
 
 
 def test_dimension_identity():

@@ -34,6 +34,7 @@ from grpalg.groups import (
     FiniteGroup,
     Subgroup,
     associativity_witness,
+    check_family_order,
     class_index,
     conjugacy_classes,
     d1_group,
@@ -79,6 +80,10 @@ def test_bad_presentation():
         metacyclic_group(5, 2, 0, 3)  # 3^2 = 4 != 1 mod 5
     with pytest.raises(BadPresentation):
         metacyclic_group(4, 2, 1, 3)  # k(r-1) = 2 != 0 mod 4
+    for build in (d1_group, d2_group, check_family_order):
+        for m in (0, -1):
+            with pytest.raises(BadPresentation, match="^m must be >= 1$"):
+                build(m)
 
 
 def test_known_orders():

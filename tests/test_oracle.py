@@ -13,6 +13,8 @@ from conftest import (
     class_sums,
     corpus_groups,
     elementary_abelian,
+    full_product,
+    is_idempotent,
     random_metabelian_groups,
     relabeled,
 )
@@ -64,15 +66,31 @@ def test_center_split_properties():
         A = GroupAlgebra(G, F)
         ids = center_split(G, F)
         assert len(ids) == q_class_count(G, q)
-        total = A.zero()
         for i, e in enumerate(ids):
             assert not e.is_zero()
-            assert e.is_idempotent()
+            assert is_idempotent(e)
             assert e.is_central()
             for f in ids[i + 1:]:
-                assert (e * f).is_zero() and (f * e).is_zero()
-            total = total + e
-        assert total.key() == A.one().key()
+                assert not full_product(A, e.coeffs, f.coeffs).any()
+                assert not full_product(A, f.coeffs, e.coeffs).any()
+        total = F.sum_rows([e.coeffs for e in ids])
+        assert np.array_equal(total, A.one().coeffs)
+
+
+def test_engine_idempotents_equal_oracle_elements():
+    """decompose and center_split build their own GroupAlgebra of the same G
+    and F; each engine idempotent is == to, and hashes as, its oracle twin."""
+    for G, q in [(S3, 5), (metacyclic_group(4, 2, 0, 3), 3), (d2_group(2), 3),
+                 (a4_group(), 7)]:
+        F = make_field(q)
+        engine = [d.idempotent for d in decompose(G, F)[1]]
+        twins = {e.key(): e for e in center_split(G, F)}
+        assert len(twins) == len(engine)
+        for e in engine:
+            twin = twins[e.key()]
+            assert e.algebra is not twin.algebra
+            assert e == twin and hash(e) == hash(twin)
+        assert set(engine) == set(twins.values())
 
 
 def test_repeated_minimal_polynomial_factor_not_semisimple(monkeypatch):
@@ -186,18 +204,19 @@ def test_center_split_matches_reference_relabeled_and_non_metabelian(s4):
                          ids=lambda G: G.name)
 def test_class_mul_matches_product(G):
     """C_i · C_j in class coordinates, the field sum of the rows of
-    w[idx[i]], equals the AlgebraElement product of the two class sums,
+    w[idx[i]], equals the product of the two class sums at every h,
     read back at the class representatives."""
     class_of, idx = class_structure(G)
     reps = [int(np.flatnonzero(class_of == i)[0]) for i in range(len(idx))]
     for F in (make_field(5), make_field(2, 2)):  # no coprimality needed
-        sums = class_sums(GroupAlgebra(G, F))
+        A = GroupAlgebra(G, F)
+        sums = class_sums(A)
         for i, zi in enumerate(sums):
             for j, zj in enumerate(sums):
                 w = np.zeros(len(idx), dtype=np.int16)
                 w[j] = 1
                 got = F.sum_rows(w[idx[i]])
-                prod = (zi * zj).coeffs
+                prod = full_product(A, zi, zj)
                 assert np.array_equal(prod, prod[reps][class_of])  # central
                 assert np.array_equal(got, prod[reps])
 
