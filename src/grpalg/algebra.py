@@ -62,15 +62,17 @@ class GroupAlgebra:
         block = e.coeffs[G.m[G.inv_np[S]]].take(S, axis=1)
         return G.order // S.size * _rank(self.field, block)
 
+    # fields compare by q: lex_least_irreducible fixes one encoding per order,
+    # so make_field(5) and make_field(5, 1), two lru_cache keys, agree
     def __eq__(self, other):
         return (
             isinstance(other, GroupAlgebra)
             and self.group is other.group
-            and self.field is other.field
+            and self.q == other.q
         )
 
     def __hash__(self):
-        return hash((id(self.group), id(self.field)))
+        return hash((id(self.group), self.q))
 
     def __repr__(self):
         return f"F_{self.q}[{self.group.name}]"

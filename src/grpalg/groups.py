@@ -406,8 +406,10 @@ def d2_group(m: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def parse_cayley(text: str) -> FiniteGroup:
-    """Parse the plain-text table format: a line `order N`, then N rows of N
-    whitespace-separated indices, then optional `label I NAME` lines."""
+    """Parse the plain-text table format: a line `order N` with N >= 1, then
+    N rows of N whitespace-separated indices, then optional `label I NAME`
+    lines; `#` comments and blank lines are skipped.  A malformed file
+    raises ValueError; a bad row or label line is quoted in the message."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("order"):
@@ -416,12 +418,17 @@ def parse_cayley(text: str) -> FiniteGroup:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise ValueError("malformed order line") from exc
+    if n < 1:
+        raise ValueError("malformed order line")
     _check_order(n)
     if len(lines) < 1 + n:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
     table = []
     for ln in lines[1:1 + n]:
-        row = [int(tok) for tok in ln.split()]
+        try:
+            row = [int(tok) for tok in ln.split()]
+        except ValueError:
+            raise ValueError(f"bad table row: {ln!r}") from None
         if len(row) != n:
             raise ValueError(f"bad table row: {ln!r}")
         table.append(row)
@@ -430,7 +437,10 @@ def parse_cayley(text: str) -> FiniteGroup:
         toks = ln.split(None, 2)
         if toks[0] != "label" or len(toks) != 3:
             raise ValueError(f"bad trailing line: {ln!r}")
-        idx = int(toks[1])
+        try:
+            idx = int(toks[1])
+        except ValueError:
+            raise ValueError(f"bad label index: {ln!r}") from None
         if not (0 <= idx < n):
             raise ValueError(f"label index out of range: {ln!r}")
         labels[idx] = toks[2]

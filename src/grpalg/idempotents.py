@@ -13,13 +13,14 @@ quotient group and no subgroup lattice (shoda_triples):
   cyclic, keeping those whose core in G is N, one per G-conjugacy class.
 Each (N, A) pair and its character kernels are built once and serve both
 the closure and the D-classes.
-Each triple, together with an orbit of q-cyclotomic generator cosets
-modulo [A:D], yields one primitive central idempotent as a sum of
-conjugates of a trace-twisted coset sum, one per coset of the orbit's
-stabilizer E, and one matrix component M_d(F_{q^l}).
-The orbits and E come from one gather over the int32 table G.m of the
-multipliers by which N_G(D) acts on the cyclic quotient A/D (A contains
-G', so it is normal).
+Let m(g) be the multiplier by which g in N_G(D) acts on the cyclic
+quotient A/D of order n (A contains G', so it is normal), read for all of
+N_G(D) in one gather over the int32 table G.m.  Each triple, together with
+an orbit of the units mod n under M = <q>·m(N_G(D)), yields one primitive
+central idempotent e_C, C = j·<q> for the least unit j of the orbit, as a
+sum of conjugates of a trace-twisted coset sum, one per coset of the
+stabilizer E = {g : m(g) in <q>}, and one component M_{[G:A]}(F_{q^l}),
+l = o/[E:A] for o the order of q mod n.
 Every choice (the element that joins A next, the D of a class, the coset
 of an orbit) is the least one; the idempotents do not depend on it.
 triple_components is the per-triple step; the metacyclic fast path
@@ -59,43 +60,6 @@ from .groups import (
 
 
 # ---------------------------------------------------------------------------
-# q-cyclotomic cosets of generators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    modulus: int
-    members: tuple
-
-    @property
-    def rep(self):
-        return min(self.members)
-
-    def __repr__(self):
-        return f"C_{self.modulus}{set(self.members)}"
-
-
-def generator_cosets(n: int, q: int):
-    """The q-cyclotomic cosets of the generators of Z/n: the orbits of the
-    units mod n under multiplication by q, sorted by least member.  For
-    n = 1 the single coset {0}, as gcd(0, 1) = 1."""
-    units = [u for u in range(n) if gcd(u, n) == 1]
-    seen = set()
-    out = []
-    for u in units:
-        if u in seen:
-            continue
-        orbit = []
-        v = u
-        while v not in seen:
-            seen.add(v)
-            orbit.append(v)
-            v = v * q % n
-        out.append(CyclotomicCoset(n, tuple(sorted(orbit))))
-    return sorted(out, key=lambda c: c.rep)
-
-
-# ---------------------------------------------------------------------------
 # Cyclic quotient bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -130,49 +94,44 @@ def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
 # ---------------------------------------------------------------------------
 
 def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
-    """Orbits of the q-cyclotomic generator cosets mod n = [K:H] under the
-    action of N_G(H): g acts by C -> m·C where g^{-1}·gen·g lies in the
-    coset gen^m H.  K must contain G', so that it is normal and N_G(H) ∩
-    N_G(K) = N_G(H); the engine's A contains G'N and the fast path's
-    <a, b^{o_v}> contains <a> ⊇ G'.  Returns (reps, E) with the least coset
-    of each orbit and the common stabilizer subgroup E (checked independent
-    of the coset).  The m(g) form a group, so the orbit of C_i is read off
-    img[:, i], the indices of the cosets m·C_i."""
+    """The orbits of the q-cyclotomic generator cosets C = j·<q> of the
+    cyclic K/H of order n under N_G(H), where g acts by its multiplier m(g):
+    g^{-1}·gen·g lies in gen^{m(g)} H.  The m(g) and <q> are subgroups of
+    the units mod n, so the orbits are those of the units under
+    M = <q>·m(N_G(H)), and every coset has the stabilizer
+    E = {g in N_G(H) : m(g) in <q>}.  K must contain G', so that it is
+    normal and N_G(H) ∩ N_G(K) = N_G(H); the engine's A contains G'N and
+    the fast path's <a, b^{o_v}> contains <a> ⊇ G'.  Returns (js, E), js
+    the least unit of each orbit in increasing order (js = [0] for n = 1,
+    as gcd(0, 1) = 1)."""
     n, gen, e = cyclic_quotient_data(G, K, H)
-    cosets = generator_cosets(n, q)
     acting = np.flatnonzero(mask(G, normalizer(G, H)))
     x = G.m[G.m[G.inv_np[acting], gen], acting]  # g^-1 gen g
     if not mask(G, K)[x].all():
         raise InternalInconsistency("normalizer element does not stabilize K")
     mult = e[x]
-    mults = np.flatnonzero(np.bincount(mult, minlength=n))  # without repeats
-    label = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(cosets):
-        label[list(c.members)] = i
-    img = label[mults[:, None] * [c.rep for c in cosets] % n]
-    stab = img == np.arange(len(cosets))
-    if not (stab == stab[:, :1]).all():
-        raise InternalInconsistency("coset stabilizer varies across generator cosets")
-    E = Subgroup(G, acting[label[mult * cosets[0].rep % n] == 0].tolist())
-    leaders = np.flatnonzero(img.min(axis=0) == np.arange(len(cosets)))
-    return [cosets[i] for i in leaders], E
+    in_q = np.zeros(n, dtype=bool)
+    in_q[[pow(q, i, n) for i in range(mult_order(n, q))]] = True
+    M = np.unique(np.flatnonzero(in_q)[:, None] * np.unique(mult) % n)
+    js, seen = [], set()
+    for u in range(n):
+        if gcd(u, n) == 1 and u not in seen:
+            js.append(u)
+            seen.update((u * M % n).tolist())
+    return js, Subgroup(G, acting[in_q[mult]].tolist())
 
 
 # ---------------------------------------------------------------------------
 # Idempotents
 # ---------------------------------------------------------------------------
 
-def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
-                       C: CyclotomicCoset):
+def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int):
     """The trace-twisted coset-sum idempotent attached to (K, H) and the
-    generator coset C of Z/[K:H]:
+    generator coset C = j·<q> of Z/[K:H]:
         |K|^{-1} * sum_{g in K} tr(zeta^{j*e(g)}) * g^{-1},
-    j any member of C, zeta a primitive [K:H]-th root of unity."""
+    zeta a primitive [K:H]-th root of unity; every member of C gives it."""
     G, F = A.group, A.field
     n, gen, e = cyclic_quotient_data(G, K, H)
-    if C.modulus != n:
-        raise ValueError(f"coset modulus {C.modulus} != [K:H] = {n}")
-    j = C.rep
     tr = F.cyclotomic_traces(n)
     kinv = F.inv(F.from_int(K.order % F.p))
     coeffs = np.zeros(G.order, dtype=np.int16)
@@ -181,14 +140,15 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
     return AlgebraElement(A, F.mul_np[kinv, coeffs])
 
 
-def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup,
-                  C: CyclotomicCoset, E: Subgroup):
-    """Sum of the G-conjugates of the (K, H, C) idempotent, one per right
-    coset of its centralizer E, the stabilizer of C from coset_orbits; row i
-    of one gather is the conjugate x_i^-1·eps·x_i, coefficients eps[x_i h x_i^-1]."""
+def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int,
+                  E: Subgroup):
+    """e_C(G, K, H) for C = j·<q>: the sum of the G-conjugates of the
+    (K, H, j) idempotent, one per right coset of its centralizer E, the
+    g in N_G(H) whose multiplier lies in <q> (coset_orbits); row i of one
+    gather is the conjugate x_i^-1·eps·x_i, coefficients eps[x_i h x_i^-1]."""
     G = A.group
     xs = np.array(transversal(G, E))
-    rows = epsilon_idempotent(A, K, H, C).coeffs[G.m[G.m[xs], G.inv_np[xs][:, None]]]
+    rows = epsilon_idempotent(A, K, H, j).coeffs[G.m[G.m[xs], G.inv_np[xs][:, None]]]
     # one void scalar per row: np.unique(rows, axis=0) builds a field per column
     as_bytes = rows.view(f"V{rows.itemsize * G.order}")[:, 0]
     _, first, which = np.unique(as_bytes, return_index=True, return_inverse=True)
@@ -315,32 +275,20 @@ def shoda_triples(G: FiniteGroup):
     return out
 
 
-def component_params(G: FiniteGroup, tr: Triple, E: Subgroup, q: int):
-    """Matrix size d and extension degree l of the component attached to a
-    triple and its coset-orbit stabilizer E."""
-    d = G.order // tr.A.order
-    n = tr.A.order // tr.D.order
-    if not tr.A.member_set <= E.member_set:
-        raise InternalInconsistency("A not contained in the coset stabilizer")
-    ord_q = mult_order(n, q)
-    ind = E.order // tr.A.order
-    if E.order % tr.A.order or ord_q % ind:
-        raise InternalInconsistency(
-            f"stabilizer index {E.order}/{tr.A.order} does not divide ord({q}) mod {n}")
-    return d, ord_q // ind
-
-
 # ---------------------------------------------------------------------------
 # Decomposition driver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ComponentDescriptor:
+    """The component M_d(F_{q^l}) of F_q[G] with primitive central
+    idempotent e_C(G, triple.A, triple.D), C = j·<q> the least unit j of its
+    orbit under <q>·m(N_G(D)) (coset_orbits)."""
     d: int
     l: int
     idempotent: object
     triple: Triple
-    coset: CyclotomicCoset
+    j: int
 
     @property
     def dim(self):
@@ -349,12 +297,21 @@ class ComponentDescriptor:
 
 def triple_components(A: GroupAlgebra, tr: Triple):
     """The components of one triple, one per orbit of generator cosets
-    (coset_orbits), all with the (d, l) of the orbits' stabilizer E."""
-    G = A.group
-    reps, E = coset_orbits(G, tr.A, tr.D, A.q)
-    d, l = component_params(G, tr, E, A.q)
-    return [ComponentDescriptor(d, l, ec_idempotent(A, tr.A, tr.D, C, E), tr, C)
-            for C in reps]
+    (coset_orbits), all M_d(F_{q^l}) with d = [G:A] and l = o/[E:A], o the
+    order of q mod n = [A:D] and E the stabilizer of every coset."""
+    G, q = A.group, A.q
+    js, E = coset_orbits(G, tr.A, tr.D, q)
+    if not tr.A.member_set <= E.member_set:
+        raise InternalInconsistency("A not contained in the coset stabilizer")
+    n = tr.A.order // tr.D.order
+    ord_q = mult_order(n, q)
+    ind = E.order // tr.A.order
+    if E.order % tr.A.order or ord_q % ind:
+        raise InternalInconsistency(
+            f"stabilizer index {E.order}/{tr.A.order} does not divide ord({q}) mod {n}")
+    d, l = G.order // tr.A.order, ord_q // ind
+    return [ComponentDescriptor(d, l, ec_idempotent(A, tr.A, tr.D, j, E), tr, j)
+            for j in js]
 
 
 @dataclass

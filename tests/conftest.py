@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -44,7 +45,6 @@ from grpalg.idempotents import (
     _kernel_conjugates,
     cyclic_quotient_data,
     d_classes,
-    generator_cosets,
 )
 from grpalg.metacyclic import o_v
 from grpalg.oracle import _poly_inverse_mod
@@ -313,10 +313,45 @@ def full_associativity_witness(m):
     return None
 
 
+@dataclass(frozen=True)
+class CyclotomicCoset:
+    modulus: int
+    members: tuple
+
+    @property
+    def rep(self):
+        return min(self.members)
+
+    def __repr__(self):
+        return f"C_{self.modulus}{set(self.members)}"
+
+
+def generator_cosets(n: int, q: int):
+    """The q-cyclotomic cosets of the generators of Z/n: the orbits of the
+    units mod n under multiplication by q, sorted by least member.  For
+    n = 1 the single coset {0}, as gcd(0, 1) = 1."""
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    seen = set()
+    out = []
+    for u in units:
+        if u in seen:
+            continue
+        orbit = []
+        v = u
+        while v not in seen:
+            seen.add(v)
+            orbit.append(v)
+            v = v * q % n
+        out.append(CyclotomicCoset(n, tuple(sorted(orbit))))
+    return sorted(out, key=lambda c: c.rep)
+
+
 def coset_orbits_reference(G, K, H, q):
-    """coset_orbits by closure loops: each orbit grown by BFS under the set
-    of multipliers, and the stabilizer of each coset found element by
-    element.  The reference for the one-gather coset_orbits."""
+    """coset_orbits by closure loops over coset objects: each orbit of
+    q-cyclotomic generator cosets grown by BFS under the set of
+    multipliers, and the stabilizer of each coset found element by element
+    and asserted equal for every coset.  Returns (js, E) with js the least
+    member of the least coset of each orbit."""
     n, gen, e = cyclic_quotient_data(G, K, H)
     cosets = generator_cosets(n, q)
     NH = normalizer(G, H)
@@ -355,7 +390,7 @@ def coset_orbits_reference(G, K, H, q):
         E_members = stab
     reps = sorted((by_members[min(orbit, key=min)] for orbit in orbits),
                   key=lambda c: c.rep)
-    return reps, Subgroup(G, E_members)
+    return [c.rep for c in reps], Subgroup(G, E_members)
 
 
 def convolution_reference(A, x, y):

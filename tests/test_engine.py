@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     ALL_METACYCLIC,
     PRIMES,
+    CyclotomicCoset,
     basis_vector,
     conjugate_subgroup,
     core,
@@ -16,6 +17,7 @@ from conftest import (
     direct_product,
     elementary_abelian,
     full_product,
+    generator_cosets,
     is_idempotent,
     lattice,
     normal_subgroups,
@@ -43,7 +45,6 @@ from grpalg.groups import (
     subgroup_closure,
 )
 from grpalg.idempotents import (
-    CyclotomicCoset,
     Triple,
     WedderburnSummary,
     _kernel_conjugates,
@@ -54,7 +55,6 @@ from grpalg.idempotents import (
     decompose,
     ec_idempotent,
     epsilon_idempotent,
-    generator_cosets,
     shoda_triples,
     triple_components,
 )
@@ -185,34 +185,33 @@ def test_shoda_triples_d8_count():
 
 
 def test_epsilon_hand_value_s3_f5():
-    # epsilon for K = <a>, H = 1, C = {1,2}: 3^{-1} sum tr(zeta^e(g)) g^{-1}
+    # epsilon for K = <a>, H = 1, C = 1·<5> = {1,2}: 3^{-1} sum tr(zeta^e(g)) g^{-1}
     # tr: F_25 -> F_5, tr(1) = 2, tr(zeta) = tr(zeta^2) = -1 = 4
     # => 2*(2 + 4a + 4a^2) = 4 + 3a + 3a^2
     A = GroupAlgebra(S3, make_field(5))
     K = subgroup_closure(S3, [2])
     H = Subgroup(S3, (0,))
-    C = generator_cosets(3, 5)[0]
-    eps = epsilon_idempotent(A, K, H, C)
+    eps = epsilon_idempotent(A, K, H, 1)
     assert list(eps.coeffs) == [4, 0, 3, 0, 3, 0]
     assert is_idempotent(eps)
     # it is already central in F_5[S3]: e_C = epsilon here
     _, E = coset_orbits(S3, K, H, 5)
-    e = ec_idempotent(A, K, H, C, E)
+    e = ec_idempotent(A, K, H, 1, E)
     assert e.key() == eps.key()
     # over F_7 the coset C = {1} is not -C, and a * eps = zeta * eps pins
     # the g^{-1} in the sum: with g it would be zeta^{-1} * eps
     A7 = GroupAlgebra(S3, make_field(7))
-    eps7 = epsilon_idempotent(A7, K, H, generator_cosets(3, 7)[0])
+    eps7 = epsilon_idempotent(A7, K, H, 1)
     F7 = A7.field
     zeta = F7.cyclotomic_traces(3)[1]
     assert np.array_equal(full_product(A7, basis_vector(A7, 2), eps7.coeffs),
                           F7.mul_np[zeta, eps7.coeffs])
 
 
-def ec_idempotent_reference(A, K, H, C):
+def ec_idempotent_reference(A, K, H, j):
     """The sum of the distinct conjugates x^-1·epsilon·x over all of G, each
     a product with basis elements."""
-    eps = epsilon_idempotent(A, K, H, C).coeffs
+    eps = epsilon_idempotent(A, K, H, j).coeffs
     seen = set()
     total = np.zeros(A.group.order, dtype=np.int16)
     for x in range(A.group.order):
@@ -232,15 +231,15 @@ def test_ec_idempotent_matches_all_conjugate_sum(G):
     for q in [q for q in PRIMES if G.order % q][:2]:
         A = GroupAlgebra(G, make_field(q))
         for tr in shoda_triples(G):
-            reps, E = coset_orbits(G, tr.A, tr.D, q)
-            for C in reps:
-                assert ec_idempotent(A, tr.A, tr.D, C, E) == \
-                    ec_idempotent_reference(A, tr.A, tr.D, C)
+            js, E = coset_orbits(G, tr.A, tr.D, q)
+            for j in js:
+                assert ec_idempotent(A, tr.A, tr.D, j, E) == \
+                    ec_idempotent_reference(A, tr.A, tr.D, j)
         if "params" in G.meta:
             _, descriptors = metacyclic_decompose(params_of(G), make_field(q))
             for dsc in descriptors:  # in the algebra of params_of(G).group()
                 assert dsc.idempotent == ec_idempotent_reference(
-                    dsc.idempotent.algebra, dsc.triple.A, dsc.triple.D, dsc.coset)
+                    dsc.idempotent.algebra, dsc.triple.A, dsc.triple.D, dsc.j)
 
 
 def test_ec_idempotent_repeated_conjugate_raises():
@@ -248,9 +247,8 @@ def test_ec_idempotent_repeated_conjugate_raises():
     A = GroupAlgebra(S3, make_field(5))
     K = subgroup_closure(S3, [2])
     H = Subgroup(S3, (0,))
-    C = generator_cosets(3, 5)[0]
     with pytest.raises(InternalInconsistency, match="repeats another"):
-        ec_idempotent(A, K, H, C, K)
+        ec_idempotent(A, K, H, 1, K)
 
 
 def test_ec_idempotent_names_the_first_repeating_conjugate():
@@ -258,22 +256,36 @@ def test_ec_idempotent_names_the_first_repeating_conjugate():
     # first; the witness is the first transversal element that repeats
     A = GroupAlgebra(S3, make_field(5))
     K = subgroup_closure(S3, [2])
-    C = generator_cosets(3, 5)[0]
     with pytest.raises(InternalInconsistency, match="^conjugate by 1 repeats another"):
-        ec_idempotent(A, K, Subgroup(S3, (0,)), C, Subgroup(S3, (0,)))
+        ec_idempotent(A, K, Subgroup(S3, (0,)), 1, Subgroup(S3, (0,)))
 
 
 def test_coset_orbit_stabilizer_s3():
     K = subgroup_closure(S3, [2])
     H = Subgroup(S3, (0,))
-    reps, E = coset_orbits(S3, K, H, 5)
+    js, E = coset_orbits(S3, K, H, 5)
     # conjugation by b maps C -> 2C = C, so everything is stable: E = G
     assert E.order == 6
-    assert len(reps) == 1
+    assert js == [1]
     # q = 7: cosets mod 3 are {1} and {2}; b swaps them, so only K = <a>
     # stabilizes and the two cosets form one orbit
-    reps7, E7 = coset_orbits(S3, K, H, 7)
-    assert len(reps7) == 1 and E7.order == 3
+    js7, E7 = coset_orbits(S3, K, H, 7)
+    assert js7 == [1] and E7.order == 3
+
+
+def test_coset_orbits_hand_case_m8():
+    """M(8,2,0,3) = <a, b | a^8, b^2, b^-1 a b = a^3>, K = <a>, H = 1, q = 5:
+    <5> = {1, 5} and m(N_G(H)) = {1, 3} are both nontrivial, and
+    M = <5>·{1, 3} is every unit mod 8, so the cosets {1, 5} and {3, 7}
+    form one orbit with least unit 1.  E = {g : m(g) in <5>} = <a>, as b
+    acts by 3.  The component is M_2(F_{5^l}) with l = ord_8(5)/[E:A] = 2."""
+    G = metacyclic_group(8, 2, 0, 3)
+    K = subgroup_closure(G, [2])  # <a>
+    H = Subgroup(G, (0,))
+    assert K.order == 8
+    assert coset_orbits(G, K, H, 5) == ([1], K)
+    [dsc] = triple_components(GroupAlgebra(G, make_field(5)), Triple(N=H, D=H, A=K))
+    assert (dsc.d, dsc.l, dsc.j) == (2, 2, 1)
 
 
 def _coset_cases(source):
@@ -295,7 +307,7 @@ def _coset_cases(source):
     "source", corpus_groups() + ALL_METACYCLIC,
     ids=lambda s: f"fast{s}" if isinstance(s, tuple) else s.name)
 def test_coset_orbits_match_reference(source):
-    """The one-gather coset_orbits gives the loop reference's (reps, E) on
+    """The one-gather coset_orbits gives the loop reference's (js, E) on
     the engine's triples of a corpus group or the fast path's (K, H) pairs
     of a presentation, for every coprime q."""
     for G, K, H in _coset_cases(source):
@@ -319,15 +331,15 @@ def test_coset_choice_independence():
                      for g in normalizer(G, H).members}
             for q in [q for q in (2, 3, 5, 7, 11) if gcd(q, G.order) == 1][:2]:
                 A = GroupAlgebra(G, make_field(q))
-                reps, E = coset_orbits(G, K, H, q)
-                key = {C: ec_idempotent(A, K, H, C, E).key()
+                js, E = coset_orbits(G, K, H, q)
+                key = {C: ec_idempotent(A, K, H, C.rep, E).key()
                        for C in generator_cosets(n, q)}
                 for C in key:  # the m·C, m over a group, are the orbit of C
                     orbit = {CyclotomicCoset(n, tuple(sorted(m * u % n
                                                              for u in C.members)))
                              for m in mults}
                     assert {key[D] for D in orbit} == {key[C]}
-                assert len(set(key.values())) == len(reps)
+                assert len(set(key.values())) == len(js)
                 cases += 1
     assert cases > 200
 

@@ -364,6 +364,13 @@ def test_cayley_parse_errors():
         parse_cayley("order 2\n0 1\n1 2\n")
     with pytest.raises(ValueError):
         parse_cayley("order 2\n0 1\n1 0\nlabel 5 z\n")
+    for n in (-1, 0):  # not read as a trailing line or an empty table
+        with pytest.raises(ValueError, match="^malformed order line$"):
+            parse_cayley(f"order {n}\n")
+    with pytest.raises(ValueError, match="^bad table row: '0 x'$"):
+        parse_cayley("order 2\n0 x\n1 0\n")
+    with pytest.raises(ValueError, match="^bad label index: 'label x b'$"):
+        parse_cayley("order 2\n0 1\n1 0\nlabel x b\n")
     # comments and blank lines are fine
     G = parse_cayley("# Z2\norder 2\n\n0 1\n1 0\nlabel 1 g\n")
     assert G.order == 2 and G.labels[1] == "g"

@@ -93,6 +93,19 @@ def test_engine_idempotents_equal_oracle_elements():
         assert set(engine) == set(twins.values())
 
 
+def test_same_field_by_another_cache_key_gives_equal_elements():
+    """make_field(5), make_field(5, 1) and make_field(p=5) are three
+    lru_cache keys and three BaseField objects of one field; the engine's
+    idempotents over one equal center_split's blocks over another."""
+    fields = [make_field(5), make_field(5, 1), make_field(p=5)]
+    assert len({id(F) for F in fields}) == 3
+    engine = {d.idempotent for d in decompose(S3, fields[0])[1]}
+    for F in fields[1:]:
+        blocks = set(center_split(S3, F))
+        assert {e.key() for e in blocks} == {e.key() for e in engine}
+        assert blocks == engine
+
+
 def test_repeated_minimal_polynomial_factor_not_semisimple(monkeypatch):
     # past the gcd(q, |G|) check, the class sum of the transpositions of
     # S3 over F_3 squares to 0, so its minimal polynomial x^2 is not
