@@ -15,9 +15,10 @@ No extension field F_{q^s} is ever built.  The idempotents only need the
 traces tr(zeta^k) of a primitive n-th root of unity zeta, and those lie in
 F_q: they are the power sums of the roots of one irreducible factor of the
 cyclotomic polynomial Phi_n over F_q (BaseField.cyclotomic_traces, memoized
-on the field object that make_field caches per (p, a)).  Factoring is
-for squarefree input only: the minimal polynomials the oracle splits are
-squarefree whenever F_q[G] is semisimple.  It is Cantor-Zassenhaus as
+on the field object that make_field caches per (p, a), as are the
+factorizations of factor_polynomial).  Factoring is for squarefree input
+only: the minimal polynomials the oracle splits are squarefree whenever
+F_q[G] is semisimple.  It is Cantor-Zassenhaus as
 published: one distinct-degree loop (which also serves Ben-Or's
 irreducibility test), then equal-degree splitting with random candidates
 from a generator seeded with a constant, so every result depends only on
@@ -197,8 +198,9 @@ MAX_BASE_ORDER = 4096
 
 
 class BaseField:
-    """F_{p^a} with table-backed arithmetic on integer element indices, and
-    the cyclotomic trace tables of the idempotents, memoized per instance.
+    """F_{p^a} with table-backed arithmetic on integer element indices; the
+    cyclotomic trace tables of the idempotents and the factorizations of
+    factor_polynomial are memoized per instance.
 
     The int16 arrays add_np, mul_np, neg_np and inv_np (inv_np[0] = 0) are
     the only tables; the scalar ops read them through one memoryview per
@@ -229,7 +231,7 @@ class BaseField:
         self._add = [memoryview(row) for row in self.add_np]
         self._mul = [memoryview(row) for row in self.mul_np]
         self._neg, self._inv = memoryview(self.neg_np), memoryview(self.inv_np)
-        self._traces = {}
+        self._traces, self._factors = {}, {}
 
     def _prime_power_tables(self, prime):
         """int16 add and mul tables of F_{p^a}, a >= 2, in O(a) numpy calls:
@@ -397,8 +399,15 @@ def factor_polynomial(F: BaseField, f):
     """The monic irreducible factors of a squarefree monic polynomial over
     F_q, sorted by (degree, coefficient-lex): the distinct-degree pieces,
     each split by equal-degree splitting.  ValueError for a constant,
-    non-monic or non-squarefree (gcd(f, f') != 1) f."""
+    non-monic or non-squarefree (gcd(f, f') != 1) f.
+
+    Memoized on F, keyed by the trimmed coefficient tuple: only a result
+    that passed every check is stored, as a tuple of tuples, and each call
+    returns a fresh list; a rejected f raises again on every call."""
     f = poly_trim(list(f))
+    key = tuple(f)
+    if key in F._factors:
+        return list(F._factors[key])
     if poly_deg(f) < 1:
         raise ValueError("degree must be >= 1")
     if f[-1] != F.one:
@@ -412,7 +421,9 @@ def factor_polynomial(F: BaseField, f):
         check = poly_mul(F, check, list(h))
     if check != f:
         raise InternalInconsistency("factorization does not re-multiply")
-    return sorted(factors, key=lambda h: (len(h), tuple(F.coeffs_of(c) for c in h)))
+    F._factors[key] = tuple(sorted(
+        factors, key=lambda h: (len(h), tuple(F.coeffs_of(c) for c in h))))
+    return list(F._factors[key])
 
 
 def _distinct_degree(F, f):

@@ -195,14 +195,19 @@ def is_normal(G, H: Subgroup) -> bool:
 
 
 def derived_subgroup(G) -> Subgroup:
+    """G' = <[x, y] : x in X, y in G> for a generating set X of G, with
+    [x, y] = x^-1 y^-1 x y, the commutators taken in one gather.
+
+    The right side H lies in G'.  It is normal: [x, y]^g = [x, g]^-1
+    [x, yg], a product of generators of H.  Modulo H every x in X commutes
+    with every y, so G/H is generated by central elements and is abelian,
+    which puts G' inside H."""
     if "derived" in G._cache:
         return G._cache["derived"]
     M, inv = G.m, G.inv_np
-    ys = np.arange(G.order)
-    comms = np.zeros(G.order, dtype=bool)
-    for x in range(G.order):
-        comms[M[M[M[inv[x], inv], x], ys]] = True  # [x, y] = x^-1 y^-1 x y
-    H = subgroup_closure(G, np.flatnonzero(comms).tolist())
+    xs = np.array(generators(M, range(G.order)), dtype=np.int64)[:, None]
+    comms = M[M[M[inv[xs], inv[None, :]], xs], np.arange(G.order)[None, :]]
+    H = subgroup_closure(G, np.unique(comms).tolist())
     G._cache["derived"] = H
     return H
 
@@ -406,18 +411,20 @@ def d2_group(m: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def parse_cayley(text: str) -> FiniteGroup:
-    """Parse the plain-text table format: a line `order N` with N >= 1, then
-    N rows of N whitespace-separated indices, then optional `label I NAME`
-    lines; `#` comments and blank lines are skipped.  A malformed file
-    raises ValueError; a bad row or label line is quoted in the message."""
+    """Parse the plain-text table format: a line of exactly the two tokens
+    `order N`, N >= 1, then N rows of N whitespace-separated indices, then
+    optional `label I NAME` lines; `#` comments and blank lines are
+    skipped.  A malformed file raises ValueError; a bad row or label line
+    is quoted in the message."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("order"):
         raise ValueError("expected first line 'order N'")
+    toks = lines[0].split()
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError("malformed order line") from exc
+        n = int(toks[1]) if len(toks) == 2 and toks[0] == "order" else 0
+    except ValueError:
+        n = 0
     if n < 1:
         raise ValueError("malformed order line")
     _check_order(n)

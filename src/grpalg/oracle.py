@@ -16,8 +16,10 @@ stays the independent count.  Only the final blocks are lifted to |G|
 coordinates.  The oracle shares
 with the engine only the group table, `conjugacy_classes` with its
 `class_index`, the field tables with `BaseField.sum_rows` and the
-squarefree `factor_polynomial`; it uses none of the engine's subgroups,
-triples or group-algebra products.
+squarefree `factor_polynomial` with its memo on the field, so a minimal
+polynomial met again, in this split or in another group's over the same
+field, is factored once; it uses none of the engine's subgroups, triples
+or group-algebra products.
 """
 
 from __future__ import annotations

@@ -81,9 +81,13 @@ def test_bad_cayley_table_exit_2(capsys, tmp_path, name):
 @pytest.mark.parametrize("text, message", [
     ("order -1\n", "malformed order line"),
     ("order 0\n", "malformed order line"),
+    ("orderly 2\n0 1\n1 0\n", "malformed order line"),
+    ("order 2 junk\n0 1\n1 0\n", "malformed order line"),
+    ("order\n0 1\n1 0\n", "malformed order line"),
     ("order 2\n0 x\n1 0\n", "bad table row: '0 x'"),
     ("order 2\n0 1\n1 0\nlabel x b\n", "bad label index: 'label x b'"),
-], ids=["order_negative", "order_zero", "row_not_integer", "label_not_integer"])
+], ids=["order_negative", "order_zero", "order_word_longer", "order_extra_token",
+        "order_missing", "row_not_integer", "label_not_integer"])
 def test_malformed_cayley_message_names_the_line(capsys, tmp_path, text, message):
     path = tmp_path / "g.cayley"
     path.write_text(text)

@@ -22,7 +22,9 @@ from grpalg.field import (
     lex_least_irreducible,
     make_field,
     mult_order,
+    poly_deriv,
     poly_divmod,
+    poly_gcd,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -346,6 +348,40 @@ def test_factor_known_values():
     # char 2 equal-degree split: x^4 + x = x (x + 1)(x^2 + x + 1)
     assert factor_polynomial(BaseField(2), [0, 1, 0, 0, 1]) == \
         [(0, 1), (1, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_factor_memo_matches_fresh_field(p, a):
+    # a filled memo returns what an uncached field computes
+    F, rng = BaseField(p, a), random.Random(100 * p + a)
+    polys = []
+    while len(polys) < 25:
+        f = poly_trim([rng.randrange(F.q) for _ in range(rng.randint(1, 8))] + [1])
+        if len(poly_gcd(F, f, poly_deriv(F, f))) == 1:  # squarefree
+            polys.append(f)
+    first = [factor_polynomial(F, f) for f in polys]
+    assert all(tuple(f) in F._factors for f in polys)
+    for f, factors in zip(polys, first):
+        assert factor_polynomial(F, f) == factors == factor_polynomial(BaseField(p, a), f)
+
+
+def test_factor_memo_returns_fresh_lists():
+    F = BaseField(3)
+    got = factor_polynomial(F, [0, 2, 0, 1])
+    got.append((1, 0, 1))
+    got[0] = (2, 1)
+    assert factor_polynomial(F, [0, 2, 0, 1]) == [(0, 1), (1, 1), (2, 1)]
+    assert factor_polynomial(F, [0, 2, 0, 1]) is not factor_polynomial(F, [0, 2, 0, 1])
+
+
+def test_factor_rejections_are_not_memoized():
+    F = BaseField(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not squarefree"):
+            factor_polynomial(F, [1, 2, 1])  # (x + 1)^2
+        with pytest.raises(ValueError, match="monic"):
+            factor_polynomial(F, [1, 2])
+    assert F._factors == {}
 
 
 def test_factor_rejects_nonmonic_and_constant():

@@ -20,7 +20,9 @@ from conftest import (
     metacyclic_table_loop,
     normal_subgroups,
     random_loop,
+    random_metabelian_groups,
     relabeled,
+    s4_group,
 )
 from grpalg import groups
 from grpalg.errors import (
@@ -220,8 +222,19 @@ def test_normal_subgroups_match_lattice(G):
     assert [N.members for N in normal_subgroups(G)] == brute
 
 
-@pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
+def non_corpus_groups():
+    """S4 (not metabelian), the trivial group, S4 relabeled and relabeled
+    random direct products."""
+    s4 = s4_group()
+    return ([s4, FiniteGroup([[0]], name="trivial"),
+             FiniteGroup(relabeled(s4.m, random.Random(7))[0], name="S4~")]
+            + random_metabelian_groups(8, seed=23))
+
+
+@pytest.mark.parametrize("G", corpus_groups() + non_corpus_groups(),
+                         ids=lambda G: G.name)
 def test_classes_and_derived_match_loops(G):
+    # derived_subgroup takes x over a generating set only; here all pairs
     t, inv = G.m.tolist(), G.inv_np.tolist()
     classes, seen = [], set()
     for g in range(G.order):
@@ -367,6 +380,10 @@ def test_cayley_parse_errors():
     for n in (-1, 0):  # not read as a trailing line or an empty table
         with pytest.raises(ValueError, match="^malformed order line$"):
             parse_cayley(f"order {n}\n")
+    # the order line is exactly the two tokens `order N`
+    for line in ("orderly 2", "orderly 2 junk", "order 2 junk", "order"):
+        with pytest.raises(ValueError, match="^malformed order line$"):
+            parse_cayley(f"{line}\n0 1\n1 0\n")
     with pytest.raises(ValueError, match="^bad table row: '0 x'$"):
         parse_cayley("order 2\n0 x\n1 0\n")
     with pytest.raises(ValueError, match="^bad label index: 'label x b'$"):

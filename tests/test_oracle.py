@@ -19,9 +19,9 @@ from conftest import (
     relabeled,
 )
 from grpalg.algebra import GroupAlgebra
-from grpalg import oracle
+from grpalg import field, oracle
 from grpalg.errors import InternalInconsistency, NotSemisimple
-from grpalg.field import make_field
+from grpalg.field import BaseField, make_field
 from grpalg.groups import FiniteGroup, d1_group, d2_group, metacyclic_group
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import MetacyclicParams, metacyclic_decompose
@@ -153,6 +153,29 @@ def test_early_stop_cannot_fire_on_unsplit_class_sum(monkeypatch):
     assert blocks_at[:4] == [1, 1, 2, 2]
     assert len(ids) == q_class_count(G, 2) == 5
     assert keys(ids) == keys(center_split_reference(G, F))
+
+
+def test_center_split_factors_each_minimal_polynomial_once(monkeypatch):
+    # Z_3^4 over F_2: the split asks for 992 factorizations of 3 distinct
+    # minimal polynomials, and the field's memo runs the distinct-degree
+    # loop once for each of them
+    counts = {"factor": 0, "distinct_degree": 0}
+
+    def counted(name, inner):
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "factor_polynomial",
+                        counted("factor", oracle.factor_polynomial))
+    monkeypatch.setattr(field, "_distinct_degree",
+                        counted("distinct_degree", field._distinct_degree))
+    F = BaseField(2)
+    ids = center_split(elementary_abelian(3, 4), F)
+    assert counts == {"factor": 992, "distinct_degree": 3}
+    assert len(F._factors) == 3
+    assert keys(ids) == keys(center_split(elementary_abelian(3, 4), make_field(2)))
 
 
 def test_blocks_not_summing_to_one_is_inconsistent(monkeypatch):
