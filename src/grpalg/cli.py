@@ -151,7 +151,7 @@ def cmd_decompose(args, emit_idem):
 
 def cmd_verify(args):
     G, F, rep = _start(args, "verify")
-    summary, descriptors = decompose(G, F, validate=True)
+    summary, descriptors = decompose(G, F)
     _emit_summary(rep, "wedderburn", summary)
     engine_set = sorted(d.idempotent.key() for d in descriptors)
     oracle_set = sorted(e.key() for e in center_split(G, F))

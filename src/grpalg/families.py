@@ -12,7 +12,6 @@ full dimension 2^{m+2}.
 from __future__ import annotations
 
 from .errors import EvenQ, InternalInconsistency, NoClosedForm
-from .groups import d1_group, d1_index, is_normal, subgroup_closure
 from .idempotents import WedderburnSummary
 
 
@@ -95,48 +94,3 @@ def d2_closed_form(m: int, q: int) -> WedderburnSummary:
                 amap[(1, 1 << (a - lam))] = 1 << lam
             amap[(2, 1 << (m - lam))] = 1 << (lam - 1)
     return _checked(amap, m, q)
-
-
-def d1_normal_subgroup_list(m: int):
-    """The non-identity normal subgroups of d1_group(m), by generator data:
-      (i)   <t^{2^a}, x>, <t^{2^a}, y>, <t^{2^a}, xy>, <t^{2^a}, x, y>
-            for 0 <= a <= m-1;
-      (ii)  <t^{2^b} x>, <t^{2^b} y>, <t^{2^{m-1}}, t^{2^b} xy>,
-            <t^{2^{m-1}}, x, t^{2^b} y>, <t^{2^{m-1}}, t^{2^b} x, y>,
-            <t^{2^b} x, t^{2^b} y> for 0 <= b <= m-2;
-      (iii) <t^{2^c}> for 0 <= c <= m-1.
-    Asserted distinct and normal; sorted by (order, members)."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    G = d1_group(m)
-
-    def el(c, e, f):
-        return d1_index(m, c, e, f)
-
-    zc = 1 << (m - 1)  # exponent of the commutator t^{2^{m-1}}
-    gens_list = []
-    for a in range(m):
-        p = 1 << a
-        gens_list += [[el(p, 0, 0), el(0, 1, 0)],
-                      [el(p, 0, 0), el(0, 0, 1)],
-                      [el(p, 0, 0), el(0, 1, 1)],
-                      [el(p, 0, 0), el(0, 1, 0), el(0, 0, 1)]]
-    for b in range(m - 1):
-        p = 1 << b
-        gens_list += [[el(p, 1, 0)],
-                      [el(p, 0, 1)],
-                      [el(zc, 0, 0), el(p, 1, 1)],
-                      [el(zc, 0, 0), el(0, 1, 0), el(p, 0, 1)],
-                      [el(zc, 0, 0), el(p, 1, 0), el(0, 0, 1)],
-                      [el(p, 1, 0), el(p, 0, 1)]]
-    for c in range(m):
-        gens_list.append([el(1 << c, 0, 0)])
-    out = {}
-    for gens in gens_list:
-        H = subgroup_closure(G, gens)
-        if H.members in out:
-            raise InternalInconsistency(f"duplicate listed subgroup {H.members}")
-        if not is_normal(G, H):
-            raise InternalInconsistency(f"listed subgroup not normal: {gens}")
-        out[H.members] = H
-    return sorted(out.values(), key=lambda H: (H.order, H.members))

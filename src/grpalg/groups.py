@@ -1,12 +1,12 @@
 """Finite groups as explicit multiplication tables, plus the subgroup
 machinery the engine needs, all computed inside G itself: closures,
-normality, conjugacy, normalizers, and the subgroups A over a normal N
-with A/N maximal abelian over (G/N)'.  No quotient group and no subgroup
-lattice is ever built: the engine takes its normal subgroups from
-character kernels, whose cores it reads off their conjugates
-(idempotents.shoda_triples).  Also constructors for the group families
-the package cares about (metacyclic presentations and two 2-group
-families given by normal forms) and the Cayley-table text format.
+conjugacy, normalizers, and the subgroups A over a normal N with A/N
+maximal abelian over (G/N)'.  No quotient group and no subgroup lattice is
+ever built: the engine takes its normal subgroups from character kernels,
+whose cores it reads off their conjugates (idempotents.shoda_triples).
+Also constructors for the group families the package cares about
+(metacyclic presentations and two 2-group families given by normal forms)
+and the parser of the Cayley-table text format.
 
 A table is the one int32 array `m`, checked with array operations: shape,
 range, identity and inverses directly, associativity by Light's test over
@@ -188,10 +188,6 @@ def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by gens; a long list of gens costs one
     membership test per element already reached."""
     return Subgroup(G, _closure(G.m, gens)[1])
-
-
-def is_normal(G, H: Subgroup) -> bool:
-    return normalizer(G, H).order == G.order
 
 
 def derived_subgroup(G) -> Subgroup:
@@ -391,10 +387,6 @@ def d1_group(m: int) -> FiniteGroup:
                        name=f"D1({m})", meta={"family": "d1", "m": m})
 
 
-def d1_index(m: int, c: int, e: int, f: int) -> int:
-    return (c % (1 << m)) * 4 + (e % 2) * 2 + (f % 2)
-
-
 @lru_cache(maxsize=None)
 def d2_group(m: int) -> FiniteGroup:
     """Order 2^{m+2} group <a, b | a^{2^{m+1}} = 1, b^2 = a^2,
@@ -452,13 +444,3 @@ def parse_cayley(text: str) -> FiniteGroup:
             raise ValueError(f"label index out of range: {ln!r}")
         labels[idx] = toks[2]
     return FiniteGroup(np.array(table), labels=labels, name=f"cayley{n}")
-
-
-def format_cayley(G: FiniteGroup) -> str:
-    out = [f"order {G.order}"]
-    for row in G.m.tolist():
-        out.append(" ".join(map(str, row)))
-    for i, lab in enumerate(G.labels):
-        if lab != f"g{i}":
-            out.append(f"label {i} {lab}")
-    return "\n".join(out) + "\n"

@@ -371,30 +371,32 @@ def decompose(G: FiniteGroup, F: BaseField, validate=True):
     """Primitive central idempotents and Wedderburn components of F_q[G].
 
     Returns (WedderburnSummary, [ComponentDescriptor]).  Raises NotSemisimple
-    if gcd(q, |G|) != 1 and NotMetabelian if G is not metabelian.  With
-    validate=True the idempotents are checked to be nonzero, idempotent,
-    central, pairwise orthogonal, and to sum to 1, and the dimensions to add
-    to |G| (InvariantViolation otherwise).
+    if gcd(q, |G|) != 1 and NotMetabelian if G is not metabelian.  The
+    idempotents are always checked to be nonzero, idempotent, central,
+    pairwise orthogonal, and to sum to 1, and the dimensions to add to |G|
+    (InvariantViolation otherwise).  `validate` stays only because
+    perfbench/run.py passes validate=True; any other value is a ValueError.
     """
+    if validate is not True:
+        raise ValueError("decompose always validates; validate must be True")
     if gcd(F.q, G.order) != 1:
         raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
     if not is_metabelian(G):
         raise NotMetabelian(f"{G.name} is not metabelian")
     A = GroupAlgebra(G, F)
     descriptors = [dsc for tr in shoda_triples(G) for dsc in triple_components(A, tr)]
-    return summarize(A, descriptors, validate)
+    return summarize(A, descriptors)
 
 
-def summarize(A: GroupAlgebra, descriptors, validate=True):
-    """(WedderburnSummary, descriptors) for the components found in A; with
-    validate=True the invariant suite of _validate runs first."""
+def summarize(A: GroupAlgebra, descriptors):
+    """(WedderburnSummary, descriptors) for the components found in A, after
+    the invariant suite of _validate has passed."""
     components = {}
     for dsc in descriptors:
         key = (dsc.d, dsc.l)
         components[key] = components.get(key, 0) + 1
     summary = WedderburnSummary(order=A.group.order, q=A.q, components=components)
-    if validate:
-        _validate(A, summary, descriptors)
+    _validate(A, summary, descriptors)
     return summary, descriptors
 
 

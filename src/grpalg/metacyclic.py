@@ -126,34 +126,11 @@ def alpha_orbit(params: MetacyclicParams, v: int, alpha: int):
 def x_classes(params: MetacyclicParams, v: int, i: int, c: int):
     """The least member of each conjugacy class of X_{v,i,c}: (alpha1, beta1)
     and (alpha2, beta2) are conjugate iff beta1 = beta2 and alpha1, alpha2
-    share their <r>-orbit mod v (conjugate_in_g)."""
+    share their <r>-orbit mod v (alpha_orbit)."""
     classes = {}
     for alpha, beta in x_triples(params, v, i, c):
         classes.setdefault((beta, alpha_orbit(params, v, alpha)), []).append((alpha, beta))
     return [min(mem) for _, mem in sorted(classes.items())]
-
-
-def conjugate_in_g(params: MetacyclicParams, v: int,
-                   a1: int, b1: int, a2: int, b2: int) -> bool:
-    """Conjugacy criterion for H_{v,a1,b1*o_v} vs H_{v,a2,b2*o_v}:
-    conjugate iff b1 = b2 and a1 = a2 * r^j (mod v) for some j."""
-    return b1 == b2 and alpha_orbit(params, v, a1) == alpha_orbit(params, v, a2)
-
-
-def core_closed_form(G: FiniteGroup, params: MetacyclicParams,
-                     u: int, alpha: int, beta: int) -> Subgroup:
-    """core of H_{u,alpha,beta*o_u} as <a^u, a^{alpha*delta/(beta*o_u)} b^delta>
-    with delta = beta*u*o_u / g, g = gcd(alpha*(r-1), u) (gcd(0, u) = u).
-    For (alpha, beta) in X_{u,i,c}, beta*o_u = c*g/u, so delta = c and
-    alpha*delta/(beta*o_u) = alpha*u/g = i (mod u): the core of each D is
-    N = H_{u,i,c}."""
-    r = params.r
-    ou = o_v(params, u)
-    g = gcd(alpha * (r - 1), u)
-    delta = beta * u * ou // g
-    i = alpha * delta // (beta * ou)
-    return subgroup_closure(G, [element_index(params, u, 0),
-                                element_index(params, i, delta)])
 
 
 def metacyclic_decompose(params: MetacyclicParams, F: BaseField):

@@ -8,6 +8,7 @@ import pytest
 
 from grpalg.algebra import AlgebraElement, GroupAlgebra
 from grpalg.errors import (
+    InternalInconsistency,
     InvariantViolation,
     NoIdentity,
     NoInverse,
@@ -46,7 +47,7 @@ from grpalg.idempotents import (
     cyclic_quotient_data,
     d_classes,
 )
-from grpalg.metacyclic import o_v
+from grpalg.metacyclic import alpha_orbit, element_index, o_v
 from grpalg.oracle import _poly_inverse_mod
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -198,6 +199,23 @@ def core(G, H):
 def conjugate_subgroup(G, H, g):
     """g^-1 H g."""
     return Subgroup(G, G.m[G.m[G.inv_np[g], list(H.members)], g].tolist())
+
+
+def is_normal(G, H):
+    return normalizer(G, H).order == G.order
+
+
+def format_cayley(G):
+    """G in the Cayley-table text format that groups.parse_cayley reads:
+    `order N`, the N rows of the table, then a `label I NAME` line for each
+    label other than the default gI."""
+    out = [f"order {G.order}"]
+    for row in G.m.tolist():
+        out.append(" ".join(map(str, row)))
+    for i, lab in enumerate(G.labels):
+        if lab != f"g{i}":
+            out.append(f"label {i} {lab}")
+    return "\n".join(out) + "\n"
 
 
 def direct_product(G1, G2, name):
@@ -506,6 +524,77 @@ def x_triples_reference(params, v, i, c):
             continue
         out.append((alpha, beta))
     return out
+
+
+def conjugate_in_g(params, v, a1, b1, a2, b2):
+    """Conjugacy criterion for H_{v,a1,b1*o_v} vs H_{v,a2,b2*o_v}:
+    conjugate iff b1 = b2 and a1 = a2 * r^j (mod v) for some j."""
+    return b1 == b2 and alpha_orbit(params, v, a1) == alpha_orbit(params, v, a2)
+
+
+def core_closed_form(G, params, u, alpha, beta):
+    """core of H_{u,alpha,beta*o_u} as <a^u, a^{alpha*delta/(beta*o_u)} b^delta>
+    with delta = beta*u*o_u / g, g = gcd(alpha*(r-1), u) (gcd(0, u) = u).
+    For (alpha, beta) in X_{u,i,c}, beta*o_u = c*g/u, so delta = c and
+    alpha*delta/(beta*o_u) = alpha*u/g = i (mod u): the core of each D is
+    N = H_{u,i,c}, the N the fast path uses."""
+    r = params.r
+    ou = o_v(params, u)
+    g = gcd(alpha * (r - 1), u)
+    delta = beta * u * ou // g
+    i = alpha * delta // (beta * ou)
+    return subgroup_closure(G, [element_index(params, u, 0),
+                                element_index(params, i, delta)])
+
+
+def d1_index(m, c, e, f):
+    """The index of t^c x^e y^f in d1_group(m)."""
+    return (c % (1 << m)) * 4 + (e % 2) * 2 + (f % 2)
+
+
+def d1_normal_subgroup_list(m):
+    """The non-identity normal subgroups of d1_group(m), by generator data:
+      (i)   <t^{2^a}, x>, <t^{2^a}, y>, <t^{2^a}, xy>, <t^{2^a}, x, y>
+            for 0 <= a <= m-1;
+      (ii)  <t^{2^b} x>, <t^{2^b} y>, <t^{2^{m-1}}, t^{2^b} xy>,
+            <t^{2^{m-1}}, x, t^{2^b} y>, <t^{2^{m-1}}, t^{2^b} x, y>,
+            <t^{2^b} x, t^{2^b} y> for 0 <= b <= m-2;
+      (iii) <t^{2^c}> for 0 <= c <= m-1.
+    Asserted distinct and normal; sorted by (order, members)."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    G = d1_group(m)
+
+    def el(c, e, f):
+        return d1_index(m, c, e, f)
+
+    zc = 1 << (m - 1)  # exponent of the commutator t^{2^{m-1}}
+    gens_list = []
+    for a in range(m):
+        p = 1 << a
+        gens_list += [[el(p, 0, 0), el(0, 1, 0)],
+                      [el(p, 0, 0), el(0, 0, 1)],
+                      [el(p, 0, 0), el(0, 1, 1)],
+                      [el(p, 0, 0), el(0, 1, 0), el(0, 0, 1)]]
+    for b in range(m - 1):
+        p = 1 << b
+        gens_list += [[el(p, 1, 0)],
+                      [el(p, 0, 1)],
+                      [el(zc, 0, 0), el(p, 1, 1)],
+                      [el(zc, 0, 0), el(0, 1, 0), el(p, 0, 1)],
+                      [el(zc, 0, 0), el(p, 1, 0), el(0, 0, 1)],
+                      [el(p, 1, 0), el(p, 0, 1)]]
+    for c in range(m):
+        gens_list.append([el(1 << c, 0, 0)])
+    out = {}
+    for gens in gens_list:
+        H = subgroup_closure(G, gens)
+        if H.members in out:
+            raise InternalInconsistency(f"duplicate listed subgroup {H.members}")
+        if not is_normal(G, H):
+            raise InternalInconsistency(f"listed subgroup not normal: {gens}")
+        out[H.members] = H
+    return sorted(out.values(), key=lambda H: (H.order, H.members))
 
 
 def d1_table_loop(m):

@@ -10,21 +10,20 @@ import numpy as np
 from conftest import (
     ALL_METACYCLIC,
     PRIMES,
+    conjugate_in_g,
     conjugate_subgroup,
     core,
+    core_closed_form,
     corpus_grid,
     corpus_groups,
+    d1_normal_subgroup_list,
     full_product,
     is_idempotent,
     normal_subgroups,
     relabeled,
 )
 from grpalg.algebra import GroupAlgebra
-from grpalg.families import (
-    d1_closed_form,
-    d1_normal_subgroup_list,
-    d2_closed_form,
-)
+from grpalg.families import d1_closed_form, d2_closed_form
 from grpalg.field import make_field
 from grpalg.groups import (
     FiniteGroup,
@@ -34,8 +33,6 @@ from grpalg.groups import (
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import (
     MetacyclicParams,
-    conjugate_in_g,
-    core_closed_form,
     metacyclic_decompose,
     normal_triples,
     o_v,
@@ -54,7 +51,7 @@ def grid_results():
         return _cache
     for G, q in corpus_grid():
         t0 = time.time()
-        summary, descriptors = decompose(G, make_field(q), validate=False)
+        summary, descriptors = decompose(G, make_field(q))
         _cache[(G, q)] = (summary, descriptors, time.time() - t0)
     return _cache
 
@@ -235,11 +232,11 @@ def test_criterion_9_choice_independence():
     for G in corpus_groups():
         q = next(p for p in PRIMES if G.order % p)
         F = make_field(q)
-        base_summary, base_desc = decompose(G, F, validate=False)
+        base_summary, base_desc = decompose(G, F)
         base_set = sorted(d.idempotent.key() for d in base_desc)
         for trial in range(trials):
             m, perm = relabeled(G.m, random.Random(10_000 + trial))
-            s, descs = decompose(FiniteGroup(m, name=G.name), F, validate=False)
+            s, descs = decompose(FiniteGroup(m, name=G.name), F)
             keys = sorted(tuple(d.idempotent.coeffs[perm].tolist()) for d in descs)
             if s.components != base_summary.components or keys != base_set:
                 bad.append((G.name, q, trial))

@@ -7,6 +7,7 @@ from conftest import (
     convolution_reference,
     full_product,
     is_idempotent,
+    is_normal,
     rank_reference,
 )
 from grpalg.algebra import PRODUCT_BLOCK, AlgebraElement, GroupAlgebra, _rank
@@ -14,7 +15,6 @@ from grpalg.field import make_field
 from grpalg.groups import (
     conjugacy_classes,
     d2_group,
-    is_normal,
     metacyclic_group,
     subgroup_closure,
 )

@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BAD_TABLES, elementary_abelian, s4_group
+from conftest import BAD_TABLES, elementary_abelian, format_cayley, s4_group
 from grpalg import groups, idempotents
 from grpalg.algebra import AlgebraElement
 from grpalg.cli import main
-from grpalg.groups import format_cayley, metacyclic_group
+from grpalg.groups import metacyclic_group
 
 
 def run(capsys, *argv):

@@ -10,6 +10,7 @@ from conftest import (
     PRIMES,
     CyclotomicCoset,
     basis_vector,
+    conjugate_in_g,
     conjugate_subgroup,
     core,
     corpus_groups,
@@ -31,6 +32,7 @@ from grpalg.algebra import AlgebraElement, GroupAlgebra
 from grpalg.errors import (
     InternalInconsistency,
     InvariantViolation,
+    NotCyclicQuotient,
     NotMetabelian,
     NotSemisimple,
 )
@@ -60,7 +62,6 @@ from grpalg.idempotents import (
 )
 from grpalg.metacyclic import (
     MetacyclicParams,
-    conjugate_in_g,
     metacyclic_decompose,
     normal_triples,
     o_v,
@@ -97,6 +98,10 @@ def test_cyclic_quotient_data():
     n2, gen2, e2 = cyclic_quotient_data(S3, Subgroup(S3, range(6)), K)
     assert n2 == 2 and e2[gen2] == 1
     assert {g for g in range(6) if e2[g] == 0} == {0, 2, 4}
+    # Z_2^2 over the identity: order 4, but no element of order 4
+    V4 = elementary_abelian(2, 2)
+    with pytest.raises(NotCyclicQuotient):
+        cyclic_quotient_data(V4, Subgroup(V4, range(4)), Subgroup(V4, (0,)))
 
 
 @pytest.mark.parametrize("G", corpus_groups() + [elementary_abelian(3, 3)],
@@ -165,7 +170,7 @@ def test_shoda_triples_build_each_pair_once(G, monkeypatch):
 def test_z3_5_decomposes():
     """Z_3^5 has 2664 normal subgroups and 122 q-classes over F_2."""
     G = elementary_abelian(3, 5)
-    _, descriptors = decompose(G, make_field(2), validate=True)
+    _, descriptors = decompose(G, make_field(2))
     assert len(descriptors) == 122 == q_class_count(G, 2)
 
 
@@ -411,13 +416,45 @@ def test_decompose_over_extension_base_field():
 
 
 def test_validation_runs_and_passes():
-    s, d = decompose(D8, make_field(5), validate=True)
+    s, d = decompose(D8, make_field(5))
     for x in d:
         assert is_idempotent(x.idempotent)
         assert x.idempotent.is_central()
     A = GroupAlgebra(D8, make_field(5))
     total = A.field.sum_rows([x.idempotent.coeffs for x in d])
     assert np.array_equal(total, A.one().coeffs)
+
+
+def test_decompose_refuses_to_skip_validation():
+    with pytest.raises(ValueError):
+        decompose(D8, make_field(5), validate=False)
+
+
+@pytest.mark.parametrize("entry", ["decompose", "metacyclic_decompose"])
+def test_library_entry_points_validate(entry, monkeypatch):
+    """The engine and the fast path both run _validate: with 2e in place of
+    the first idempotent e, each raises InvariantViolation("idempotent").
+    The fast path reaches ec_idempotent through triple_components."""
+    real = idempotents.ec_idempotent
+    calls = []
+
+    def double_first(*args):
+        e = real(*args)
+        calls.append(e)
+        if len(calls) > 1:
+            return e
+        return AlgebraElement(e.algebra, e.algebra.field.mul_np[2, e.coeffs])
+
+    monkeypatch.setattr(idempotents, "ec_idempotent", double_first)
+    F = make_field(5)
+    with pytest.raises(InvariantViolation) as raised:
+        if entry == "decompose":
+            decompose(S3, F)
+        else:
+            metacyclic_decompose(MetacyclicParams(3, 2, 0, 2), F)
+    assert calls
+    assert raised.value.invariant == "idempotent"
+    assert raised.value.witness == {"component": 0}
 
 
 def _corrupted(invariant):
@@ -464,7 +501,7 @@ def test_validate_matches_full_loop_reference(G):
     loop on corrupted decompositions of G over two corpus primes."""
     for q in [p for p in PRIMES if G.order % p][:2]:
         A = GroupAlgebra(G, make_field(q))
-        summary, ds = decompose(G, A.field, validate=False)
+        summary, ds = decompose(G, A.field)
         first, last = ds[0], ds[-1]
         e_first, e_last = first.idempotent.coeffs, last.idempotent.coeffs
         e_merged = AlgebraElement(A, A.field.add_np[e_first, e_last])
@@ -543,12 +580,12 @@ def test_trace_factor_choice_independence(monkeypatch):
 
     for G in corpus_groups():
         for q in [p for p in PRIMES if G.order % p][:2]:
-            base_summary, base = decompose(G, BaseField(q), validate=False)
+            base_summary, base = decompose(G, BaseField(q))
             base_set = sorted(d.idempotent.key() for d in base)
             with monkeypatch.context() as m:
                 m.setattr(field, "_cyclotomic_factor", random_factor)
                 for _ in range(2):
-                    summary, descs = decompose(G, BaseField(q), validate=False)
+                    summary, descs = decompose(G, BaseField(q))
                     assert summary.components == base_summary.components
                     assert sorted(d.idempotent.key() for d in descs) == base_set, \
                         (G.name, q)

@@ -1,15 +1,10 @@
 import pytest
 
-from conftest import normal_subgroups
+from conftest import d1_normal_subgroup_list, is_normal, normal_subgroups
 from grpalg.errors import EvenQ, NoClosedForm
-from grpalg.families import (
-    d1_closed_form,
-    d1_normal_subgroup_list,
-    d2_closed_form,
-    lambda_of,
-)
+from grpalg.families import d1_closed_form, d2_closed_form, lambda_of
 from grpalg.field import make_field, mult_order
-from grpalg.groups import d1_group, d2_group, is_normal
+from grpalg.groups import d1_group, d2_group
 from grpalg.idempotents import decompose
 
 GRID_Q = (3, 5, 7, 13)

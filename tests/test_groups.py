@@ -13,9 +13,12 @@ from conftest import (
     conjugate_subgroup,
     core,
     corpus_groups,
+    d1_index,
     d1_table_loop,
     elementary_abelian,
+    format_cayley,
     full_associativity_witness,
+    is_normal,
     lattice,
     metacyclic_table_loop,
     normal_subgroups,
@@ -40,13 +43,10 @@ from grpalg.groups import (
     class_index,
     conjugacy_classes,
     d1_group,
-    d1_index,
     d2_group,
     derived_subgroup,
-    format_cayley,
     generators,
     is_metabelian,
-    is_normal,
     maximal_abelian_over_derived,
     metacyclic_group,
     normalizer,

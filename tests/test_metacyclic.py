@@ -2,8 +2,10 @@ import pytest
 
 from conftest import (
     ALL_METACYCLIC,
+    conjugate_in_g,
     conjugate_subgroup,
     core,
+    core_closed_form,
     normal_subgroups,
     x_triples_reference,
 )
@@ -12,8 +14,6 @@ from grpalg.field import make_field
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import (
     MetacyclicParams,
-    conjugate_in_g,
-    core_closed_form,
     metacyclic_decompose,
     normal_triples,
     o_v,
