@@ -20,7 +20,7 @@ import numpy as np
 from .field import BaseField
 from .groups import FiniteGroup, class_index, subgroup_closure
 
-PRODUCT_BLOCK = 256  # support rows per gather: 256·|G| int16 at most
+PRODUCT_BLOCK = 256  # support rows per gather: 256·len(at) int16 at most
 
 
 class GroupAlgebra:

@@ -53,36 +53,27 @@ def build_parser():
                     "group algebras F_q[G]")
     ap.add_argument("--version", action="version", version=f"grpalg {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("decompose", "idempotents", "verify", "compare"):
+    for name, run in (("decompose", cmd_decompose), ("idempotents", cmd_decompose),
+                      ("verify", cmd_verify), ("compare", cmd_compare)):
         p = sub.add_parser(name)
-        _group_flags(p)
-        _field_flags(p)
-        _common_flags(p)
+        p.set_defaults(run=run)
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--metacyclic", type=int, nargs=4, metavar=("N", "T", "K", "R"))
+        g.add_argument("--d1", type=int, metavar="M")
+        g.add_argument("--d2", type=int, metavar="M")
+        g.add_argument("--cayley", metavar="PATH")
+        p.add_argument("--p", type=int, required=True, help="field characteristic")
+        p.add_argument("--a", type=int, default=1, help="field degree (q = p^a)")
+        p.add_argument("--out", metavar="PATH", help="write the report here as well")
         if name != "compare":  # compare and families print no idempotents
             p.add_argument("--emit-idempotents", action="store_true")
     fam = sub.add_parser("families")
+    fam.set_defaults(run=cmd_families)
     fam.add_argument("--family", choices=["d1", "d2", "both"], default="both")
     fam.add_argument("--m", type=int, nargs="+", default=[2, 3, 4])
     fam.add_argument("--q", type=int, nargs="+", default=[3, 5, 7, 13])
-    _common_flags(fam)
+    fam.add_argument("--out", metavar="PATH", help="write the report here as well")
     return ap
-
-
-def _group_flags(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--metacyclic", type=int, nargs=4, metavar=("N", "T", "K", "R"))
-    g.add_argument("--d1", type=int, metavar="M")
-    g.add_argument("--d2", type=int, metavar="M")
-    g.add_argument("--cayley", metavar="PATH")
-
-
-def _field_flags(p):
-    p.add_argument("--p", type=int, required=True, help="field characteristic")
-    p.add_argument("--a", type=int, default=1, help="field degree (q = p^a)")
-
-
-def _common_flags(p):
-    p.add_argument("--out", metavar="PATH", help="write the report here as well")
 
 
 def make_group(args):
@@ -129,28 +120,28 @@ def _emit_idempotents(rep, prefix, descriptors):
                 "[" + ", ".join(map(str, dsc.idempotent.key())) + "]")
 
 
-def _start(args, command):
+def _start(args):
     """The group, the field, and a report headed by the group and command."""
     G = make_group(args)
     F = make_field(args.p, args.a)
     rep = Report()
     rep.put("group", G.name)
-    rep.put("command", command)
+    rep.put("command", args.command)
     return G, F, rep
 
 
-def cmd_decompose(args, emit_idem):
-    G, F, rep = _start(args, "idempotents" if emit_idem else "decompose")
+def cmd_decompose(args):
+    G, F, rep = _start(args)
     summary, descriptors = decompose(G, F)
     _emit_summary(rep, "wedderburn", summary)
-    if emit_idem or args.emit_idempotents:
+    if args.command == "idempotents" or args.emit_idempotents:
         _emit_idempotents(rep, "wedderburn", descriptors)
     rep.dump(args.out)
     return 0
 
 
 def cmd_verify(args):
-    G, F, rep = _start(args, "verify")
+    G, F, rep = _start(args)
     summary, descriptors = decompose(G, F)
     _emit_summary(rep, "wedderburn", summary)
     engine_set = sorted(d.idempotent.key() for d in descriptors)
@@ -167,7 +158,7 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    G, F, rep = _start(args, "compare")
+    G, F, rep = _start(args)
     summary, descriptors = decompose(G, F)
     _emit_summary(rep, "generic", summary)
     mismatches = []
@@ -196,9 +187,9 @@ def cmd_compare(args):
     return 6 if mismatches else 0
 
 
-def _field_of_order(q):
-    """F_q for a prime power q = p^a; NotPrime for any other q, and
-    ValueError past MAX_BASE_ORDER before q is factored."""
+def _prime_power(q):
+    """(p, a) with q = p^a; ValueError past MAX_BASE_ORDER before q is
+    factored, and NotPrime for any other q."""
     if q > MAX_BASE_ORDER:
         raise ValueError(f"base field order {q} exceeds cap {MAX_BASE_ORDER}")
     primes = prime_factors(q)
@@ -207,18 +198,21 @@ def _field_of_order(q):
     p, a = primes[0], 1
     while p ** a < q:
         a += 1
-    return make_field(p, a)
+    return p, a
 
 
 def cmd_families(args):
     rep = Report()
     rep.put("command", "families")
     fams = list(FAMILIES) if args.family == "both" else [args.family]
+    for m in args.m:
+        check_family_order(m)  # before the closed forms, which loop to m
+    for q in args.q:
+        _prime_power(q)  # before any cell; the cells build F_q
     bad = False
     for fam in fams:
         group_of, closed_form = FAMILIES[fam]
         for m in args.m:
-            check_family_order(m)  # before the closed forms, which loop to m
             for q in args.q:
                 try:
                     cf = closed_form(m, q)
@@ -226,7 +220,7 @@ def cmd_families(args):
                     rep.put(f"{fam}.{m}.{q}.error", type(exc).__name__)
                     bad = True
                     continue
-                F = _field_of_order(q)  # before the group is built
+                F = make_field(*_prime_power(q))  # before the group is built
                 rep.put(f"{fam}.{m}.{q}.lambda", lambda_of(q))
                 rep.put(f"{fam}.{m}.{q}.components", cf.table())
                 rep.put(f"{fam}.{m}.{q}.aut", cf.aut())
@@ -247,17 +241,7 @@ def main(argv=None):
         # argparse exits 2 on parse error and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        if args.command == "decompose":
-            return cmd_decompose(args, emit_idem=False)
-        if args.command == "idempotents":
-            return cmd_decompose(args, emit_idem=True)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "families":
-            return cmd_families(args)
-        return 2
+        return args.run(args)
     except NotSemisimple as exc:
         print(f"error: not semisimple: {exc}", file=sys.stderr)
         return 3

@@ -338,8 +338,8 @@ def make_field(p: int, a: int = 1) -> BaseField:
     return BaseField(p, a)
 
 
-def _int_cyclotomic(n: int) -> list:
-    """Phi_n over Z, low degree first: prod_{d | n} (x^d - 1)^mu(n/d), the
+def _cyclotomic_polynomial(F: BaseField, n: int) -> list:
+    """Phi_n over F, low degree first: prod_{d | n} (x^d - 1)^mu(n/d), the
     factors with mu = -1 applied last as exact divisions."""
     times, over = [], []
     for d in range(1, n + 1):
@@ -348,19 +348,11 @@ def _int_cyclotomic(n: int) -> list:
         ells = prime_factors(n // d)
         if prod(ells) == n // d:  # squarefree, so mu(n/d) = (-1)^len(ells)
             (over if len(ells) % 2 else times).append(d)
-    f = [1]
-    for d in times:
-        g = [0] * (len(f) + d)
-        for i, c in enumerate(f):
-            g[i] -= c
-            g[i + d] += c
-        f = g
+    f = [F.one]
+    for d in times:  # f·(x^d - 1) = x^d·f - f
+        f = poly_sub(F, [0] * d + f, f)
     for d in over:
-        # h (x^d - 1) = f  <=>  h_i = f_{i+d} + h_{i+d}, top coefficient first
-        h = [0] * len(f)
-        for i in range(len(f) - d - 1, -1, -1):
-            h[i] = f[i + d] + h[i + d]
-        f = h[:len(f) - d]
+        f = poly_divmod(F, f, poly_sub(F, [0] * d + [F.one], [F.one]))[0]
     return f
 
 
@@ -369,7 +361,7 @@ def _cyclotomic_factor(F: BaseField, n: int) -> list:
     s = ord_n(q), so equal-degree splitting alone finds one; each round
     keeps the smaller piece."""
     s = mult_order(n, F.q)
-    f = poly_trim([F.from_int(c) for c in _int_cyclotomic(n)])
+    f = _cyclotomic_polynomial(F, n)
     while poly_deg(f) > s:
         g = _split_once(F, f, s)
         f = min(g, poly_divmod(F, f, g)[0], key=len)

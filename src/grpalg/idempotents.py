@@ -133,7 +133,7 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int):
     G, F = A.group, A.field
     n, gen, e = cyclic_quotient_data(G, K, H)
     tr = F.cyclotomic_traces(n)
-    kinv = F.inv(F.from_int(K.order % F.p))
+    kinv = F.inv(F.from_int(K.order))
     coeffs = np.zeros(G.order, dtype=np.int16)
     ks = np.array(K.members)
     coeffs[G.inv_np[ks]] = np.array(tr)[j * e[ks] % n]

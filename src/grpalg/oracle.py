@@ -162,11 +162,12 @@ def center_split(G: FiniteGroup, F: BaseField):
                 refined.append((e, max(d, poly_deg(mp))))
                 continue
             for h in factors:
-                # u = (mp/h) * inv(mp/h mod h); u(C_i)*e is the h-block piece
+                # u = (mp/h) * inv(mp/h mod h), of degree < deg mp as
+                # deg inv < deg h; u(C_i)*e is the h-block piece
                 comp = poly_divmod(F, mp, list(h))[0]
                 comp_mod = poly_mod(F, comp, list(h))
                 inv = _poly_inverse_mod(F, comp_mod, list(h))
-                u = np.array(poly_mod(F, poly_mul(F, comp, inv), mp))
+                u = np.array(poly_mul(F, comp, inv))
                 refined.append((F.sum_rows(F.mul_np[u[:, None], np.array(powers[:u.size])]),
                                 poly_deg(h)))
         blocks = refined

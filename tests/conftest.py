@@ -1,7 +1,7 @@
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -281,6 +281,34 @@ def validate_reference(A, summary, descriptors):
     total = AlgebraElement(A, A.field.sum_rows(es))
     if total != A.one():
         fail("sum_to_one", {"sum": total.to_str()})
+
+
+def int_cyclotomic(n: int) -> list:
+    """Phi_n over Z, low degree first: prod_{d | n} (x^d - 1)^mu(n/d), the
+    factors with mu = -1 applied last as exact divisions.  The integer
+    reference for field._cyclotomic_polynomial, which builds the same
+    product in F_q[x]."""
+    times, over = [], []
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        ells = prime_factors(n // d)
+        if prod(ells) == n // d:  # squarefree, so mu(n/d) = (-1)^len(ells)
+            (over if len(ells) % 2 else times).append(d)
+    f = [1]
+    for d in times:
+        g = [0] * (len(f) + d)
+        for i, c in enumerate(f):
+            g[i] -= c
+            g[i + d] += c
+        f = g
+    for d in over:
+        # h (x^d - 1) = f  <=>  h_i = f_{i+d} + h_{i+d}, top coefficient first
+        h = [0] * len(f)
+        for i in range(len(f) - d - 1, -1, -1):
+            h[i] = f[i + d] + h[i + d]
+        f = h[:len(f) - d]
+    return f
 
 
 def is_irreducible_reference(F, f) -> bool:

@@ -249,6 +249,20 @@ def test_families_q_not_prime_power_exit_2(capsys):
     assert err == "error: 15 is not a prime power\n"
 
 
+@pytest.mark.parametrize("q, message", [
+    (1, "1 is not a prime power"),
+    (0, "0 is not a prime power"),
+    (6, "6 is not a prime power"),
+    (12, "12 is not a prime power"),
+    (8192, "base field order 8192 exceeds cap 4096"),
+])
+def test_families_q_that_names_no_field_exit_2(capsys, q, message):
+    """A q that is not a prime power, or is above 4096, exits 2 before any
+    cell, even or odd; only an even prime power gives an EvenQ cell."""
+    assert run(capsys, "families", "--m", "2", "--q", "3", str(q)) == \
+        (2, "", f"error: {message}\n")
+
+
 def test_families_checks_q_before_building_the_group(capsys):
     """An out-of-range q exits 2 before d1_group(10), of order 4096, is
     built or looked up."""
@@ -335,6 +349,24 @@ def test_readme_decompose_report(capsys):
                              readme).groups()
     expected = "".join(line[2:] + "\n" for line in report.splitlines())
     assert run(capsys, *argv.split()) == (0, expected, "")
+
+
+def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
+    """Every `grpalg ...` line of the README's CLI block exits 0; the Cayley
+    line runs in a directory that holds an S3 table as group.tbl."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(grpalg decompose --d1 2 --p 5\n.*?)```", readme,
+                      re.S).group(1)
+    lines = [ln.split("#")[0].split() for ln in block.splitlines()
+             if ln.startswith("grpalg ")]
+    assert len(lines) == 6
+    (tmp_path / "group.tbl").write_text(format_cayley(metacyclic_group(3, 2, 0, 2)))
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("group = " if argv[1] != "families" else "command = ")
+    assert (tmp_path / "report.txt").read_text() == out  # the last line's --out
 
 
 @pytest.mark.parametrize("argv, code, expected", [
@@ -504,11 +536,19 @@ def composite(n):
     return n > 3 and any(n % d == 0 for d in range(2, int(n ** 0.5) + 1))
 
 
+def prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 BAD_P = st.one_of(st.integers(max_value=1), st.integers(min_value=4097),
                   st.integers(4, 4096).filter(composite))
 BAD_M = st.one_of(st.integers(max_value=0), st.integers(11, 10 ** 12))
-BAD_ODD_Q = st.one_of(st.integers(max_value=1), st.integers(min_value=4097)) \
-    .map(lambda q: 2 * (q // 2) + 1)
+# q <= 1, q > 4096, and the q up to 4096 that are not prime powers, odd or even
+BAD_Q = st.one_of(st.integers(max_value=1), st.integers(min_value=4097),
+                  st.integers(6, 4096).filter(lambda q: not prime_power(q)))
 BAD_FLAGS = st.one_of(
     st.tuples(st.just("--p"), BAD_P).map(lambda f: ["--metacyclic", 3, 2, 0, 2, *f]),
     st.tuples(st.just("--a"), st.one_of(st.integers(max_value=0),
@@ -536,7 +576,7 @@ def test_out_of_range_flags_exit_2(command, flags):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(st.tuples(st.just("--m"), BAD_M), st.tuples(st.just("--q"), BAD_ODD_Q)))
+@given(st.one_of(st.tuples(st.just("--m"), BAD_M), st.tuples(st.just("--q"), BAD_Q)))
 def test_families_out_of_range_exit_2(flag):
     assert_rejected(*run_quiet("families", "--family", "d2", *flag, *(
         ["--m", 2] if flag[0] == "--q" else [])))

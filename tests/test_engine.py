@@ -19,6 +19,7 @@ from conftest import (
     elementary_abelian,
     full_product,
     generator_cosets,
+    int_cyclotomic,
     is_idempotent,
     lattice,
     normal_subgroups,
@@ -58,6 +59,7 @@ from grpalg.idempotents import (
     ec_idempotent,
     epsilon_idempotent,
     shoda_triples,
+    summarize,
     triple_components,
 )
 from grpalg.metacyclic import (
@@ -536,6 +538,53 @@ def test_validate_matches_full_loop_reference(G):
             assert (want is None) == (name in ("intact", "merged")), (q, name)
 
 
+def test_summarize_names_corruptions_of_random_groups():
+    """summarize raises the invariant each corruption breaks, with its
+    witness, on seeded random groups over each q in {2, 3, 5, 7} coprime to
+    |G|:
+      - zeroing the last nonzero coefficient of component i, at g, leaves e
+        non-central if the class of g has more than one element (`central`),
+        and central but not idempotent if g is central (`idempotent`);
+      - swapping the idempotents of two components whose ideals differ in
+        dimension d^2·l gives `ideal_dimension` at the first of them;
+      - dropping the last component or repeating the first leaves the
+        dimensions summing to other than |G| (`dimension_sum`)."""
+    seen = set()
+    for G in random_metabelian_groups(12, seed=5):
+        for q in [q for q in (2, 3, 5, 7) if G.order % q]:
+            A = GroupAlgebra(G, make_field(q))
+            _, ds = decompose(G, A.field)
+            cases = []
+            for i, dsc in enumerate(ds):
+                e = dsc.idempotent.coeffs.copy()
+                g = np.flatnonzero(e)[-1]
+                e[g] = 0
+                zeroed = dataclasses.replace(dsc, idempotent=AlgebraElement(A, e))
+                central = (G.m[g] == G.m[:, g]).all()
+                cases.append((ds[:i] + [zeroed] + ds[i + 1:],
+                              "idempotent" if central else "central", {"component": i}))
+            pairs = [(i, j) for i in range(len(ds)) for j in range(i + 1, len(ds))
+                     if ds[i].dim != ds[j].dim]
+            if pairs:
+                i, j = pairs[0]
+                swapped = list(ds)
+                swapped[i] = dataclasses.replace(ds[i], idempotent=ds[j].idempotent)
+                swapped[j] = dataclasses.replace(ds[j], idempotent=ds[i].idempotent)
+                cases.append((swapped, "ideal_dimension", {
+                    "component": i, "got": ds[j].dim, "expected": ds[i].dim}))
+            cases.append((ds[:-1], "dimension_sum",
+                          {"got": G.order - ds[-1].dim, "expected": G.order}))
+            cases.append((ds + ds[:1], "dimension_sum",
+                          {"got": G.order + ds[0].dim, "expected": G.order}))
+            for descriptors, invariant, witness in cases:
+                with pytest.raises(InvariantViolation) as raised:
+                    summarize(A, descriptors)
+                assert (raised.value.invariant, raised.value.witness) == \
+                    (invariant, witness), (G.name, q)
+                seen.add(invariant)
+    assert seen == {"central", "idempotent", "ideal_dimension", "dimension_sum"}
+
+
 @pytest.mark.parametrize("invariant", ["dimension_sum", "nonzero", "idempotent",
                                        "central", "ideal_dimension", "orthogonal",
                                        "sum_to_one"])
@@ -573,7 +622,7 @@ def test_trace_factor_choice_independence(monkeypatch):
 
     def random_factor(F, n):
         nonlocal picked_other
-        phi = poly_trim([F.from_int(c) for c in field._int_cyclotomic(n)])
+        phi = poly_trim([F.from_int(c) for c in int_cyclotomic(n)])
         f0 = list(rng.choice(factor_polynomial(F, phi)))
         picked_other += f0 != choose(F, n)
         return f0

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add_table_reference, is_irreducible_reference as is_irreducible
+from conftest import (
+    add_table_reference,
+    int_cyclotomic,
+    is_irreducible_reference as is_irreducible,
+)
 from grpalg import field
 from grpalg.errors import NotCoprime, NotPrime
 from grpalg.field import (
@@ -211,7 +215,7 @@ def test_cyclotomic_traces_match_companion_matrix():
         F = make_field(p, a)
         f0 = field._cyclotomic_factor(F, n)
         assert len(f0) - 1 == mult_order(n, F.q) and is_irreducible(F, f0)
-        phi = poly_trim([F.from_int(c) for c in field._int_cyclotomic(n)])
+        phi = poly_trim([F.from_int(c) for c in int_cyclotomic(n)])
         assert poly_divmod(F, phi, f0)[1] == []
         # the roots of f0 have exact order n
         x_to = lambda m: poly_sub(F, [0] * m + [F.one], [F.one])  # noqa: E731
@@ -242,24 +246,37 @@ def test_trace_values():
 
 
 def test_int_cyclotomic_known_values():
-    assert field._int_cyclotomic(1) == [-1, 1]
-    assert field._int_cyclotomic(6) == [1, -1, 1]
-    assert field._int_cyclotomic(12) == [1, 0, -1, 0, 1]
+    assert int_cyclotomic(1) == [-1, 1]
+    assert int_cyclotomic(6) == [1, -1, 1]
+    assert int_cyclotomic(12) == [1, 0, -1, 0, 1]
     # Phi_105 is the first with a coefficient outside {-1, 0, 1}
-    phi105 = field._int_cyclotomic(105)
+    phi105 = int_cyclotomic(105)
     assert len(phi105) - 1 == 48 and min(phi105) == -2
     # prod_{d | n} Phi_d = x^n - 1
     for n in (8, 30, 36, 63):
         prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                phi = field._int_cyclotomic(d)
+                phi = int_cyclotomic(d)
                 out = [0] * (len(prod) + len(phi) - 1)
                 for i, x in enumerate(prod):
                     for j, y in enumerate(phi):
                         out[i + j] += x * y
                 prod = out
         assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def test_cyclotomic_polynomial_matches_integer_reference():
+    """_cyclotomic_polynomial, built in F_q[x], is the integer Phi_n
+    reduced mod p, for every n <= 600 coprime to q."""
+    phis = {n: int_cyclotomic(n) for n in range(1, 601)}
+    for p, a in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (11, 1), (13, 1)]:
+        F = make_field(p, a)
+        for n, phi in phis.items():
+            if gcd(n, F.q) == 1:
+                assert field._cyclotomic_polynomial(F, n) == \
+                    poly_trim([F.from_int(c) for c in phi]), (F.q, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,7 +421,7 @@ def test_root_of_unity_deterministic():
     # over F_4, Phi_27 has two factors that the Frobenius of F_2 swaps
     F = make_field(2, 2)
     f0 = field._cyclotomic_factor(F, 27)
-    factor_polynomial(F, poly_trim([F.from_int(c) for c in field._int_cyclotomic(27)]))
+    factor_polynomial(F, poly_trim([F.from_int(c) for c in int_cyclotomic(27)]))
     assert field._cyclotomic_factor(F, 27) == f0
     assert BaseField(2, 2).cyclotomic_traces(27) == BaseField(2, 2).cyclotomic_traces(27)
 
