@@ -71,9 +71,6 @@ class GroupAlgebra:
             and self.q == other.q
         )
 
-    def __hash__(self):
-        return hash((id(self.group), self.q))
-
     def __repr__(self):
         return f"F_{self.q}[{self.group.name}]"
 

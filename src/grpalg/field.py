@@ -93,14 +93,10 @@ def poly_sub(F, f, g):
 
 
 def poly_scale(F, c, f):
-    if c == 0:
-        return []
     return poly_trim([F.mul(c, x) for x in f])
 
 
 def poly_mul(F, f, g):
-    if not f or not g:
-        return []
     add = F._add
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -174,16 +170,11 @@ def is_irreducible(F, f) -> bool:
 
 
 def lex_least_irreducible(F, s):
-    """Lex-least monic irreducible of degree s over F (coefficients compared
-    low-degree-first in F's element-lex order).  For s >= 2 the constant
-    term must be nonzero, so those candidates are skipped wholesale."""
-    if s == 1:
-        return (0, F.one)
-    lex = list(F.elements_lex())
-    for c0 in lex:
-        if c0 == F.zero:
-            continue
-        for rest in itertools.product(lex, repeat=s - 1):
+    """Lex-least monic irreducible of degree s >= 2 over the prime field F
+    (coefficients compared low-degree-first).  Its constant term is
+    nonzero, so the candidates with c_0 = 0 are skipped wholesale."""
+    for c0 in range(1, F.p):
+        for rest in itertools.product(range(F.p), repeat=s - 1):
             f = [c0, *rest, F.one]
             if is_irreducible(F, f):
                 return tuple(f)
@@ -209,14 +200,14 @@ class BaseField:
     def __init__(self, p: int, a: int = 1):
         if a < 1:
             raise ValueError("exponent must be >= 1")
-        q = p ** a if a < 64 else None  # p^a >= 2^64 is past the cap; not built
+        q = p ** a if a < 64 or -1 <= p <= 1 else None  # else |p^a| >= 2^64: not built
         if q is None or q > MAX_BASE_ORDER:
             raise ValueError(f"base field order {q or f'{p}^{a}'} exceeds cap "
                              f"{MAX_BASE_ORDER}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p, self.a, self.q = p, a, q
-        self.zero, self.one = 0, 1
+        self.one = 1
         if a == 1:
             self.modulus = None
             i = np.arange(p, dtype=np.int32)  # products reach p^2 > 2^15
@@ -308,11 +299,6 @@ class BaseField:
 
     def _coeffs_to_index(self, coeffs):
         return sum(c * self.p ** k for k, c in enumerate(coeffs))
-
-    def elements_lex(self):
-        """All element indices in coefficient-lex order (c_0 compared first)."""
-        for c in itertools.product(range(self.p), repeat=self.a):
-            yield self._coeffs_to_index(c)
 
     # -- cyclotomic traces, memoized per field
     def cyclotomic_traces(self, n: int) -> tuple:

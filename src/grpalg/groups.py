@@ -164,9 +164,6 @@ class Subgroup:
         self.member_set = frozenset(self.members)
         self.order = len(self.members)
 
-    def __contains__(self, g):
-        return g in self.member_set
-
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
@@ -176,9 +173,6 @@ class Subgroup:
 
     def __hash__(self):
         return hash((id(self.parent), self.members))
-
-    def __le__(self, other):
-        return self.member_set <= other.member_set
 
     def __repr__(self):
         return f"Subgroup(order {self.order} of {self.parent.name})"

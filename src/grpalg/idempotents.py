@@ -358,11 +358,9 @@ class WedderburnSummary:
             out = " . ".join(pieces)
             if len(pieces) == 2:
                 out = f"({out})"
-            if out and m not in (0, 1):
-                out = f"({out})^({m})"
             if m > 1:
-                out = f"({out} . S_{m})" if out else f"S_{m}"
-            if out and m:
+                out = f"(({out})^({m}) . S_{m})" if out else f"S_{m}"
+            if out:
                 blocks.append(out)
         return " + ".join(blocks) or "1"
 

@@ -6,13 +6,14 @@ import resource
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_TABLES, elementary_abelian, format_cayley, s4_group
-from grpalg import groups, idempotents
+from grpalg import cli, groups, idempotents
 from grpalg.algebra import AlgebraElement
 from grpalg.cli import main
 from grpalg.groups import metacyclic_group
@@ -130,6 +131,44 @@ def test_compare_closed_form(capsys):
     assert "closed_form.match = yes" in out2
 
 
+def _wrong(summary):
+    """summary with one more (1, 1) block."""
+    components = dict(summary.components)
+    components[1, 1] += 1
+    return replace(summary, components=components)
+
+
+@pytest.mark.parametrize("argv, mismatch", [
+    (("compare", "--d2", "3", "--p", "5"), "metacyclic.match = no"),
+    (("compare", "--d1", "2", "--p", "5"), "closed_form.match = no"),
+    (("families", "--m", "2", "--q", "5"), "d1.2.5.engine_match = no"),
+])
+def test_discrepancy_exit_6_with_full_report(capsys, monkeypatch, argv, mismatch):
+    """With the fast path's summary and the d1 closed form each one block
+    off, a path that disagrees with the engine exits 6 and still prints
+    every line of the report, only the disagreeing path's lines changed."""
+    code, good, _ = run(capsys, *argv)
+    assert code == 0
+    fast_path = cli.metacyclic_decompose
+
+    def altered(*args):
+        summary, descriptors = fast_path(*args)
+        return _wrong(summary), descriptors
+
+    monkeypatch.setattr(cli, "metacyclic_decompose", altered)
+    group_of, closed_form = cli.FAMILIES["d1"]
+    monkeypatch.setitem(cli.FAMILIES, "d1",
+                        (group_of, lambda m, q: _wrong(closed_form(m, q))))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (6, "")
+    assert mismatch in out.splitlines()
+    keys = [ln.split(" = ")[0] for ln in good.splitlines()]
+    assert [ln.split(" = ")[0] for ln in out.splitlines()] == keys
+    prefix = mismatch.split(".")[0] + "."
+    assert [ln for ln in out.splitlines() if not ln.startswith(prefix)] == \
+        [ln for ln in good.splitlines() if not ln.startswith(prefix)]
+
+
 def test_verify_emit_idempotents(capsys):
     """verify --emit-idempotents passes the oracle and emits the same
     idempotent lines as the idempotents command."""
@@ -220,6 +259,19 @@ def test_base_field_limit_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: base field order 6561 exceeds cap 4096\n"
+
+
+@pytest.mark.parametrize("p, a, message", [
+    (1, 64, "1 is not prime"),
+    (0, 100, "0 is not prime"),
+    (-1, 64, "-1 is not prime"),
+    (2, 64, "base field order 2^64 exceeds cap 4096"),
+])
+def test_base_field_large_a_names_the_failing_limit(capsys, p, a, message):
+    """For a >= 64, a p with |p| <= 1 has |p^a| <= 1 and is refused as not
+    prime; any other p is past the cap."""
+    assert run(capsys, "decompose", "--d1", "2", "--p", str(p), "--a", str(a)) == \
+        (2, "", f"error: {message}\n")
 
 
 def test_families_prime_power_q(capsys):

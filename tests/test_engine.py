@@ -116,7 +116,8 @@ def test_d_classes_match_lattice_filter(G):
         A = maximal_abelian_over_derived(G, N)
         classes = d_classes(G, N, _kernel_conjugates(G, N, A))
         want = sorted(D.members for D in subs
-                      if N <= D <= A and core(G, D).members == N.members
+                      if N.member_set <= D.member_set <= A.member_set
+                      and core(G, D).members == N.members
                       and any(subgroup_closure(G, D.members + (a,)).members
                               == A.members for a in A.members))
         assert sorted(D.members for cls in classes for D in cls) == want

@@ -199,7 +199,7 @@ def test_generators_generate(G):
         assert subgroup_closure(G, gens) == H
         assert 2 ** len(gens) <= H.order
         brute = [g for g in range(G.order)
-                 if all(conj(G, h, g) in H for h in H.members)]
+                 if all(conj(G, h, g) in H.member_set for h in H.members)]
         assert normalizer(G, H).members == tuple(brute)
 
 
@@ -331,7 +331,7 @@ def test_maximal_abelian_over_derived_is_maximal(G):
             assert all(_commutes_mod(H, x, y, N)
                        for x in A.members for y in A.members)
             assert not any(all(_commutes_mod(H, g, a, N) for a in A.members)
-                           for g in range(H.order) if g not in A)
+                           for g in range(H.order) if g not in A.member_set)
 
 
 def test_d1_structure():

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import (
     ALL_METACYCLIC,
+    a4_group,
     conjugate_in_g,
     conjugate_subgroup,
     core,
@@ -9,7 +10,8 @@ from conftest import (
     normal_subgroups,
     x_triples_reference,
 )
-from grpalg.errors import BadPresentation
+from grpalg import metacyclic
+from grpalg.errors import BadPresentation, NotSemisimple
 from grpalg.field import make_field
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import (
@@ -17,6 +19,7 @@ from grpalg.metacyclic import (
     metacyclic_decompose,
     normal_triples,
     o_v,
+    params_of,
     triple_subgroup,
     x_classes,
     x_triples,
@@ -162,3 +165,17 @@ def test_cyclic_tuple_reduces_to_abelian():
     s, _ = metacyclic_decompose(p, make_field(5))
     # orbits of units: F_5[Z6] = F_5^2 + F_25^2
     assert s.components == {(1, 1): 2, (1, 2): 2}
+
+
+def test_fast_path_refuses_non_semisimple_before_building_the_group(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("metacyclic_group called")
+
+    monkeypatch.setattr(metacyclic, "metacyclic_group", unexpected)
+    with pytest.raises(NotSemisimple):
+        metacyclic_decompose(MetacyclicParams(4, 2, 0, 3), make_field(2))
+
+
+def test_params_of_refuses_a_group_without_a_presentation():
+    with pytest.raises(ValueError, match="^A4 carries no metacyclic presentation$"):
+        params_of(a4_group())

@@ -46,6 +46,11 @@ def test_q_class_count_examples():
         q_class_count(S3, 3)
 
 
+def test_center_split_refuses_non_semisimple():
+    with pytest.raises(NotSemisimple):
+        center_split(S3, make_field(3))
+
+
 def test_trivial_group():
     G = FiniteGroup([[0]])
     ids = center_split(G, make_field(5))
