@@ -8,8 +8,10 @@ goes through precomputed q x q int16 tables: gathers for vectorized use
 (BaseField.sum_rows, the one reduction of many vectors to their sum), and
 row memoryviews for scalar lookups.
 For a >= 2 the modulus is the lex-least irreducible of degree a
-over F_p, and the product table comes from discrete-log tables of a
-generator of F_q^*.
+over F_p.  The first generator g of F_q^* in index order is found by
+walking the orbit of 1 under each candidate's multiply-by-g map, which is
+built in numpy from the digits of x^k·i; the product table is then one
+gather of g's doubled exp table at log i + log j.
 
 No extension field F_{q^s} is ever built.  The idempotents only need the
 traces tr(zeta^k) of a primitive n-th root of unity zeta, and those lie in
@@ -200,9 +202,11 @@ class BaseField:
     def __init__(self, p: int, a: int = 1):
         if a < 1:
             raise ValueError("exponent must be >= 1")
-        q = p ** a if a < 64 or -1 <= p <= 1 else None  # else |p^a| >= 2^64: not built
-        if q is None or q > MAX_BASE_ORDER:
-            raise ValueError(f"base field order {q or f'{p}^{a}'} exceeds cap "
+        huge = a >= 64 and abs(p) >= 2  # |p^a| >= 2^64: not computed
+        q = None if huge else p ** a
+        # a huge p^a is past the cap unless it is negative (p < 0, a odd)
+        if (p > 0 or a % 2 == 0) if huge else q > MAX_BASE_ORDER:
+            raise ValueError(f"base field order {f'{p}^{a}' if huge else q} exceeds cap "
                              f"{MAX_BASE_ORDER}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
@@ -225,37 +229,47 @@ class BaseField:
         self._traces, self._factors = {}, {}
 
     def _prime_power_tables(self, prime):
-        """int16 add and mul tables of F_{p^a}, a >= 2, in O(a) numpy calls:
-        add by one broadcast per digit, mul as exp[(log i + log j) mod
-        (q - 1)] with row and column 0 zeroed.  Every intermediate stays
-        q x q int16 (q <= MAX_BASE_ORDER keeps 2(q - 2) below 2^15)."""
+        """int16 add and mul tables of F_{p^a}, a >= 2: add by one broadcast
+        per digit, mul as one gather of the doubled exp table of a generator
+        (_generator_powers) at log i + log j, with row and column 0 zeroed.
+        The sums are at most 2(q - 2) < 2^13, so every intermediate is q x q
+        int16."""
         p, q = self.p, self.q
         add = base = prime.add_np
         for k in range(1, self.a):  # index p·i + c: c is the new least digit
             n = p ** k
             add = (p * add[:, None, :, None] + base[None, :, None, :]).reshape(n * p, n * p)
-        exp = self._generator_powers(prime)
+        exp = self._generator_powers()
         log = np.zeros(q, dtype=np.int16)
         log[exp] = np.arange(q - 1, dtype=np.int16)
-        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul = np.concatenate([exp, exp])[log[:, None] + log[None, :]]
         mul[0, :] = 0
         mul[:, 0] = 0
         return add, mul
 
-    def _generator_powers(self, prime):
+    def _generator_powers(self):
         """g^0, ..., g^{q-2} as an int16 array, g the first generator of
-        F_q^* in index order (products by polynomial arithmetic over F_p)."""
-        mod = list(self.modulus)
-        for g in range(2, self.q):
-            gpoly = poly_trim(list(self.coeffs_of(g)))
-            powers, cur = [1], [1]
-            for _ in range(self.q - 2):
-                cur = poly_mod(prime, poly_mul(prime, cur, gpoly), mod)
-                i = self._coeffs_to_index(cur)
-                if i == 1:
-                    break
-                powers.append(i)
-            else:
+        F_q^* in index order.  The digits of x^k·i (k < a) are stacked once;
+        a candidate's map i -> g·i is their sum weighted by its digits.  g
+        generates when the orbit of 1 under that map first returns to 1 at
+        step q - 1; the walk stops there, since under a reducible modulus a
+        zero divisor's orbit never returns."""
+        p, a, q = self.p, self.a, self.q
+        weights = p ** np.arange(a)
+        digits = np.arange(q)[:, None] // weights % p
+        stack = [digits]
+        for _ in range(1, a):  # times x: shift up, fold x^a = -(m_0 + ... + m_{a-1} x^{a-1})
+            d = stack[-1]
+            stack.append((np.pad(d[:, :-1], ((0, 0), (1, 0)))
+                          - d[:, -1:] * self.modulus[:a]) % p)
+        stack = np.stack(stack)
+        for g in range(2, q):
+            times_g = (np.tensordot(digits[g], stack, 1) % p @ weights).tolist()
+            powers, cur = [1], times_g[1]
+            while cur != 1 and len(powers) < q - 1:
+                powers.append(cur)
+                cur = times_g[cur]
+            if cur == 1 and len(powers) == q - 1:
                 return np.array(powers, dtype=np.int16)
         raise InternalInconsistency(f"no generator of F_{self.q}^* found")
 
@@ -296,9 +310,6 @@ class BaseField:
         """Coefficient vector (c_0, ..., c_{a-1}) over F_p."""
         p = self.p
         return tuple((i // p ** k) % p for k in range(self.a))
-
-    def _coeffs_to_index(self, coeffs):
-        return sum(c * self.p ** k for k, c in enumerate(coeffs))
 
     # -- cyclotomic traces, memoized per field
     def cyclotomic_traces(self, n: int) -> tuple:

@@ -266,10 +266,13 @@ def test_base_field_limit_exit_2(capsys):
     (0, 100, "0 is not prime"),
     (-1, 64, "-1 is not prime"),
     (2, 64, "base field order 2^64 exceeds cap 4096"),
+    (-5, 65, "-5 is not prime"),
+    (-2, 64, "base field order -2^64 exceeds cap 4096"),
 ])
 def test_base_field_large_a_names_the_failing_limit(capsys, p, a, message):
     """For a >= 64, a p with |p| <= 1 has |p^a| <= 1 and is refused as not
-    prime; any other p is past the cap."""
+    prime, and so is a negative p with an odd a, whose p^a is negative; any
+    other p is past the cap."""
     assert run(capsys, "decompose", "--d1", "2", "--p", str(p), "--a", str(a)) == \
         (2, "", f"error: {message}\n")
 

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
 from math import gcd
@@ -18,7 +19,7 @@ from conftest import (
     is_irreducible_reference as is_irreducible,
 )
 from grpalg import field
-from grpalg.errors import NotCoprime, NotPrime
+from grpalg.errors import InternalInconsistency, NotCoprime, NotPrime
 from grpalg.field import (
     BaseField,
     factor_polynomial,
@@ -110,15 +111,14 @@ def test_field_axioms_exhaustive(p, a):
                 assert F.add(x, F.add(y, z)) == F.add(F.add(x, y), z)
 
 
-def naive_tables(p, a, modulus):
-    """add and mul tables of F_p[x]/(modulus) by schoolbook arithmetic on
-    coefficient vectors, one row (first operand) at a time."""
+def schoolbook_rows(p, a, modulus, rows):
+    """Rows i (first operands) of the product table of F_p[x]/(modulus) by
+    schoolbook arithmetic on coefficient vectors, one row at a time."""
     q = p ** a
     D = np.array([[i // p ** k % p for k in range(a)] for i in range(q)])
     weights = p ** np.arange(a)
-    add = (D[:, None, :] + D[None, :, :]) % p @ weights
-    mul = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
+    mul = np.zeros((len(rows), q), dtype=np.int64)
+    for r, i in enumerate(rows):
         prod = np.zeros((q, 2 * a - 1), dtype=np.int64)
         for u in range(a):
             prod[:, u:u + a] += D[i, u] * D
@@ -126,8 +126,17 @@ def naive_tables(p, a, modulus):
             c = prod[:, d] % p
             for k in range(a):
                 prod[:, d - a + k] -= c * modulus[k]
-        mul[i] = prod[:, :a] % p @ weights
-    return add, mul
+        mul[r] = prod[:, :a] % p @ weights
+    return mul
+
+
+def naive_tables(p, a, modulus):
+    """add and mul tables of F_p[x]/(modulus) by schoolbook arithmetic on
+    coefficient vectors."""
+    q = p ** a
+    D = np.array([[i // p ** k % p for k in range(a)] for i in range(q)])
+    add = (D[:, None, :] + D[None, :, :]) % p @ p ** np.arange(a)
+    return add, schoolbook_rows(p, a, modulus, range(q))
 
 
 PRIME_POWERS_TO_256 = [(p, a) for p in (2, 3, 5, 7, 11, 13)
@@ -156,9 +165,35 @@ PRIME_POWERS_TO_4096 = [(p, a) for p in range(2, 65) if is_prime(p)
 @pytest.mark.parametrize("p,a", PRIME_POWERS_TO_4096)
 def test_add_table_matches_digit_loop(p, a):
     """The broadcast F_{p^a} addition table against the digit-by-digit
-    build, for every p^a <= MAX_BASE_ORDER with a >= 2 (BaseField, not the
+    build, 32 seeded random rows (all rows for q < 32) of the product table
+    against the schoolbook product, and inv_np on every nonzero element,
+    for every p^a <= MAX_BASE_ORDER with a >= 2 (BaseField, not the
     make_field cache, so no table outlives its case)."""
-    assert np.array_equal(BaseField(p, a).add_np, add_table_reference(p, a))
+    F = BaseField(p, a)
+    assert np.array_equal(F.add_np, add_table_reference(p, a))
+    rows = random.Random(1000 * p + a).sample(range(F.q), min(32, F.q))
+    assert np.array_equal(F.mul_np[rows], schoolbook_rows(p, a, F.modulus, rows))
+    nonzero = np.arange(1, F.q)
+    assert (F.mul_np[nonzero, F.inv_np[nonzero]] == 1).all()
+
+
+def test_reducible_modulus_finds_no_generator(monkeypatch):
+    """Under the reducible x^2 + 1 = (x + 1)^2 over F_2, the orbit of 1
+    under x returns after 2 steps and the orbit under 1 + x runs into 0 and
+    never returns, so BaseField raises instead of returning tables; an alarm
+    fails the test if the walk does not stop."""
+    def timeout(*_):
+        raise TimeoutError("generator walk did not stop")
+
+    monkeypatch.setattr(field, "lex_least_irreducible", lambda F, s: (1, 0, 1))
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InternalInconsistency, match="no generator of F_4"):
+            BaseField(2, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_largest_fields_stay_small():
