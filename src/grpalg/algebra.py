@@ -7,10 +7,11 @@ y[g⁻¹h] through the group table, scaled by x[g], and one BaseField.sum_rows.
 The required `at` names the h where x·y is evaluated: the class
 representatives when x and y are central, np.arange(|G|) for all of x·y.
 The dimension of an ideal F_q[G]·e is [G:S] times the rank of one |S|×|S|
-block, S the subgroup that the support of e generates: the rows s·e for
-s in S are one gather through the group table, read on the columns S,
-and the rank elimination clears each pivot column in all remaining rows
-at once.
+block, S the subgroup that the support of e generates.  When |S| exceeds
+QUOTIENT_MIN_SUPPORT the block shrinks to one row and one column per left
+coset of K, the two-sided stabilizer of e in S.  The block is read
+through the group table on its rows and columns only, and the rank
+elimination clears each pivot column in all remaining rows at once.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .field import BaseField
 from .groups import FiniteGroup, class_index, subgroup_closure
 
 PRODUCT_BLOCK = 256  # support rows per gather: 256·len(at) int16 at most
+# Supports of at most this many elements keep the |S|×|S| block: it is the
+# width of the column block _rank tests at once, and below it the gathers
+# that find the stabilizer cost more than the smaller block saves.
+QUOTIENT_MIN_SUPPORT = 64
+STABILIZER_BLOCK = 64  # candidates per stabilizer test: 64·|S| cells at a time
 
 
 class GroupAlgebra:
@@ -55,11 +61,24 @@ class GroupAlgebra:
         So the |G|×|G| matrix is block-diagonal over the left cosets of S.
         For g = xs and h = xt with s, t in S, entry (g, h) is e[s⁻¹t]: the
         block of the coset xS is B[s, t] = e[s⁻¹t] with rows and columns
-        relabeled by s ↦ xs.  The rank is [G:S]·rank(B), for every e."""
-        G = self.group
-        S = np.array(subgroup_closure(G, np.flatnonzero(e.coeffs).tolist()).members)
-        # the rows s·e, then their columns S: one |S|×|G| index table at a time
-        block = e.coeffs[G.m[G.inv_np[S]]].take(S, axis=1)
+        relabeled by s ↦ xs.  The rank is [G:S]·rank(B), for every e.
+
+        When |S| > QUOTIENT_MIN_SUPPORT, B shrinks further.  Let K be the k
+        in S with e[sk] = e[s] = e[ks] for every s in S.  Each of the two
+        conditions holds on a subgroup (e[sk₁k₂] = e[sk₁] = e[s], and
+        e[sk⁻¹] = e[sk⁻¹·k]; the same on the left), so K is one, and s = 1
+        puts it inside {k : e[k] = e[1]}.  Then B[s, tk] = e[s⁻¹t·k] =
+        e[s⁻¹t] and B[sk, t] = e[k⁻¹·s⁻¹t] = e[s⁻¹t]: rows and columns are
+        constant on the left cosets of K.  With R one representative per
+        coset and P the |S|×|R| 0/1 matrix of coset membership,
+        B = P·B[R, R]·Pᵀ, and P has full column rank, so rank(B) =
+        rank(B[R, R]), an [S:K]-square block, for every e."""
+        G, c = self.group, e.coeffs
+        S = np.array(subgroup_closure(G, np.flatnonzero(c).tolist()).members)
+        reps = _coset_representatives(G, c, S) if S.size > QUOTIENT_MIN_SUPPORT else S
+        # B[R, R] = e[r⁻¹r']: the table rows r⁻¹, their columns R, then e on
+        # those |R|×|R| entries (faster than one two-axis gather)
+        block = c.take(G.m[G.inv_np[reps]].take(reps, axis=1))
         return G.order // S.size * _rank(self.field, block)
 
     # fields compare by q: lex_least_irreducible fixes one encoding per order,
@@ -124,6 +143,23 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"<{self.to_str()}>"
+
+
+def _coset_representatives(G, c, S):
+    """One element of each left coset sK of S, K the two-sided stabilizer
+    {k in S : c[sk] = c[s] = c[ks] for all s in S} of the coefficient
+    vector c supported in S (see GroupAlgebra.ideal_dimension): the least
+    member of each coset."""
+    on_S = c[S]
+    cand = S[on_S == c[0]]
+    least = S  # per s, the least member of sK found so far
+    for k in np.split(cand, range(STABILIZER_BLOCK, cand.size, STABILIZER_BLOCK)):
+        right = G.m.take(k, axis=1)[S]                 # s·k
+        left = G.m[k].take(S, axis=1)                  # k·s
+        in_K = ((c.take(right) == on_S[:, None]).all(axis=0)
+                & (c.take(left) == on_S).all(axis=1))
+        least = np.minimum(least, right[:, in_K].min(axis=1, initial=G.order))
+    return np.unique(least)
 
 
 def _rank(F, rows: np.ndarray) -> int:

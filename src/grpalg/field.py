@@ -190,6 +190,20 @@ def lex_least_irreducible(F, s):
 MAX_BASE_ORDER = 4096
 
 
+def _digit_add_table(base, a):
+    """The int16 addition table of length-a digit vectors mod p, index
+    i = Σ c_k p^k, from the p x p table `base`, by halves: with a1 = ⌈a/2⌉
+    an index is p^{a1}·hi + lo, and the sum of two adds their hi and their
+    lo parts apart.  Each step is one broadcast whose inner axes are the
+    longer half, p^{a1} wide, where one broadcast per digit would loop over
+    inner axes of length p."""
+    if a == 1:
+        return base
+    p, a1 = base.shape[0], (a + 1) // 2
+    lo, hi = _digit_add_table(base, a1), _digit_add_table(base, a - a1)
+    return (p ** a1 * hi[:, None, :, None] + lo[None, :, None, :]).reshape(p ** a, p ** a)
+
+
 class BaseField:
     """F_{p^a} with table-backed arithmetic on integer element indices; the
     cyclotomic trace tables of the idempotents and the factorizations of
@@ -229,16 +243,14 @@ class BaseField:
         self._traces, self._factors = {}, {}
 
     def _prime_power_tables(self, prime):
-        """int16 add and mul tables of F_{p^a}, a >= 2: add by one broadcast
-        per digit, mul as one gather of the doubled exp table of a generator
-        (_generator_powers) at log i + log j, with row and column 0 zeroed.
+        """int16 add and mul tables of F_{p^a}, a >= 2: add as digit vectors
+        (_digit_add_table), mul as one gather of the doubled exp table of a
+        generator (_generator_powers) at log i + log j, with row and column
+        0 zeroed.
         The sums are at most 2(q - 2) < 2^13, so every intermediate is q x q
         int16."""
-        p, q = self.p, self.q
-        add = base = prime.add_np
-        for k in range(1, self.a):  # index p·i + c: c is the new least digit
-            n = p ** k
-            add = (p * add[:, None, :, None] + base[None, :, None, :]).reshape(n * p, n * p)
+        q = self.q
+        add = _digit_add_table(prime.add_np, self.a)
         exp = self._generator_powers()
         log = np.zeros(q, dtype=np.int16)
         log[exp] = np.arange(q - 1, dtype=np.int16)

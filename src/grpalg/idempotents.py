@@ -418,7 +418,15 @@ def _validate(A: GroupAlgebra, summary, descriptors):
             fail("central", {"component": i})
         if not np.array_equal(A.product(es[i], es[i], at=reps), es[i][reps]):
             fail("idempotent", {"component": i})
-        dims.append(A.ideal_dimension(e))
+        # e·e = e, so F_q[G] = F_q[G]e ⊕ F_q[G](1 − e) and dim F_q[G]e is
+        # |G| − dim F_q[G](1 − e); the claimed d²l only picks the side whose
+        # rank is the smaller, and either side gives dim F_q[G]e exactly
+        if 2 * dsc.dim > A.group.order:
+            rest = A.field.neg_np[es[i]]
+            rest[0] = A.field.add_np[1, rest[0]]
+            dims.append(A.group.order - A.ideal_dimension(AlgebraElement(A, rest)))
+        else:
+            dims.append(A.ideal_dimension(e))
         if dims[-1] != dsc.dim:
             fail("ideal_dimension", {"component": i, "got": dims[-1],
                                      "expected": dsc.dim})

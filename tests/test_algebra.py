@@ -5,12 +5,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     basis_vector,
     convolution_reference,
+    elementary_abelian,
     full_product,
     is_idempotent,
     is_normal,
     rank_reference,
 )
-from grpalg.algebra import PRODUCT_BLOCK, AlgebraElement, GroupAlgebra, _rank
+from grpalg import algebra
+from grpalg.algebra import (
+    PRODUCT_BLOCK,
+    QUOTIENT_MIN_SUPPORT,
+    AlgebraElement,
+    GroupAlgebra,
+    _coset_representatives,
+    _rank,
+)
 from grpalg.field import make_field
 from grpalg.groups import (
     conjugacy_classes,
@@ -188,19 +197,25 @@ def _on(rng, q, n, members, sparse):
     return c
 
 
+M37 = metacyclic_group(37, 4, 0, 6)                 # a^i b^j is 4*i + j
+D37 = [4 * i + j for i in range(37) for j in (0, 2)]  # <a, b^2>, index 2
+
+
 def test_ideal_dimension_on_subgroup_support():
     """ideal_dimension eliminates one block over the subgroup S generated
     by the support and multiplies by [G:S]; it must equal the rank of all
     products g*e.  Supports: the normal <a> of M(7,3,0,2); the non-normal,
-    non-abelian <a^3, b> = S_3 of M(9,2,0,8) = D_9; and {a^3, b}, not a
-    subgroup itself, which generates that S_3."""
+    non-abelian <a^3, b> = S_3 of M(9,2,0,8) = D_9; {a^3, b}, not a
+    subgroup itself, which generates that S_3; and <a, b^2> = D_37 of
+    M(37,4,0,6), of order 74 > QUOTIENT_MIN_SUPPORT, so the stabilizer
+    quotient runs (on random elements the stabilizer is trivial)."""
     rng = np.random.default_rng(18)
     M7, D9 = metacyclic_group(7, 3, 0, 2), metacyclic_group(9, 2, 0, 8)
     a7 = [3 * i for i in range(7)]                  # a^i b^j is i*t + j
     s3 = [2 * i + j for i in (0, 3, 6) for j in (0, 1)]
     assert not is_normal(D9, subgroup_closure(D9, s3))
     assert subgroup_closure(D9, [6, 1]).members == tuple(s3)
-    for G, members in [(M7, a7), (D9, s3), (D9, [6, 1])]:
+    for G, members in [(M7, a7), (D9, s3), (D9, [6, 1]), (M37, D37)]:
         for p, a in [(2, 1), (3, 1), (2, 2)]:
             B = GroupAlgebra(G, make_field(p, a))
             for sparse in (False, True, True):
@@ -211,17 +226,106 @@ def test_ideal_dimension_on_subgroup_support():
                     rank_reference(B.field, rows)
 
 
+def test_ideal_dimension_with_nontrivial_stabilizer():
+    """Elements supported on S = <a, τ> = D_37 of G = M(37,4,0,6), τ = b^2,
+    with |S| = 74 > QUOTIENT_MIN_SUPPORT, each against the rank of all
+    products g*e:
+      - central elements, constant on the classes of G inside S: their
+        stabilizer is normal in G;
+      - random on the double cosets K s K of K = <τ>, which is normal in
+        neither S nor G: the stabilizer holds K, so rows and columns are
+        constant on left cosets of a non-normal subgroup;
+      - over F_149, u(1 + τ) and (1 + τ)u with u = a − ζ, ζ of order 37:
+        invariant under K on one side only.  The cosets of K on that side
+        are represented by the rotations R = <a>, and F_q[R]·u misses the
+        character a ↦ ζ that u·τ = τ·ū reaches, so a one-sided stabilizer
+        would give 2·36 = 72 where the ideal has dimension 74."""
+    rng = np.random.default_rng(26)
+    G, S, K = M37, D37, [0, 2]
+    assert subgroup_closure(G, S).members == tuple(S) and len(S) > QUOTIENT_MIN_SUPPORT
+    assert not is_normal(G, subgroup_closure(G, K))
+    classes = [c for c in conjugacy_classes(G) if c[0] in S]
+    double = sorted({tuple(np.unique(G.m[np.ix_(K, G.m[s, K])])) for s in S})
+    assert sum(map(len, classes)) == sum(map(len, double)) == len(S)
+    cases = []
+    for p, a in [(2, 1), (3, 1), (2, 2)]:
+        B = GroupAlgebra(G, make_field(p, a))
+        for parts in (classes, double):
+            for _ in range(2):
+                c = np.zeros(G.order, dtype=np.int16)
+                for part in parts:
+                    c[list(part)] = rng.integers(1, B.q)
+                cases.append((B, c, None))
+                if parts is double:
+                    # K-double cosets are unions of cosets sK: at most 37 representatives
+                    assert len(_coset_representatives(G, c, np.array(S))) <= 37
+    B = GroupAlgebra(G, make_field(149))
+    zeta = next(z for z in range(2, 149) if pow(z, 37, 149) == 1)
+    u = element(B, [149 - zeta, 0, 0, 0, 1] + [0] * (G.order - 5)).coeffs
+    one_tau = element(B, [1, 0, 1] + [0] * (G.order - 3)).coeffs
+    rotations = np.array(S[::2])
+    for c in (full_product(B, u, one_tau), full_product(B, one_tau, u)):
+        one_sided = c[G.m[np.ix_(G.inv_np[rotations], rotations)]]
+        assert 2 * _rank(B.field, one_sided) == 72
+        cases.append((B, c, 74))
+    for B, c, want in cases:
+        rows = np.stack([full_product(B, basis_vector(B, g), c)
+                         for g in range(G.order)])
+        got = B.ideal_dimension(AlgebraElement(B, c))
+        assert got == rank_reference(B.field, rows)
+        assert want in (None, got)
+
+
+def _one_minus(B, e):
+    """The coefficients of 1 − e."""
+    rest = B.field.neg_np[e.coeffs]
+    rest[0] = B.field.add_np[1, rest[0]]
+    return AlgebraElement(B, rest)
+
+
 def test_ideal_dimension_of_descriptors_matches_full_gather():
-    """Every primitive central idempotent of F_2[M(31,5,0,2)] against the
-    rank of the full |G|x|G| gather of the rows g*e."""
-    G = metacyclic_group(31, 5, 0, 2)
+    """Every primitive central idempotent e of F_2[M(31,5,0,2)], F_2[Z_3^4]
+    and F_5[M(43,2,0,42)] against the rank of the full |G|x|G| gather of
+    the rows g*e, as ideal_dimension(e) and as |G| − ideal_dimension(1 − e),
+    the route _validate takes when d^2·l is more than |G|/2.  All three
+    groups have order above QUOTIENT_MIN_SUPPORT, so supports that generate
+    G take the stabilizer quotient: every component of Z_3^4, the linear
+    ones of the other two."""
+    for G, q in [(metacyclic_group(31, 5, 0, 2), 2), (elementary_abelian(3, 4), 2),
+                 (metacyclic_group(43, 2, 0, 42), 5)]:
+        F = make_field(q)
+        B = GroupAlgebra(G, F)
+        _, descriptors = decompose(G, F)
+        assert G.order > QUOTIENT_MIN_SUPPORT
+        for d in descriptors:
+            e = d.idempotent
+            full = _rank(F, e.coeffs[G.m[G.inv_np]])
+            assert B.ideal_dimension(e) == full, (G.name, d)
+            assert G.order - B.ideal_dimension(_one_minus(B, e)) == full, (G.name, d)
+
+
+def test_quotient_reaches_rank_with_small_blocks(monkeypatch):
+    """On F_2[M(73,9,0,2)] the linear components (the trivial one among
+    them) are supported on all 657 elements, with the derived subgroup <a>
+    of order 73 in their stabilizer: _rank sees at most a 9x9 block, not
+    657x657."""
+    G = metacyclic_group(73, 9, 0, 2)
     F = make_field(2)
     B = GroupAlgebra(G, F)
     _, descriptors = decompose(G, F)
-    assert {d.d for d in descriptors} == {1, 5}
-    for d in descriptors:
-        e = d.idempotent
-        assert B.ideal_dimension(e) == _rank(F, e.coeffs[G.m[G.inv_np]])
+    shapes = []
+
+    def recording(F, rows):
+        shapes.append(rows.shape)
+        return _rank(F, rows)
+
+    monkeypatch.setattr(algebra, "_rank", recording)
+    linear = [d for d in descriptors if d.d == 1]
+    assert sorted(d.l for d in linear) == [1, 2, 6]
+    for d in linear:
+        assert B.ideal_dimension(d.idempotent) == d.l
+    assert len(shapes) == 3
+    assert all(r == c <= 9 for r, c in shapes), shapes
 
 
 # F_2, F_3, F_4, F_5, F_7 and F_9 as (p, a)
