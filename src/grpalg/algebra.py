@@ -1,16 +1,16 @@
 """The group algebra F_q[G]: elements are coefficient vectors indexed by
 group elements, with coefficients stored as base-field indices in a numpy
 int16 array.  An AlgebraElement is a read-only result, such as an
-idempotent.  GroupAlgebra.product is the one product kernel: for each
-block of at most PRODUCT_BLOCK support elements g of x, one gather of
-y[g⁻¹h] through the group table, scaled by x[g], and one BaseField.sum_rows.
-The required `at` names the h where x·y is evaluated: the class
-representatives when x and y are central, np.arange(|G|) for all of x·y.
-The dimension of an ideal F_q[G]·e is [G:S] times the rank of one |S|×|S|
-block, S the subgroup that the support of e generates.  When |S| exceeds
-QUOTIENT_MIN_SUPPORT the block shrinks to one row and one column per left
-coset of K, the two-sided stabilizer of e in S.  The block is read
-through the group table on its rows and columns only, and the rank
+idempotent: its coeffs, key() and to_str().  GroupAlgebra.product is the
+one product kernel: for each block of at most PRODUCT_BLOCK support
+elements g of x, one gather of y[g⁻¹h] through the group table, scaled by
+x[g], and one BaseField.sum_rows.  The required `at` names the h where x·y
+is evaluated: the class representatives when x and y are central,
+np.arange(|G|) for all of x·y.  The dimension of an ideal F_q[G]·e is
+[G:S] times the rank of one |S|×|S| block, S the subgroup that the support
+of e generates.  When |S| exceeds QUOTIENT_MIN_SUPPORT the block shrinks
+to one row and one column per left coset of K, the two-sided stabilizer
+of e in S.  The block is read through the group table, and the rank
 elimination clears each pivot column in all remaining rows at once.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import BaseField
-from .groups import FiniteGroup, class_index, subgroup_closure
+from .groups import FiniteGroup, subgroup_closure
 
 PRODUCT_BLOCK = 256  # support rows per gather: 256·len(at) int16 at most
 # Supports of at most this many elements keep the |S|×|S| block: it is the
@@ -35,11 +35,6 @@ class GroupAlgebra:
         self.field = field
         self.q = field.q
 
-    def one(self):
-        c = np.zeros(self.group.order, dtype=np.int16)
-        c[0] = 1
-        return AlgebraElement(self, c)
-
     def product(self, x: np.ndarray, y: np.ndarray, at) -> np.ndarray:
         """The coefficients (x·y)(h) = Σ_g x[g]·y[g⁻¹h] of the product of two
         coefficient vectors, at the elements h of `at`; all of x·y is
@@ -48,15 +43,17 @@ class GroupAlgebra:
         support = np.flatnonzero(x)
         parts = []
         for g in np.split(support, range(PRODUCT_BLOCK, support.size, PRODUCT_BLOCK)):
-            cols = G.m[np.ix_(G.inv_np[g], at)]
-            parts.append(F.sum_rows(F.mul_np[x[g][:, None], y[cols]]))
+            cols = G.m[G.inv_np[g]].take(at, axis=1)
+            parts.append(F.sum_rows(F.mul_np[x[g][:, None], y.take(cols)]))
         return F.sum_rows(parts)
 
-    def ideal_dimension(self, e: "AlgebraElement") -> int:
-        """dim_{F_q} of the left ideal F_q[G]·e, the span of the rows g·e
-        whose h-coefficient is e[g⁻¹h]; for central e, the two-sided ideal.
+    def ideal_dimension(self, c: np.ndarray) -> int:
+        """dim_{F_q} of the left ideal F_q[G]·e, e the element with
+        coefficients c: the span of the rows g·e whose h-coefficient is
+        e[g⁻¹h]; for central e, the two-sided ideal.
 
-        Let S be the subgroup generated by the support of e.  Row g is
+        Let S be the subgroup generated by the support of e: G when the
+        support exceeds |G|/2, the most a proper subgroup holds.  Row g is
         supported on the left coset gS, since e[g⁻¹h] ≠ 0 puts g⁻¹h in S.
         So the |G|×|G| matrix is block-diagonal over the left cosets of S.
         For g = xs and h = xt with s, t in S, entry (g, h) is e[s⁻¹t]: the
@@ -73,22 +70,14 @@ class GroupAlgebra:
         coset and P the |S|×|R| 0/1 matrix of coset membership,
         B = P·B[R, R]·Pᵀ, and P has full column rank, so rank(B) =
         rank(B[R, R]), an [S:K]-square block, for every e."""
-        G, c = self.group, e.coeffs
-        S = np.array(subgroup_closure(G, np.flatnonzero(c).tolist()).members)
+        G, support = self.group, np.flatnonzero(c)
+        S = (np.arange(G.order) if 2 * support.size > G.order
+             else np.array(subgroup_closure(G, support.tolist()).members))
         reps = _coset_representatives(G, c, S) if S.size > QUOTIENT_MIN_SUPPORT else S
         # B[R, R] = e[r⁻¹r']: the table rows r⁻¹, their columns R, then e on
         # those |R|×|R| entries (faster than one two-axis gather)
         block = c.take(G.m[G.inv_np[reps]].take(reps, axis=1))
         return G.order // S.size * _rank(self.field, block)
-
-    # fields compare by q: lex_least_irreducible fixes one encoding per order,
-    # so make_field(5) and make_field(5, 1), two lru_cache keys, agree
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebra)
-            and self.group is other.group
-            and self.q == other.q
-        )
 
     def __repr__(self):
         return f"F_{self.q}[{self.group.name}]"
@@ -101,34 +90,11 @@ class AlgebraElement:
         self.algebra = algebra
         self.coeffs = coeffs
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def is_central(self) -> bool:
-        # central iff the coefficients are constant on conjugacy classes:
-        # w keeps one coefficient per class, read back through class_of
-        class_of = class_index(self.algebra.group)
-        c = self.coeffs
-        w = np.empty_like(c)
-        w[class_of] = c
-        return np.array_equal(w[class_of], c)
-
     def key(self):
         return tuple(int(c) for c in self.coeffs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((id(self.algebra.group), self.key()))
-
     def to_str(self) -> str:
-        F = self.algebra.field
-        G = self.algebra.group
+        G, F = self.algebra.group, self.algebra.field
         parts = []
         for g in np.nonzero(self.coeffs)[0]:
             c = int(self.coeffs[g])
@@ -140,9 +106,6 @@ class AlgebraElement:
             else:
                 parts.append("(" + ",".join(map(str, F.coeffs_of(c))) + f")*{lab}")
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<{self.to_str()}>"
 
 
 def _coset_representatives(G, c, S):

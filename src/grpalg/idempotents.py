@@ -25,6 +25,8 @@ Every choice (the element that joins A next, the D of a class, the coset
 of an orbit) is the least one; the idempotents do not depend on it.
 triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
+The engine computes on int16 coefficient arrays; ec_idempotent wraps each
+result as the read-only AlgebraElement a descriptor holds.
 WedderburnSummary is the result type of the engine, the fast path and the
 closed forms (families), and the one writer of its table, its algebra and
 its automorphism group.
@@ -49,6 +51,7 @@ from .field import BaseField, mult_order, prime_factors
 from .groups import (
     FiniteGroup,
     Subgroup,
+    class_index,
     conjugacy_classes,
     is_metabelian,
     mask,
@@ -126,8 +129,8 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
 # ---------------------------------------------------------------------------
 
 def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int):
-    """The trace-twisted coset-sum idempotent attached to (K, H) and the
-    generator coset C = j·<q> of Z/[K:H]:
+    """The coefficients of the trace-twisted coset-sum idempotent of (K, H)
+    and the generator coset C = j·<q> of Z/[K:H]:
         |K|^{-1} * sum_{g in K} tr(zeta^{j*e(g)}) * g^{-1},
     zeta a primitive [K:H]-th root of unity; every member of C gives it."""
     G, F = A.group, A.field
@@ -137,7 +140,7 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int):
     coeffs = np.zeros(G.order, dtype=np.int16)
     ks = np.array(K.members)
     coeffs[G.inv_np[ks]] = np.array(tr)[j * e[ks] % n]
-    return AlgebraElement(A, F.mul_np[kinv, coeffs])
+    return F.mul_np[kinv, coeffs]
 
 
 def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int,
@@ -148,7 +151,7 @@ def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int,
     gather is the conjugate x_i^-1·eps·x_i, coefficients eps[x_i h x_i^-1]."""
     G = A.group
     xs = np.array(transversal(G, E))
-    rows = epsilon_idempotent(A, K, H, j).coeffs[G.m[G.m[xs], G.inv_np[xs][:, None]]]
+    rows = epsilon_idempotent(A, K, H, j)[G.m[G.m[xs], G.inv_np[xs][:, None]]]
     # one void scalar per row: np.unique(rows, axis=0) builds a field per column
     as_bytes = rows.view(f"V{rows.itemsize * G.order}")[:, 0]
     _, first, which = np.unique(as_bytes, return_index=True, return_inverse=True)
@@ -402,42 +405,43 @@ def _validate(A: GroupAlgebra, summary, descriptors):
     def fail(name, witness):
         raise InvariantViolation(name, witness)
 
-    if summary.dimension() != A.group.order:
-        fail("dimension_sum", {"got": summary.dimension(),
-                               "expected": A.group.order})
+    G, F = A.group, A.field
+    if summary.dimension() != G.order:
+        fail("dimension_sum", {"got": summary.dimension(), "expected": G.order})
     # a central element is known by its class-representative coefficients,
     # so once e is central, e·e and e_i·e_j are evaluated only there
-    reps = [cls[0] for cls in conjugacy_classes(A.group)]
+    reps = [cls[0] for cls in conjugacy_classes(G)]
+    rep_of = np.array(reps)[class_index(G)]  # each element's class representative
     es = [dsc.idempotent.coeffs for dsc in descriptors]
     dims = []
-    for i, dsc in enumerate(descriptors):
-        e = dsc.idempotent
-        if e.is_zero():
+    for i, (dsc, e) in enumerate(zip(descriptors, es)):
+        if not e.any():
             fail("nonzero", {"component": i})
-        if not e.is_central():
+        if not np.array_equal(e[rep_of], e):  # constant on each class
             fail("central", {"component": i})
-        if not np.array_equal(A.product(es[i], es[i], at=reps), es[i][reps]):
+        if not np.array_equal(A.product(e, e, at=reps), e[reps]):
             fail("idempotent", {"component": i})
         # e·e = e, so F_q[G] = F_q[G]e ⊕ F_q[G](1 − e) and dim F_q[G]e is
         # |G| − dim F_q[G](1 − e); the claimed d²l only picks the side whose
         # rank is the smaller, and either side gives dim F_q[G]e exactly
-        if 2 * dsc.dim > A.group.order:
-            rest = A.field.neg_np[es[i]]
-            rest[0] = A.field.add_np[1, rest[0]]
-            dims.append(A.group.order - A.ideal_dimension(AlgebraElement(A, rest)))
+        if 2 * dsc.dim > G.order:
+            rest = F.neg_np[e]
+            rest[0] = F.add_np[1, rest[0]]
+            dims.append(G.order - A.ideal_dimension(rest))
         else:
             dims.append(A.ideal_dimension(e))
         if dims[-1] != dsc.dim:
             fail("ideal_dimension", {"component": i, "got": dims[-1],
                                      "expected": dsc.dim})
-    total = AlgebraElement(A, A.field.sum_rows(es))
+    total = F.sum_rows(es)
+    is_one = total[0] == 1 and not total[1:].any()
     # idempotents with sum 1 whose ideals' dimensions add up to |G| span
     # F_q[G] = ⊕ F_q[G]e_i, so e_j = sum_i e_j·e_i gives e_j·e_i = 0 (i != j)
-    if total != A.one() or sum(dims) != A.group.order:
+    if not is_one or sum(dims) != G.order:
         # e_j·e_i = e_i·e_j for central idempotents: one product a pair
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
                 if A.product(es[i], es[j], at=reps).any():
                     fail("orthogonal", {"components": (i, j)})
-    if total != A.one():
-        fail("sum_to_one", {"sum": total.to_str()})
+    if not is_one:
+        fail("sum_to_one", {"sum": AlgebraElement(A, total).to_str()})

@@ -10,6 +10,7 @@ import numpy as np
 from conftest import (
     ALL_METACYCLIC,
     PRIMES,
+    basis_vector,
     conjugate_in_g,
     conjugate_subgroup,
     core,
@@ -18,6 +19,7 @@ from conftest import (
     corpus_groups,
     d1_normal_subgroup_list,
     full_product,
+    is_central,
     is_idempotent,
     normal_subgroups,
     relabeled,
@@ -68,17 +70,17 @@ def test_criterion_1_invariant_suite():
     bad = []
     for (G, q), (summary, descriptors, _) in results.items():
         A = GroupAlgebra(G, make_field(q))
-        es = [d.idempotent for d in descriptors]
+        es = [d.idempotent.coeffs for d in descriptors]
         for e in es:
-            if e.is_zero() or not is_idempotent(e) or not e.is_central():
+            if not e.any() or not is_idempotent(A, e) or not is_central(G, e):
                 bad.append((G.name, q, "idempotent/central"))
-        total = A.field.sum_rows([e.coeffs for e in es])
-        if not np.array_equal(total, A.one().coeffs):
+        total = A.field.sum_rows(es)
+        if not np.array_equal(total, basis_vector(A, 0)):
             bad.append((G.name, q, "sum != 1"))
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
-                if (full_product(A, es[i].coeffs, es[j].coeffs).any()
-                        or full_product(A, es[j].coeffs, es[i].coeffs).any()):
+                if (full_product(A, es[i], es[j]).any()
+                        or full_product(A, es[j], es[i]).any()):
                     bad.append((G.name, q, f"not orthogonal ({i},{j})"))
     elapsed = time.time() - t0
     entries = len(results)
@@ -108,7 +110,7 @@ def test_criterion_3_dimension_identity():
             continue
         A = GroupAlgebra(G, make_field(q))
         for d in descriptors:
-            if A.ideal_dimension(d.idempotent) != d.d * d.d * d.l:
+            if A.ideal_dimension(d.idempotent.coeffs) != d.d * d.d * d.l:
                 bad.append((G.name, q, (d.d, d.l)))
     report(3, not bad,
            "sum(a*d^2*l) = |G| and per-component ideal rank = d^2*l everywhere"

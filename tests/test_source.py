@@ -25,16 +25,27 @@ def _references(node, inside=frozenset()):
         yield from _references(child, inside)
 
 
+# Dunder methods that Python calls implicitly, out of an AST scan's sight:
+# constructors, reprs and dataclass hooks in every class, and Subgroup's
+# equality and hash, as a Subgroup is a dict key in shoda_triples and a field
+# of the frozen dataclass Triple.  Every other dunder needs a src caller.
+IMPLICIT = {"__init__", "__repr__", "__post_init__"}
+IMPLICIT_IN = {("Subgroup", "__eq__"), ("Subgroup", "__hash__")}
+
+
 def test_every_src_definition_has_a_src_caller():
     """Every def and class in src/grpalg is referenced somewhere in
     src/grpalg outside its own body, as a name, an attribute or an imported
     name: code that only tests reach lives beside them in tests/conftest.py,
-    and a recursive helper needs a caller besides itself."""
+    and a recursive helper needs a caller besides itself.  Dunder methods
+    count too, except the IMPLICIT ones."""
     defined, used = {}, set()
     for fname, tree in _trees().items():
+        owner = {node: cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
+                if node.name not in IMPLICIT and (owner.get(node), node.name) not in IMPLICIT_IN:
                     defined.setdefault(node.name, f"{fname}:{node.lineno}")
         used.update(_references(tree))
     unused = {name: where for name, where in defined.items() if name not in used}
