@@ -574,7 +574,9 @@ def malformed_cayley(draw):
                                                     st.integers(min_value=n))),
             st.just("label 2"), NON_INTEGER)))
     else:
-        return draw(st.text(alphabet=st.characters(blacklist_characters="o")))
+        # codec: the text is written as UTF-8, which has no lone surrogates
+        return draw(st.text(alphabet=st.characters(blacklist_characters="o",
+                                                   codec="utf-8")))
     return "\n".join([f"order {order}", *map(" ".join, rows), *tail]) + "\n"
 
 
