@@ -33,7 +33,6 @@ class GroupAlgebra:
     def __init__(self, group: FiniteGroup, field: BaseField):
         self.group = group
         self.field = field
-        self.q = field.q
 
     def product(self, x: np.ndarray, y: np.ndarray, at) -> np.ndarray:
         """The coefficients (x·y)(h) = Σ_g x[g]·y[g⁻¹h] of the product of two
@@ -80,7 +79,7 @@ class GroupAlgebra:
         return G.order // S.size * _rank(self.field, block)
 
     def __repr__(self):
-        return f"F_{self.q}[{self.group.name}]"
+        return f"F_{self.field.q}[{self.group.name}]"
 
 
 class AlgebraElement:

@@ -36,7 +36,7 @@ from .groups import (
     parse_cayley,
 )
 from .idempotents import decompose
-from .metacyclic import metacyclic_decompose, params_of
+from .metacyclic import MetacyclicParams, metacyclic_decompose
 from .oracle import center_split, q_class_count
 
 # family name -> (group constructor, closed form)
@@ -163,9 +163,8 @@ def cmd_compare(args):
     _emit_summary(rep, "generic", summary)
     mismatches = []
     fam = G.meta.get("family")
-    if fam in ("metacyclic", "d2"):
-        params = params_of(G)
-        msum, mdesc = metacyclic_decompose(params, F)
+    if "params" in G.meta:
+        msum, mdesc = metacyclic_decompose(MetacyclicParams(*G.meta["params"]), F)
         _emit_summary(rep, "metacyclic", msum)
         same = (msum.components == summary.components and
                 sorted(d.idempotent.key() for d in mdesc)

@@ -9,14 +9,6 @@ class NotPrime(GrpalgError):
     pass
 
 
-class NotCoprime(GrpalgError):
-    pass
-
-
-class NotCyclicQuotient(GrpalgError):
-    pass
-
-
 class NotAssociative(GrpalgError):
     pass
 

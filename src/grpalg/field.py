@@ -36,7 +36,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import InternalInconsistency, NotCoprime, NotPrime
+from .errors import InternalInconsistency, NotPrime
 
 
 def is_prime(n: int) -> bool:
@@ -59,11 +59,12 @@ def prime_factors(n: int) -> list[int]:
 
 
 def mult_order(n: int, q: int) -> int:
-    """Least s >= 1 with q^s = 1 mod n; ord_1(q) = 1 by convention."""
+    """Least s >= 1 with q^s = 1 mod n; ord_1(q) = 1 by convention.
+    ValueError unless n >= 1 and gcd(n, q) = 1."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if gcd(n, q) != 1:
-        raise NotCoprime(f"gcd({n}, {q}) != 1")
+        raise ValueError(f"gcd({n}, {q}) != 1")
     s, acc = 1, q % n
     while acc != 1 % n:
         acc = acc * q % n
@@ -135,7 +136,7 @@ def poly_mod(F, f, g):
 def poly_monic(F, f):
     if not f:
         return f
-    if f[-1] == F.one:
+    if f[-1] == 1:
         return list(f)
     return poly_scale(F, F.inv(f[-1]), f)
 
@@ -148,7 +149,7 @@ def poly_gcd(F, f, g):
 
 
 def poly_pow_mod(F, f, e, m):
-    result = [F.one]
+    result = [1]
     base = poly_mod(F, f, m)
     while e > 0:
         if e & 1:
@@ -177,7 +178,7 @@ def lex_least_irreducible(F, s):
     nonzero, so the candidates with c_0 = 0 are skipped wholesale."""
     for c0 in range(1, F.p):
         for rest in itertools.product(range(F.p), repeat=s - 1):
-            f = [c0, *rest, F.one]
+            f = [c0, *rest, 1]
             if is_irreducible(F, f):
                 return tuple(f)
     raise InternalInconsistency(f"no irreducible of degree {s} found")
@@ -225,7 +226,6 @@ class BaseField:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p, self.a, self.q = p, a, q
-        self.one = 1
         if a == 1:
             self.modulus = None
             i = np.arange(p, dtype=np.int32)  # products reach p^2 > 2^15
@@ -331,7 +331,7 @@ class BaseField:
         zeta is a root of one irreducible factor f0 of Phi_n over F_q, so the
         traces are the power sums of the roots of f0.  Another factor means
         another zeta, which only permutes the generator cosets indexing the
-        traces.  Raises NotCoprime if gcd(n, q) != 1.
+        traces.  Raises ValueError if gcd(n, q) != 1.
         """
         tr = self._traces.get(n)
         if tr is None:
@@ -357,11 +357,11 @@ def _cyclotomic_polynomial(F: BaseField, n: int) -> list:
         ells = prime_factors(n // d)
         if prod(ells) == n // d:  # squarefree, so mu(n/d) = (-1)^len(ells)
             (over if len(ells) % 2 else times).append(d)
-    f = [F.one]
+    f = [1]
     for d in times:  # f·(x^d - 1) = x^d·f - f
         f = poly_sub(F, [0] * d + f, f)
     for d in over:
-        f = poly_divmod(F, f, poly_sub(F, [0] * d + [F.one], [F.one]))[0]
+        f = poly_divmod(F, f, poly_sub(F, [0] * d + [1], [1]))[0]
     return f
 
 
@@ -411,13 +411,13 @@ def factor_polynomial(F: BaseField, f):
         return list(F._factors[key])
     if poly_deg(f) < 1:
         raise ValueError("degree must be >= 1")
-    if f[-1] != F.one:
+    if f[-1] != 1:
         raise ValueError("polynomial must be monic")
     if poly_deg(poly_gcd(F, f, poly_deriv(F, f))) > 0:
         raise ValueError("polynomial is not squarefree")
     factors = [tuple(irr) for d, g in _distinct_degree(F, f)
                for irr in _split_equal_degree(F, g, d)]
-    check = [F.one]
+    check = [1]
     for h in factors:
         check = poly_mul(F, check, list(h))
     if check != f:
@@ -433,7 +433,7 @@ def _distinct_degree(F, f):
     squarefree f, g is the product of the degree-d irreducible factors.
     Once 2d > deg rest, rest has no factor of degree below d, so it is
     irreducible and comes last as (deg rest, rest)."""
-    x = [0, F.one]
+    x = [0, 1]
     h, rest, d = x, f, 0
     while poly_deg(rest) > 0:
         d += 1
@@ -481,7 +481,7 @@ def _split_once(F, f, d):
             g = poly_gcd(F, acc, f)
         else:
             e = (F.q ** d - 1) // 2
-            g = poly_gcd(F, poly_sub(F, poly_pow_mod(F, T, e, f), [F.one]), f)
+            g = poly_gcd(F, poly_sub(F, poly_pow_mod(F, T, e, f), [1]), f)
         if 0 < poly_deg(g) < n:
             return g
     raise InternalInconsistency("equal-degree splitting failed on every draw")

@@ -161,7 +161,6 @@ class Subgroup:
     def __init__(self, parent: FiniteGroup, members):
         self.parent = parent
         self.members = tuple(sorted(set(members)))
-        self.member_set = frozenset(self.members)
         self.order = len(self.members)
 
     def __eq__(self, other):

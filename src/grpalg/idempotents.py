@@ -43,7 +43,6 @@ from .algebra import AlgebraElement, GroupAlgebra
 from .errors import (
     InternalInconsistency,
     InvariantViolation,
-    NotCyclicQuotient,
     NotMetabelian,
     NotSemisimple,
 )
@@ -84,7 +83,7 @@ def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
     for p in prime_factors(n):
         ok &= ~in_h[G.power(ks, n // p)]
     if not ok.any():
-        raise NotCyclicQuotient(f"quotient of order {n} is not cyclic")
+        raise InternalInconsistency(f"quotient of order {n} is not cyclic")
     gen = int(ks[ok.argmax()])
     e = np.full(G.order, -1)
     e[G.m[np.ix_(powers(G, gen)[:n], H.members)]] = np.arange(n)[:, None]
@@ -302,9 +301,9 @@ def triple_components(A: GroupAlgebra, tr: Triple):
     """The components of one triple, one per orbit of generator cosets
     (coset_orbits), all M_d(F_{q^l}) with d = [G:A] and l = o/[E:A], o the
     order of q mod n = [A:D] and E the stabilizer of every coset."""
-    G, q = A.group, A.q
+    G, q = A.group, A.field.q
     js, E = coset_orbits(G, tr.A, tr.D, q)
-    if not tr.A.member_set <= E.member_set:
+    if not set(tr.A.members) <= set(E.members):
         raise InternalInconsistency("A not contained in the coset stabilizer")
     n = tr.A.order // tr.D.order
     ord_q = mult_order(n, q)
@@ -391,29 +390,29 @@ def decompose(G: FiniteGroup, F: BaseField, validate=True):
 
 def summarize(A: GroupAlgebra, descriptors):
     """(WedderburnSummary, descriptors) for the components found in A, after
-    the invariant suite of _validate has passed."""
+    the invariant suite of _validate has passed on the descriptors alone."""
     components = {}
     for dsc in descriptors:
         key = (dsc.d, dsc.l)
         components[key] = components.get(key, 0) + 1
-    summary = WedderburnSummary(order=A.group.order, q=A.q, components=components)
-    _validate(A, summary, descriptors)
-    return summary, descriptors
+    _validate(A, descriptors)
+    return WedderburnSummary(order=A.group.order, q=A.field.q,
+                             components=components), descriptors
 
 
-def _validate(A: GroupAlgebra, summary, descriptors):
+def _validate(A: GroupAlgebra, descriptors):
     def fail(name, witness):
         raise InvariantViolation(name, witness)
 
     G, F = A.group, A.field
-    if summary.dimension() != G.order:
-        fail("dimension_sum", {"got": summary.dimension(), "expected": G.order})
+    dimension = sum(dsc.dim for dsc in descriptors)
+    if dimension != G.order:
+        fail("dimension_sum", {"got": dimension, "expected": G.order})
     # a central element is known by its class-representative coefficients,
     # so once e is central, e·e and e_i·e_j are evaluated only there
     reps = [cls[0] for cls in conjugacy_classes(G)]
     rep_of = np.array(reps)[class_index(G)]  # each element's class representative
     es = [dsc.idempotent.coeffs for dsc in descriptors]
-    dims = []
     for i, (dsc, e) in enumerate(zip(descriptors, es)):
         if not e.any():
             fail("nonzero", {"component": i})
@@ -427,21 +426,19 @@ def _validate(A: GroupAlgebra, summary, descriptors):
         if 2 * dsc.dim > G.order:
             rest = F.neg_np[e]
             rest[0] = F.add_np[1, rest[0]]
-            dims.append(G.order - A.ideal_dimension(rest))
+            dim = G.order - A.ideal_dimension(rest)
         else:
-            dims.append(A.ideal_dimension(e))
-        if dims[-1] != dsc.dim:
-            fail("ideal_dimension", {"component": i, "got": dims[-1],
-                                     "expected": dsc.dim})
+            dim = A.ideal_dimension(e)
+        if dim != dsc.dim:
+            fail("ideal_dimension", {"component": i, "got": dim, "expected": dsc.dim})
     total = F.sum_rows(es)
     is_one = total[0] == 1 and not total[1:].any()
-    # idempotents with sum 1 whose ideals' dimensions add up to |G| span
-    # F_q[G] = ⊕ F_q[G]e_i, so e_j = sum_i e_j·e_i gives e_j·e_i = 0 (i != j)
-    if not is_one or sum(dims) != G.order:
+    # the ranks d²l add up to |G|, so idempotents with sum 1 span
+    # F_q[G] = ⊕ F_q[G]e_i, and e_j = sum_i e_j·e_i gives e_j·e_i = 0 (i != j)
+    if not is_one:
         # e_j·e_i = e_i·e_j for central idempotents: one product a pair
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
                 if A.product(es[i], es[j], at=reps).any():
                     fail("orthogonal", {"components": (i, j)})
-    if not is_one:
         fail("sum_to_one", {"sum": AlgebraElement(A, total).to_str()})

@@ -41,13 +41,6 @@ class MetacyclicParams:
         return metacyclic_group(self.n, self.t, self.k % self.n, self.r % self.n)
 
 
-def params_of(G: FiniteGroup) -> MetacyclicParams:
-    p = G.meta.get("params")
-    if p is None or G.meta.get("family") not in ("metacyclic", "d2"):
-        raise ValueError(f"{G.name} carries no metacyclic presentation")
-    return MetacyclicParams(*p)
-
-
 def o_v(params: MetacyclicParams, v: int) -> int:
     """ord_v(r), with ord_1 = 1."""
     return mult_order(v, params.r)

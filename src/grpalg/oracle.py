@@ -184,7 +184,7 @@ def center_split(G: FiniteGroup, F: BaseField):
 def _poly_inverse_mod(F, f, m):
     """Inverse of f modulo m (coprime), by extended Euclid."""
     r0, r1 = poly_trim(list(m)), poly_trim(list(f))
-    t0, t1 = [], [F.one]
+    t0, t1 = [], [1]
     while r1:
         qq, rem = poly_divmod(F, r0, r1)
         r0, r1 = r1, rem

@@ -53,21 +53,34 @@ from grpalg.oracle import _poly_inverse_mod
 
 PRIMES = (3, 5, 7, 11, 13)
 
-# Tables that break the group axioms, with the error FiniteGroup raises.
+# Tables FiniteGroup refuses (not a square integer table, or not a group),
+# with the error and the whole message it raises.
 # The order-5 loop has identity 0 and x*x = 0 for every x, but no group of
 # order 5 is all involutions.
 BAD_TABLES = {
-    "ragged": ([[0, 1], [1]], ValueError),
-    "out_of_range": ([[0, 1], [1, 2]], ValueError),
-    "negative": ([[0, 1], [1, -1]], ValueError),
-    "no_identity": ([[1, 0], [0, 1]], NoIdentity),
-    "no_inverse": ([[0, 1, 2], [1, 1, 1], [2, 1, 1]], NoInverse),
-    "one_sided_inverse": ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], NoInverse),
+    "ragged": ([[0, 1], [1]], ValueError,
+               "multiplication table must be square and nonempty"),
+    "not_square": ([[0, 1]], ValueError,
+                   "multiplication table must be square and nonempty"),
+    "empty": (np.zeros((0, 0), dtype=np.int32), ValueError,
+              "multiplication table must be square and nonempty"),
+    "not_integer": ([[0.0, 1.0], [1.0, 0.0]], ValueError,
+                    "multiplication table entries must be integers"),
+    "out_of_range": ([[0, 1], [1, 2]], ValueError,
+                     "multiplication table entries must lie in 0..1"),
+    "negative": ([[0, 1], [1, -1]], ValueError,
+                 "multiplication table entries must lie in 0..1"),
+    "no_identity": ([[1, 0], [0, 1]], NoIdentity,
+                    "index 0 does not act as a two-sided identity"),
+    "no_inverse": ([[0, 1, 2], [1, 1, 1], [2, 1, 1]], NoInverse,
+                   "element 1 has no two-sided inverse"),
+    "one_sided_inverse": ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], NoInverse,
+                          "element 1 has no two-sided inverse"),
     "non_associative": ([[0, 1, 2, 3, 4],
                          [1, 0, 3, 4, 2],
                          [2, 4, 0, 1, 3],
                          [3, 2, 4, 0, 1],
-                         [4, 3, 1, 2, 0]], NotAssociative),
+                         [4, 3, 1, 2, 0]], NotAssociative, "(1*1)*2 != 1*(1*2)"),
 }
 
 METACYCLIC_TUPLES = [
@@ -116,7 +129,7 @@ def lattice(G):
     at a time.  A reference for the engine's lattice-free enumerations."""
     cyclic = {}
     for g in range(G.order):
-        cyclic.setdefault(subgroup_closure(G, [g]).member_set, g)
+        cyclic.setdefault(frozenset(subgroup_closure(G, [g]).members), g)
     found = {frozenset((0,)): []}
     frontier = list(found)
     while frontier:
@@ -125,7 +138,7 @@ def lattice(G):
             for cm, g in cyclic.items():
                 if cm <= mem:
                     continue
-                J = subgroup_closure(G, found[mem] + [g]).member_set
+                J = frozenset(subgroup_closure(G, found[mem] + [g]).members)
                 if J not in found:
                     found[J] = found[mem] + [g]
                     nxt.append(J)
@@ -252,15 +265,15 @@ def random_metabelian_groups(count, seed, max_order=64):
     return out
 
 
-def validate_reference(A, summary, descriptors):
+def validate_reference(A, descriptors):
     """_validate with the pairwise orthogonality loop run on every input:
     the reference for the lemma that lets _validate skip it."""
     def fail(name, witness):
         raise InvariantViolation(name, witness)
 
-    if summary.dimension() != A.group.order:
-        fail("dimension_sum", {"got": summary.dimension(),
-                               "expected": A.group.order})
+    dimension = sum(dsc.dim for dsc in descriptors)
+    if dimension != A.group.order:
+        fail("dimension_sum", {"got": dimension, "expected": A.group.order})
     reps = [cls[0] for cls in conjugacy_classes(A.group)]
     es = [dsc.idempotent.coeffs for dsc in descriptors]
     for i, dsc in enumerate(descriptors):
@@ -324,7 +337,7 @@ def is_irreducible_reference(F, f) -> bool:
         return True
     if f[0] == 0:  # divisible by x
         return False
-    x = [0, F.one]
+    x = [0, 1]
     h = list(x)
     powers = {}
     for i in range(1, s + 1):
@@ -403,11 +416,11 @@ def coset_orbits_reference(G, K, H, q):
     cosets = generator_cosets(n, q)
     NH = normalizer(G, H)
     NK = normalizer(G, K)
-    acting = sorted(NH.member_set & NK.member_set)
+    acting = sorted(set(NH.members) & set(NK.members))
     mults = set()
     for g in acting:
         x = conj(G, gen, g)
-        assert x in K.member_set
+        assert x in K.members
         mults.add(int(e[x]))
     by_members = {c.members: c for c in cosets}
     orbits = []

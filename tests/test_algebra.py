@@ -218,7 +218,7 @@ def test_ideal_dimension_on_subgroup_support():
         for p, a in [(2, 1), (3, 1), (2, 2)]:
             B = GroupAlgebra(G, make_field(p, a))
             for sparse in (False, True, True):
-                c = _on(rng, B.q, G.order, members, sparse)
+                c = _on(rng, B.field.q, G.order, members, sparse)
                 rows = np.stack([full_product(B, basis_vector(B, g), c)
                                  for g in range(G.order)])
                 assert B.ideal_dimension(c) == rank_reference(B.field, rows)
@@ -267,7 +267,7 @@ def test_ideal_dimension_with_nontrivial_stabilizer():
             for _ in range(2):
                 c = np.zeros(G.order, dtype=np.int16)
                 for part in parts:
-                    c[list(part)] = rng.integers(1, B.q)
+                    c[list(part)] = rng.integers(1, B.field.q)
                 cases.append((B, c, None))
                 if parts is double:
                     # K-double cosets are unions of cosets sK: at most 37 representatives

@@ -69,7 +69,7 @@ def test_parse_error_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("name", BAD_TABLES)
 def test_bad_cayley_table_exit_2(capsys, tmp_path, name):
-    table, _ = BAD_TABLES[name]
+    table = BAD_TABLES[name][0]
     path = tmp_path / f"{name}.cayley"
     path.write_text(f"order {len(table)}\n"
                     + "".join(" ".join(map(str, row)) + "\n" for row in table))
@@ -87,8 +87,12 @@ def test_bad_cayley_table_exit_2(capsys, tmp_path, name):
     ("order\n0 1\n1 0\n", "malformed order line"),
     ("order 2\n0 x\n1 0\n", "bad table row: '0 x'"),
     ("order 2\n0 1\n1 0\nlabel x b\n", "bad label index: 'label x b'"),
+    ("order 2\n0 1\n1 0\njunk\n", "bad trailing line: 'junk'"),
+    ("order 2\n0 1\n1 0\nlabel 5 z\n", "label index out of range: 'label 5 z'"),
+    ("order 2\n0 1\n", "expected 2 table rows, found 1"),
 ], ids=["order_negative", "order_zero", "order_word_longer", "order_extra_token",
-        "order_missing", "row_not_integer", "label_not_integer"])
+        "order_missing", "row_not_integer", "label_not_integer", "trailing_line",
+        "label_out_of_range", "missing_row"])
 def test_malformed_cayley_message_names_the_line(capsys, tmp_path, text, message):
     path = tmp_path / "g.cayley"
     path.write_text(text)
@@ -499,6 +503,22 @@ metacyclic.match = yes
 def test_golden_report(capsys, argv, code, expected):
     """Whole reports, pinned byte for byte with their exit codes."""
     assert run(capsys, *argv.split()) == (code, expected, "")
+
+
+def test_compare_cayley_golden_report(capsys, tmp_path):
+    """A Cayley-table group has no family and no presentation: compare
+    prints the generic summary alone and exits 0."""
+    path = tmp_path / "s3.cayley"
+    path.write_text(format_cayley(metacyclic_group(3, 2, 0, 2)))
+    assert run(capsys, "compare", "--cayley", str(path), "--p", "5") == (0, """\
+group = cayley6
+command = compare
+generic.order = 6
+generic.q = 5
+generic.components = [(1, 1, 2), (2, 1, 1)]
+generic.algebra = F_5^(2) + M_2(F_5)
+generic.aut = S_2 + SL_2(F_5)
+""", "")
 
 
 @pytest.mark.parametrize("argv", ["families --m 0 --q 3", "families --m 0 2 --q 5",

@@ -34,7 +34,6 @@ from grpalg.algebra import AlgebraElement, GroupAlgebra
 from grpalg.errors import (
     InternalInconsistency,
     InvariantViolation,
-    NotCyclicQuotient,
     NotMetabelian,
     NotSemisimple,
 )
@@ -50,7 +49,6 @@ from grpalg.groups import (
 )
 from grpalg.idempotents import (
     Triple,
-    WedderburnSummary,
     _kernel_conjugates,
     _validate,
     coset_orbits,
@@ -68,7 +66,6 @@ from grpalg.metacyclic import (
     metacyclic_decompose,
     normal_triples,
     o_v,
-    params_of,
     triple_subgroup,
     x_classes,
     x_triples,
@@ -103,7 +100,7 @@ def test_cyclic_quotient_data():
     assert {g for g in range(6) if e2[g] == 0} == {0, 2, 4}
     # Z_2^2 over the identity: order 4, but no element of order 4
     V4 = elementary_abelian(2, 2)
-    with pytest.raises(NotCyclicQuotient):
+    with pytest.raises(InternalInconsistency):
         cyclic_quotient_data(V4, Subgroup(V4, range(4)), Subgroup(V4, (0,)))
 
 
@@ -117,7 +114,7 @@ def test_d_classes_match_lattice_filter(G):
         A = maximal_abelian_over_derived(G, N)
         classes = d_classes(G, N, _kernel_conjugates(G, N, A))
         want = sorted(D.members for D in subs
-                      if N.member_set <= D.member_set <= A.member_set
+                      if set(N.members) <= set(D.members) <= set(A.members)
                       and core(G, D).members == N.members
                       and any(subgroup_closure(G, D.members + (a,)).members
                               == A.members for a in A.members))
@@ -245,8 +242,9 @@ def test_ec_idempotent_matches_all_conjugate_sum(G):
                 assert np.array_equal(ec_idempotent(A, tr.A, tr.D, j, E).coeffs,
                                       ec_idempotent_reference(A, tr.A, tr.D, j))
         if "params" in G.meta:
-            _, descriptors = metacyclic_decompose(params_of(G), make_field(q))
-            for dsc in descriptors:  # in the algebra of params_of(G).group()
+            params = MetacyclicParams(*G.meta["params"])
+            _, descriptors = metacyclic_decompose(params, make_field(q))
+            for dsc in descriptors:  # in the algebra of params.group()
                 assert np.array_equal(dsc.idempotent.coeffs, ec_idempotent_reference(
                     dsc.idempotent.algebra, dsc.triple.A, dsc.triple.D, dsc.j))
 
@@ -461,11 +459,14 @@ def test_library_entry_points_validate(entry, monkeypatch):
     assert raised.value.witness == {"component": 0}
 
 
-def _corrupted(invariant):
-    """A decomposition of F_5[S3] with one fault by hand, that only the named
-    invariant catches, with the witness it must carry."""
+def _corrupted(invariant, monkeypatch):
+    """Descriptors of F_5[S3], dimensions [4, 1, 1], with one fault by hand
+    that only the named invariant catches, and the witness it must carry.
+    With ranks checked against d²l, a sum other than 1 passes every earlier
+    check only if a rank is wrong: for sum_to_one, ds[1] claims l = 2 and
+    every rank reads 2."""
     A = GroupAlgebra(S3, make_field(5))
-    summary, ds = decompose(S3, make_field(5))
+    _, ds = decompose(S3, make_field(5))
     e0, e1 = ds[0].idempotent.coeffs, ds[1].idempotent.coeffs
     e0_plus_e1 = AlgebraElement(A, A.field.add_np[e0, e1])
 
@@ -474,25 +475,27 @@ def _corrupted(invariant):
         return [dataclasses.replace(ds[0], idempotent=e)] + ds[1:]
 
     cases = {
-        "dimension_sum": (WedderburnSummary(6, 5, {(1, 1): 2}), ds,
-                          {"got": 2, "expected": 6}),
-        "nonzero": (summary, with_e0([0] * 6), {"component": 0}),
-        "idempotent": (summary, with_e0(A.field.mul_np[2, e0]), {"component": 0}),
+        "dimension_sum": (ds[1:], {"got": 2, "expected": 6}),
+        "nonzero": (with_e0([0] * 6), {"component": 0}),
+        "idempotent": (with_e0(A.field.mul_np[2, e0]), {"component": 0}),
         # (1 + b)/2, b = index 1
-        "central": (summary, with_e0([3, 3, 0, 0, 0, 0]), {"component": 0}),
-        "ideal_dimension": (summary, with_e0(e0_plus_e1.coeffs),
+        "central": (with_e0([3, 3, 0, 0, 0, 0]), {"component": 0}),
+        "ideal_dimension": (with_e0(e0_plus_e1.coeffs),
                             {"component": 0, "got": ds[0].dim + ds[1].dim,
                              "expected": ds[0].dim}),
-        "orthogonal": (summary, [ds[0]] + ds, {"components": (0, 1)}),
-        "sum_to_one": (summary, ds[:-1], {"sum": e0_plus_e1.to_str()}),
+        "orthogonal": ([ds[1], ds[1], ds[0]], {"components": (0, 1)}),
+        "sum_to_one": ([ds[0], dataclasses.replace(ds[1], l=2)],
+                       {"sum": e0_plus_e1.to_str()}),
     }
+    if invariant == "sum_to_one":
+        monkeypatch.setattr(GroupAlgebra, "ideal_dimension", lambda self, c: 2)
     return A, cases[invariant]
 
 
-def _verdict(check, A, summary, descriptors):
+def _verdict(check, A, descriptors):
     """(invariant, witness) of the InvariantViolation check raises, or None."""
     try:
-        check(A, summary, descriptors)
+        check(A, descriptors)
     except InvariantViolation as exc:
         return exc.invariant, exc.witness
     return None
@@ -501,11 +504,11 @@ def _verdict(check, A, summary, descriptors):
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
 def test_validate_matches_full_loop_reference(G):
     """_validate, which skips the pairwise loop when the idempotents sum to
-    1 and their ideals to |G|, gives the verdict and witness of the full
-    loop on corrupted decompositions of G over two corpus primes."""
+    1, gives the verdict and witness of the full loop on corrupted
+    decompositions of G over two corpus primes."""
     for q in [p for p in PRIMES if G.order % p][:2]:
         A = GroupAlgebra(G, make_field(q))
-        summary, ds = decompose(G, A.field)
+        _, ds = decompose(G, A.field)
         first, last = ds[0], ds[-1]
         e_first, e_last = first.idempotent.coeffs, last.idempotent.coeffs
         e_merged = AlgebraElement(A, A.field.add_np[e_first, e_last])
@@ -535,8 +538,8 @@ def test_validate_matches_full_loop_reference(G):
             cases["non-central"] = ds[:-1] + [dataclasses.replace(
                 last, idempotent=AlgebraElement(A, x))]
         for name, descriptors in cases.items():
-            want = _verdict(validate_reference, A, summary, descriptors)
-            assert _verdict(_validate, A, summary, descriptors) == want, (q, name)
+            want = _verdict(validate_reference, A, descriptors)
+            assert _verdict(_validate, A, descriptors) == want, (q, name)
             assert (want is None) == (name in ("intact", "merged")), (q, name)
 
 
@@ -590,10 +593,10 @@ def test_summarize_names_corruptions_of_random_groups():
 @pytest.mark.parametrize("invariant", ["dimension_sum", "nonzero", "idempotent",
                                        "central", "ideal_dimension", "orthogonal",
                                        "sum_to_one"])
-def test_validate_names_each_violated_invariant(invariant):
-    A, (summary, descriptors, witness) = _corrupted(invariant)
+def test_validate_names_each_violated_invariant(invariant, monkeypatch):
+    A, (descriptors, witness) = _corrupted(invariant, monkeypatch)
     with pytest.raises(InvariantViolation) as exc:
-        _validate(A, summary, descriptors)
+        _validate(A, descriptors)
     assert exc.value.invariant == invariant
     assert exc.value.witness == witness
 

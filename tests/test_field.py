@@ -19,7 +19,7 @@ from conftest import (
     is_irreducible_reference as is_irreducible,
 )
 from grpalg import field
-from grpalg.errors import InternalInconsistency, NotCoprime, NotPrime
+from grpalg.errors import InternalInconsistency, NotPrime
 from grpalg.field import (
     BaseField,
     factor_polynomial,
@@ -71,7 +71,7 @@ def test_mult_order_brute():
             assert pow(q, s, n) == 1 % n
             assert all(pow(q, i, n) != 1 % n for i in range(1, s)) or n == 1
     assert mult_order(1, 7) == 1
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match=r"^gcd\(6, 3\) != 1$"):
         mult_order(6, 3)
 
 
@@ -227,10 +227,10 @@ def companion_traces(F, f, n):
     """tr(C^k) for k < n, C the companion matrix of the monic f: the trace of
     multiplication by a root of f on F[x]/(f)."""
     s = len(f) - 1
-    C = [[F.one if i == j + 1 else 0 for j in range(s)] for i in range(s)]
+    C = [[1 if i == j + 1 else 0 for j in range(s)] for i in range(s)]
     for i in range(s):
         C[i][s - 1] = F.neg(f[i])
-    M = [[F.one if i == j else 0 for j in range(s)] for i in range(s)]
+    M = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
     out = []
     for _ in range(n):
         out.append(functools.reduce(F.add, (M[i][i] for i in range(s))))
@@ -253,13 +253,13 @@ def test_cyclotomic_traces_match_companion_matrix():
         phi = poly_trim([F.from_int(c) for c in int_cyclotomic(n)])
         assert poly_divmod(F, phi, f0)[1] == []
         # the roots of f0 have exact order n
-        x_to = lambda m: poly_sub(F, [0] * m + [F.one], [F.one])  # noqa: E731
+        x_to = lambda m: poly_sub(F, [0] * m + [1], [1])  # noqa: E731
         assert poly_divmod(F, x_to(n), f0)[1] == []
         assert all(poly_divmod(F, x_to(n // ell), f0)[1] != []
                    for ell in prime_factors(n))
         tr = make_field(p, a).cyclotomic_traces(n)
         assert list(tr) == companion_traces(F, f0, n), (p, a, n)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match=r"^gcd\(6, 3\) != 1$"):
         make_field(3).cyclotomic_traces(6)
 
 
@@ -469,7 +469,7 @@ def test_ben_or_matches_rabin(p, a):
     F = BaseField(p, a)
     for s in range(1, 5):
         for coeffs in itertools.product(range(F.q), repeat=s):
-            f = [*coeffs, F.one]
+            f = [*coeffs, 1]
             assert field.is_irreducible(F, f) == is_irreducible(F, f), f
 
 

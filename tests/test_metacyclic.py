@@ -2,7 +2,6 @@ import pytest
 
 from conftest import (
     ALL_METACYCLIC,
-    a4_group,
     conjugate_in_g,
     conjugate_subgroup,
     core,
@@ -19,7 +18,6 @@ from grpalg.metacyclic import (
     metacyclic_decompose,
     normal_triples,
     o_v,
-    params_of,
     triple_subgroup,
     x_classes,
     x_triples,
@@ -174,8 +172,3 @@ def test_fast_path_refuses_non_semisimple_before_building_the_group(monkeypatch)
     monkeypatch.setattr(metacyclic, "metacyclic_group", unexpected)
     with pytest.raises(NotSemisimple):
         metacyclic_decompose(MetacyclicParams(4, 2, 0, 3), make_field(2))
-
-
-def test_params_of_refuses_a_group_without_a_presentation():
-    with pytest.raises(ValueError, match="^A4 carries no metacyclic presentation$"):
-        params_of(a4_group())

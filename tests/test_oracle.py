@@ -102,7 +102,7 @@ def test_engine_idempotents_equal_oracle_elements():
         for e in engine:
             twin = twins[e.key()]
             assert e.algebra is not twin.algebra
-            assert e.algebra.group is twin.algebra.group and e.algebra.q == twin.algebra.q
+            assert e.algebra.group is twin.algebra.group and e.algebra.field.q == twin.algebra.field.q
             assert np.array_equal(e.coeffs, twin.coeffs)
         assert {e.key() for e in engine} == set(twins)
 
