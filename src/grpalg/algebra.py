@@ -1,17 +1,15 @@
 """The group algebra F_q[G]: elements are coefficient vectors indexed by
 group elements, with coefficients stored as base-field indices in a numpy
 int16 array.  An AlgebraElement is a read-only result, such as an
-idempotent: its coeffs, key() and to_str().  GroupAlgebra.product is the
-one product kernel: for each block of at most PRODUCT_BLOCK support
-elements g of x, one gather of y[g⁻¹h] through the group table, scaled by
-x[g], and one BaseField.sum_rows.  The required `at` names the h where x·y
-is evaluated: the class representatives when x and y are central,
-np.arange(|G|) for all of x·y.  The dimension of an ideal F_q[G]·e is
-[G:S] times the rank of one |S|×|S| block, S the subgroup that the support
-of e generates.  When |S| exceeds QUOTIENT_MIN_SUPPORT the block shrinks
-to one row and one column per left coset of K, the two-sided stabilizer
-of e in S.  The block is read through the group table, and the rank
-elimination clears each pivot column in all remaining rows at once.
+idempotent: its coeffs, key() and to_str().  Products of central elements
+are taken in class coordinates (groups.class_structure, in
+idempotents._validate and the oracle); no general product is needed.  The
+dimension of an ideal F_q[G]·e is [G:S] times the rank of one |S|×|S|
+block, S the subgroup that the support of e generates.  When |S| exceeds
+QUOTIENT_MIN_SUPPORT the block shrinks to one row and one column per left
+coset of K, the two-sided stabilizer of e in S.  The block is read through
+the group table, and the rank elimination clears each pivot column in all
+remaining rows at once.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 from .field import BaseField
 from .groups import FiniteGroup, subgroup_closure
 
-PRODUCT_BLOCK = 256  # support rows per gather: 256·len(at) int16 at most
 # Supports of at most this many elements keep the |S|×|S| block: it is the
 # width of the column block _rank tests at once, and below it the gathers
 # that find the stabilizer cost more than the smaller block saves.
@@ -33,18 +30,6 @@ class GroupAlgebra:
     def __init__(self, group: FiniteGroup, field: BaseField):
         self.group = group
         self.field = field
-
-    def product(self, x: np.ndarray, y: np.ndarray, at) -> np.ndarray:
-        """The coefficients (x·y)(h) = Σ_g x[g]·y[g⁻¹h] of the product of two
-        coefficient vectors, at the elements h of `at`; all of x·y is
-        at=np.arange(|G|)."""
-        G, F = self.group, self.field
-        support = np.flatnonzero(x)
-        parts = []
-        for g in np.split(support, range(PRODUCT_BLOCK, support.size, PRODUCT_BLOCK)):
-            cols = G.m[G.inv_np[g]].take(at, axis=1)
-            parts.append(F.sum_rows(F.mul_np[x[g][:, None], y.take(cols)]))
-        return F.sum_rows(parts)
 
     def ideal_dimension(self, c: np.ndarray) -> int:
         """dim_{F_q} of the left ideal F_q[G]·e, e the element with

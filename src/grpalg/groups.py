@@ -92,8 +92,9 @@ class FiniteGroup:
         self._cache = {}
 
     def power(self, g, e):
-        """g^e by repeated squaring, elementwise when g is an array."""
-        x, e = (self.inv_np[g], -e) if e < 0 else (np.asarray(g), e)
+        """g^e for e >= 0 by repeated squaring, elementwise when g is an
+        array."""
+        x = np.asarray(g)
         out = np.zeros_like(x)
         while e:
             if e & 1:
@@ -217,30 +218,27 @@ def is_metabelian(G) -> bool:
     return G._cache["metabelian"]
 
 
-def conjugacy_classes(G):
-    """The conjugacy classes as sorted tuples, ordered by least member;
-    built once per group together with class_index(G)."""
-    if "classes" in G._cache:
-        return G._cache["classes"]
+def class_structure(G):
+    """(class_of, reps, idx), the conjugacy classes of G in class
+    coordinates, built once per group.  class_of is the int32 array of each
+    element's class index, the classes ordered by least member, and reps
+    the least member of each class.  A central W has one coordinate w[l] per
+    class, W(g) = w[class_of[g]], and idx[x, l] = class_of[x⁻¹·reps[l]] is
+    the |G| × k array that multiplies central elements in those coordinates:
+    (U·W)(reps[l]) = Σ_x U(x)·W(x⁻¹·reps[l]) = Σ_x U(x)·w[idx[x, l]]."""
+    if "class_structure" in G._cache:
+        return G._cache["class_structure"]
     M, inv = G.m, G.inv_np
     xs = np.arange(G.order)
     class_of = np.full(G.order, -1, dtype=np.int32)
-    classes = []
+    reps = []
     for g in range(G.order):
-        if class_of[g] >= 0:
-            continue
-        cls = np.unique(M[M[inv, g], xs])  # x^-1 g x for every x
-        class_of[cls] = len(classes)
-        classes.append(tuple(cls.tolist()))
-    G._cache["classes"], G._cache["class_of"] = classes, class_of
-    return classes
-
-
-def class_index(G):
-    """class_of, the int32 array of the index of each element's class in
-    conjugacy_classes(G)."""
-    conjugacy_classes(G)
-    return G._cache["class_of"]
+        if class_of[g] < 0:
+            class_of[M[M[inv, g], xs]] = len(reps)  # x^-1 g x for every x
+            reps.append(g)
+    reps = np.array(reps)
+    G._cache["class_structure"] = out = (class_of, reps, class_of[M.take(reps, axis=1)[inv]])
+    return out
 
 
 # ---------------------------------------------------------------------------

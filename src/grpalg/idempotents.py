@@ -26,7 +26,9 @@ of an orbit) is the least one; the idempotents do not depend on it.
 triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
 The engine computes on int16 coefficient arrays; ec_idempotent wraps each
-result as the read-only AlgebraElement a descriptor holds.
+result as the read-only AlgebraElement a descriptor holds.  _validate
+checks them; its products of central elements run in class coordinates
+(groups.class_structure, which the oracle reads too).
 WedderburnSummary is the result type of the engine, the fast path and the
 closed forms (families), and the one writer of its table, its algebra and
 its automorphism group.
@@ -50,8 +52,7 @@ from .field import BaseField, mult_order, prime_factors
 from .groups import (
     FiniteGroup,
     Subgroup,
-    class_index,
-    conjugacy_classes,
+    class_structure,
     is_metabelian,
     mask,
     maximal_abelian_over_derived,
@@ -400,6 +401,14 @@ def summarize(A: GroupAlgebra, descriptors):
                              components=components), descriptors
 
 
+def _central_product(F: BaseField, idx, e, w):
+    """E·W in class coordinates, for central E and W: E has coefficients e
+    and W the class coordinates w, and idx is class_structure(G)[2], so
+    (E·W)(reps[l]) = Σ_x e[x]·w[idx[x, l]], summed over the x with e[x] != 0."""
+    x = np.flatnonzero(e)
+    return F.sum_rows(F.mul_np[e[x][:, None], w.take(idx[x])])
+
+
 def _validate(A: GroupAlgebra, descriptors):
     def fail(name, witness):
         raise InvariantViolation(name, witness)
@@ -408,17 +417,17 @@ def _validate(A: GroupAlgebra, descriptors):
     dimension = sum(dsc.dim for dsc in descriptors)
     if dimension != G.order:
         fail("dimension_sum", {"got": dimension, "expected": G.order})
-    # a central element is known by its class-representative coefficients,
-    # so once e is central, e·e and e_i·e_j are evaluated only there
-    reps = [cls[0] for cls in conjugacy_classes(G)]
-    rep_of = np.array(reps)[class_index(G)]  # each element's class representative
+    # a central element is known by its class coordinates w = e[reps], so
+    # once e is central, e·e and e_i·e_j are products in those coordinates
+    class_of, reps, idx = class_structure(G)
     es = [dsc.idempotent.coeffs for dsc in descriptors]
-    for i, (dsc, e) in enumerate(zip(descriptors, es)):
+    ws = [e[reps] for e in es]
+    for i, (dsc, e, w) in enumerate(zip(descriptors, es, ws)):
         if not e.any():
             fail("nonzero", {"component": i})
-        if not np.array_equal(e[rep_of], e):  # constant on each class
+        if not np.array_equal(w[class_of], e):  # constant on each class
             fail("central", {"component": i})
-        if not np.array_equal(A.product(e, e, at=reps), e[reps]):
+        if not np.array_equal(_central_product(F, idx, e, w), w):
             fail("idempotent", {"component": i})
         # e·e = e, so F_q[G] = F_q[G]e ⊕ F_q[G](1 − e) and dim F_q[G]e is
         # |G| − dim F_q[G](1 − e); the claimed d²l only picks the side whose
@@ -439,6 +448,6 @@ def _validate(A: GroupAlgebra, descriptors):
         # e_j·e_i = e_i·e_j for central idempotents: one product a pair
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
-                if A.product(es[i], es[j], at=reps).any():
+                if _central_product(F, idx, es[i], ws[j]).any():
                     fail("orthogonal", {"components": (i, j)})
         fail("sum_to_one", {"sum": AlgebraElement(A, total).to_str()})

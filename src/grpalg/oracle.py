@@ -6,20 +6,20 @@ the expected number of components from q-classes of conjugacy classes.
 The split runs in class coordinates, the classical class-matrix route of
 Dixon (Numer. Math. 1967) and Schneider (1990): a central element w has one
 coordinate per conjugacy class, and the product C_i·w with a class sum is
-F.sum_rows(w[idx[i]]), one gather through an index array built once per
-group (class_structure) and one field sum.  A CRT block is one sum_rows of
-the powers C_i^j·e scaled by the interpolating polynomial's coefficients.
-The split stops early, before the next class sum, once lower bounds on the
-block dimensions add up to the class count k, which certifies every block
-primitive (proof in center_split); it never reads q_class_count, which
-stays the independent count.  Only the final blocks are lifted to |G|
-coordinates.  The oracle shares
-with the engine only the group table, `conjugacy_classes` with its
-`class_index`, the field tables with `BaseField.sum_rows` and the
-squarefree `factor_polynomial` with its memo on the field, so a minimal
+F.sum_rows(w[idx[x]]) over the x in C_i, one gather through the index
+array of groups.class_structure and one field sum.  A CRT block is one
+sum_rows of the powers C_i^j·e scaled by the interpolating polynomial's
+coefficients.  The split stops early, before the next class sum, once
+lower bounds on the block dimensions add up to the class count k, which
+certifies every block primitive (proof in center_split); it never reads
+q_class_count, which stays the independent count.  Only the final blocks
+are lifted to |G| coordinates.  The oracle shares class_structure with
+the engine's checks (idempotents._validate), and with the whole engine the
+group table and the field tables with BaseField.sum_rows; it shares
+nothing with the engine's constructions: no subgroup, triple, trace or
+idempotent formula.  factor_polynomial memoizes on the field, so a minimal
 polynomial met again, in this split or in another group's over the same
-field, is factored once; it uses none of the engine's subgroups, triples
-or group-algebra products.
+field, is factored once.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .field import (
     poly_sub,
     poly_trim,
 )
-from .groups import FiniteGroup, class_index, conjugacy_classes
+from .groups import FiniteGroup, class_structure
 
 
 def q_class_count(G: FiniteGroup, q: int) -> int:
@@ -49,11 +49,11 @@ def q_class_count(G: FiniteGroup, q: int) -> int:
     the number of simple components of F_q[G] when gcd(q,|G|) = 1."""
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
-    classes = conjugacy_classes(G)
-    step = class_index(G)[G.power(np.array([c[0] for c in classes]), q)].tolist()
+    class_of, reps, _ = class_structure(G)
+    step = class_of[G.power(reps, q)].tolist()
     seen = set()
     count = 0
-    for i in range(len(classes)):
+    for i in range(reps.size):
         if i in seen:
             continue
         count += 1
@@ -62,22 +62,6 @@ def q_class_count(G: FiniteGroup, q: int) -> int:
             seen.add(j)
             j = step[j]
     return count
-
-
-def class_structure(G: FiniteGroup):
-    """(class_of, idx) for the center of F_q[G] in class coordinates, built
-    once per group.  A central W has one coordinate w[l] per class, W(g) =
-    w[class_of[g]].  Since (C_i·W)(z) = Σ_{x∈C_i} W(x⁻¹z), the product
-    with the class sum C_i at the representative z_l of class l is the sum
-    over the rows of w[idx[i]][:, l], where idx[i] = class_of[x⁻¹ z_l] is a
-    |C_i| × k array."""
-    if "class_structure" not in G._cache:
-        classes = conjugacy_classes(G)
-        class_of = class_index(G)
-        reps = [cls[0] for cls in classes]
-        idx = [class_of[G.m[np.ix_(G.inv_np[list(cls)], reps)]] for cls in classes]
-        G._cache["class_structure"] = (class_of, idx)
-    return G._cache["class_structure"]
 
 
 def _minimal_polynomial(F, idx_i, e):
@@ -143,13 +127,14 @@ def center_split(G: FiniteGroup, F: BaseField):
     q = F.q
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
-    class_of, idx = class_structure(G)
-    one = np.zeros(len(idx), dtype=np.int16)
+    class_of, reps, idx = class_structure(G)
+    one = np.zeros(reps.size, dtype=np.int16)
     one[class_of[0]] = 1
     blocks = [(one, 1)]  # (e, d): d <= dim Ze
-    for idx_i in idx:
-        if sum(d for _, d in blocks) == len(idx):
+    for i in range(reps.size):
+        if sum(d for _, d in blocks) == reps.size:
             break  # every Ze is a field: each e is primitive
+        idx_i = idx[class_of == i]  # C_i·W at reps[l] is Σ_{x in C_i} w[idx_i[x, l]]
         refined = []
         for e, d in blocks:
             mp, powers = _minimal_polynomial(F, idx_i, e)

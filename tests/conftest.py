@@ -32,8 +32,7 @@ from grpalg.field import (
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
-    class_index,
-    conjugacy_classes,
+    class_structure,
     d1_group,
     d2_group,
     mask,
@@ -121,6 +120,13 @@ def elementary_abelian(p, k):
     table = [[idx[tuple((x + y) % p for x, y in zip(a, b))] for b in digits]
              for a in digits]
     return FiniteGroup(table, name=f"Z{p}^{k}")
+
+
+def conjugacy_classes(G):
+    """The conjugacy classes of G as sorted tuples, in the class order of
+    groups.class_structure (by least member)."""
+    class_of, reps, _ = class_structure(G)
+    return [tuple(np.flatnonzero(class_of == l).tolist()) for l in range(reps.size)]
 
 
 def lattice(G):
@@ -267,14 +273,15 @@ def random_metabelian_groups(count, seed, max_order=64):
 
 def validate_reference(A, descriptors):
     """_validate with the pairwise orthogonality loop run on every input:
-    the reference for the lemma that lets _validate skip it."""
+    the reference for the lemma that lets _validate skip it.  Its products
+    are full_product and its centrality test is_central, both by the
+    definition, so it shares no class structure with _validate."""
     def fail(name, witness):
         raise InvariantViolation(name, witness)
 
     dimension = sum(dsc.dim for dsc in descriptors)
     if dimension != A.group.order:
         fail("dimension_sum", {"got": dimension, "expected": A.group.order})
-    reps = [cls[0] for cls in conjugacy_classes(A.group)]
     es = [dsc.idempotent.coeffs for dsc in descriptors]
     for i, dsc in enumerate(descriptors):
         e = es[i]
@@ -282,7 +289,7 @@ def validate_reference(A, descriptors):
             fail("nonzero", {"component": i})
         if not is_central(A.group, e):
             fail("central", {"component": i})
-        if not np.array_equal(A.product(e, e, at=reps), e[reps]):
+        if not is_idempotent(A, e):
             fail("idempotent", {"component": i})
         dim = A.ideal_dimension(e)
         if dim != dsc.dim:
@@ -290,7 +297,7 @@ def validate_reference(A, descriptors):
                                      "expected": dsc.dim})
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            if A.product(es[i], es[j], at=reps).any():
+            if full_product(A, es[i], es[j]).any():
                 fail("orthogonal", {"components": (i, j)})
     total = A.field.sum_rows(es)
     if not np.array_equal(total, basis_vector(A, 0)):
@@ -466,8 +473,12 @@ def convolution_reference(A, x, y):
 
 
 def full_product(A, x, y):
-    """All of x·y, for coefficient vectors x and y of A = F_q[G]."""
-    return A.product(x, y, at=np.arange(A.group.order))
+    """All of x·y = Σ_g x[g]·(g·y), for coefficient vectors x and y of
+    A = F_q[G]: row g of one gather through the group table holds the
+    coefficients y[g⁻¹h] of g·y, scaled by x[g], over the support of x."""
+    G, F = A.group, A.field
+    g = np.flatnonzero(x)
+    return F.sum_rows(F.mul_np[x[g][:, None], y.take(G.m[G.inv_np[g]])])
 
 
 def basis_vector(A, g):
@@ -483,11 +494,11 @@ def is_idempotent(A, c):
 
 
 def is_central(G, c):
-    """Whether the coefficient vector c over G is central: each coefficient
-    equals its class representative's, the rule idempotents._validate
-    applies with the same rep_of array."""
-    rep_of = np.array([cls[0] for cls in conjugacy_classes(G)])[class_index(G)]
-    return np.array_equal(c[rep_of], c)
+    """Whether the coefficient vector c over G is central, by the
+    definition: x⁻¹·c·x = c for every x, so c[x⁻¹gx] = c[g] for every x
+    and g; no class structure is read."""
+    conj = G.m[G.m[G.inv_np], np.arange(G.order)[:, None]]  # [x, g] = x⁻¹gx
+    return bool((c[conj] == c).all())
 
 
 def add_table_reference(p, a):

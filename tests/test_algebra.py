@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     basis_vector,
+    conjugacy_classes,
     convolution_reference,
     elementary_abelian,
     full_product,
@@ -14,7 +15,6 @@ from conftest import (
 )
 from grpalg import algebra
 from grpalg.algebra import (
-    PRODUCT_BLOCK,
     QUOTIENT_MIN_SUPPORT,
     AlgebraElement,
     GroupAlgebra,
@@ -23,12 +23,12 @@ from grpalg.algebra import (
 )
 from grpalg.field import make_field
 from grpalg.groups import (
-    conjugacy_classes,
+    class_structure,
     d2_group,
     metacyclic_group,
     subgroup_closure,
 )
-from grpalg.idempotents import decompose
+from grpalg.idempotents import _central_product, decompose
 
 S3 = metacyclic_group(3, 2, 0, 2)
 F5 = make_field(5)
@@ -360,36 +360,20 @@ def _supports(rng, q, n):
 
 @pytest.mark.parametrize("p,a", PRODUCT_FIELDS)
 def test_product_matches_convolution(p, a):
-    """GroupAlgebra.product on all of G and at the class representatives,
-    against the pairwise definition, for every pair of test supports."""
+    """The class-coordinate product of _validate, E·W at the class
+    representatives for central E and W, against the pairwise definition
+    at the representatives, for class functions with random, zero, sparse
+    and full coordinates."""
     F = make_field(p, a)
     rng = np.random.default_rng(10 * p + a)
     for G in (S3, metacyclic_group(4, 2, 0, 3), d2_group(1), metacyclic_group(7, 3, 0, 2)):
         B = GroupAlgebra(G, F)
-        reps = [cls[0] for cls in conjugacy_classes(G)]
-        vectors = _supports(rng, F.q, G.order)
-        for x in vectors:
-            for y in vectors:
-                want = convolution_reference(B, x, y)
-                assert np.array_equal(B.product(x, y, at=np.arange(G.order)), want)
-                assert np.array_equal(B.product(x, y, at=reps), want[reps])
-
-
-def test_product_crosses_block_boundary():
-    """Left supports of PRODUCT_BLOCK + 1 elements and of all of a group of
-    order 272 take two gathers; both agree with the definition."""
-    G = metacyclic_group(17, 16, 0, 3)
-    assert G.order > PRODUCT_BLOCK + 1
-    B = GroupAlgebra(G, make_field(3))
-    rng = np.random.default_rng(272)
-    y = rng.integers(0, 3, G.order).astype(np.int16)
-    reps = [cls[0] for cls in conjugacy_classes(G)]
-    block = np.zeros(G.order, dtype=np.int16)
-    block[rng.choice(G.order, PRODUCT_BLOCK + 1, replace=False)] = 2
-    for x in (block, rng.integers(1, 3, G.order).astype(np.int16)):
-        want = convolution_reference(B, x, y)
-        assert np.array_equal(B.product(x, y, at=np.arange(G.order)), want)
-        assert np.array_equal(B.product(x, y, at=reps), want[reps])
+        class_of, reps, idx = class_structure(G)
+        classes = _supports(rng, F.q, reps.size)
+        for u in classes:
+            for w in classes:
+                want = convolution_reference(B, u[class_of], w[class_of])
+                assert np.array_equal(_central_product(F, idx, u[class_of], w), want[reps])
 
 
 @pytest.mark.parametrize("p,a", PRODUCT_FIELDS)

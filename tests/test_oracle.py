@@ -24,10 +24,16 @@ from grpalg.algebra import GroupAlgebra
 from grpalg import field, oracle
 from grpalg.errors import InternalInconsistency, NotSemisimple
 from grpalg.field import BaseField, make_field
-from grpalg.groups import FiniteGroup, d1_group, d2_group, metacyclic_group
+from grpalg.groups import (
+    FiniteGroup,
+    class_structure,
+    d1_group,
+    d2_group,
+    metacyclic_group,
+)
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import MetacyclicParams, metacyclic_decompose
-from grpalg.oracle import center_split, class_structure, q_class_count
+from grpalg.oracle import center_split, q_class_count
 
 S3 = metacyclic_group(3, 2, 0, 2)
 # F_4, F_9 and F_25 as (p, a)
@@ -161,10 +167,12 @@ def test_early_stop_cannot_fire_on_unsplit_class_sum(monkeypatch):
     # d = 2, so sum d = 3 < 9 classes; the class sum of g^-1 splits
     # neither block, yet the split must go on to 5 blocks
     G, F = elementary_abelian(3, 2), make_field(2)
-    _, idx = class_structure(G)
+    class_of, reps, idx = class_structure(G)
     calls = count_minimal_polynomials(monkeypatch)
     ids = center_split(G, F)
-    blocks_at = [sum(1 for c in calls if c[1] is idx_i) for idx_i in idx]
+    # the rows of idx for class i, x in C_i, are what the split multiplies by
+    blocks_at = [sum(1 for c in calls if np.array_equal(c[1], idx[class_of == i]))
+                 for i in range(reps.size)]
     assert blocks_at[:4] == [1, 1, 2, 2]
     assert len(ids) == q_class_count(G, 2) == 5
     assert keys(ids) == array_keys(center_split_reference(G, F))
@@ -254,22 +262,42 @@ def test_center_split_matches_reference_relabeled_and_non_metabelian(s4):
 @pytest.mark.parametrize("G", [S3, a4_group(), metacyclic_group(16, 4, 8, 5), d1_group(2)],
                          ids=lambda G: G.name)
 def test_class_mul_matches_product(G):
-    """C_i · C_j in class coordinates, the field sum of the rows of
-    w[idx[i]], equals the product of the two class sums at every h,
-    read back at the class representatives."""
-    class_of, idx = class_structure(G)
-    reps = [int(np.flatnonzero(class_of == i)[0]) for i in range(len(idx))]
+    """C_i · C_j in class coordinates, the field sum of the rows w[idx[x]]
+    over the x in C_i, as center_split takes it, equals the product of the
+    two class sums at every h, read back at the class representatives."""
+    class_of, reps, idx = class_structure(G)
     for F in (make_field(5), make_field(2, 2)):  # no coprimality needed
         A = GroupAlgebra(G, F)
         sums = class_sums(A)
         for i, zi in enumerate(sums):
             for j, zj in enumerate(sums):
-                w = np.zeros(len(idx), dtype=np.int16)
+                w = np.zeros(reps.size, dtype=np.int16)
                 w[j] = 1
-                got = F.sum_rows(w[idx[i]])
+                got = F.sum_rows(w[idx[class_of == i]])
                 prod = full_product(A, zi, zj)
                 assert np.array_equal(prod, prod[reps][class_of])  # central
                 assert np.array_equal(got, prod[reps])
+
+
+def test_engine_and_oracle_build_class_structure_once():
+    """decompose (through _validate), then center_split and q_class_count,
+    on one group: the class structure is written to the group's cache once
+    and every later reader gets that same tuple."""
+    class Writes(dict):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    writes = []
+    G = FiniteGroup(metacyclic_group(7, 3, 0, 2).m, name="M21")
+    G._cache = Writes()
+    F = make_field(2)
+    decompose(G, F)
+    built = G._cache["class_structure"]
+    center_split(G, F)
+    q_class_count(G, 2)
+    assert writes.count("class_structure") == 1
+    assert class_structure(G) is built
 
 
 # F_2, F_3, F_4, F_5, F_7 and F_9 as (p, a)
