@@ -7,6 +7,7 @@ Core entry points:
   metacyclic.metacyclic_decompose(params, F)  -- parameter-driven fast path
   families.d1_closed_form / d2_closed_form    -- closed-form WedderburnSummary
   oracle.center_split / q_class_count         -- independent verification
+  algebra.ideal_dimension(G, F, c) / to_str(G, F, coeffs)  -- on int16 arrays
 """
 
 __version__ = "0.1.0"
@@ -26,6 +27,6 @@ from .groups import (  # noqa: F401
     metacyclic_group,
     parse_cayley,
 )
-from .algebra import AlgebraElement, GroupAlgebra  # noqa: F401
+from .algebra import AlgebraElement  # noqa: F401
 from .idempotents import WedderburnSummary, decompose  # noqa: F401
 from .metacyclic import MetacyclicParams, metacyclic_decompose  # noqa: F401

@@ -1,15 +1,16 @@
-"""The group algebra F_q[G]: elements are coefficient vectors indexed by
-group elements, with coefficients stored as base-field indices in a numpy
-int16 array.  An AlgebraElement is a read-only result, such as an
-idempotent: its coeffs, key() and to_str().  Products of central elements
+"""The group algebra F_q[G] as arrays and functions of (G, F): an element
+is a coefficient vector indexed by group elements, with coefficients
+stored as base-field indices in a numpy int16 array.  An AlgebraElement
+is the read-only record of an idempotent: its coeffs and key();
+to_str(G, F, coeffs) writes an element out.  Products of central elements
 are taken in class coordinates (groups.class_structure, in
 idempotents._validate and the oracle); no general product is needed.  The
-dimension of an ideal F_q[G]·e is [G:S] times the rank of one |S|×|S|
-block, S the subgroup that the support of e generates.  When |S| exceeds
-QUOTIENT_MIN_SUPPORT the block shrinks to one row and one column per left
-coset of K, the two-sided stabilizer of e in S.  The block is read through
-the group table, and the rank elimination clears each pivot column in all
-remaining rows at once.
+dimension ideal_dimension(G, F, c) of an ideal F_q[G]·e is [G:S] times the
+rank of one |S|×|S| block, S the subgroup that the support of e generates.
+When |S| exceeds QUOTIENT_MIN_SUPPORT the block shrinks to one row and one
+column per left coset of K, the two-sided stabilizer of e in S.  The block
+is read through the group table, and the rank elimination clears each
+pivot column in all remaining rows at once.
 """
 
 from __future__ import annotations
@@ -26,77 +27,69 @@ QUOTIENT_MIN_SUPPORT = 64
 STABILIZER_BLOCK = 64  # candidates per stabilizer test: 64·|S| cells at a time
 
 
-class GroupAlgebra:
-    def __init__(self, group: FiniteGroup, field: BaseField):
-        self.group = group
-        self.field = field
+def ideal_dimension(G: FiniteGroup, F: BaseField, c: np.ndarray) -> int:
+    """dim_{F_q} of the left ideal F_q[G]·e, e the element with
+    coefficients c: the span of the rows g·e whose h-coefficient is
+    e[g⁻¹h]; for central e, the two-sided ideal.
 
-    def ideal_dimension(self, c: np.ndarray) -> int:
-        """dim_{F_q} of the left ideal F_q[G]·e, e the element with
-        coefficients c: the span of the rows g·e whose h-coefficient is
-        e[g⁻¹h]; for central e, the two-sided ideal.
+    Let S be the subgroup generated by the support of e: G when the
+    support exceeds |G|/2, the most a proper subgroup holds.  Row g is
+    supported on the left coset gS, since e[g⁻¹h] ≠ 0 puts g⁻¹h in S.
+    So the |G|×|G| matrix is block-diagonal over the left cosets of S.
+    For g = xs and h = xt with s, t in S, entry (g, h) is e[s⁻¹t]: the
+    block of the coset xS is B[s, t] = e[s⁻¹t] with rows and columns
+    relabeled by s ↦ xs.  The rank is [G:S]·rank(B), for every e.
 
-        Let S be the subgroup generated by the support of e: G when the
-        support exceeds |G|/2, the most a proper subgroup holds.  Row g is
-        supported on the left coset gS, since e[g⁻¹h] ≠ 0 puts g⁻¹h in S.
-        So the |G|×|G| matrix is block-diagonal over the left cosets of S.
-        For g = xs and h = xt with s, t in S, entry (g, h) is e[s⁻¹t]: the
-        block of the coset xS is B[s, t] = e[s⁻¹t] with rows and columns
-        relabeled by s ↦ xs.  The rank is [G:S]·rank(B), for every e.
-
-        When |S| > QUOTIENT_MIN_SUPPORT, B shrinks further.  Let K be the k
-        in S with e[sk] = e[s] = e[ks] for every s in S.  Each of the two
-        conditions holds on a subgroup (e[sk₁k₂] = e[sk₁] = e[s], and
-        e[sk⁻¹] = e[sk⁻¹·k]; the same on the left), so K is one, and s = 1
-        puts it inside {k : e[k] = e[1]}.  Then B[s, tk] = e[s⁻¹t·k] =
-        e[s⁻¹t] and B[sk, t] = e[k⁻¹·s⁻¹t] = e[s⁻¹t]: rows and columns are
-        constant on the left cosets of K.  With R one representative per
-        coset and P the |S|×|R| 0/1 matrix of coset membership,
-        B = P·B[R, R]·Pᵀ, and P has full column rank, so rank(B) =
-        rank(B[R, R]), an [S:K]-square block, for every e."""
-        G, support = self.group, np.flatnonzero(c)
-        S = (np.arange(G.order) if 2 * support.size > G.order
-             else np.array(subgroup_closure(G, support.tolist()).members))
-        reps = _coset_representatives(G, c, S) if S.size > QUOTIENT_MIN_SUPPORT else S
-        # B[R, R] = e[r⁻¹r']: the table rows r⁻¹, their columns R, then e on
-        # those |R|×|R| entries (faster than one two-axis gather)
-        block = c.take(G.m[G.inv_np[reps]].take(reps, axis=1))
-        return G.order // S.size * _rank(self.field, block)
-
-    def __repr__(self):
-        return f"F_{self.field.q}[{self.group.name}]"
+    When |S| > QUOTIENT_MIN_SUPPORT, B shrinks further.  Let K be the k
+    in S with e[sk] = e[s] = e[ks] for every s in S.  Each of the two
+    conditions holds on a subgroup (e[sk₁k₂] = e[sk₁] = e[s], and
+    e[sk⁻¹] = e[sk⁻¹·k]; the same on the left), so K is one, and s = 1
+    puts it inside {k : e[k] = e[1]}.  Then B[s, tk] = e[s⁻¹t·k] =
+    e[s⁻¹t] and B[sk, t] = e[k⁻¹·s⁻¹t] = e[s⁻¹t]: rows and columns are
+    constant on the left cosets of K.  With R one representative per
+    coset and P the |S|×|R| 0/1 matrix of coset membership,
+    B = P·B[R, R]·Pᵀ, and P has full column rank, so rank(B) =
+    rank(B[R, R]), an [S:K]-square block, for every e."""
+    support = np.flatnonzero(c)
+    S = (np.arange(G.order) if 2 * support.size > G.order
+         else np.array(subgroup_closure(G, support.tolist()).members))
+    reps = _coset_representatives(G, c, S) if S.size > QUOTIENT_MIN_SUPPORT else S
+    # B[R, R] = e[r⁻¹r']: the table rows r⁻¹, their columns R, then e on
+    # those |R|×|R| entries (faster than one two-axis gather)
+    block = c.take(G.m[G.inv_np[reps]].take(reps, axis=1))
+    return G.order // S.size * _rank(F, block)
 
 
 class AlgebraElement:
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, algebra: GroupAlgebra, coeffs: np.ndarray):
-        self.algebra = algebra
+    def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
 
     def key(self):
         return tuple(int(c) for c in self.coeffs)
 
-    def to_str(self) -> str:
-        G, F = self.algebra.group, self.algebra.field
-        parts = []
-        for g in np.nonzero(self.coeffs)[0]:
-            c = int(self.coeffs[g])
-            lab = G.labels[g]
-            if c == 1:
-                parts.append(lab)
-            elif F.a == 1:
-                parts.append(f"{c}*{lab}")
-            else:
-                parts.append("(" + ",".join(map(str, F.coeffs_of(c))) + f")*{lab}")
-        return " + ".join(parts) if parts else "0"
+
+def to_str(G: FiniteGroup, F: BaseField, coeffs: np.ndarray) -> str:
+    """The element of F_q[G] with coefficients coeffs, as a sum of labels."""
+    parts = []
+    for g in np.nonzero(coeffs)[0]:
+        c = int(coeffs[g])
+        lab = G.labels[g]
+        if c == 1:
+            parts.append(lab)
+        elif F.a == 1:
+            parts.append(f"{c}*{lab}")
+        else:
+            parts.append("(" + ",".join(map(str, F.coeffs_of(c))) + f")*{lab}")
+    return " + ".join(parts) if parts else "0"
 
 
 def _coset_representatives(G, c, S):
     """One element of each left coset sK of S, K the two-sided stabilizer
     {k in S : c[sk] = c[s] = c[ks] for all s in S} of the coefficient
-    vector c supported in S (see GroupAlgebra.ideal_dimension): the least
-    member of each coset."""
+    vector c supported in S (see ideal_dimension): the least member of
+    each coset."""
     on_S = c[S]
     cand = S[on_S == c[0]]
     least = S  # per s, the least member of sK found so far

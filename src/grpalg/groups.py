@@ -83,10 +83,13 @@ class FiniteGroup:
         if witness is not None:
             x, a, y = witness
             raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
+        labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} elements")
         self.order = n
         self.m = m
         self.inv_np = inv.astype(np.int32)
-        self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
+        self.labels = labels
         self.name = name or f"G{n}"
         self.meta = dict(meta or {})
         self._cache = {}

@@ -25,9 +25,10 @@ Every choice (the element that joins A next, the D of a class, the coset
 of an orbit) is the least one; the idempotents do not depend on it.
 triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
-The engine computes on int16 coefficient arrays; ec_idempotent wraps each
-result as the read-only AlgebraElement a descriptor holds.  _validate
-checks them; its products of central elements run in class coordinates
+The engine, the fast path and the checks take (G, F) and compute on int16
+coefficient arrays; triple_components wraps each idempotent as the
+read-only AlgebraElement a descriptor holds.  _validate checks them; its
+products of central elements run in class coordinates
 (groups.class_structure, which the oracle reads too).
 WedderburnSummary is the result type of the engine, the fast path and the
 closed forms (families), and the one writer of its table, its algebra and
@@ -41,7 +42,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import AlgebraElement, GroupAlgebra
+from .algebra import AlgebraElement, ideal_dimension, to_str
 from .errors import (
     InternalInconsistency,
     InvariantViolation,
@@ -60,6 +61,8 @@ from .groups import (
     powers,
     transversal,
 )
+
+PRODUCT_BLOCK = 256  # support rows per gather in _central_product: 256·k int32 at most
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +131,11 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
 # Idempotents
 # ---------------------------------------------------------------------------
 
-def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int):
+def epsilon_idempotent(G: FiniteGroup, F: BaseField, K: Subgroup, H: Subgroup, j: int):
     """The coefficients of the trace-twisted coset-sum idempotent of (K, H)
     and the generator coset C = j·<q> of Z/[K:H]:
         |K|^{-1} * sum_{g in K} tr(zeta^{j*e(g)}) * g^{-1},
     zeta a primitive [K:H]-th root of unity; every member of C gives it."""
-    G, F = A.group, A.field
     n, gen, e = cyclic_quotient_data(G, K, H)
     tr = F.cyclotomic_traces(n)
     kinv = F.inv(F.from_int(K.order))
@@ -143,15 +145,15 @@ def epsilon_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int):
     return F.mul_np[kinv, coeffs]
 
 
-def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int,
-                  E: Subgroup):
-    """e_C(G, K, H) for C = j·<q>: the sum of the G-conjugates of the
-    (K, H, j) idempotent, one per right coset of its centralizer E, the
-    g in N_G(H) whose multiplier lies in <q> (coset_orbits); row i of one
-    gather is the conjugate x_i^-1·eps·x_i, coefficients eps[x_i h x_i^-1]."""
-    G = A.group
+def ec_idempotent(G: FiniteGroup, F: BaseField, K: Subgroup, H: Subgroup,
+                  j: int, E: Subgroup):
+    """The coefficients of e_C(G, K, H) for C = j·<q>: the sum of the
+    G-conjugates of the (K, H, j) idempotent, one per right coset of its
+    centralizer E, the g in N_G(H) whose multiplier lies in <q>
+    (coset_orbits); row i of one gather is the conjugate x_i^-1·eps·x_i,
+    coefficients eps[x_i h x_i^-1]."""
     xs = np.array(transversal(G, E))
-    rows = epsilon_idempotent(A, K, H, j)[G.m[G.m[xs], G.inv_np[xs][:, None]]]
+    rows = epsilon_idempotent(G, F, K, H, j)[G.m[G.m[xs], G.inv_np[xs][:, None]]]
     # one void scalar per row: np.unique(rows, axis=0) builds a field per column
     as_bytes = rows.view(f"V{rows.itemsize * G.order}")[:, 0]
     _, first, which = np.unique(as_bytes, return_index=True, return_inverse=True)
@@ -160,7 +162,7 @@ def ec_idempotent(A: GroupAlgebra, K: Subgroup, H: Subgroup, j: int,
         raise InternalInconsistency(
             f"conjugate by {xs[repeats[0]]} repeats another: the stabilizer of C "
             f"is not the centralizer of the (K, H, C) idempotent")
-    return AlgebraElement(A, A.field.sum_rows(rows))
+    return F.sum_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +300,23 @@ class ComponentDescriptor:
         return self.d * self.d * self.l
 
 
-def triple_components(A: GroupAlgebra, tr: Triple):
+def triple_components(G: FiniteGroup, F: BaseField, tr: Triple):
     """The components of one triple, one per orbit of generator cosets
     (coset_orbits), all M_d(F_{q^l}) with d = [G:A] and l = o/[E:A], o the
     order of q mod n = [A:D] and E the stabilizer of every coset."""
-    G, q = A.group, A.field.q
-    js, E = coset_orbits(G, tr.A, tr.D, q)
+    js, E = coset_orbits(G, tr.A, tr.D, F.q)
     if not set(tr.A.members) <= set(E.members):
         raise InternalInconsistency("A not contained in the coset stabilizer")
     n = tr.A.order // tr.D.order
-    ord_q = mult_order(n, q)
+    ord_q = mult_order(n, F.q)
     ind = E.order // tr.A.order
     if E.order % tr.A.order or ord_q % ind:
         raise InternalInconsistency(
-            f"stabilizer index {E.order}/{tr.A.order} does not divide ord({q}) mod {n}")
+            f"stabilizer index {E.order}/{tr.A.order} does not divide ord({F.q}) mod {n}")
     d, l = G.order // tr.A.order, ord_q // ind
-    return [ComponentDescriptor(d, l, ec_idempotent(A, tr.A, tr.D, j, E), tr, j)
-            for j in js]
+    return [ComponentDescriptor(
+        d, l, AlgebraElement(ec_idempotent(G, F, tr.A, tr.D, j, E)), tr, j)
+        for j in js]
 
 
 @dataclass
@@ -384,36 +386,36 @@ def decompose(G: FiniteGroup, F: BaseField, validate=True):
         raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
     if not is_metabelian(G):
         raise NotMetabelian(f"{G.name} is not metabelian")
-    A = GroupAlgebra(G, F)
-    descriptors = [dsc for tr in shoda_triples(G) for dsc in triple_components(A, tr)]
-    return summarize(A, descriptors)
+    descriptors = [dsc for tr in shoda_triples(G) for dsc in triple_components(G, F, tr)]
+    return summarize(G, F, descriptors)
 
 
-def summarize(A: GroupAlgebra, descriptors):
-    """(WedderburnSummary, descriptors) for the components found in A, after
+def summarize(G: FiniteGroup, F: BaseField, descriptors):
+    """(WedderburnSummary, descriptors) for the components of F_q[G], after
     the invariant suite of _validate has passed on the descriptors alone."""
     components = {}
     for dsc in descriptors:
         key = (dsc.d, dsc.l)
         components[key] = components.get(key, 0) + 1
-    _validate(A, descriptors)
-    return WedderburnSummary(order=A.group.order, q=A.field.q,
+    _validate(G, F, descriptors)
+    return WedderburnSummary(order=G.order, q=F.q,
                              components=components), descriptors
 
 
 def _central_product(F: BaseField, idx, e, w):
     """E·W in class coordinates, for central E and W: E has coefficients e
     and W the class coordinates w, and idx is class_structure(G)[2], so
-    (E·W)(reps[l]) = Σ_x e[x]·w[idx[x, l]], summed over the x with e[x] != 0."""
+    (E·W)(reps[l]) = Σ_x e[x]·w[idx[x, l]], summed over the x with e[x] != 0,
+    PRODUCT_BLOCK rows of idx at a time."""
     x = np.flatnonzero(e)
-    return F.sum_rows(F.mul_np[e[x][:, None], w.take(idx[x])])
+    return F.sum_rows([F.sum_rows(F.mul_np[e[b][:, None], w.take(idx[b])])
+                       for b in np.split(x, range(PRODUCT_BLOCK, x.size, PRODUCT_BLOCK))])
 
 
-def _validate(A: GroupAlgebra, descriptors):
+def _validate(G: FiniteGroup, F: BaseField, descriptors):
     def fail(name, witness):
         raise InvariantViolation(name, witness)
 
-    G, F = A.group, A.field
     dimension = sum(dsc.dim for dsc in descriptors)
     if dimension != G.order:
         fail("dimension_sum", {"got": dimension, "expected": G.order})
@@ -435,9 +437,9 @@ def _validate(A: GroupAlgebra, descriptors):
         if 2 * dsc.dim > G.order:
             rest = F.neg_np[e]
             rest[0] = F.add_np[1, rest[0]]
-            dim = G.order - A.ideal_dimension(rest)
+            dim = G.order - ideal_dimension(G, F, rest)
         else:
-            dim = A.ideal_dimension(e)
+            dim = ideal_dimension(G, F, e)
         if dim != dsc.dim:
             fail("ideal_dimension", {"component": i, "got": dim, "expected": dsc.dim})
     total = F.sum_rows(es)
@@ -450,4 +452,4 @@ def _validate(A: GroupAlgebra, descriptors):
             for j in range(i + 1, len(es)):
                 if _central_product(F, idx, es[i], ws[j]).any():
                     fail("orthogonal", {"components": (i, j)})
-        fail("sum_to_one", {"sum": AlgebraElement(A, total).to_str()})
+        fail("sum_to_one", {"sum": to_str(G, F, total)})

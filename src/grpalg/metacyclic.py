@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import GroupAlgebra
 from .errors import InternalInconsistency, NotSemisimple
 from .field import BaseField, mult_order
 from .groups import (FiniteGroup, Subgroup, check_presentation, metacyclic_group,
@@ -134,7 +133,6 @@ def metacyclic_decompose(params: MetacyclicParams, F: BaseField):
     if gcd(F.q, params.order) != 1:
         raise NotSemisimple(f"gcd({F.q}, {params.order}) != 1")
     G = params.group()
-    A = GroupAlgebra(G, F)
     G_ov = {ov: triple_subgroup(G, params, 1, 0, ov)
             for ov in {o_v(params, v) for v in divisors(params.n)}}
     descriptors = []
@@ -143,5 +141,5 @@ def metacyclic_decompose(params: MetacyclicParams, F: BaseField):
         N = triple_subgroup(G, params, v, i, c)
         for alpha, beta in x_classes(params, v, i, c):
             H = triple_subgroup(G, params, v, alpha, beta * ov)
-            descriptors += triple_components(A, Triple(N=N, D=H, A=G_ov[ov]))
-    return summarize(A, descriptors)
+            descriptors += triple_components(G, F, Triple(N=N, D=H, A=G_ov[ov]))
+    return summarize(G, F, descriptors)

@@ -28,7 +28,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import AlgebraElement, GroupAlgebra
+from .algebra import AlgebraElement
 from .errors import InternalInconsistency, NotSemisimple
 from .field import (
     BaseField,
@@ -161,8 +161,7 @@ def center_split(G: FiniteGroup, F: BaseField):
     if not np.array_equal(total, one):
         raise InternalInconsistency(
             f"center blocks sum to {total.tolist()} in class coordinates, not 1")
-    A = GroupAlgebra(G, F)
-    return sorted((AlgebraElement(A, b[class_of]) for b in blocks),
+    return sorted((AlgebraElement(b[class_of]) for b in blocks),
                   key=lambda e: e.key())
 
 

@@ -6,7 +6,7 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
-from grpalg.algebra import AlgebraElement, GroupAlgebra
+from grpalg.algebra import ideal_dimension, to_str
 from grpalg.errors import (
     InternalInconsistency,
     InvariantViolation,
@@ -271,7 +271,7 @@ def random_metabelian_groups(count, seed, max_order=64):
     return out
 
 
-def validate_reference(A, descriptors):
+def validate_reference(G, F, descriptors):
     """_validate with the pairwise orthogonality loop run on every input:
     the reference for the lemma that lets _validate skip it.  Its products
     are full_product and its centrality test is_central, both by the
@@ -280,28 +280,28 @@ def validate_reference(A, descriptors):
         raise InvariantViolation(name, witness)
 
     dimension = sum(dsc.dim for dsc in descriptors)
-    if dimension != A.group.order:
-        fail("dimension_sum", {"got": dimension, "expected": A.group.order})
+    if dimension != G.order:
+        fail("dimension_sum", {"got": dimension, "expected": G.order})
     es = [dsc.idempotent.coeffs for dsc in descriptors]
     for i, dsc in enumerate(descriptors):
         e = es[i]
         if not e.any():
             fail("nonzero", {"component": i})
-        if not is_central(A.group, e):
+        if not is_central(G, e):
             fail("central", {"component": i})
-        if not is_idempotent(A, e):
+        if not is_idempotent(G, F, e):
             fail("idempotent", {"component": i})
-        dim = A.ideal_dimension(e)
+        dim = ideal_dimension(G, F, e)
         if dim != dsc.dim:
             fail("ideal_dimension", {"component": i, "got": dim,
                                      "expected": dsc.dim})
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            if full_product(A, es[i], es[j]).any():
+            if full_product(G, F, es[i], es[j]).any():
                 fail("orthogonal", {"components": (i, j)})
-    total = A.field.sum_rows(es)
-    if not np.array_equal(total, basis_vector(A, 0)):
-        fail("sum_to_one", {"sum": AlgebraElement(A, total).to_str()})
+    total = F.sum_rows(es)
+    if not np.array_equal(total, basis_vector(G, 0)):
+        fail("sum_to_one", {"sum": to_str(G, F, total)})
 
 
 def int_cyclotomic(n: int) -> list:
@@ -460,10 +460,9 @@ def coset_orbits_reference(G, K, H, q):
     return [c.rep for c in reps], Subgroup(G, E_members)
 
 
-def convolution_reference(A, x, y):
-    """The coefficients of x·y in A = F_q[G] by the definition: for every
+def convolution_reference(G, F, x, y):
+    """The coefficients of x·y in F_q[G] by the definition: for every
     pair (g, k), the scalar x[g]·y[k] is added to the coefficient of g·k."""
-    F, G = A.field, A.group
     out = [0] * G.order
     for g in range(G.order):
         for k in range(G.order):
@@ -472,25 +471,24 @@ def convolution_reference(A, x, y):
     return np.array(out, dtype=np.int16)
 
 
-def full_product(A, x, y):
+def full_product(G, F, x, y):
     """All of x·y = Σ_g x[g]·(g·y), for coefficient vectors x and y of
-    A = F_q[G]: row g of one gather through the group table holds the
+    F_q[G]: row g of one gather through the group table holds the
     coefficients y[g⁻¹h] of g·y, scaled by x[g], over the support of x."""
-    G, F = A.group, A.field
     g = np.flatnonzero(x)
     return F.sum_rows(F.mul_np[x[g][:, None], y.take(G.m[G.inv_np[g]])])
 
 
-def basis_vector(A, g):
-    """The coefficient vector of the group element g in A."""
-    c = np.zeros(A.group.order, dtype=np.int16)
+def basis_vector(G, g):
+    """The coefficient vector of the group element g in F_q[G]."""
+    c = np.zeros(G.order, dtype=np.int16)
     c[g] = 1
     return c
 
 
-def is_idempotent(A, c):
-    """e·e = e for the element e of A with the coefficient vector c."""
-    return np.array_equal(full_product(A, c, c), c)
+def is_idempotent(G, F, c):
+    """e·e = e for the element e of F_q[G] with the coefficient vector c."""
+    return np.array_equal(full_product(G, F, c, c), c)
 
 
 def is_central(G, c):
@@ -715,22 +713,22 @@ def relabeled(m, rng):
 # The oracle in |G| coordinates: the reference for grpalg.oracle.center_split
 # ---------------------------------------------------------------------------
 
-def class_sums(A):
-    """The coefficient vectors of the conjugacy-class sums of A = F_q[G],
-    in class order."""
+def class_sums(G):
+    """The coefficient vectors of the conjugacy-class sums of F_q[G], in
+    class order."""
     out = []
-    for cls in conjugacy_classes(A.group):
-        c = np.zeros(A.group.order, dtype=np.int16)
+    for cls in conjugacy_classes(G):
+        c = np.zeros(G.order, dtype=np.int16)
         c[list(cls)] = 1
         out.append(c)
     return out
 
 
-def _minimal_polynomial_reference(A, z, e):
-    """Minimal polynomial of multiplication by z on A·e, by Gauss-Jordan over
-    the powers [e, ze, z²e, ...] in |G| coordinates; also returns the powers."""
-    F = A.field
-    nmax = A.group.order + 1
+def _minimal_polynomial_reference(G, F, z, e):
+    """Minimal polynomial of multiplication by z on F_q[G]·e, by Gauss-Jordan
+    over the powers [e, ze, z²e, ...] in |G| coordinates; also returns the
+    powers."""
+    nmax = G.order + 1
     powers = [e]
     basis = {}  # pivot column -> (reduced row, combo over power indices)
     deg = 0
@@ -756,7 +754,7 @@ def _minimal_polynomial_reference(A, z, e):
                 basis[p2] = (F.add_np[br, F.neg_np[F.mul_np[c, v]]],
                              F.add_np[bc, F.neg_np[F.mul_np[c, combo]]])
         basis[piv] = (v, combo)
-        powers.append(full_product(A, powers[-1], z))
+        powers.append(full_product(G, F, powers[-1], z))
         deg += 1
 
 
@@ -766,12 +764,11 @@ def center_split_reference(G, F):
     coefficient vectors, sorted as tuples."""
     if gcd(F.q, G.order) != 1:
         raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
-    A = GroupAlgebra(G, F)
-    blocks = [basis_vector(A, 0)]
-    for z in class_sums(A):
+    blocks = [basis_vector(G, 0)]
+    for z in class_sums(G):
         refined = []
         for e in blocks:
-            mp, powers = _minimal_polynomial_reference(A, z, e)
+            mp, powers = _minimal_polynomial_reference(G, F, z, e)
             mp = poly_scale(F, F.inv(mp[-1]), mp)
             try:
                 factors = factor_polynomial(F, mp)

@@ -16,10 +16,10 @@ from conftest import (
 from grpalg import algebra
 from grpalg.algebra import (
     QUOTIENT_MIN_SUPPORT,
-    AlgebraElement,
-    GroupAlgebra,
     _coset_representatives,
     _rank,
+    ideal_dimension,
+    to_str,
 )
 from grpalg.field import make_field
 from grpalg.groups import (
@@ -28,11 +28,11 @@ from grpalg.groups import (
     metacyclic_group,
     subgroup_closure,
 )
+from grpalg import idempotents
 from grpalg.idempotents import _central_product, decompose
 
 S3 = metacyclic_group(3, 2, 0, 2)
 F5 = make_field(5)
-A = GroupAlgebra(S3, F5)
 
 
 def vector(coeffs):
@@ -43,14 +43,14 @@ def vector(coeffs):
 def test_basis_multiplication_matches_table():
     for g in range(6):
         for h in range(6):
-            gh = full_product(A, basis_vector(A, g), basis_vector(A, h))
-            assert np.array_equal(gh, basis_vector(A, int(S3.m[g, h])))
+            gh = full_product(S3, F5, basis_vector(S3, g), basis_vector(S3, h))
+            assert np.array_equal(gh, basis_vector(S3, int(S3.m[g, h])))
 
 
 def test_noncommutative():
     # a*b != b*a in S3 (indices: a = 2, b = 1)
-    a, b = basis_vector(A, 2), basis_vector(A, 1)
-    assert not np.array_equal(full_product(A, a, b), full_product(A, b, a))
+    a, b = basis_vector(S3, 2), basis_vector(S3, 1)
+    assert not np.array_equal(full_product(S3, F5, a, b), full_product(S3, F5, b, a))
 
 
 def test_class_sums_central():
@@ -59,13 +59,13 @@ def test_class_sums_central():
         c[list(cls)] = 1
         assert is_central(S3, c)
         for g in range(6):
-            assert np.array_equal(full_product(A, basis_vector(A, g), c),
-                                  full_product(A, c, basis_vector(A, g)))
+            assert np.array_equal(full_product(S3, F5, basis_vector(S3, g), c),
+                                  full_product(S3, F5, c, basis_vector(S3, g)))
 
 
 def test_central_detection():
-    assert is_central(S3, basis_vector(A, 0))
-    assert not is_central(S3, basis_vector(A, 1))
+    assert is_central(S3, basis_vector(S3, 0))
+    assert not is_central(S3, basis_vector(S3, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,41 +85,40 @@ def test_is_central_matches_class_loop(G, data):
 
 
 def test_idempotent_predicates():
-    one = basis_vector(A, 0)
-    assert is_idempotent(A, one) and one.any()
+    one = basis_vector(S3, 0)
+    assert is_idempotent(S3, F5, one) and one.any()
     # averaging idempotent over <a>: (1 + a + a^2)/3, 3^{-1} = 2 mod 5
     e = vector([2, 0, 2, 0, 2, 0])
-    assert is_idempotent(A, e)
+    assert is_idempotent(S3, F5, e)
     assert is_central(S3, e)
     f = F5.add_np[one, F5.neg_np[e]]  # 1 - e
-    assert is_idempotent(A, f)
-    assert not full_product(A, e, f).any()
-    assert not full_product(A, f, e).any()
-    assert full_product(A, e, one).any()
-    assert full_product(A, one, e).any()
+    assert is_idempotent(S3, F5, f)
+    assert not full_product(S3, F5, e, f).any()
+    assert not full_product(S3, F5, f, e).any()
+    assert full_product(S3, F5, e, one).any()
+    assert full_product(S3, F5, one, e).any()
 
 
 def test_ideal_dimension():
-    assert A.ideal_dimension(basis_vector(A, 0)) == 6
+    assert ideal_dimension(S3, F5, basis_vector(S3, 0)) == 6
     e = vector([2, 0, 2, 0, 2, 0])  # cuts F_5[S3/C3] = F_5[C2], dim 2
-    assert A.ideal_dimension(e) == 2
-    assert A.ideal_dimension(vector([0] * 6)) == 0
+    assert ideal_dimension(S3, F5, e) == 2
+    assert ideal_dimension(S3, F5, vector([0] * 6)) == 0
 
 
 def test_to_str():
-    assert AlgebraElement(A, vector([0] * 6)).to_str() == "0"
-    assert AlgebraElement(A, basis_vector(A, 0)).to_str() == "1"
-    x = AlgebraElement(A, vector([0, 0, 3, 1, 0, 0]))
-    assert x.to_str() == "3*a + a*b"
+    assert to_str(S3, F5, vector([0] * 6)) == "0"
+    assert to_str(S3, F5, basis_vector(S3, 0)) == "1"
+    assert to_str(S3, F5, vector([0, 0, 3, 1, 0, 0])) == "3*a + a*b"
 
 
 def test_extension_base_field_coefficients():
     F9 = make_field(3, 2)
-    B = GroupAlgebra(metacyclic_group(5, 4, 0, 2), F9)
-    y = F9.mul_np[5, basis_vector(B, 1)]  # index 5 = (2,1) = 2 + x
+    M5 = metacyclic_group(5, 4, 0, 2)
+    y = F9.mul_np[5, basis_vector(M5, 1)]  # index 5 = (2,1) = 2 + x
     assert not np.array_equal(F9.add_np[y, y], y)
-    assert np.array_equal(full_product(B, basis_vector(B, 0), y), y)
-    assert "(2,1)*" in AlgebraElement(B, y).to_str()
+    assert np.array_equal(full_product(M5, F9, basis_vector(M5, 0), y), y)
+    assert "(2,1)*" in to_str(M5, F9, y)
 
 
 def _combinations(F, coef, base):
@@ -178,12 +177,12 @@ def test_ideal_dimension_matches_products():
     rng = np.random.default_rng(3)
     for G, q in [(S3, 5), (metacyclic_group(4, 2, 2, 3), 3),
                  (metacyclic_group(7, 3, 0, 2), 2)]:
-        B = GroupAlgebra(G, make_field(q))
-        for c in [basis_vector(B, 0), np.zeros(G.order, dtype=np.int16),
+        F = make_field(q)
+        for c in [basis_vector(G, 0), np.zeros(G.order, dtype=np.int16),
                   rng.integers(0, q, G.order).astype(np.int16)]:
-            rows = np.stack([full_product(B, basis_vector(B, g), c)
+            rows = np.stack([full_product(G, F, basis_vector(G, g), c)
                              for g in range(G.order)])
-            assert B.ideal_dimension(c) == rank_reference(B.field, rows)
+            assert ideal_dimension(G, F, c) == rank_reference(F, rows)
 
 
 def _on(rng, q, n, members, sparse):
@@ -216,12 +215,12 @@ def test_ideal_dimension_on_subgroup_support():
     assert subgroup_closure(D9, [6, 1]).members == tuple(s3)
     for G, members in [(M7, a7), (D9, s3), (D9, [6, 1]), (M37, D37)]:
         for p, a in [(2, 1), (3, 1), (2, 2)]:
-            B = GroupAlgebra(G, make_field(p, a))
+            F = make_field(p, a)
             for sparse in (False, True, True):
-                c = _on(rng, B.field.q, G.order, members, sparse)
-                rows = np.stack([full_product(B, basis_vector(B, g), c)
+                c = _on(rng, F.q, G.order, members, sparse)
+                rows = np.stack([full_product(G, F, basis_vector(G, g), c)
                                  for g in range(G.order)])
-                assert B.ideal_dimension(c) == rank_reference(B.field, rows)
+                assert ideal_dimension(G, F, c) == rank_reference(F, rows)
 
 
 def test_ideal_dimension_of_large_support_builds_no_closure(monkeypatch):
@@ -231,12 +230,12 @@ def test_ideal_dimension_of_large_support_builds_no_closure(monkeypatch):
     rng = np.random.default_rng(7)
     monkeypatch.setattr(algebra, "subgroup_closure", None)
     for G, q in [(S3, 5), (metacyclic_group(4, 2, 2, 3), 3), (M37, 2)]:
-        B = GroupAlgebra(G, make_field(q))
+        F = make_field(q)
         c = np.zeros(G.order, dtype=np.int16)
         c[rng.choice(G.order, G.order // 2 + 1, replace=False)] = 1
-        rows = np.stack([full_product(B, basis_vector(B, g), c)
+        rows = np.stack([full_product(G, F, basis_vector(G, g), c)
                          for g in range(G.order)])
-        assert B.ideal_dimension(c) == rank_reference(B.field, rows)
+        assert ideal_dimension(G, F, c) == rank_reference(F, rows)
 
 
 def test_ideal_dimension_with_nontrivial_stabilizer():
@@ -262,37 +261,37 @@ def test_ideal_dimension_with_nontrivial_stabilizer():
     assert sum(map(len, classes)) == sum(map(len, double)) == len(S)
     cases = []
     for p, a in [(2, 1), (3, 1), (2, 2)]:
-        B = GroupAlgebra(G, make_field(p, a))
+        F = make_field(p, a)
         for parts in (classes, double):
             for _ in range(2):
                 c = np.zeros(G.order, dtype=np.int16)
                 for part in parts:
-                    c[list(part)] = rng.integers(1, B.field.q)
-                cases.append((B, c, None))
+                    c[list(part)] = rng.integers(1, F.q)
+                cases.append((F, c, None))
                 if parts is double:
                     # K-double cosets are unions of cosets sK: at most 37 representatives
                     assert len(_coset_representatives(G, c, np.array(S))) <= 37
-    B = GroupAlgebra(G, make_field(149))
+    F = make_field(149)
     zeta = next(z for z in range(2, 149) if pow(z, 37, 149) == 1)
     u = vector([149 - zeta, 0, 0, 0, 1] + [0] * (G.order - 5))
     one_tau = vector([1, 0, 1] + [0] * (G.order - 3))
     rotations = np.array(S[::2])
-    for c in (full_product(B, u, one_tau), full_product(B, one_tau, u)):
+    for c in (full_product(G, F, u, one_tau), full_product(G, F, one_tau, u)):
         one_sided = c[G.m[np.ix_(G.inv_np[rotations], rotations)]]
-        assert 2 * _rank(B.field, one_sided) == 72
-        cases.append((B, c, 74))
-    for B, c, want in cases:
-        rows = np.stack([full_product(B, basis_vector(B, g), c)
+        assert 2 * _rank(F, one_sided) == 72
+        cases.append((F, c, 74))
+    for F, c, want in cases:
+        rows = np.stack([full_product(G, F, basis_vector(G, g), c)
                          for g in range(G.order)])
-        got = B.ideal_dimension(c)
-        assert got == rank_reference(B.field, rows)
+        got = ideal_dimension(G, F, c)
+        assert got == rank_reference(F, rows)
         assert want in (None, got)
 
 
-def _one_minus(B, e):
+def _one_minus(F, e):
     """The coefficients of 1 − e."""
-    rest = B.field.neg_np[e]
-    rest[0] = B.field.add_np[1, rest[0]]
+    rest = F.neg_np[e]
+    rest[0] = F.add_np[1, rest[0]]
     return rest
 
 
@@ -307,14 +306,13 @@ def test_ideal_dimension_of_descriptors_matches_full_gather():
     for G, q in [(metacyclic_group(31, 5, 0, 2), 2), (elementary_abelian(3, 4), 2),
                  (metacyclic_group(43, 2, 0, 42), 5)]:
         F = make_field(q)
-        B = GroupAlgebra(G, F)
         _, descriptors = decompose(G, F)
         assert G.order > QUOTIENT_MIN_SUPPORT
         for d in descriptors:
             e = d.idempotent.coeffs
             full = _rank(F, e[G.m[G.inv_np]])
-            assert B.ideal_dimension(e) == full, (G.name, d)
-            assert G.order - B.ideal_dimension(_one_minus(B, e)) == full, (G.name, d)
+            assert ideal_dimension(G, F, e) == full, (G.name, d)
+            assert G.order - ideal_dimension(G, F, _one_minus(F, e)) == full, (G.name, d)
 
 
 def test_quotient_reaches_rank_with_small_blocks(monkeypatch):
@@ -324,7 +322,6 @@ def test_quotient_reaches_rank_with_small_blocks(monkeypatch):
     657x657."""
     G = metacyclic_group(73, 9, 0, 2)
     F = make_field(2)
-    B = GroupAlgebra(G, F)
     _, descriptors = decompose(G, F)
     shapes = []
 
@@ -336,7 +333,7 @@ def test_quotient_reaches_rank_with_small_blocks(monkeypatch):
     linear = [d for d in descriptors if d.d == 1]
     assert sorted(d.l for d in linear) == [1, 2, 6]
     for d in linear:
-        assert B.ideal_dimension(d.idempotent.coeffs) == d.l
+        assert ideal_dimension(G, F, d.idempotent.coeffs) == d.l
     assert len(shapes) == 3
     assert all(r == c <= 9 for r, c in shapes), shapes
 
@@ -359,21 +356,26 @@ def _supports(rng, q, n):
 
 
 @pytest.mark.parametrize("p,a", PRODUCT_FIELDS)
-def test_product_matches_convolution(p, a):
+def test_product_matches_convolution(p, a, monkeypatch):
     """The class-coordinate product of _validate, E·W at the class
     representatives for central E and W, against the pairwise definition
     at the representatives, for class functions with random, zero, sparse
-    and full coordinates."""
+    and full coordinates.  Each product is taken with PRODUCT_BLOCK set to
+    1, 2 and 3 as well, so the supports of these small groups cross block
+    boundaries."""
     F = make_field(p, a)
     rng = np.random.default_rng(10 * p + a)
+    blocks = (1, 2, 3, idempotents.PRODUCT_BLOCK)
     for G in (S3, metacyclic_group(4, 2, 0, 3), d2_group(1), metacyclic_group(7, 3, 0, 2)):
-        B = GroupAlgebra(G, F)
         class_of, reps, idx = class_structure(G)
         classes = _supports(rng, F.q, reps.size)
         for u in classes:
             for w in classes:
-                want = convolution_reference(B, u[class_of], w[class_of])
-                assert np.array_equal(_central_product(F, idx, u[class_of], w), want[reps])
+                want = convolution_reference(G, F, u[class_of], w[class_of])
+                for block in blocks:
+                    monkeypatch.setattr(idempotents, "PRODUCT_BLOCK", block)
+                    got = _central_product(F, idx, u[class_of], w)
+                    assert np.array_equal(got, want[reps]), block
 
 
 @pytest.mark.parametrize("p,a", PRODUCT_FIELDS)

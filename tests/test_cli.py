@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_TABLES, elementary_abelian, format_cayley, s4_group
 from grpalg import cli, groups, idempotents
-from grpalg.algebra import AlgebraElement
 from grpalg.cli import main
 from grpalg.groups import metacyclic_group
 
@@ -391,7 +390,7 @@ def test_invariant_violation_exit_5(capsys, monkeypatch):
         calls.append(e)
         if len(calls) > 1:
             return e
-        return AlgebraElement(e.algebra, e.algebra.field.mul_np[2, e.coeffs])
+        return args[1].mul_np[2, e]  # args are (G, F, K, H, j, E)
 
     monkeypatch.setattr(idempotents, "ec_idempotent", corrupt_first)
     code, out, err = run(capsys, "decompose", "--metacyclic", "3", "2", "0", "2",
@@ -539,10 +538,17 @@ def test_emit_idempotents_rejected_where_none_are_printed(capsys, argv):
 def test_readme_library_example():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
-    buf = io.StringIO()
+    buf, namespace = io.StringIO(), {}
     with contextlib.redirect_stdout(buf):
-        exec(code, {})
-    assert buf.getvalue().splitlines()[0] == "F_3^(2) + F_3^2 + M_4(F_3)"
+        exec(code, namespace)
+    algebra, aut, *lines = buf.getvalue().splitlines()
+    assert algebra == "F_3^(2) + F_3^2 + M_4(F_3)"
+    assert aut == "S_2 + Z_2 + SL_4(F_3)"
+    components = namespace["components"]
+    assert len(lines) == len(components) == 4
+    for line, comp in zip(lines, components):
+        d, l, element = line.split(" ", 2)
+        assert (int(d), int(l)) == (comp.d, comp.l) and element
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from conftest import (
     validate_reference,
 )
 from grpalg import field, idempotents
-from grpalg.algebra import AlgebraElement, GroupAlgebra
+from grpalg.algebra import AlgebraElement, to_str
 from grpalg.errors import (
     InternalInconsistency,
     InvariantViolation,
@@ -194,38 +194,36 @@ def test_epsilon_hand_value_s3_f5():
     # epsilon for K = <a>, H = 1, C = 1·<5> = {1,2}: 3^{-1} sum tr(zeta^e(g)) g^{-1}
     # tr: F_25 -> F_5, tr(1) = 2, tr(zeta) = tr(zeta^2) = -1 = 4
     # => 2*(2 + 4a + 4a^2) = 4 + 3a + 3a^2
-    A = GroupAlgebra(S3, make_field(5))
+    F5 = make_field(5)
     K = subgroup_closure(S3, [2])
     H = Subgroup(S3, (0,))
-    eps = epsilon_idempotent(A, K, H, 1)
+    eps = epsilon_idempotent(S3, F5, K, H, 1)
     assert list(eps) == [4, 0, 3, 0, 3, 0]
-    assert is_idempotent(A, eps)
+    assert is_idempotent(S3, F5, eps)
     # it is already central in F_5[S3]: e_C = epsilon here
     _, E = coset_orbits(S3, K, H, 5)
-    e = ec_idempotent(A, K, H, 1, E)
-    assert np.array_equal(e.coeffs, eps)
+    assert np.array_equal(ec_idempotent(S3, F5, K, H, 1, E), eps)
     # over F_7 the coset C = {1} is not -C, and a * eps = zeta * eps pins
     # the g^{-1} in the sum: with g it would be zeta^{-1} * eps
-    A7 = GroupAlgebra(S3, make_field(7))
-    eps7 = epsilon_idempotent(A7, K, H, 1)
-    F7 = A7.field
+    F7 = make_field(7)
+    eps7 = epsilon_idempotent(S3, F7, K, H, 1)
     zeta = F7.cyclotomic_traces(3)[1]
-    assert np.array_equal(full_product(A7, basis_vector(A7, 2), eps7),
+    assert np.array_equal(full_product(S3, F7, basis_vector(S3, 2), eps7),
                           F7.mul_np[zeta, eps7])
 
 
-def ec_idempotent_reference(A, K, H, j):
+def ec_idempotent_reference(G, F, K, H, j):
     """The sum of the distinct conjugates x^-1·epsilon·x over all of G, each
     a product with basis elements: its coefficient vector."""
-    eps = epsilon_idempotent(A, K, H, j)
+    eps = epsilon_idempotent(G, F, K, H, j)
     seen = set()
-    total = np.zeros(A.group.order, dtype=np.int16)
-    for x in range(A.group.order):
-        left = full_product(A, basis_vector(A, int(A.group.inv_np[x])), eps)
-        c = full_product(A, left, basis_vector(A, x))
+    total = np.zeros(G.order, dtype=np.int16)
+    for x in range(G.order):
+        left = full_product(G, F, basis_vector(G, int(G.inv_np[x])), eps)
+        c = full_product(G, F, left, basis_vector(G, x))
         if tuple(c) not in seen:
             seen.add(tuple(c))
-            total = A.field.add_np[total, c]
+            total = F.add_np[total, c]
     return total
 
 
@@ -235,36 +233,34 @@ def test_ec_idempotent_matches_all_conjugate_sum(G):
     of G, for the engine's triples and the fast path's (K, H), two fields
     per group."""
     for q in [q for q in PRIMES if G.order % q][:2]:
-        A = GroupAlgebra(G, make_field(q))
+        F = make_field(q)
         for tr in shoda_triples(G):
             js, E = coset_orbits(G, tr.A, tr.D, q)
             for j in js:
-                assert np.array_equal(ec_idempotent(A, tr.A, tr.D, j, E).coeffs,
-                                      ec_idempotent_reference(A, tr.A, tr.D, j))
+                assert np.array_equal(ec_idempotent(G, F, tr.A, tr.D, j, E),
+                                      ec_idempotent_reference(G, F, tr.A, tr.D, j))
         if "params" in G.meta:
             params = MetacyclicParams(*G.meta["params"])
-            _, descriptors = metacyclic_decompose(params, make_field(q))
-            for dsc in descriptors:  # in the algebra of params.group()
+            _, descriptors = metacyclic_decompose(params, F)
+            for dsc in descriptors:  # over params.group(), the parent of each triple
                 assert np.array_equal(dsc.idempotent.coeffs, ec_idempotent_reference(
-                    dsc.idempotent.algebra, dsc.triple.A, dsc.triple.D, dsc.j))
+                    dsc.triple.A.parent, F, dsc.triple.A, dsc.triple.D, dsc.j))
 
 
 def test_ec_idempotent_repeated_conjugate_raises():
     # E = G centralizes epsilon here; a smaller E repeats a conjugate
-    A = GroupAlgebra(S3, make_field(5))
     K = subgroup_closure(S3, [2])
     H = Subgroup(S3, (0,))
     with pytest.raises(InternalInconsistency, match="repeats another"):
-        ec_idempotent(A, K, H, 1, K)
+        ec_idempotent(S3, make_field(5), K, H, 1, K)
 
 
 def test_ec_idempotent_names_the_first_repeating_conjugate():
     # epsilon is central, so over the trivial E every conjugate repeats the
     # first; the witness is the first transversal element that repeats
-    A = GroupAlgebra(S3, make_field(5))
     K = subgroup_closure(S3, [2])
     with pytest.raises(InternalInconsistency, match="^conjugate by 1 repeats another"):
-        ec_idempotent(A, K, Subgroup(S3, (0,)), 1, Subgroup(S3, (0,)))
+        ec_idempotent(S3, make_field(5), K, Subgroup(S3, (0,)), 1, Subgroup(S3, (0,)))
 
 
 def test_coset_orbit_stabilizer_s3():
@@ -291,7 +287,7 @@ def test_coset_orbits_hand_case_m8():
     H = Subgroup(G, (0,))
     assert K.order == 8
     assert coset_orbits(G, K, H, 5) == ([1], K)
-    [dsc] = triple_components(GroupAlgebra(G, make_field(5)), Triple(N=H, D=H, A=K))
+    [dsc] = triple_components(G, make_field(5), Triple(N=H, D=H, A=K))
     assert (dsc.d, dsc.l, dsc.j) == (2, 2, 1)
 
 
@@ -337,9 +333,9 @@ def test_coset_choice_independence():
             mults = {int(e[G.m[G.m[G.inv_np[g], gen], g]])
                      for g in normalizer(G, H).members}
             for q in [q for q in (2, 3, 5, 7, 11) if gcd(q, G.order) == 1][:2]:
-                A = GroupAlgebra(G, make_field(q))
+                F = make_field(q)
                 js, E = coset_orbits(G, K, H, q)
-                key = {C: ec_idempotent(A, K, H, C.rep, E).key()
+                key = {C: ec_idempotent(G, F, K, H, C.rep, E).tobytes()
                        for C in generator_cosets(n, q)}
                 for C in key:  # the m·C, m over a group, are the orbit of C
                     orbit = {CyclotomicCoset(n, tuple(sorted(m * u % n
@@ -361,7 +357,7 @@ def test_fast_path_class_choice_independence(tup):
     G = params.group()
     moved = 0
     for q in [q for q in PRIMES if params.order % q][:2]:
-        A = GroupAlgebra(G, make_field(q))
+        F = make_field(q)
         for v, i, c in normal_triples(params):
             ov = o_v(params, v)
             K = triple_subgroup(G, params, 1, 0, ov)
@@ -370,7 +366,7 @@ def test_fast_path_class_choice_independence(tup):
             def keys(alpha, beta):
                 H = triple_subgroup(G, params, v, alpha, beta * ov)
                 return sorted(d.idempotent.key()
-                              for d in triple_components(A, Triple(N=N, D=H, A=K)))
+                              for d in triple_components(G, F, Triple(N=N, D=H, A=K)))
 
             reps = x_classes(params, v, i, c)
             for alpha, beta in x_triples(params, v, i, c):
@@ -419,12 +415,12 @@ def test_decompose_over_extension_base_field():
 
 def test_validation_runs_and_passes():
     s, d = decompose(D8, make_field(5))
-    A = GroupAlgebra(D8, make_field(5))
+    F = make_field(5)
     for x in d:
-        assert is_idempotent(A, x.idempotent.coeffs)
+        assert is_idempotent(D8, F, x.idempotent.coeffs)
         assert is_central(D8, x.idempotent.coeffs)
-    total = A.field.sum_rows([x.idempotent.coeffs for x in d])
-    assert np.array_equal(total, basis_vector(A, 0))
+    total = F.sum_rows([x.idempotent.coeffs for x in d])
+    assert np.array_equal(total, basis_vector(D8, 0))
 
 
 def test_decompose_refuses_to_skip_validation():
@@ -439,16 +435,16 @@ def test_library_entry_points_validate(entry, monkeypatch):
     The fast path reaches ec_idempotent through triple_components."""
     real = idempotents.ec_idempotent
     calls = []
+    F = make_field(5)
 
     def double_first(*args):
         e = real(*args)
         calls.append(e)
         if len(calls) > 1:
             return e
-        return AlgebraElement(e.algebra, e.algebra.field.mul_np[2, e.coeffs])
+        return F.mul_np[2, e]
 
     monkeypatch.setattr(idempotents, "ec_idempotent", double_first)
-    F = make_field(5)
     with pytest.raises(InvariantViolation) as raised:
         if entry == "decompose":
             decompose(S3, F)
@@ -465,37 +461,37 @@ def _corrupted(invariant, monkeypatch):
     With ranks checked against d²l, a sum other than 1 passes every earlier
     check only if a rank is wrong: for sum_to_one, ds[1] claims l = 2 and
     every rank reads 2."""
-    A = GroupAlgebra(S3, make_field(5))
-    _, ds = decompose(S3, make_field(5))
+    F = make_field(5)
+    _, ds = decompose(S3, F)
     e0, e1 = ds[0].idempotent.coeffs, ds[1].idempotent.coeffs
-    e0_plus_e1 = AlgebraElement(A, A.field.add_np[e0, e1])
+    e0_plus_e1 = F.add_np[e0, e1]
 
     def with_e0(coeffs):
-        e = AlgebraElement(A, np.array(coeffs, dtype=np.int16))
+        e = AlgebraElement(np.array(coeffs, dtype=np.int16))
         return [dataclasses.replace(ds[0], idempotent=e)] + ds[1:]
 
     cases = {
         "dimension_sum": (ds[1:], {"got": 2, "expected": 6}),
         "nonzero": (with_e0([0] * 6), {"component": 0}),
-        "idempotent": (with_e0(A.field.mul_np[2, e0]), {"component": 0}),
+        "idempotent": (with_e0(F.mul_np[2, e0]), {"component": 0}),
         # (1 + b)/2, b = index 1
         "central": (with_e0([3, 3, 0, 0, 0, 0]), {"component": 0}),
-        "ideal_dimension": (with_e0(e0_plus_e1.coeffs),
+        "ideal_dimension": (with_e0(e0_plus_e1),
                             {"component": 0, "got": ds[0].dim + ds[1].dim,
                              "expected": ds[0].dim}),
         "orthogonal": ([ds[1], ds[1], ds[0]], {"components": (0, 1)}),
         "sum_to_one": ([ds[0], dataclasses.replace(ds[1], l=2)],
-                       {"sum": e0_plus_e1.to_str()}),
+                       {"sum": to_str(S3, F, e0_plus_e1)}),
     }
     if invariant == "sum_to_one":
-        monkeypatch.setattr(GroupAlgebra, "ideal_dimension", lambda self, c: 2)
-    return A, cases[invariant]
+        monkeypatch.setattr(idempotents, "ideal_dimension", lambda G, F, c: 2)
+    return F, cases[invariant]
 
 
-def _verdict(check, A, descriptors):
+def _verdict(check, G, F, descriptors):
     """(invariant, witness) of the InvariantViolation check raises, or None."""
     try:
-        check(A, descriptors)
+        check(G, F, descriptors)
     except InvariantViolation as exc:
         return exc.invariant, exc.witness
     return None
@@ -507,11 +503,11 @@ def test_validate_matches_full_loop_reference(G):
     1, gives the verdict and witness of the full loop on corrupted
     decompositions of G over two corpus primes."""
     for q in [p for p in PRIMES if G.order % p][:2]:
-        A = GroupAlgebra(G, make_field(q))
-        _, ds = decompose(G, A.field)
+        F = make_field(q)
+        _, ds = decompose(G, F)
         first, last = ds[0], ds[-1]
         e_first, e_last = first.idempotent.coeffs, last.idempotent.coeffs
-        e_merged = AlgebraElement(A, A.field.add_np[e_first, e_last])
+        e_merged = AlgebraElement(F.add_np[e_first, e_last])
         merged = dataclasses.replace(first, d=1, l=first.dim + last.dim, idempotent=e_merged)
         cases = {
             "intact": ds,
@@ -521,7 +517,7 @@ def test_validate_matches_full_loop_reference(G):
             "dropped": ds[1:],
             "merged": [merged] + ds[1:-1],
             "scaled": [dataclasses.replace(
-                first, idempotent=AlgebraElement(A, A.field.mul_np[2, e_first]))] + ds[1:],
+                first, idempotent=AlgebraElement(F.mul_np[2, e_first]))] + ds[1:],
         }
         # one component replaced by a copy of another of the same dimension:
         # the dimensions still add up to |G|, the sum is no longer 1
@@ -536,10 +532,10 @@ def test_validate_matches_full_loop_reference(G):
             x = np.zeros(G.order, dtype=np.int16)
             x[outside[0]] = 1
             cases["non-central"] = ds[:-1] + [dataclasses.replace(
-                last, idempotent=AlgebraElement(A, x))]
+                last, idempotent=AlgebraElement(x))]
         for name, descriptors in cases.items():
-            want = _verdict(validate_reference, A, descriptors)
-            assert _verdict(_validate, A, descriptors) == want, (q, name)
+            want = _verdict(validate_reference, G, F, descriptors)
+            assert _verdict(_validate, G, F, descriptors) == want, (q, name)
             assert (want is None) == (name in ("intact", "merged")), (q, name)
 
 
@@ -557,14 +553,14 @@ def test_summarize_names_corruptions_of_random_groups():
     seen = set()
     for G in random_metabelian_groups(12, seed=5):
         for q in [q for q in (2, 3, 5, 7) if G.order % q]:
-            A = GroupAlgebra(G, make_field(q))
-            _, ds = decompose(G, A.field)
+            F = make_field(q)
+            _, ds = decompose(G, F)
             cases = []
             for i, dsc in enumerate(ds):
                 e = dsc.idempotent.coeffs.copy()
                 g = np.flatnonzero(e)[-1]
                 e[g] = 0
-                zeroed = dataclasses.replace(dsc, idempotent=AlgebraElement(A, e))
+                zeroed = dataclasses.replace(dsc, idempotent=AlgebraElement(e))
                 central = (G.m[g] == G.m[:, g]).all()
                 cases.append((ds[:i] + [zeroed] + ds[i + 1:],
                               "idempotent" if central else "central", {"component": i}))
@@ -583,7 +579,7 @@ def test_summarize_names_corruptions_of_random_groups():
                           {"got": G.order + ds[0].dim, "expected": G.order}))
             for descriptors, invariant, witness in cases:
                 with pytest.raises(InvariantViolation) as raised:
-                    summarize(A, descriptors)
+                    summarize(G, F, descriptors)
                 assert (raised.value.invariant, raised.value.witness) == \
                     (invariant, witness), (G.name, q)
                 seen.add(invariant)
@@ -594,9 +590,9 @@ def test_summarize_names_corruptions_of_random_groups():
                                        "central", "ideal_dimension", "orthogonal",
                                        "sum_to_one"])
 def test_validate_names_each_violated_invariant(invariant, monkeypatch):
-    A, (descriptors, witness) = _corrupted(invariant, monkeypatch)
+    F, (descriptors, witness) = _corrupted(invariant, monkeypatch)
     with pytest.raises(InvariantViolation) as exc:
-        _validate(A, descriptors)
+        _validate(S3, F, descriptors)
     assert exc.value.invariant == invariant
     assert exc.value.witness == witness
 

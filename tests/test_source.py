@@ -120,3 +120,23 @@ def test_every_src_constant_is_read_in_src():
     assert assigned, "no module-level constant found in src/grpalg"
     unread = {name: where for name, where in assigned.items() if name not in read}
     assert not unread, f"constants in src/grpalg read nowhere there: {unread}"
+
+
+def test_every_src_parameter_is_read():
+    """Every parameter of a def in src/grpalg, other than self, is read in
+    the def's body (a def or lambda nested in it counts): a parameter that
+    is threaded through a signature must be used there."""
+    unread = {}
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for param in params:
+                if param != "self" and param not in loaded:
+                    unread[f"{fname}:{node.lineno} {node.name}"] = param
+    assert not unread, f"parameters in src/grpalg read nowhere in their def: {unread}"
