@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     GrpalgError,
@@ -37,7 +39,7 @@ from .groups import (
 )
 from .idempotents import decompose
 from .metacyclic import MetacyclicParams, metacyclic_decompose
-from .oracle import center_split, q_class_count
+from .oracle import center_split, q_class_count, q_classes
 
 # family name -> (group constructor, closed form)
 FAMILIES = {
@@ -147,9 +149,12 @@ def cmd_verify(args):
     engine_set = sorted(d.idempotent.key() for d in descriptors)
     oracle_set = sorted(e.key() for e in center_split(G, F))
     n_qc = q_class_count(G, F.q)
+    # one q-class orbit of l classes per component M_d(F_{q^l}) (oracle.q_classes)
+    sizes = sorted(np.bincount(q_classes(G, F.q)).tolist())
     rep.put("oracle.count", len(oracle_set))
     rep.put("oracle.q_class_count", n_qc)
-    ok = engine_set == oracle_set and len(oracle_set) == n_qc
+    ok = (engine_set == oracle_set and len(oracle_set) == n_qc
+          and sorted(d.l for d in descriptors) == sizes)
     rep.put("oracle.match", "yes" if ok else "no")
     if args.emit_idempotents:
         _emit_idempotents(rep, "wedderburn", descriptors)

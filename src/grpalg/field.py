@@ -1,5 +1,6 @@
-"""Exact arithmetic in a base field F_q, polynomials over it, and the
-cyclotomic traces the idempotents need.
+"""Exact arithmetic in a base field F_q, polynomials over it, the
+cyclotomic traces the idempotents need, and the one kernel that splits a
+Frobenius-fixed algebra F_q^r into its primitive idempotents.
 
 Base fields F_q (q = p^a) represent elements as integer indices 0..q-1;
 index i encodes the coefficient vector (c_0, ..., c_{a-1}) with
@@ -8,35 +9,33 @@ goes through precomputed q x q int16 tables: gathers for vectorized use
 (BaseField.sum_rows, the one reduction of many vectors to their sum), and
 row memoryviews for scalar lookups.
 For a >= 2 the modulus is the lex-least irreducible of degree a
-over F_p.  The first generator g of F_q^* in index order is found by
+over F_p (Ben-Or's test on one distinct-degree loop).  The first
+generator g of F_q^* in index order is found by
 walking the orbit of 1 under each candidate's multiply-by-g map, which is
 built in numpy from the digits of x^k·i; the product table is then one
 gather of g's doubled exp table at log i + log j.
 
-No extension field F_{q^s} is ever built.  The idempotents only need the
-traces tr(zeta^k) of a primitive n-th root of unity zeta, and those lie in
-F_q: they are the power sums of the roots of one irreducible factor of the
-cyclotomic polynomial Phi_n over F_q (BaseField.cyclotomic_traces, memoized
-on the field object that make_field caches per (p, a), as are the
-factorizations of factor_polynomial).  Factoring is for squarefree input
-only: the minimal polynomials the oracle splits are squarefree whenever
-F_q[G] is semisimple.  It is Cantor-Zassenhaus as
-published: one distinct-degree loop (which also serves Ben-Or's
-irreducibility test), then equal-degree splitting with random candidates
-from a generator seeded with a constant, so every result depends only on
-its arguments.
+No extension field F_{q^s} is ever built, and no polynomial is factored.
+The idempotents only need the traces tr(zeta^k) of a primitive n-th root
+of unity zeta, and those lie in F_q: they are n times the coefficients of
+a primitive idempotent of F_q[Z_n] (BaseField.cyclotomic_traces, memoized
+on the field object that make_field caches per (p, a)).  That idempotent
+comes from split_fixed, which splits an algebra isomorphic to F_q^r, given
+by gather arrays for a spanning set of its elements, by minimal
+polynomials whose roots all lie in F_q: evaluating them at the q elements
+finds the roots, and Lagrange interpolation gives the pieces.  The oracle
+splits the Frobenius-fixed center of F_q[G] with the same kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import InternalInconsistency, NotPrime
+from .errors import InternalInconsistency, NotPrime, NotSemisimple
 
 
 def is_prime(n: int) -> bool:
@@ -159,8 +158,25 @@ def poly_pow_mod(F, f, e, m):
     return result
 
 
-def poly_deriv(F, f):
-    return poly_trim([F.mul(F.from_int(i), c) for i, c in enumerate(f)][1:])
+def _distinct_degree(F, f):
+    """The distinct-degree pieces (d, g) of the monic f, d increasing: g is
+    gcd(x^{q^d} - x, rest), rest being f over the earlier pieces.  For
+    squarefree f, g is the product of the degree-d irreducible factors.
+    Once 2d > deg rest, rest has no factor of degree below d, so it is
+    irreducible and comes last as (deg rest, rest)."""
+    x = [0, 1]
+    h, rest, d = x, f, 0
+    while poly_deg(rest) > 0:
+        d += 1
+        if 2 * d > poly_deg(rest):
+            yield poly_deg(rest), rest
+            return
+        h = poly_pow_mod(F, h, F.q, rest)
+        g = poly_gcd(F, poly_sub(F, h, x), rest)
+        if poly_deg(g) > 0:
+            yield d, g
+            rest = poly_divmod(F, rest, g)[0]
+            h = poly_mod(F, h, rest)
 
 
 def is_irreducible(F, f) -> bool:
@@ -207,8 +223,7 @@ def _digit_add_table(base, a):
 
 class BaseField:
     """F_{p^a} with table-backed arithmetic on integer element indices; the
-    cyclotomic trace tables of the idempotents and the factorizations of
-    factor_polynomial are memoized per instance.
+    cyclotomic trace tables of the idempotents are memoized per instance.
 
     The int16 arrays add_np, mul_np, neg_np and inv_np (inv_np[0] = 0) are
     the only tables; the scalar ops read them through one memoryview per
@@ -240,7 +255,7 @@ class BaseField:
         self._add = [memoryview(row) for row in self.add_np]
         self._mul = [memoryview(row) for row in self.mul_np]
         self._neg, self._inv = memoryview(self.neg_np), memoryview(self.inv_np)
-        self._traces, self._factors = {}, {}
+        self._traces = {}
 
     def _prime_power_tables(self, prime):
         """int16 add and mul tables of F_{p^a}, a >= 2: add as digit vectors
@@ -327,15 +342,52 @@ class BaseField:
     def cyclotomic_traces(self, n: int) -> tuple:
         """(tr(zeta^k) for k in range(n)) as base-field indices, zeta a
         primitive n-th root of unity and tr the trace from F_q(zeta) to F_q.
+        Raises ValueError if gcd(n, q) != 1.
 
-        zeta is a root of one irreducible factor f0 of Phi_n over F_q, so the
-        traces are the power sums of the roots of f0.  Another factor means
+        In A = F_q[Z_n], x a generator, the primitive idempotent e of the
+        <q>-orbit of a faithful character x -> zeta has e[x^k] =
+        n^-1·tr(zeta^-k), so tr(zeta^k) = n·e[x^-k].  Another orbit means
         another zeta, which only permutes the generator cosets indexing the
-        traces.  Raises ValueError if gcd(n, q) != 1.
-        """
+        traces.  The ring automorphism sigma: x -> x^q fixes every primitive
+        idempotent.  Its fixed subalgebra A^sigma is spanned by the sums
+        theta_O over the orbits O of j -> qj on Z/n, as the invariants of a
+        permutation module are spanned by its orbit sums in any
+        characteristic.  On each component F_q[x]/(f) = F_{q^s} of A, sigma
+        is the Frobenius, whose fixed field is F_q; so A^sigma = F_q^r, r the
+        number of orbits, with the primitive idempotents of A.  In one
+        coordinate per orbit, read at its least member rho,
+        (theta_O·w)(rho) = sum_{j in O} w(rho - j) is a gather, and
+        split_fixed splits the projection prod_{l | n prime}
+        (1 - l^-1·sum_{i<l} x^{i·n/l}) onto the faithful characters, under
+        which A^sigma is F_q^count, count the number of orbits of units,
+        phi(n)/ord_n(q); e is the first block.  The orbit sums of x^{n/l^k},
+        l^k || n, come first: on a faithful character each acts by a trace of
+        a primitive l^k-th root, so its minimal polynomial has degree below
+        l^k, where that of x itself can reach count (1200 for n = 4092 over
+        F_4093); the other orbit sums follow in orbit order."""
         tr = self._traces.get(n)
         if tr is None:
-            tr = self._traces[n] = _power_sums(self, _cyclotomic_factor(self, n), n)
+            if gcd(n, self.q) != 1:
+                raise ValueError(f"gcd({n}, {self.q}) != 1")
+            orbit = orbit_labels((np.arange(n) * self.q % n).tolist())
+            rho = np.unique(orbit, return_index=True)[1]  # the least member of each orbit
+
+            def theta(members):  # the gather array of sum_{j in members} x^j
+                return orbit[(rho - members[:, None]) % n]
+
+            f = np.zeros(rho.size, dtype=np.int16)
+            f[0] = 1
+            for ell in prime_factors(n):
+                s = self.sum_rows(f[theta(np.arange(ell) * (n // ell))])
+                f = self.add_np[f, self.neg_np[self.mul_np[self.inv(self.from_int(ell)), s]]]
+            # n // gcd(n, l^bits) is n/l^k, as l^k <= n < 2^bits
+            first = [int(orbit[n // gcd(n, ell ** n.bit_length())]) for ell in prime_factors(n)]
+            sums = (theta(np.flatnonzero(orbit == o))
+                    for o in dict.fromkeys(first + list(range(rho.size))))
+            count = sum(gcd(int(j), n) == 1 for j in rho)
+            e = split_fixed(self, sums, f, count)[0]
+            tr = self._traces[n] = tuple(
+                self.mul_np[self.from_int(n), e[orbit[-np.arange(n) % n]]].tolist())
         return tr
 
     def __repr__(self):
@@ -347,141 +399,132 @@ def make_field(p: int, a: int = 1) -> BaseField:
     return BaseField(p, a)
 
 
-def _cyclotomic_polynomial(F: BaseField, n: int) -> list:
-    """Phi_n over F, low degree first: prod_{d | n} (x^d - 1)^mu(n/d), the
-    factors with mu = -1 applied last as exact divisions."""
-    times, over = [], []
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        ells = prime_factors(n // d)
-        if prod(ells) == n // d:  # squarefree, so mu(n/d) = (-1)^len(ells)
-            (over if len(ells) % 2 else times).append(d)
-    f = [1]
-    for d in times:  # f·(x^d - 1) = x^d·f - f
-        f = poly_sub(F, [0] * d + f, f)
-    for d in over:
-        f = poly_divmod(F, f, poly_sub(F, [0] * d + [1], [1]))[0]
-    return f
-
-
-def _cyclotomic_factor(F: BaseField, n: int) -> list:
-    """One monic irreducible factor of Phi_n over F.  Every factor has degree
-    s = ord_n(q), so equal-degree splitting alone finds one; each round
-    keeps the smaller piece."""
-    s = mult_order(n, F.q)
-    f = _cyclotomic_polynomial(F, n)
-    while poly_deg(f) > s:
-        g = _split_once(F, f, s)
-        f = min(g, poly_divmod(F, f, g)[0], key=len)
-    return f
-
-
-def _power_sums(F: BaseField, f, n: int) -> tuple:
-    """p_0, ..., p_{n-1}, p_k the sum of the k-th powers of the roots of the
-    monic f = x^s + c_{s-1} x^{s-1} + ... + c_0.  Newton's identities give
-    p_k = -(c_{s-1} p_{k-1} + ... + c_{s-k+1} p_1 + k c_{s-k}) for k <= s;
-    beyond s, p_k follows the recurrence with characteristic polynomial f."""
-    s = poly_deg(f)
-    out = [F.from_int(s)]
-    for k in range(1, n):
-        acc = F.mul(F.from_int(k), f[s - k]) if k <= s else 0
-        for i in range(1, min(k, s + 1)):
-            acc = F.add(acc, F.mul(f[s - i], out[k - i]))
-        out.append(F.neg(acc))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
-# Factorization of monic univariate polynomials over the base field
+# Splitting an algebra F_q^r by roots in F_q
 # ---------------------------------------------------------------------------
 
-def factor_polynomial(F: BaseField, f):
-    """The monic irreducible factors of a squarefree monic polynomial over
-    F_q, sorted by (degree, coefficient-lex): the distinct-degree pieces,
-    each split by equal-degree splitting.  ValueError for a constant,
-    non-monic or non-squarefree (gcd(f, f') != 1) f.
-
-    Memoized on F, keyed by the trimmed coefficient tuple: only a result
-    that passed every check is stored, as a tuple of tuples, and each call
-    returns a fresh list; a rejected f raises again on every call."""
-    f = poly_trim(list(f))
-    key = tuple(f)
-    if key in F._factors:
-        return list(F._factors[key])
-    if poly_deg(f) < 1:
-        raise ValueError("degree must be >= 1")
-    if f[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    if poly_deg(poly_gcd(F, f, poly_deriv(F, f))) > 0:
-        raise ValueError("polynomial is not squarefree")
-    factors = [tuple(irr) for d, g in _distinct_degree(F, f)
-               for irr in _split_equal_degree(F, g, d)]
-    check = [1]
-    for h in factors:
-        check = poly_mul(F, check, list(h))
-    if check != f:
-        raise InternalInconsistency("factorization does not re-multiply")
-    F._factors[key] = tuple(sorted(
-        factors, key=lambda h: (len(h), tuple(F.coeffs_of(c) for c in h))))
-    return list(F._factors[key])
+def orbit_labels(step) -> np.ndarray:
+    """The orbit of each point i under the permutation i -> step[i] (a
+    list), numbered by least member: the walk from each unlabeled i labels
+    the points it reaches."""
+    labels = [-1] * len(step)
+    count = 0
+    for i in range(len(step)):
+        if labels[i] < 0:
+            j = i
+            while labels[j] < 0:
+                labels[j] = count
+                j = step[j]
+            count += 1
+    return np.array(labels, dtype=np.int32)
 
 
-def _distinct_degree(F, f):
-    """The distinct-degree pieces (d, g) of the monic f, d increasing: g is
-    gcd(x^{q^d} - x, rest), rest being f over the earlier pieces.  For
-    squarefree f, g is the product of the degree-d irreducible factors.
-    Once 2d > deg rest, rest has no factor of degree below d, so it is
-    irreducible and comes last as (deg rest, rest)."""
-    x = [0, 1]
-    h, rest, d = x, f, 0
-    while poly_deg(rest) > 0:
-        d += 1
-        if 2 * d > poly_deg(rest):
-            yield poly_deg(rest), rest
-            return
-        h = poly_pow_mod(F, h, F.q, rest)
-        g = poly_gcd(F, poly_sub(F, h, x), rest)
-        if poly_deg(g) > 0:
-            yield d, g
-            rest = poly_divmod(F, rest, g)[0]
-            h = poly_mod(F, h, rest)
+def _minimal_polynomial(F, s, e):
+    """Minimal polynomial of multiplication by the element with gather
+    array s (split_fixed) on the ideal generated by the idempotent e, low
+    degree first and monic; also returns the power list [e, s·e, s²·e, ...]
+    so that polynomials can be evaluated at s cheaply.
+
+    Elimination over the power rows with tracked combinations, in one
+    pass: each new power is reduced against the stored rows in insertion
+    order, and every stored row is zero at the pivots of the rows stored
+    before it, so a reduced power is zero at every pivot.  The first power
+    that reduces to zero yields the dependency directly, monic because its
+    combination has 1 at its own index and the stored combinations live
+    below it.
+    """
+    nmax = len(e) + 1
+    powers = [e]
+    basis = {}  # pivot column -> (reduced row, combo over power indices)
+    deg = 0
+    while True:
+        v = powers[-1].copy()
+        combo = np.zeros(nmax, dtype=np.int16)
+        combo[deg] = 1
+        for piv, (br, bc) in basis.items():
+            c = int(v[piv])
+            if c:
+                v = F.add_np[v, F.neg_np[F.mul_np[c, br]]]
+                combo = F.add_np[combo, F.neg_np[F.mul_np[c, bc]]]
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return combo[:deg + 1].tolist(), powers
+        piv = int(nz[0])
+        inv = F.inv(int(v[piv]))
+        v = F.mul_np[inv, v]
+        combo = F.mul_np[inv, combo]
+        basis[piv] = (v, combo)
+        powers.append(F.sum_rows(powers[-1][s]))  # s · powers[-1]
+        deg += 1
 
 
-def _split_equal_degree(F, f, d):
-    if poly_deg(f) == d:
-        return [f]
-    g = _split_once(F, f, d)
-    rest = poly_divmod(F, f, g)[0]
-    return _split_equal_degree(F, g, d) + _split_equal_degree(F, rest, d)
+def split_fixed(F, sums, start, count):
+    """The primitive idempotents of a commutative F_q-algebra A = F_q^r that
+    lie under the idempotent start, as the rows of an array, with A·start
+    = F_q^count.  An element of A is a vector w of its r coordinates, and
+    sums yields the elements to refine by, each as its gather array s:
+    (s·w)[l] = sum_x w[s[x, l]], one field sum of a gather.
+
+    Each round takes the next s and tests, in one pass over all blocks e,
+    whether s·e lies in F_q·e.  Each other block is split by the minimal
+    polynomial mp of s on A·e.  A·e = F_q^{r_e}, on which s acts by a
+    diagonal matrix over F_q, so mp = prod (x - c) over its distinct
+    diagonal entries c: its roots all lie in F_q, and evaluating mp at
+    the q elements finds them.  The Lagrange pieces L_c(s)·e, with
+    L_c = prod_{c' != c} (x - c')/(c - c'), are nonzero orthogonal
+    idempotents summing to e: modulo mp, sum_c L_c = 1, L_c·L_c' = 0 and
+    L_c² = L_c, and L_c(s)·e != 0 as deg L_c < deg mp.  A minimal
+    polynomial with fewer distinct roots in F_q than its degree shows that
+    A is not F_q^r: NotSemisimple.
+
+    The split stops before the next s once there are count blocks: count
+    nonzero orthogonal idempotents summing to start in A·start = F_q^count
+    are indicators of disjoint nonempty sets of its count coordinates,
+    that is, its primitive idempotents.  If sums spans A, the stop must
+    come: a block e on which every s acts by a scalar has A·e = F_q·e, and
+    is primitive.  InternalInconsistency if sums runs out first, or if
+    a round passes count, which no F_q^count allows."""
+    blocks, sums = start[None, :], iter(sums)
+    while len(blocks) < count:
+        s = next(sums, None)
+        if s is None:
+            break
+        prods = np.zeros_like(blocks)  # s·e for every block e, a row of s at a time
+        for row in s:
+            prods = F.add_np[prods, blocks[:, row]]
+        at = np.arange(len(blocks)), (blocks != 0).argmax(axis=1)
+        c = F.mul_np[prods[at], F.inv_np[blocks[at]]]
+        scalar = (F.mul_np[c[:, None], blocks] == prods).all(axis=1)
+        blocks = np.concatenate([e[None, :] if sc else _lagrange_pieces(F, s, e)
+                                 for e, sc in zip(blocks, scalar)])
+    if len(blocks) != count:
+        raise InternalInconsistency(f"split into {len(blocks)} blocks, not {count}")
+    return blocks
 
 
-def _split_once(F, f, d):
-    """A proper monic factor of the squarefree monic f, every irreducible
-    factor of which has degree d < deg f: Cantor-Zassenhaus with random
-    candidates T of degree < deg f, drawn from a generator seeded with a
-    constant on every call, so the factor depends only on (F, f, d).
-
-    A draw fails only if the residues of T modulo two distinct factors
-    fall in the same class: trace 0 or 1 for even q (probability 1/2),
-    T^((q^d-1)/2) = 1 or not for odd q (at most 1/9 + 4/9, as q^d >= 3).
-    So all 64 draws fail, raising InternalInconsistency, with probability
-    below (5/9)^64 < 10^-16."""
-    n = poly_deg(f)
-    rng = random.Random(0)
-    for _ in range(64):
-        T = poly_trim([rng.randrange(F.q) for _ in range(n)])
-        if F.p == 2:
-            # the trace T + T^2 + ... + T^(2^(ad-1)) mod f; in
-            # characteristic 2, poly_sub adds
-            acc, cur = list(T), list(T)
-            for _ in range(F.a * d - 1):
-                cur = poly_mod(F, poly_mul(F, cur, cur), f)
-                acc = poly_sub(F, acc, cur)
-            g = poly_gcd(F, acc, f)
-        else:
-            e = (F.q ** d - 1) // 2
-            g = poly_gcd(F, poly_sub(F, poly_pow_mod(F, T, e, f), [1]), f)
-        if 0 < poly_deg(g) < n:
-            return g
-    raise InternalInconsistency("equal-degree splitting failed on every draw")
+def _lagrange_pieces(F, s, e):
+    """The pieces L_c(s)·e of split_fixed, one per root c of the minimal
+    polynomial mp of s on A·e, in increasing c.  mp/(x - c) comes from
+    synthetic division for all roots at once; its value at c is
+    prod_{c' != c} (c - c'), the denominator of L_c."""
+    mp, powers = _minimal_polynomial(F, s, e)
+    d = len(mp) - 1
+    xs = np.arange(F.q)
+    value = np.zeros(F.q, dtype=np.int16)
+    for a in reversed(mp):  # Horner's rule at every element of F_q
+        value = F.add_np[F.mul_np[value, xs], a]
+    roots = np.flatnonzero(value == 0)
+    if roots.size < d:
+        raise NotSemisimple(f"minimal polynomial {mp} (low degree first) has "
+                            f"fewer than {d} distinct roots in F_{F.q}")
+    quot = np.empty((d, roots.size), dtype=np.int16)  # column c: mp/(x - c)
+    top = np.ones(roots.size, dtype=np.int16)  # mp is monic
+    at_c = np.zeros(roots.size, dtype=np.int16)
+    for j in range(d - 1, -1, -1):
+        quot[j] = top
+        at_c = F.add_np[F.mul_np[at_c, roots], top]
+        top = F.add_np[mp[j], F.mul_np[roots, top]]
+    quot = F.mul_np[quot, F.inv_np[at_c]]
+    powers = np.array(powers[:d])
+    return np.array([F.sum_rows(F.mul_np[quot[:, i, None], powers])
+                     for i in range(roots.size)])

@@ -1,25 +1,26 @@
 """Independent verification of the decomposition: split the center of
-F_q[G] into primitive idempotents by plain linear algebra (minimal
-polynomials of class sums, factorization, CRT interpolation), and count
-the expected number of components from q-classes of conjugacy classes.
+F_q[G] into primitive idempotents by plain linear algebra, and count the
+expected components, and their degrees l, from the q-classes of
+conjugacy classes.
 
-The split runs in class coordinates, the classical class-matrix route of
-Dixon (Numer. Math. 1967) and Schneider (1990): a central element w has one
-coordinate per conjugacy class, and the product C_i·w with a class sum is
-F.sum_rows(w[idx[x]]) over the x in C_i, one gather through the index
-array of groups.class_structure and one field sum.  A CRT block is one
-sum_rows of the powers C_i^j·e scaled by the interpolating polynomial's
-coefficients.  The split stops early, before the next class sum, once
-lower bounds on the block dimensions add up to the class count k, which
-certifies every block primitive (proof in center_split); it never reads
-q_class_count, which stays the independent count.  Only the final blocks
-are lifted to |G| coordinates.  The oracle shares class_structure with
-the engine's checks (idempotents._validate), and with the whole engine the
-group table and the field tables with BaseField.sum_rows; it shares
+The split runs in q-class coordinates.  A central element w has one
+coordinate per conjugacy class, and the product of w with a class sum
+C_i is F.sum_rows(w[idx[x]]) over the x in C_i, one gather through the
+index array of groups.class_structure and one field sum: the classical
+class-matrix route of Dixon (Numer. Math. 1967) and Schneider (1990).
+The q-class sums T_o, the sums of the orbits o of C -> C^(q), span the
+part of the center that z -> z^q fixes, which is F_q^r for r the number of
+q-classes and has the same primitive idempotents as the center (proof in
+center_split).  So the split reads each T_o at one class of each q-class,
+and field.split_fixed refines the identity by the T_o in q-class order
+until r blocks certify themselves primitive; no polynomial is factored.
+The walk over the q-classes (q_classes) is the one q_class_count and the
+(d, l) check of cli.verify read too.  Only the final blocks are lifted to
+|G| coordinates.  The oracle shares class_structure with the engine's
+checks (idempotents._validate), and with the whole engine the group
+table, the field tables and the field's linear algebra; it shares
 nothing with the engine's constructions: no subgroup, triple, trace or
-idempotent formula.  factor_polynomial memoizes on the field, so a minimal
-polynomial met again, in this split or in another group's over the same
-field, is factored once.
+idempotent formula.
 """
 
 from __future__ import annotations
@@ -30,149 +31,73 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import InternalInconsistency, NotSemisimple
-from .field import (
-    BaseField,
-    factor_polynomial,
-    poly_deg,
-    poly_divmod,
-    poly_mod,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-    poly_trim,
-)
+from .field import BaseField, orbit_labels, split_fixed
 from .groups import FiniteGroup, class_structure
 
 
-def q_class_count(G: FiniteGroup, q: int) -> int:
-    """Number of orbits of conjugacy classes under class(g) -> class(g^q):
-    the number of simple components of F_q[G] when gcd(q,|G|) = 1."""
+def q_classes(G: FiniteGroup, q: int) -> np.ndarray:
+    """The q-class of each conjugacy class (in the class order of
+    groups.class_structure): the orbits of C -> C^(q), the class of the
+    q-th powers, numbered by least class.  NotSemisimple unless
+    gcd(q, |G|) = 1, when C -> C^(q) is a permutation.
+
+    The number of q-classes is the number of simple components of F_q[G],
+    and the multiset of their sizes is the multiset of the components' l.
+    Proof (Brauer's permutation lemma, Isaacs, Character Theory of Finite
+    Groups, Thm 6.32): let sigma act on the classes as C -> C^(q) and on
+    the absolutely irreducible characters by the Frobenius, so that
+    chi^sigma(g) = chi(g^q).  The character table X is invertible, as
+    p does not divide |G|, and P·X = X·Q for the two permutation matrices
+    P and Q.  So P and Q are similar, every power of sigma fixes as many
+    classes as characters, and, since the fixed-point counts of all powers
+    of sigma determine the multiset of its orbit sizes, the two actions
+    have the same orbit sizes.  A component M_d(F_{q^l}) is one orbit of
+    l characters."""
     if gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
     class_of, reps, _ = class_structure(G)
-    step = class_of[G.power(reps, q)].tolist()
-    seen = set()
-    count = 0
-    for i in range(reps.size):
-        if i in seen:
-            continue
-        count += 1
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = step[j]
-    return count
+    return orbit_labels(class_of[G.power(reps, q)].tolist())
 
 
-def _minimal_polynomial(F, idx_i, e):
-    """Minimal polynomial of multiplication by the class sum C_i on the
-    ideal generated by the central idempotent e (all in class coordinates);
-    also returns the power list [e, C_i e, C_i² e, ...] so that polynomials
-    can be evaluated at C_i cheaply.
-
-    Elimination over the power rows with tracked combinations, in one
-    pass: each new power is reduced against the stored rows in insertion
-    order, and every stored row is zero at the pivots of the rows stored
-    before it, so a reduced power is zero at every pivot.  The first power
-    that reduces to zero yields the dependency directly, monic because its
-    combination has 1 at its own index and the stored combinations live
-    below it.
-    """
-    nmax = len(e) + 1
-    powers = [e]
-    basis = {}  # pivot column -> (reduced row, combo over power indices)
-    deg = 0
-    while True:
-        v = powers[-1].copy()
-        combo = np.zeros(nmax, dtype=np.int16)
-        combo[deg] = 1
-        for piv, (br, bc) in basis.items():
-            c = int(v[piv])
-            if c:
-                v = F.add_np[v, F.neg_np[F.mul_np[c, br]]]
-                combo = F.add_np[combo, F.neg_np[F.mul_np[c, bc]]]
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return combo[:deg + 1].tolist(), powers
-        piv = int(nz[0])
-        inv = F.inv(int(v[piv]))
-        v = F.mul_np[inv, v]
-        combo = F.mul_np[inv, combo]
-        basis[piv] = (v, combo)
-        powers.append(F.sum_rows(powers[-1][idx_i]))  # C_i · powers[-1]
-        deg += 1
+def q_class_count(G: FiniteGroup, q: int) -> int:
+    """Number of q-classes: the number of simple components of F_q[G]
+    when gcd(q, |G|) = 1."""
+    return int(q_classes(G, q).max()) + 1
 
 
 def center_split(G: FiniteGroup, F: BaseField):
-    """Primitive idempotents of the center Z of F_q[G], found by refining
-    blocks with CRT interpolation idempotents of class-sum minimal
-    polynomials, in class coordinates.  Returned as elements of F_q[G],
-    sorted by coefficient tuple.
+    """Primitive idempotents of the center Z of F_q[G], from field.split_fixed
+    on the q-class sums, in q-class coordinates.  Returned as elements of
+    F_q[G], sorted by coefficient tuple.
 
-    Each block e carries a lower bound d on dim_{F_q} Ze: 1 for the start
-    block 1, deg h for the CRT piece of an irreducible factor h, and
-    max(d, deg mp) when the minimal polynomial mp of a class sum on Ze is
-    irreducible.  Before each class sum the split stops once Σ d = k, the
-    number of classes.  This certifies every block primitive:
-      - d is the dimension of a subfield of Ze: F_q·e for the start block,
-        else F_q[C_i e] ≅ F_q[x]/(f) for the irreducible minimal
-        polynomial f (h or mp) of C_i on Ze, so d ≤ dim Ze;
-      - the blocks are orthogonal idempotents summing to 1, so
-        Σ dim Ze = dim Z = k;
-      - so Σ d = k forces each Ze to be that subfield, a field, and a
-        field has no idempotents but 0 and 1.
-    The full split could therefore split no block further, and the result
-    is the same.  The premise Σ e = 1 is checked on the way out
-    (InternalInconsistency otherwise)."""
-    q = F.q
-    if gcd(q, G.order) != 1:
-        raise NotSemisimple(f"gcd({q}, {G.order}) != 1")
-    class_of, reps, idx = class_structure(G)
-    one = np.zeros(reps.size, dtype=np.int16)
-    one[class_of[0]] = 1
-    blocks = [(one, 1)]  # (e, d): d <= dim Ze
-    for i in range(reps.size):
-        if sum(d for _, d in blocks) == reps.size:
-            break  # every Ze is a field: each e is primitive
-        idx_i = idx[class_of == i]  # C_i·W at reps[l] is Σ_{x in C_i} w[idx_i[x, l]]
-        refined = []
-        for e, d in blocks:
-            mp, powers = _minimal_polynomial(F, idx_i, e)
-            try:
-                factors = factor_polynomial(F, mp)
-            except ValueError:  # mp is monic of degree >= 1: not squarefree
-                raise NotSemisimple(
-                    "class sum has a repeated minimal-polynomial factor") from None
-            if len(factors) == 1:
-                refined.append((e, max(d, poly_deg(mp))))
-                continue
-            for h in factors:
-                # u = (mp/h) * inv(mp/h mod h), of degree < deg mp as
-                # deg inv < deg h; u(C_i)*e is the h-block piece
-                comp = poly_divmod(F, mp, list(h))[0]
-                comp_mod = poly_mod(F, comp, list(h))
-                inv = _poly_inverse_mod(F, comp_mod, list(h))
-                u = np.array(poly_mul(F, comp, inv))
-                refined.append((F.sum_rows(F.mul_np[u[:, None], np.array(powers[:u.size])]),
-                                poly_deg(h)))
-        blocks = refined
-    blocks = np.array([e for e, _ in blocks])
+    In the semisimple case C^q = C^(q) in Z for every class sum C of a
+    class of g, C^(q) the class sum of g^q:
+      - every central character over the algebraic closure of F_q has
+        omega_chi(C) = |C|·chi(g)/chi(1);
+      - chi(g)^q = chi(g^q) in characteristic p, summing the eigenvalues
+        of rho(g);
+      - |C| and chi(1) lie in F_p^×, so omega_chi(C)^q = omega_chi(C^(q));
+      - and the omega_chi separate the points of Z over the closure.
+    So z -> z^q, additive and fixing F_q, maps sum a_C·C to
+    sum a_C·C^(q), and fixes exactly the span Z^sigma of the q-class sums
+    T_o.  Z is a product of fields F_{q^l}, on each of which z -> z^q is
+    the Frobenius with fixed field F_q; so Z^sigma = F_q^r, r the number
+    of q-classes, and its primitive idempotents are those of Z.  An element
+    of Z^sigma is constant on each q-class, so one coordinate per q-class
+    suffices, read at its least class, and T_o·w is a gather over the
+    rows of idx for the x in T_o.  The split starts from 1 and stops at r
+    blocks.  The premise that the blocks sum to 1 is checked on the way
+    out (InternalInconsistency otherwise)."""
+    labels = q_classes(G, F.q)
+    class_of, _, idx = class_structure(G)
+    of = labels[class_of]  # the q-class of each element
+    at = np.unique(labels, return_index=True)[1]  # the least class of each q-class
+    one = np.zeros(at.size, dtype=np.int16)
+    one[of[0]] = 1
+    members = np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of))[:-1])
+    blocks = split_fixed(F, (labels[idx[np.ix_(x, at)]] for x in members), one, at.size)
     total = F.sum_rows(blocks)
     if not np.array_equal(total, one):
         raise InternalInconsistency(
-            f"center blocks sum to {total.tolist()} in class coordinates, not 1")
-    return sorted((AlgebraElement(b[class_of]) for b in blocks),
-                  key=lambda e: e.key())
-
-
-def _poly_inverse_mod(F, f, m):
-    """Inverse of f modulo m (coprime), by extended Euclid."""
-    r0, r1 = poly_trim(list(m)), poly_trim(list(f))
-    t0, t1 = [], [1]
-    while r1:
-        qq, rem = poly_divmod(F, r0, r1)
-        r0, r1 = r1, rem
-        t0, t1 = t1, poly_sub(F, t0, poly_mul(F, qq, t1))
-    if len(r0) != 1:
-        raise NotSemisimple("minimal-polynomial factors are not coprime")
-    return poly_scale(F, F.inv(r0[0]), t0)
+            f"center blocks sum to {total.tolist()} in q-class coordinates, not 1")
+    return sorted((AlgebraElement(b[of]) for b in blocks), key=lambda e: e.key())

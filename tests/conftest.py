@@ -16,11 +16,8 @@ from grpalg.errors import (
     NotSemisimple,
 )
 from grpalg.field import (
-    factor_polynomial,
     poly_deg,
-    poly_divmod,
     poly_gcd,
-    poly_mod,
     poly_monic,
     poly_mul,
     poly_pow_mod,
@@ -48,7 +45,6 @@ from grpalg.idempotents import (
     d_classes,
 )
 from grpalg.metacyclic import alpha_orbit, element_index, o_v
-from grpalg.oracle import _poly_inverse_mod
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -114,11 +110,14 @@ def s4_group():
 
 
 def elementary_abelian(p, k):
-    """Z_p^k from its Cayley table, elements in lexicographic digit order."""
-    digits = list(itertools.product(range(p), repeat=k))
-    idx = {d: i for i, d in enumerate(digits)}
-    table = [[idx[tuple((x + y) % p for x, y in zip(a, b))] for b in digits]
-             for a in digits]
+    """Z_p^k from its Cayley table, elements in lexicographic digit order:
+    element i is the vector of base-p digits of i, and the table is built
+    one digit at a time, adding that digit of all pairs mod p."""
+    i = np.arange(p ** k, dtype=np.int32)
+    table = np.zeros((i.size, i.size), dtype=np.int32)
+    for w in p ** np.arange(k, dtype=np.int32):
+        digit = i // w % p
+        table += (digit[:, None] + digit) % p * w
     return FiniteGroup(table, name=f"Z{p}^{k}")
 
 
@@ -306,9 +305,7 @@ def validate_reference(G, F, descriptors):
 
 def int_cyclotomic(n: int) -> list:
     """Phi_n over Z, low degree first: prod_{d | n} (x^d - 1)^mu(n/d), the
-    factors with mu = -1 applied last as exact divisions.  The integer
-    reference for field._cyclotomic_polynomial, which builds the same
-    product in F_q[x]."""
+    factors with mu = -1 applied last as exact divisions."""
     times, over = [], []
     for d in range(1, n + 1):
         if n % d:
@@ -758,33 +755,66 @@ def _minimal_polynomial_reference(G, F, z, e):
         deg += 1
 
 
+def q_class_sums(G, q):
+    """The q-class sums of F_q[G] as coefficient vectors: the sums over the
+    orbits of C -> C^(q) on conjugacy classes, C^(q) the class of the q-th
+    powers (each taken as q products), in the order of least member."""
+    classes = conjugacy_classes(G)
+    where = {g: i for i, cls in enumerate(classes) for g in cls}
+    seen, out = set(), []
+    for i in range(len(classes)):
+        orbit, j = [], i
+        while j not in seen:
+            seen.add(j)
+            orbit += classes[j]
+            power = 0
+            for _ in range(q):
+                power = int(G.m[power, classes[j][0]])
+            j = where[power]
+        if orbit:
+            c = np.zeros(G.order, dtype=np.int16)
+            c[orbit] = 1
+            out.append(c)
+    return out
+
+
+def _poly_value(F, f, c):
+    """f(c) by Horner's rule, one scalar op at a time."""
+    out = 0
+    for a in reversed(f):
+        out = F.add(F.mul(out, c), a)
+    return out
+
+
 def center_split_reference(G, F):
     """center_split computed in the full |G|-dimensional algebra, every
-    power a product of coefficient vectors at every h: the blocks'
-    coefficient vectors, sorted as tuples."""
+    power a product of coefficient vectors at every h: each block is
+    refined by every q-class sum z in turn, with no early stop, into the
+    pieces L_c(z)·e for the roots c of the minimal polynomial of z on the
+    block, found by trying every element of F_q, L_c the Lagrange
+    polynomial prod_{c' != c} (x - c')/(c - c') built by products of
+    linear factors.  The blocks' coefficient vectors, sorted as tuples."""
     if gcd(F.q, G.order) != 1:
         raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
     blocks = [basis_vector(G, 0)]
-    for z in class_sums(G):
+    for z in q_class_sums(G, F.q):
         refined = []
         for e in blocks:
             mp, powers = _minimal_polynomial_reference(G, F, z, e)
             mp = poly_scale(F, F.inv(mp[-1]), mp)
-            try:
-                factors = factor_polynomial(F, mp)
-            except ValueError:
-                raise NotSemisimple(
-                    "class sum has a repeated minimal-polynomial factor") from None
-            if len(factors) == 1:
-                refined.append(e)
-                continue
-            for h in factors:
-                comp = poly_divmod(F, mp, list(h))[0]
-                inv = _poly_inverse_mod(F, poly_mod(F, comp, list(h)), list(h))
+            roots = [c for c in range(F.q) if _poly_value(F, mp, c) == 0]
+            if len(roots) < poly_deg(mp):
+                raise NotSemisimple(f"minimal polynomial {mp} (low degree first) has "
+                                    f"fewer than {poly_deg(mp)} distinct roots in F_{F.q}")
+            for c in roots:
+                lagrange = [1]
+                for other in roots:
+                    if other != c:
+                        lagrange = poly_scale(F, F.inv(F.sub(c, other)),
+                                              poly_mul(F, lagrange, [F.neg(other), 1]))
                 acc = np.zeros(G.order, dtype=np.int16)
-                for i, c in enumerate(poly_mod(F, poly_mul(F, comp, inv), mp)):
-                    if c:
-                        acc = F.add_np[acc, F.mul_np[c, powers[i]]]
+                for i, a in enumerate(lagrange):
+                    acc = F.add_np[acc, F.mul_np[a, powers[i]]]
                 refined.append(acc)
         blocks = refined
     return sorted(blocks, key=lambda b: b.tolist())

@@ -188,6 +188,32 @@ def test_verify_emit_idempotents(capsys):
     assert idempotent_lines(out) and idempotent_lines(out) == idempotent_lines(out2)
 
 
+@pytest.mark.parametrize("argv, old, new", [
+    (("--metacyclic", "3", "2", "0", "2", "--p", "5"), (2, 1), (1, 4)),  # S_3
+    (("--d2", "1", "--p", "3"), (2, 1), (1, 4)),                         # Q_8
+    (("--metacyclic", "7", "3", "0", "2", "--p", "2"), (3, 1), (1, 9)),
+])
+def test_verify_catches_wrong_d_and_l(capsys, monkeypatch, argv, old, new):
+    """A descriptor whose (d, l) is replaced by another pair of the same
+    d²·l passes _validate and keeps the oracle's idempotent set, but the
+    multiset of l no longer equals the q-class orbit sizes: verify reports
+    oracle.match = no and exits 6."""
+    assert run(capsys, "verify", *argv)[0] == 0
+    engine = cli.decompose
+
+    def corrupted(G, F):
+        descriptors = list(engine(G, F)[1])
+        i = [(dsc.d, dsc.l) for dsc in descriptors].index(old)
+        descriptors[i] = replace(descriptors[i], d=new[0], l=new[1])
+        return idempotents.summarize(G, F, descriptors)
+
+    monkeypatch.setattr(cli, "decompose", corrupted)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (6, "")
+    assert "oracle.match = no" in out.splitlines()
+    assert f"({new[0]}, {new[1]}, 1)" in out
+
+
 def test_families_sweep(capsys):
     code, out, _ = run(capsys, "families", "--family", "d2", "--m", "2",
                        "--q", "3", "5")

@@ -19,7 +19,6 @@ from conftest import (
     elementary_abelian,
     full_product,
     generator_cosets,
-    int_cyclotomic,
     is_central,
     is_idempotent,
     lattice,
@@ -29,7 +28,7 @@ from conftest import (
     shoda_triples_reference,
     validate_reference,
 )
-from grpalg import field, idempotents
+from grpalg import idempotents
 from grpalg.algebra import AlgebraElement, to_str
 from grpalg.errors import (
     InternalInconsistency,
@@ -37,7 +36,7 @@ from grpalg.errors import (
     NotMetabelian,
     NotSemisimple,
 )
-from grpalg.field import BaseField, factor_polynomial, make_field, poly_trim
+from grpalg.field import BaseField, make_field
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
@@ -614,26 +613,31 @@ def test_summary_format():
 
 
 def test_trace_factor_choice_independence(monkeypatch):
-    """The idempotent set and summary do not depend on which irreducible
-    factor of Phi_n the cyclotomic traces come from (criterion 9 style:
-    draw a random factor on every call, over two fields per corpus group)."""
+    """The idempotent set and summary do not depend on which primitive n-th
+    root of unity zeta the cyclotomic traces belong to (criterion 9 style:
+    read the traces at u·k for a random unit u mod n, which are those of
+    zeta^u, drawn once per field object and n, as the trace memo is kept,
+    over two fields per corpus group).  A unit outside <q> gives a zeta in
+    another orbit."""
     rng = random.Random(1311)
     picked_other = 0
-    choose = field._cyclotomic_factor
+    traces, chosen = BaseField.cyclotomic_traces, {}
 
-    def random_factor(F, n):
+    def another_root(F, n):
         nonlocal picked_other
-        phi = poly_trim([F.from_int(c) for c in int_cyclotomic(n)])
-        f0 = list(rng.choice(factor_polynomial(F, phi)))
-        picked_other += f0 != choose(F, n)
-        return f0
+        if (F, n) not in chosen:
+            tr = traces(F, n)
+            u = rng.choice([u for u in range(n) if gcd(u, n) == 1])
+            picked_other += u not in {pow(F.q, i, n) for i in range(n)}
+            chosen[F, n] = tuple(tr[u * k % n] for k in range(n))
+        return chosen[F, n]
 
     for G in corpus_groups():
         for q in [p for p in PRIMES if G.order % p][:2]:
             base_summary, base = decompose(G, BaseField(q))
             base_set = sorted(d.idempotent.key() for d in base)
             with monkeypatch.context() as m:
-                m.setattr(field, "_cyclotomic_factor", random_factor)
+                m.setattr(BaseField, "cyclotomic_traces", another_root)
                 for _ in range(2):
                     summary, descs = decompose(G, BaseField(q))
                     assert summary.components == base_summary.components

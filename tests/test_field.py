@@ -1,4 +1,3 @@
-import functools
 import itertools
 import os
 import random
@@ -15,26 +14,26 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     add_table_reference,
+    full_product,
     int_cyclotomic,
     is_irreducible_reference as is_irreducible,
 )
+from grpalg.algebra import ideal_dimension
 from grpalg import field
 from grpalg.errors import InternalInconsistency, NotPrime
 from grpalg.field import (
     BaseField,
-    factor_polynomial,
     is_prime,
     lex_least_irreducible,
     make_field,
     mult_order,
-    poly_deriv,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_sub,
     poly_trim,
     prime_factors,
 )
+from grpalg.groups import FiniteGroup
 
 
 def brute_irreducibles(F, s):
@@ -223,44 +222,127 @@ def test_largest_fields_stay_small():
     assert "oracle.match = yes" in proc.stdout.splitlines()
 
 
-def companion_traces(F, f, n):
-    """tr(C^k) for k < n, C the companion matrix of the monic f: the trace of
-    multiplication by a root of f on F[x]/(f)."""
-    s = len(f) - 1
-    C = [[1 if i == j + 1 else 0 for j in range(s)] for i in range(s)]
-    for i in range(s):
-        C[i][s - 1] = F.neg(f[i])
-    M = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
-    out = []
-    for _ in range(n):
-        out.append(functools.reduce(F.add, (M[i][i] for i in range(s))))
-        M = [[functools.reduce(F.add, (F.mul(M[i][t], C[t][j]) for t in range(s)))
-              for j in range(s)] for i in range(s)]
-    return out
-
-
 TRACE_GRID = [(2, 1, 7), (2, 1, 21), (2, 1, 63), (3, 1, 13), (3, 1, 40),
               (5, 1, 1), (5, 1, 12), (7, 1, 19), (2, 2, 5), (2, 2, 9),
               (2, 2, 63), (2, 3, 9), (2, 3, 63), (3, 2, 5), (3, 2, 20),
               (3, 2, 56), (5, 2, 13), (5, 2, 24), (5, 2, 63)]
 
 
+def cyclic_group(n):
+    """Z_n from its Cayley table, element k standing for x^k."""
+    i = np.arange(n)
+    return FiniteGroup((i[:, None] + i) % n, name=f"Z{n}")
+
+
+def trace_idempotent(F, tr):
+    """e = n^-1·sum_k tr[k]·x^-k in F_q[Z_n], as a coefficient vector."""
+    n = len(tr)
+    return F.mul_np[F.inv(F.from_int(n)), np.array(tr, dtype=np.int16)[-np.arange(n) % n]]
+
+
 def test_cyclotomic_traces_match_companion_matrix():
+    """The traces characterize a primitive idempotent of the faithful part
+    of F_q[Z_n]: e = n^-1·sum_k T[k]·x^-k is idempotent; it is annihilated
+    by the sum over the subgroup of order l for every prime l | n, so it
+    lies under the faithful characters, and so by Phi_n(x); and its ideal
+    has dimension ord_n(q), the dimension of one faithful component
+    F_q(zeta).  So e is the primitive idempotent of one <q>-orbit of
+    faithful characters x -> zeta, and then T[k] = n·e[x^-k] = tr(zeta^k)."""
     for p, a, n in TRACE_GRID:
         F = make_field(p, a)
-        f0 = field._cyclotomic_factor(F, n)
-        assert len(f0) - 1 == mult_order(n, F.q) and is_irreducible(F, f0)
-        phi = poly_trim([F.from_int(c) for c in int_cyclotomic(n)])
-        assert poly_divmod(F, phi, f0)[1] == []
-        # the roots of f0 have exact order n
-        x_to = lambda m: poly_sub(F, [0] * m + [1], [1])  # noqa: E731
-        assert poly_divmod(F, x_to(n), f0)[1] == []
-        assert all(poly_divmod(F, x_to(n // ell), f0)[1] != []
-                   for ell in prime_factors(n))
-        tr = make_field(p, a).cyclotomic_traces(n)
-        assert list(tr) == companion_traces(F, f0, n), (p, a, n)
+        G = cyclic_group(n)
+        e = trace_idempotent(F, F.cyclotomic_traces(n))
+        assert np.array_equal(full_product(G, F, e, e), e), (p, a, n)
+        for ell in prime_factors(n):
+            sub = np.zeros(n, dtype=np.int16)
+            sub[::n // ell] = 1
+            assert not full_product(G, F, sub, e).any(), (p, a, n, ell)
+        phi = np.zeros(n, dtype=np.int16)  # Phi_n(x), reduced by x^n = 1
+        for k, c in enumerate(int_cyclotomic(n)):
+            phi[k % n] = F.add(phi[k % n], F.from_int(c))
+        assert not full_product(G, F, phi, e).any(), (p, a, n)
+        assert ideal_dimension(G, F, e) == mult_order(n, F.q), (p, a, n)
     with pytest.raises(ValueError, match=r"^gcd\(6, 3\) != 1$"):
         make_field(3).cyclotomic_traces(6)
+
+
+def equal_up_to_unit(tr, other):
+    """Whether tr[u·k mod n] = other[k] for every k, for some unit u mod n:
+    the traces of another primitive n-th root of unity."""
+    n = len(tr)
+    return any(all(tr[u * k % n] == other[k] for k in range(n))
+               for u in range(n) if gcd(u, n) == 1)
+
+
+LIFT_AND_CRT_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1))
+
+
+def test_trace_lift_rule():
+    """If l² | n and ord_n(q) = l·ord_{n/l}(q), then, up to a unit,
+    T_n[k] = l·T_{n/l}[k/l] when l | k and 0 otherwise: x^l - zeta^l is
+    the minimal polynomial of zeta over F_q(zeta^l), so the trace from
+    F_q(zeta) to F_q(zeta^l) of zeta^k is zeta^k·sum_i w^{ik} over the l-th
+    roots of unity w."""
+    checked = 0
+    for p, a in LIFT_AND_CRT_FIELDS:
+        F = make_field(p, a)
+        for n in range(4, 100):
+            for ell in prime_factors(n):
+                if (gcd(n, F.q) != 1 or n % (ell * ell)
+                        or mult_order(n, F.q) != ell * mult_order(n // ell, F.q)):
+                    continue
+                low = F.cyclotomic_traces(n // ell)
+                lifted = [F.mul(F.from_int(ell), low[k // ell]) if k % ell == 0 else 0
+                          for k in range(n)]
+                assert equal_up_to_unit(F.cyclotomic_traces(n), lifted), (F.q, n, ell)
+                checked += 1
+    assert checked > 50
+
+
+def test_trace_crt_rule():
+    """If n = n1·n2 with gcd(n1, n2) = 1 and gcd(ord_{n1}(q), ord_{n2}(q)) = 1,
+    then, up to a unit, T_n[k] = T_{n1}[u·k mod n1]·T_{n2}[v·k mod n2] with
+    u = n2^-1 mod n1 and v = n1^-1 mod n2: zeta^k = zeta1^{uk}·zeta2^{vk}
+    for zeta1 = zeta^{n2} and zeta2 = zeta^{n1}, and F_q(zeta) is the
+    tensor product of F_q(zeta1) and F_q(zeta2), whose degrees are coprime,
+    so the trace is the product of the two traces."""
+    checked = 0
+    for p, a in LIFT_AND_CRT_FIELDS:
+        F = make_field(p, a)
+        for n1 in range(2, 40):
+            for n2 in range(n1 + 1, 40):
+                if (gcd(n1, n2) != 1 or gcd(n1 * n2, F.q) != 1
+                        or gcd(mult_order(n1, F.q), mult_order(n2, F.q)) != 1):
+                    continue
+                n, u, v = n1 * n2, pow(n2, -1, n1), pow(n1, -1, n2)
+                t1, t2 = F.cyclotomic_traces(n1), F.cyclotomic_traces(n2)
+                product = [F.mul(t1[u * k % n1], t2[v * k % n2]) for k in range(n)]
+                assert equal_up_to_unit(F.cyclotomic_traces(n), product), (F.q, n1, n2)
+                checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("q, n", [(3, 512), (3, 2048), (3, 4093), (661, 660)])
+def test_traces_at_the_order_cap(q, n):
+    """Traces at the order cap over F_3, and at q = 1 (mod n), where each
+    orbit of j -> qj is one point: n·e is idempotent up to the factor n
+    (sum_j T[j]·T[k - j] = n·T[k]), lies under the faithful characters
+    (sum_i T[k + i·n/l] = 0 for every prime l | n), is Frobenius-invariant
+    and has T[0] = ord_n(q) mod q; for the powers of 2 the lift rule ties
+    it to n/2."""
+    F = BaseField(q)
+    tr = np.array(F.cyclotomic_traces(n), dtype=np.int64)
+    square = np.convolve(tr, tr)
+    square[:n - 1] += square[n:]
+    assert np.array_equal(square[:n] % q, n * tr % q)
+    for ell in prime_factors(n):
+        assert not (tr.reshape(ell, n // ell).sum(axis=0) % q).any(), ell
+    assert np.array_equal(tr[np.arange(n) * q % n], tr)
+    assert tr[0] == mult_order(n, q) % q
+    if n in (512, 2048):
+        low = F.cyclotomic_traces(n // 2)
+        lifted = [2 * low[k // 2] % q if k % 2 == 0 else 0 for k in range(n)]
+        assert equal_up_to_unit(tr.tolist(), lifted)
 
 
 def test_trace_values():
@@ -301,19 +383,6 @@ def test_int_cyclotomic_known_values():
         assert prod == [-1] + [0] * (n - 1) + [1]
 
 
-def test_cyclotomic_polynomial_matches_integer_reference():
-    """_cyclotomic_polynomial, built in F_q[x], is the integer Phi_n
-    reduced mod p, for every n <= 600 coprime to q."""
-    phis = {n: int_cyclotomic(n) for n in range(1, 601)}
-    for p, a in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
-                 (11, 1), (13, 1)]:
-        F = make_field(p, a)
-        for n, phi in phis.items():
-            if gcd(n, F.q) == 1:
-                assert field._cyclotomic_polynomial(F, n) == \
-                    poly_trim([F.from_int(c) for c in phi]), (F.q, n)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=7),
        st.lists(st.integers(0, 4), min_size=1, max_size=5))
@@ -349,116 +418,17 @@ def test_poly_divmod_by_sparse_binomials(p, a):
         assert len(r) <= k
 
 
-def has_square_factor(F, f):
-    """Whether some monic irreducible h of degree <= deg(f)/2 has h^2 | f,
-    by exhaustive division over a prime field."""
-    for d in range(1, (len(f) - 1) // 2 + 1):
-        hs = [(c, 1) for c in range(F.q)] if d == 1 else brute_irreducibles(F, d)
-        if any(not poly_divmod(F, f, poly_mul(F, list(h), list(h)))[1] for h in hs):
-            return True
-    return False
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_factor_polynomial_remultiplies(p):
-    # every monic quartic: the squarefree ones factor into distinct
-    # irreducibles whose product is f, the others are rejected
-    F = BaseField(p)
-    for coeffs in itertools.product(range(p), repeat=4):
-        f = list(coeffs) + [1]
-        if has_square_factor(F, f):
-            with pytest.raises(ValueError, match="not squarefree"):
-                factor_polynomial(F, f)
-            continue
-        factors = factor_polynomial(F, f)
-        assert len(set(factors)) == len(factors)
-        prod = [1]
-        for h in factors:
-            assert is_irreducible(F, list(h))
-            prod = poly_mul(F, prod, list(h))
-        assert prod == f
-
-
-def test_factor_known_values():
-    F = BaseField(3)
-    # x^2 + 1 irreducible over F_3
-    assert factor_polynomial(F, [1, 0, 1]) == [(1, 0, 1)]
-    # x^2 - 1 = (x+1)(x+2)
-    assert factor_polynomial(F, [2, 0, 1]) == [(1, 1), (2, 1)]
-    # x^3 - x = x (x+1)(x+2) over F_3
-    assert factor_polynomial(F, [0, 2, 0, 1]) == [(0, 1), (1, 1), (2, 1)]
-    # x^2 + x + 2 takes the values 2, 1, 2 on F_3, so it is irreducible
-    assert factor_polynomial(F, [2, 1, 1]) == [(2, 1, 1)]
-    # repeated factors are rejected: x^3 + 1 = (x+1)^3 in char 3, whose
-    # derivative is 0, and, over F_2, x^4 + x^2 + 1 = (x^2+x+1)^2
-    with pytest.raises(ValueError, match="not squarefree"):
-        factor_polynomial(F, [1, 0, 0, 1])
-    with pytest.raises(ValueError, match="not squarefree"):
-        factor_polynomial(BaseField(2), [1, 0, 1, 0, 1])
-    with pytest.raises(ValueError, match="not squarefree"):
-        factor_polynomial(F, [1, 2, 1])  # (x + 1)^2
-    # char 2 equal-degree split: x^4 + x = x (x + 1)(x^2 + x + 1)
-    assert factor_polynomial(BaseField(2), [0, 1, 0, 0, 1]) == \
-        [(0, 1), (1, 1), (1, 1, 1)]
-
-
-@pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
-def test_factor_memo_matches_fresh_field(p, a):
-    # a filled memo returns what an uncached field computes
-    F, rng = BaseField(p, a), random.Random(100 * p + a)
-    polys = []
-    while len(polys) < 25:
-        f = poly_trim([rng.randrange(F.q) for _ in range(rng.randint(1, 8))] + [1])
-        if len(poly_gcd(F, f, poly_deriv(F, f))) == 1:  # squarefree
-            polys.append(f)
-    first = [factor_polynomial(F, f) for f in polys]
-    assert all(tuple(f) in F._factors for f in polys)
-    for f, factors in zip(polys, first):
-        assert factor_polynomial(F, f) == factors == factor_polynomial(BaseField(p, a), f)
-
-
-def test_factor_memo_returns_fresh_lists():
-    F = BaseField(3)
-    got = factor_polynomial(F, [0, 2, 0, 1])
-    got.append((1, 0, 1))
-    got[0] = (2, 1)
-    assert factor_polynomial(F, [0, 2, 0, 1]) == [(0, 1), (1, 1), (2, 1)]
-    assert factor_polynomial(F, [0, 2, 0, 1]) is not factor_polynomial(F, [0, 2, 0, 1])
-
-
-def test_factor_rejections_are_not_memoized():
-    F = BaseField(3)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not squarefree"):
-            factor_polynomial(F, [1, 2, 1])  # (x + 1)^2
-        with pytest.raises(ValueError, match="monic"):
-            factor_polynomial(F, [1, 2])
-    assert F._factors == {}
-
-
-def test_factor_rejects_nonmonic_and_constant():
-    F = BaseField(3)
-    with pytest.raises(ValueError):
-        factor_polynomial(F, [1])
-    with pytest.raises(ValueError):
-        factor_polynomial(F, [0, 2])
-
-
 def test_root_of_unity_deterministic():
-    # the root zeta is fixed by the chosen factor f0 of Phi_n; both, and so
-    # the traces, must not depend on the field instance, nor on the splits
-    # run in between (the splitting candidates are drawn afresh per call)
-    F = make_field(5)
-    f0 = field._cyclotomic_factor(F, 8)
-    factor_polynomial(F, [1, 0, 0, 0, 0, 0, 0, 0, 1])  # Phi_16 = x^8 + 1
-    assert field._cyclotomic_factor(F, 8) == f0
-    assert make_field(5).cyclotomic_traces(8) == make_field(5).cyclotomic_traces(8)
-    # over F_4, Phi_27 has two factors that the Frobenius of F_2 swaps
-    F = make_field(2, 2)
-    f0 = field._cyclotomic_factor(F, 27)
-    factor_polynomial(F, poly_trim([F.from_int(c) for c in int_cyclotomic(27)]))
-    assert field._cyclotomic_factor(F, 27) == f0
-    assert BaseField(2, 2).cyclotomic_traces(27) == BaseField(2, 2).cyclotomic_traces(27)
+    # the root zeta the traces belong to must not depend on the field
+    # instance, nor on the traces computed on it before
+    F = BaseField(5)
+    F.cyclotomic_traces(16)
+    assert F.cyclotomic_traces(8) == BaseField(5).cyclotomic_traces(8) \
+        == make_field(5).cyclotomic_traces(8)
+    # over F_4, the Frobenius of F_2 swaps the two factors of Phi_27
+    F = BaseField(2, 2)
+    F.cyclotomic_traces(81)
+    assert F.cyclotomic_traces(27) == BaseField(2, 2).cyclotomic_traces(27)
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2)])

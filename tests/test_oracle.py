@@ -12,6 +12,7 @@ from conftest import (
     basis_vector,
     center_split_reference,
     class_sums,
+    corpus_grid,
     corpus_groups,
     elementary_abelian,
     full_product,
@@ -23,7 +24,7 @@ from conftest import (
 from grpalg.algebra import to_str
 from grpalg import field, oracle
 from grpalg.errors import InternalInconsistency, NotSemisimple
-from grpalg.field import BaseField, make_field
+from grpalg.field import make_field
 from grpalg.groups import (
     FiniteGroup,
     class_structure,
@@ -33,7 +34,7 @@ from grpalg.groups import (
 )
 from grpalg.idempotents import decompose
 from grpalg.metacyclic import MetacyclicParams, metacyclic_decompose
-from grpalg.oracle import center_split, q_class_count
+from grpalg.oracle import center_split, q_class_count, q_classes
 
 S3 = metacyclic_group(3, 2, 0, 2)
 # F_4, F_9 and F_25 as (p, a)
@@ -126,90 +127,87 @@ def test_same_field_by_another_cache_key_gives_equal_elements():
 
 
 def test_repeated_minimal_polynomial_factor_not_semisimple(monkeypatch):
-    # past the gcd(q, |G|) check, the class sum of the transpositions of
-    # S3 over F_3 squares to 0, so its minimal polynomial x^2 is not
-    # squarefree
+    # past the gcd(q, |G|) check, the class sum C of the transpositions of
+    # S3, the first q-class sum past 1, has C² = 3 + 3·(the 3-cycles) = 0
+    # over F_3: its minimal polynomial x² has the one root 0 in F_3
     monkeypatch.setattr(oracle, "gcd", lambda a, b: 1)
     monkeypatch.setattr(conftest, "gcd", lambda a, b: 1)
     for split in (center_split, center_split_reference):
         with pytest.raises(NotSemisimple,
-                           match="^class sum has a repeated minimal-polynomial factor$"):
+                           match=r"^minimal polynomial \[0, 0, 1\] \(low degree first\) "
+                                 r"has fewer than 2 distinct roots in F_3$"):
             split(S3, make_field(3))
 
 
-def count_minimal_polynomials(monkeypatch):
-    calls = []
-    inner = oracle._minimal_polynomial
+def split_rounds(monkeypatch):
+    """Record, for each sum center_split's split takes, the number of
+    minimal polynomials the kernel had computed before it; the last entry
+    is the total.  Returns the list."""
+    calls, rounds = [], []
+    inner_mp, inner_split = field._minimal_polynomial, oracle.split_fixed
 
     def counted(*args):
         calls.append(args)
-        return inner(*args)
+        return inner_mp(*args)
 
-    monkeypatch.setattr(oracle, "_minimal_polynomial", counted)
-    return calls
+    def split(F, sums, start, count):
+        def taken():
+            for s in sums:
+                rounds.append(len(calls))
+                yield s
+        out = inner_split(F, taken(), start, count)
+        rounds.append(len(calls))
+        return out
+
+    monkeypatch.setattr(field, "_minimal_polynomial", counted)
+    monkeypatch.setattr(oracle, "split_fixed", split)
+    return rounds
 
 
 def test_early_stop_fires(monkeypatch):
-    # M(53,2,0,52) over F_3 has 28 classes and 3 blocks; the full split
-    # takes 80 minimal polynomials, the block degrees reach 28 after 5
+    # M(53,2,0,52) over F_3 has 28 classes and 3 q-classes: the identity
+    # acts by a scalar, the next q-class sum splits 1 into the 3 blocks by
+    # one minimal polynomial, and the split stops before the third sum
     G, F = metacyclic_group(53, 2, 0, 52), make_field(3)
-    calls = count_minimal_polynomials(monkeypatch)
+    rounds = split_rounds(monkeypatch)
     ids = center_split(G, F)
-    assert len(calls) <= 5
+    assert rounds == [0, 0, 1]
+    assert len(ids) == q_class_count(G, 3) == 3
     assert keys(ids) == array_keys(center_split_reference(G, F))
 
 
 def test_early_stop_cannot_fire_on_unsplit_class_sum(monkeypatch):
-    # Z_3 x Z_3 over F_2, g = (0, 1) and g^-1 = (0, 2) in classes 1 and 2:
-    # the class sum of g leaves Ze = F_2 x F_4 (d = 1) and a block with
-    # d = 2, so sum d = 3 < 9 classes; the class sum of g^-1 splits
-    # neither block, yet the split must go on to 5 blocks
-    G, F = elementary_abelian(3, 2), make_field(2)
-    class_of, reps, idx = class_structure(G)
-    calls = count_minimal_polynomials(monkeypatch)
+    # Z_3^3 over F_2 has 14 q-classes: the fifth q-class sum acts by a
+    # scalar on every block, no minimal polynomial is taken, yet the split
+    # must go on; it stops after the ninth sum, 5 before the last
+    G, F = elementary_abelian(3, 3), make_field(2)
+    rounds = split_rounds(monkeypatch)
     ids = center_split(G, F)
-    # the rows of idx for class i, x in C_i, are what the split multiplies by
-    blocks_at = [sum(1 for c in calls if np.array_equal(c[1], idx[class_of == i]))
-                 for i in range(reps.size)]
-    assert blocks_at[:4] == [1, 1, 2, 2]
-    assert len(ids) == q_class_count(G, 2) == 5
+    assert np.diff(rounds).tolist() == [0, 1, 2, 1, 0, 5, 3, 0, 1]
+    assert len(ids) == q_class_count(G, 2) == 14
     assert keys(ids) == array_keys(center_split_reference(G, F))
 
 
-def test_center_split_factors_each_minimal_polynomial_once(monkeypatch):
-    # Z_3^4 over F_2: the split asks for 992 factorizations of 3 distinct
-    # minimal polynomials, and the field's memo runs the distinct-degree
-    # loop once for each of them
-    counts = {"factor": 0, "distinct_degree": 0}
-
-    def counted(name, inner):
-        def wrapper(*args):
-            counts[name] += 1
-            return inner(*args)
-        return wrapper
-
-    monkeypatch.setattr(oracle, "factor_polynomial",
-                        counted("factor", oracle.factor_polynomial))
-    monkeypatch.setattr(field, "_distinct_degree",
-                        counted("distinct_degree", field._distinct_degree))
-    F = BaseField(2)
-    ids = center_split(elementary_abelian(3, 4), F)
-    assert counts == {"factor": 992, "distinct_degree": 3}
-    assert len(F._factors) == 3
-    assert keys(ids) == keys(center_split(elementary_abelian(3, 4), make_field(2)))
-
-
 def test_blocks_not_summing_to_one_is_inconsistent(monkeypatch):
-    # drop one CRT piece of every split: the blocks no longer sum to 1
-    factor = oracle.factor_polynomial
-
-    def all_but_last(F, f):
-        factors = factor(F, f)
-        return factors[:-1] if len(factors) > 1 else factors
-
-    monkeypatch.setattr(oracle, "factor_polynomial", all_but_last)
+    # drop one block of the kernel's result: the rest no longer sum to 1
+    inner = oracle.split_fixed
+    monkeypatch.setattr(oracle, "split_fixed", lambda *args: inner(*args)[:-1])
     with pytest.raises(InternalInconsistency, match="^center blocks sum to "):
         center_split(S3, make_field(5))
+
+
+def test_split_stops_only_at_count():
+    # the identity of F_5[Z_4] alone acts by a scalar: with no other sum
+    # the split cannot reach the 4 primitive idempotents
+    F = make_field(5)
+    one = np.array([1, 0, 0, 0], dtype=np.int16)
+    with pytest.raises(InternalInconsistency, match="^split into 1 blocks, not 4$"):
+        field.split_fixed(F, [np.array([[0, 1, 2, 3]])], one, 4)
+    x = np.array([[3, 0, 1, 2]])  # (x·w)[l] = w[l - 1]
+    blocks = field.split_fixed(F, [x], one, 4)
+    assert len(blocks) == 4
+    with pytest.raises(InternalInconsistency, match="^split into 4 blocks, not 3$"):
+        field.split_fixed(F, [x], one, 3)
 
 
 def test_center_split_deterministic():
@@ -240,6 +238,14 @@ def test_oracle_over_extension_field():
     _, descs = decompose(G, F)
     assert sorted(d.idempotent.key() for d in descs) == \
         sorted(e.key() for e in ids)
+
+
+def test_l_multiset_is_q_class_orbit_sizes():
+    """Brauer's permutation lemma (oracle.q_classes): on every corpus pair
+    the multiset of the engine's l is that of the q-class orbit sizes."""
+    for G, q in corpus_grid():
+        sizes = sorted(np.bincount(q_classes(G, q)).tolist())
+        assert sorted(d.l for d in decompose(G, make_field(q))[1]) == sizes, (G.name, q)
 
 
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
@@ -315,15 +321,20 @@ def presentations(draw):
 
 def assert_paths_agree(params, field):
     """The oracle, decompose (validated), the fast path and q_class_count
-    agree on M(n, t, k, r) over F_{p^a}, field = (p, a)."""
+    agree on M(n, t, k, r) over F_{p^a}, field = (p, a), and the multiset
+    of the l of each path's components is that of the q-class orbit sizes
+    (oracle.q_classes)."""
     G = metacyclic_group(*params)
     F = make_field(*field)
     oracle = keys(center_split(G, F))
     if G.order <= 24:  # the |G|-coordinate reference is the slow part
         assert oracle == array_keys(center_split_reference(G, F))
-    assert oracle == keys(d.idempotent for d in decompose(G, F)[1])
+    engine = decompose(G, F)[1]
     fast = metacyclic_decompose(MetacyclicParams(*params), F)[1]
-    assert oracle == keys(d.idempotent for d in fast)
+    sizes = sorted(np.bincount(q_classes(G, F.q)).tolist())
+    for descriptors in (engine, fast):
+        assert oracle == keys(d.idempotent for d in descriptors)
+        assert sorted(d.l for d in descriptors) == sizes
     assert len(oracle) == q_class_count(G, F.q)
 
 
@@ -338,10 +349,9 @@ def test_paths_agree_on_random_presentations(case):
 @pytest.mark.parametrize("params", [(1, 27, 0, 0), (27, 1, 0, 1), (3, 9, 1, 1),
                                     (1, 49, 0, 0), (7, 7, 1, 1), (1, 81, 0, 0)])
 def test_paths_agree_where_f4_splitting_stalled(params):
-    """Over F_4 the F_2-trace of a splitting candidate can separate two
-    factors only on a structured set of candidates (the Frobenius of F_2
-    swaps the two factors of Phi_27 and of Phi_81), which a fixed candidate
-    order can miss for minutes.  All three paths must agree, and fast."""
+    """Cases over F_4 where the Frobenius of F_2 swaps the two factors of
+    Phi_27 and of Phi_81, which a factor route with a fixed candidate order
+    took minutes to split.  All three paths must agree, and fast."""
     assert_paths_agree(params, (2, 2))
 
 
