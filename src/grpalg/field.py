@@ -1,15 +1,15 @@
-"""Exact arithmetic in a base field F_q, polynomials over it, the
-cyclotomic traces the idempotents need, and the one kernel that splits a
-Frobenius-fixed algebra F_q^r into its primitive idempotents.
+"""Exact arithmetic in a base field F_q, the cyclotomic traces the
+idempotents need, and the one kernel that splits a Frobenius-fixed algebra
+F_q^r into its primitive idempotents.
 
 Base fields F_q (q = p^a) represent elements as integer indices 0..q-1;
 index i encodes the coefficient vector (c_0, ..., c_{a-1}) with
-i = sum c_k p^k, so the constant c embeds as the index c.  Arithmetic
-goes through precomputed q x q int16 tables: gathers for vectorized use
-(BaseField.sum_rows, the one reduction of many vectors to their sum), and
-row memoryviews for scalar lookups.
-For a >= 2 the modulus is the lex-least irreducible of degree a
-over F_p (Ben-Or's test on one distinct-degree loop).  The first
+i = sum c_k p^k, so the constant c embeds as the index c.  All arithmetic
+in F_q is gathers through precomputed q x q int16 tables (BaseField.sum_rows is
+the one reduction of many vectors to their sum).
+For a >= 2 the modulus is the lex-least monic irreducible of degree a
+over F_p, coefficients compared low degree first, found by Ben-Or's test
+on lists of ints mod p (lex_least_irreducible).  The first
 generator g of F_q^* in index order is found by
 walking the orbit of 1 under each candidate's multiply-by-g map, which is
 built in numpy from the digits of x^k·i; the product table is then one
@@ -72,131 +72,68 @@ def mult_order(n: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over a base field.  Coefficients are base-field indices,
-# low-degree first, with no trailing zeros ([] is the zero polynomial).
+# The modulus of F_{p^a}.  A polynomial over F_p is a list of ints mod p,
+# low degree first.
 # ---------------------------------------------------------------------------
 
-def poly_trim(f):
-    i = len(f)
-    while i > 0 and f[i - 1] == 0:
-        i -= 1
-    return f[:i]
+def _rem(p, f, m):
+    """f mod the monic m over F_p, as a list of exactly deg m ints."""
+    f, d = list(f), len(m) - 1
+    for i in range(len(f) - 1, d - 1, -1):
+        c = f[i] % p
+        if c:  # f -= c x^{i-d} m, whose top term cancels f[i]
+            for j in range(d):
+                f[i - d + j] -= c * m[j]
+    return [c % p for c in f[:d]] + [0] * (d - len(f))
 
 
-def poly_deg(f):
-    return len(f) - 1
-
-
-def poly_sub(F, f, g):
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = F.sub(out[i], c)
-    return poly_trim(out)
-
-
-def poly_scale(F, c, f):
-    return poly_trim([F.mul(c, x) for x in f])
-
-
-def poly_mul(F, f, g):
-    add = F._add
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
+def _mulmod(p, g, h, m):
+    """g·h mod the monic m over F_p."""
+    prod = [0] * (len(g) + len(h) - 1)
+    for i, a in enumerate(g):
         if a:
-            row = F._mul[a]  # one row view per outer step
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = add[out[i + j]][row[b]]
-    return poly_trim(out)
+            for j, b in enumerate(h):
+                prod[i + j] += a * b
+    return _rem(p, prod, m)
 
 
-def poly_divmod(F, f, g):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    add = F._add
-    dg = len(g) - 1
-    lg_inv = F.inv(g[-1])
-    quot = [0] * max(0, len(f) - dg)
-    terms = [(i, b) for i, b in enumerate(g) if b]  # zero terms leave f as is
-    for shift in range(len(quot) - 1, -1, -1):
-        c = quot[shift] = F.mul(f[shift + dg], lg_inv)
-        if c:
-            row = F._mul[F.neg(c)]  # f -= c x^shift g, one row view per step
-            for i, b in terms:
-                f[shift + i] = add[f[shift + i]][row[b]]
-    return poly_trim(quot), poly_trim(f[:dg])
+def _coprime(p, f, g):
+    """Whether the monic f and the polynomial g share no factor of positive
+    degree over F_p (g = 0 shares all of f): Euclid, each divisor made monic by the
+    inverse pow(c, p - 2, p) of its top coefficient c."""
+    while any(g):
+        g = g[:max(i for i, c in enumerate(g) if c) + 1]
+        inv = pow(g[-1], p - 2, p)
+        f, g = g, _rem(p, f, [c * inv % p for c in g])
+    return len(f) == 1
 
 
-def poly_mod(F, f, g):
-    return poly_divmod(F, f, g)[1]
+def is_irreducible(p, f):
+    """Ben-Or's test: the monic f of degree s >= 1 over F_p is irreducible
+    iff gcd(x^{p^d} - x, f) = 1 for every d <= s/2.  x^{p^d} mod f is the
+    p-th power of x^{p^(d-1)} mod f, by square and multiply."""
+    x = h = _rem(p, [0, 1], f)
+    for _ in range((len(f) - 1) // 2):
+        power = h  # the leading bit of p
+        for bit in bin(p)[3:]:
+            power = _mulmod(p, power, power, f)
+            if bit == "1":
+                power = _mulmod(p, power, h, f)
+        h = power
+        if not _coprime(p, f, [(c - e) % p for c, e in zip(h, x)]):
+            return False
+    return True
 
 
-def poly_monic(F, f):
-    if not f:
-        return f
-    if f[-1] == 1:
-        return list(f)
-    return poly_scale(F, F.inv(f[-1]), f)
-
-
-def poly_gcd(F, f, g):
-    f, g = poly_trim(list(f)), poly_trim(list(g))
-    while g:
-        f, g = g, poly_mod(F, f, g)
-    return poly_monic(F, f)
-
-
-def poly_pow_mod(F, f, e, m):
-    result = [1]
-    base = poly_mod(F, f, m)
-    while e > 0:
-        if e & 1:
-            result = poly_mod(F, poly_mul(F, result, base), m)
-        base = poly_mod(F, poly_mul(F, base, base), m)
-        e >>= 1
-    return result
-
-
-def _distinct_degree(F, f):
-    """The distinct-degree pieces (d, g) of the monic f, d increasing: g is
-    gcd(x^{q^d} - x, rest), rest being f over the earlier pieces.  For
-    squarefree f, g is the product of the degree-d irreducible factors.
-    Once 2d > deg rest, rest has no factor of degree below d, so it is
-    irreducible and comes last as (deg rest, rest)."""
-    x = [0, 1]
-    h, rest, d = x, f, 0
-    while poly_deg(rest) > 0:
-        d += 1
-        if 2 * d > poly_deg(rest):
-            yield poly_deg(rest), rest
-            return
-        h = poly_pow_mod(F, h, F.q, rest)
-        g = poly_gcd(F, poly_sub(F, h, x), rest)
-        if poly_deg(g) > 0:
-            yield d, g
-            rest = poly_divmod(F, rest, g)[0]
-            h = poly_mod(F, h, rest)
-
-
-def is_irreducible(F, f) -> bool:
-    """Ben-Or's test: f of degree s >= 1 is irreducible iff
-    gcd(x^{q^d} - x, f) = 1 for every d <= s/2, that is, iff the first
-    distinct-degree piece is f itself.  Any f, squarefree or not."""
-    f = poly_monic(F, poly_trim(list(f)))
-    s = poly_deg(f)
-    return s >= 1 and next(_distinct_degree(F, f))[0] == s
-
-
-def lex_least_irreducible(F, s):
-    """Lex-least monic irreducible of degree s >= 2 over the prime field F
-    (coefficients compared low-degree-first).  Its constant term is
-    nonzero, so the candidates with c_0 = 0 are skipped wholesale."""
-    for c0 in range(1, F.p):
-        for rest in itertools.product(range(F.p), repeat=s - 1):
-            f = [c0, *rest, 1]
-            if is_irreducible(F, f):
-                return tuple(f)
+def lex_least_irreducible(p, s):
+    """Lex-least monic irreducible of degree s >= 2 over F_p (coefficients
+    compared low-degree-first).  Its constant term is nonzero, so the
+    candidates with c_0 = 0 are skipped wholesale."""
+    for c0 in range(1, p):
+        for rest in itertools.product(range(p), repeat=s - 1):
+            f = (c0, *rest, 1)
+            if is_irreducible(p, f):
+                return f
     raise InternalInconsistency(f"no irreducible of degree {s} found")
 
 
@@ -226,8 +163,9 @@ class BaseField:
     cyclotomic trace tables of the idempotents are memoized per instance.
 
     The int16 arrays add_np, mul_np, neg_np and inv_np (inv_np[0] = 0) are
-    the only tables; the scalar ops read them through one memoryview per
-    row, which returns Python ints."""
+    the only tables; inv reads one entry of inv_np as a Python int.  For
+    a >= 2 an element is a residue mod modulus, the lex-least monic
+    irreducible of degree a over F_p (lex_least_irreducible)."""
 
     def __init__(self, p: int, a: int = 1):
         if a < 1:
@@ -241,38 +179,31 @@ class BaseField:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p, self.a, self.q = p, a, q
+        i = np.arange(p, dtype=np.int32)  # products reach p^2 > 2^15
+        self.add_np = _digit_add_table((np.add.outer(i, i) % p).astype(np.int16), a)
         if a == 1:
             self.modulus = None
-            i = np.arange(p, dtype=np.int32)  # products reach p^2 > 2^15
-            self.add_np = (np.add.outer(i, i) % p).astype(np.int16)
             self.mul_np = (np.multiply.outer(i, i) % p).astype(np.int16)
         else:
-            prime = BaseField(p, 1)
-            self.modulus = lex_least_irreducible(prime, a)
-            self.add_np, self.mul_np = self._prime_power_tables(prime)
+            self.modulus = lex_least_irreducible(p, a)
+            self.mul_np = self._prime_power_product()
         self.neg_np = (self.add_np == 0).argmax(axis=1).astype(np.int16)
         self.inv_np = (self.mul_np == 1).argmax(axis=1).astype(np.int16)
-        self._add = [memoryview(row) for row in self.add_np]
-        self._mul = [memoryview(row) for row in self.mul_np]
-        self._neg, self._inv = memoryview(self.neg_np), memoryview(self.inv_np)
         self._traces = {}
 
-    def _prime_power_tables(self, prime):
-        """int16 add and mul tables of F_{p^a}, a >= 2: add as digit vectors
-        (_digit_add_table), mul as one gather of the doubled exp table of a
-        generator (_generator_powers) at log i + log j, with row and column
-        0 zeroed.
-        The sums are at most 2(q - 2) < 2^13, so every intermediate is q x q
-        int16."""
+    def _prime_power_product(self):
+        """The int16 mul table of F_{p^a}, a >= 2: one gather of the doubled
+        exp table of a generator (_generator_powers) at log i + log j, with
+        row and column 0 zeroed.  The sums are at most 2(q - 2) < 2^13, so
+        every intermediate is q x q int16."""
         q = self.q
-        add = _digit_add_table(prime.add_np, self.a)
         exp = self._generator_powers()
         log = np.zeros(q, dtype=np.int16)
         log[exp] = np.arange(q - 1, dtype=np.int16)
         mul = np.concatenate([exp, exp])[log[:, None] + log[None, :]]
         mul[0, :] = 0
         mul[:, 0] = 0
-        return add, mul
+        return mul
 
     def _generator_powers(self):
         """g^0, ..., g^{q-2} as an int16 array, g the first generator of
@@ -300,23 +231,10 @@ class BaseField:
                 return np.array(powers, dtype=np.int16)
         raise InternalInconsistency(f"no generator of F_{self.q}^* found")
 
-    # -- scalar ops on indices
-    def add(self, i, j):
-        return self._add[i][j]
-
-    def sub(self, i, j):
-        return self._add[i][self._neg[j]]
-
-    def neg(self, i):
-        return self._neg[i]
-
-    def mul(self, i, j):
-        return self._mul[i][j]
-
     def inv(self, i):
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._inv[i]
+        return int(self.inv_np[i])
 
     def from_int(self, k: int) -> int:
         return k % self.p

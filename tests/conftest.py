@@ -15,17 +15,7 @@ from grpalg.errors import (
     NotAssociative,
     NotSemisimple,
 )
-from grpalg.field import (
-    poly_deg,
-    poly_gcd,
-    poly_monic,
-    poly_mul,
-    poly_pow_mod,
-    poly_scale,
-    poly_sub,
-    poly_trim,
-    prime_factors,
-)
+from grpalg.field import prime_factors
 from grpalg.groups import (
     FiniteGroup,
     Subgroup,
@@ -329,31 +319,22 @@ def int_cyclotomic(n: int) -> list:
     return f
 
 
-def is_irreducible_reference(F, f) -> bool:
-    """Rabin's test: x^{q^s} = x mod f and gcd(x^{q^{s/l}} - x, f) = 1 for
-    every prime l | s.  The reference for field.is_irreducible, which is
-    Ben-Or's test on the shared distinct-degree loop."""
-    f = poly_monic(F, poly_trim(list(f)))
-    s = poly_deg(f)
-    if s < 1:
-        return False
-    if s == 1:
-        return True
-    if f[0] == 0:  # divisible by x
-        return False
-    x = [0, 1]
-    h = list(x)
-    powers = {}
-    for i in range(1, s + 1):
-        h = poly_pow_mod(F, h, F.q, f)
-        powers[i] = h
-    if poly_sub(F, powers[s], x):
-        return False
-    for ell in prime_factors(s):
-        g = poly_gcd(F, poly_sub(F, powers[s // ell], x), f)
-        if poly_deg(g) != 0:
-            return False
-    return True
+def monic_polynomials(p, s):
+    """Every monic polynomial of degree s over F_p, as a tuple of ints mod p,
+    low degree first."""
+    return [(*rest, 1) for rest in itertools.product(range(p), repeat=s)]
+
+
+def irreducibles_reference(p, s):
+    """The monic irreducibles of degree s >= 1 over F_p, as a set of tuples,
+    low degree first, by a sieve: every monic of degree s that is not a
+    product g·h of monics of degrees k and s - k, 1 <= k <= s/2, each
+    product one integer convolution mod p.  The reference for
+    field.is_irreducible, which is Ben-Or's test."""
+    products = {tuple(int(c) for c in np.convolve(g, h) % p)
+                for k in range(1, s // 2 + 1)
+                for g in monic_polynomials(p, k) for h in monic_polynomials(p, s - k)}
+    return set(monic_polynomials(p, s)) - products
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +445,7 @@ def convolution_reference(G, F, x, y):
     for g in range(G.order):
         for k in range(G.order):
             h = int(G.m[g, k])
-            out[h] = F.add(out[h], F.mul(int(x[g]), int(y[k])))
+            out[h] = int(F.add_np[out[h], F.mul_np[x[g], y[k]]])
     return np.array(out, dtype=np.int16)
 
 
@@ -740,7 +721,7 @@ def _minimal_polynomial_reference(G, F, z, e):
                 combo = F.add_np[combo, F.neg_np[F.mul_np[c, bc]]]
         nz = np.nonzero(v)[0]
         if nz.size == 0:
-            return poly_trim([int(c) for c in combo]), powers
+            return combo[:np.flatnonzero(combo)[-1] + 1], powers
         piv = int(nz[0])
         inv = F.inv(int(v[piv]))
         v = F.mul_np[inv, v]
@@ -779,10 +760,10 @@ def q_class_sums(G, q):
 
 
 def _poly_value(F, f, c):
-    """f(c) by Horner's rule, one scalar op at a time."""
+    """f(c) by Horner's rule, one table lookup at a time."""
     out = 0
     for a in reversed(f):
-        out = F.add(F.mul(out, c), a)
+        out = F.add_np[F.mul_np[out, c], a]
     return out
 
 
@@ -792,8 +773,9 @@ def center_split_reference(G, F):
     refined by every q-class sum z in turn, with no early stop, into the
     pieces L_c(z)·e for the roots c of the minimal polynomial of z on the
     block, found by trying every element of F_q, L_c the Lagrange
-    polynomial prod_{c' != c} (x - c')/(c - c') built by products of
-    linear factors.  The blocks' coefficient vectors, sorted as tuples."""
+    polynomial prod_{c' != c} (x - c')/(c - c') built one linear factor at
+    a time: times (x - c') is a shift plus a table product by -c'.  The
+    blocks' coefficient vectors, sorted as tuples."""
     if gcd(F.q, G.order) != 1:
         raise NotSemisimple(f"gcd({F.q}, {G.order}) != 1")
     blocks = [basis_vector(G, 0)]
@@ -801,17 +783,19 @@ def center_split_reference(G, F):
         refined = []
         for e in blocks:
             mp, powers = _minimal_polynomial_reference(G, F, z, e)
-            mp = poly_scale(F, F.inv(mp[-1]), mp)
+            mp = F.mul_np[F.inv(int(mp[-1])), mp]
             roots = [c for c in range(F.q) if _poly_value(F, mp, c) == 0]
-            if len(roots) < poly_deg(mp):
-                raise NotSemisimple(f"minimal polynomial {mp} (low degree first) has "
-                                    f"fewer than {poly_deg(mp)} distinct roots in F_{F.q}")
+            if len(roots) < len(mp) - 1:
+                raise NotSemisimple(f"minimal polynomial {mp.tolist()} (low degree first) "
+                                    f"has fewer than {len(mp) - 1} distinct roots in F_{F.q}")
             for c in roots:
-                lagrange = [1]
+                lagrange = np.ones(1, dtype=np.int16)
                 for other in roots:
                     if other != c:
-                        lagrange = poly_scale(F, F.inv(F.sub(c, other)),
-                                              poly_mul(F, lagrange, [F.neg(other), 1]))
+                        shifted = np.concatenate([[0], lagrange])
+                        times = np.concatenate([F.mul_np[F.neg_np[other], lagrange], [0]])
+                        scale = F.inv(int(F.add_np[c, F.neg_np[other]]))
+                        lagrange = F.mul_np[scale, F.add_np[shifted, times]]
                 acc = np.zeros(G.order, dtype=np.int16)
                 for i, a in enumerate(lagrange):
                     acc = F.add_np[acc, F.mul_np[a, powers[i]]]

@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import resource
@@ -10,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import (
     add_table_reference,
     full_product,
     int_cyclotomic,
-    is_irreducible_reference as is_irreducible,
+    irreducibles_reference,
+    monic_polynomials,
 )
 from grpalg.algebra import ideal_dimension
 from grpalg import field
@@ -27,30 +26,9 @@ from grpalg.field import (
     lex_least_irreducible,
     make_field,
     mult_order,
-    poly_divmod,
-    poly_mul,
-    poly_sub,
-    poly_trim,
     prime_factors,
 )
 from grpalg.groups import FiniteGroup
-
-
-def brute_irreducibles(F, s):
-    """All monic irreducibles of degree s over a prime field, by checking
-    for roots / low-degree divisors via exhaustive division."""
-    out = []
-    lower = {}
-    for d in range(1, s):
-        lower[d] = brute_irreducibles(F, d) if d > 1 else \
-            [(c, 1) for c in range(F.q)]
-    for coeffs in itertools.product(range(F.q), repeat=s):
-        f = list(coeffs) + [1]
-        if any(not poly_divmod(F, f, list(g))[1]
-               for d in range(1, s) for g in lower[d]):
-            continue
-        out.append(tuple(f))
-    return out
 
 
 def test_is_prime_small():
@@ -84,30 +62,29 @@ def test_base_field_requires_prime():
 
 
 def test_f4_f9_moduli_are_lex_least():
-    # oracle: enumerate all monic irreducibles and take the lex-least
-    f2, f3 = BaseField(2), BaseField(3)
-    assert BaseField(2, 2).modulus == min(brute_irreducibles(f2, 2))
+    # oracle: sieve out the products of lower-degree monics, take the lex-least
+    assert BaseField(2, 2).modulus == min(irreducibles_reference(2, 2))
     assert BaseField(2, 2).modulus == (1, 1, 1)          # x^2 + x + 1
-    assert BaseField(3, 2).modulus == min(brute_irreducibles(f3, 2))
+    assert BaseField(3, 2).modulus == min(irreducibles_reference(3, 2))
     assert BaseField(3, 2).modulus == (1, 0, 1)          # x^2 + 1
-    assert lex_least_irreducible(f2, 3) == min(brute_irreducibles(f2, 3))
+    assert lex_least_irreducible(2, 3) == min(irreducibles_reference(2, 3))
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_field_axioms_exhaustive(p, a):
+    """Every field axiom on every element, pair and triple, read on the
+    tables: x, y, z broadcast over the q elements."""
     F = BaseField(p, a)
-    els = range(F.q)
-    for x in els:
-        assert F.add(x, 0) == x and F.mul(x, 1) == x
-        assert F.add(x, F.neg(x)) == 0
-        if x:
-            assert F.mul(x, F.inv(x)) == 1
-        for y in els:
-            assert F.add(x, y) == F.add(y, x)
-            assert F.mul(x, y) == F.mul(y, x)
-            for z in els:
-                assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
-                assert F.add(x, F.add(y, z)) == F.add(F.add(x, y), z)
+    add, mul = F.add_np, F.mul_np
+    x = np.arange(F.q)
+    assert (add[x, 0] == x).all() and (mul[x, 1] == x).all()
+    assert (add[x, F.neg_np[x]] == 0).all()
+    assert (mul[x[1:], F.inv_np[x[1:]]] == 1).all()
+    assert all(F.inv(i) == F.inv_np[i] for i in x[1:])
+    assert (add == add.T).all() and (mul == mul.T).all()
+    y, z = x[:, None], x[:, None, None]
+    assert (mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]).all()
+    assert (add[x, add[y, z]] == add[add[x, y], z]).all()
 
 
 def schoolbook_rows(p, a, modulus, rows):
@@ -148,13 +125,10 @@ def test_prime_power_tables_match_naive_product(p, a):
     add, mul = naive_tables(p, a, F.modulus)
     assert F.add_np.dtype == F.mul_np.dtype == np.int16
     assert np.array_equal(F.add_np, add) and np.array_equal(F.mul_np, mul)
-    els = range(F.q)
-    assert [[F.add(i, j) for j in els] for i in els] == add.tolist()
-    assert [[F.mul(i, j) for j in els] for i in els] == mul.tolist()
     # negatives and inverses, checked against the naive tables as well
-    assert all(add[i, F.neg(i)] == 0 and F.neg_np[i] == F.neg(i) for i in els)
+    els = range(F.q)
+    assert all(add[i, F.neg_np[i]] == 0 for i in els)
     assert all(mul[i, F.inv(i)] == 1 and F.inv_np[i] == F.inv(i) for i in els[1:])
-    assert all(F.sub(i, j) == add[i, F.neg(j)] for i in els for j in (0, 1, F.q - 1))
 
 
 PRIME_POWERS_TO_4096 = [(p, a) for p in range(2, 65) if is_prime(p)
@@ -176,6 +150,41 @@ def test_add_table_matches_digit_loop(p, a):
     assert (F.mul_np[nonzero, F.inv_np[nonzero]] == 1).all()
 
 
+# The modulus of every F_{p^a} with a >= 2 under the order cap, low degree
+# first: it fixes the index of every element, and so every printed
+# coefficient of an idempotent over F_{p^a}
+MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 0, 1, 1), (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1), (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1), (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1), (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1), (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1), (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1), (5, 4): (1, 0, 1, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1),
+    (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1), (7, 4): (1, 0, 0, 1, 1),
+    (11, 2): (1, 0, 1), (11, 3): (1, 0, 4, 1), (13, 2): (1, 3, 1), (13, 3): (1, 0, 4, 1),
+    (17, 2): (1, 1, 1), (19, 2): (1, 0, 1), (23, 2): (1, 0, 1), (29, 2): (1, 1, 1),
+    (31, 2): (1, 0, 1), (37, 2): (1, 3, 1), (41, 2): (1, 1, 1), (43, 2): (1, 0, 1),
+    (47, 2): (1, 0, 1), (53, 2): (1, 1, 1), (59, 2): (1, 0, 1), (61, 2): (1, 5, 1),
+}
+
+
+def test_every_modulus_is_pinned():
+    """The modulus of each of the 40 fields F_{p^a}, a >= 2, p^a <= 4096,
+    is the pinned one, and for p^a <= 729 it is the lex-least polynomial
+    the sieve leaves.  BaseField, not the make_field cache, so no q x q
+    table outlives its field."""
+    assert sorted(MODULI) == sorted(PRIME_POWERS_TO_4096)
+    for (p, a), modulus in MODULI.items():
+        assert BaseField(p, a).modulus == modulus, (p, a)
+        if p ** a <= 729:
+            assert min(irreducibles_reference(p, a)) == modulus, (p, a)
+
+
 def test_reducible_modulus_finds_no_generator(monkeypatch):
     """Under the reducible x^2 + 1 = (x + 1)^2 over F_2, the orbit of 1
     under x returns after 2 steps and the orbit under 1 + x runs into 0 and
@@ -184,7 +193,7 @@ def test_reducible_modulus_finds_no_generator(monkeypatch):
     def timeout(*_):
         raise TimeoutError("generator walk did not stop")
 
-    monkeypatch.setattr(field, "lex_least_irreducible", lambda F, s: (1, 0, 1))
+    monkeypatch.setattr(field, "lex_least_irreducible", lambda p, s: (1, 0, 1))
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
@@ -259,7 +268,7 @@ def test_cyclotomic_traces_match_companion_matrix():
             assert not full_product(G, F, sub, e).any(), (p, a, n, ell)
         phi = np.zeros(n, dtype=np.int16)  # Phi_n(x), reduced by x^n = 1
         for k, c in enumerate(int_cyclotomic(n)):
-            phi[k % n] = F.add(phi[k % n], F.from_int(c))
+            phi[k % n] = F.add_np[phi[k % n], F.from_int(c)]
         assert not full_product(G, F, phi, e).any(), (p, a, n)
         assert ideal_dimension(G, F, e) == mult_order(n, F.q), (p, a, n)
     with pytest.raises(ValueError, match=r"^gcd\(6, 3\) != 1$"):
@@ -292,7 +301,7 @@ def test_trace_lift_rule():
                         or mult_order(n, F.q) != ell * mult_order(n // ell, F.q)):
                     continue
                 low = F.cyclotomic_traces(n // ell)
-                lifted = [F.mul(F.from_int(ell), low[k // ell]) if k % ell == 0 else 0
+                lifted = [F.mul_np[F.from_int(ell), low[k // ell]] if k % ell == 0 else 0
                           for k in range(n)]
                 assert equal_up_to_unit(F.cyclotomic_traces(n), lifted), (F.q, n, ell)
                 checked += 1
@@ -316,7 +325,7 @@ def test_trace_crt_rule():
                     continue
                 n, u, v = n1 * n2, pow(n2, -1, n1), pow(n1, -1, n2)
                 t1, t2 = F.cyclotomic_traces(n1), F.cyclotomic_traces(n2)
-                product = [F.mul(t1[u * k % n1], t2[v * k % n2]) for k in range(n)]
+                product = [F.mul_np[t1[u * k % n1], t2[v * k % n2]] for k in range(n)]
                 assert equal_up_to_unit(F.cyclotomic_traces(n), product), (F.q, n1, n2)
                 checked += 1
     assert checked > 50
@@ -383,41 +392,6 @@ def test_int_cyclotomic_known_values():
         assert prod == [-1] + [0] * (n - 1) + [1]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 4), min_size=2, max_size=7),
-       st.lists(st.integers(0, 4), min_size=1, max_size=5))
-def test_poly_divmod_roundtrip(f, g):
-    F = make_field(5)
-    g = poly_trim(g)
-    if not g:
-        return
-    q, r = poly_divmod(F, f, g)
-    recon = [0] * max(len(f), 1)
-    prod = poly_mul(F, q, g)
-    for i, c in enumerate(prod):
-        recon[i] = c
-    for i, c in enumerate(r):
-        recon[i] = F.add(recon[i], c)
-    assert poly_trim(recon) == poly_trim(list(f))
-    assert len(r) < len(g) or not r
-
-
-@pytest.mark.parametrize("p, a", [(3, 1), (2, 2)])
-def test_poly_divmod_by_sparse_binomials(p, a):
-    """Dense f of degree up to 600 divided by u·x^k + c with u != 0 and k up
-    to 300 (the shape of Phi_{2^j} = x^{2^(j-1)} + 1): q·g + r = f and
-    deg r < k."""
-    F = make_field(p, a)
-    rng = random.Random(p * 10 + a)
-    for _ in range(25):
-        k = rng.randint(1, 300)
-        g = [rng.randrange(F.q)] + [0] * (k - 1) + [rng.randrange(1, F.q)]
-        f = [rng.randrange(F.q) for _ in range(rng.randint(1, 601))]
-        q, r = poly_divmod(F, f, g)
-        assert poly_mul(F, g, q) == poly_sub(F, f, r)
-        assert len(r) <= k
-
-
 def test_root_of_unity_deterministic():
     # the root zeta the traces belong to must not depend on the field
     # instance, nor on the traces computed on it before
@@ -431,16 +405,15 @@ def test_root_of_unity_deterministic():
     assert F.cyclotomic_traces(27) == BaseField(2, 2).cyclotomic_traces(27)
 
 
-@pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2)])
-def test_ben_or_matches_rabin(p, a):
-    """field.is_irreducible (Ben-Or, on the shared distinct-degree loop)
-    against the reference Rabin test on every monic polynomial of degree
-    1-4, squarefree or not: lex_least_irreducible feeds it both kinds."""
-    F = BaseField(p, a)
-    for s in range(1, 5):
-        for coeffs in itertools.product(range(F.q), repeat=s):
-            f = [*coeffs, 1]
-            assert field.is_irreducible(F, f) == is_irreducible(F, f), f
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 6), (5, 4)])
+def test_ben_or_matches_sieve(p, top):
+    """field.is_irreducible (Ben-Or) against the sieve on every monic
+    polynomial over F_p of degree 1 to top, squarefree or not:
+    lex_least_irreducible feeds it both kinds."""
+    for s in range(1, top + 1):
+        irreducible = irreducibles_reference(p, s)
+        for f in monic_polynomials(p, s):
+            assert field.is_irreducible(p, f) == (f in irreducible), f
 
 
 def test_tower_extension_cached():
