@@ -83,7 +83,7 @@ class FiniteGroup:
         if witness is not None:
             x, a, y = witness
             raise NotAssociative(f"({x}*{a})*{y} != {x}*({a}*{y})")
-        labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(n))
+        labels = tuple(f"g{i}" for i in range(n)) if labels is None else tuple(labels)
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} elements")
         self.order = n

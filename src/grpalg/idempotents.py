@@ -23,6 +23,13 @@ stabilizer E = {g : m(g) in <q>}, and one component M_{[G:A]}(F_{q^l}),
 l = o/[E:A] for o the order of q mod n.
 Every choice (the element that joins A next, the D of a class, the coset
 of an orbit) is the least one; the idempotents do not depend on it.
+What does not involve q is computed once per group object and kept in
+G._cache: the triples, each (A, D)'s N_G(D) and multipliers, and each
+stabilizer E's transversal and conjugation gather.  The orbits and E
+depend on q only through q mod n, as <q> is the subgroup of the units
+mod n that q mod n generates, and are cached per (A, D, q mod n); so a
+group shared by several q, or by the engine and the fast path, reuses
+them.
 triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
 The engine, the fast path and the checks take (G, F) and compute on int16
@@ -72,8 +79,8 @@ PRODUCT_BLOCK = 256  # support rows per gather in _central_product: 256·k int32
 def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
     """For H normal in K with K/H cyclic of order n: returns (n, gen, e)
     where gen is the least element of K whose order modulo H is n, and e
-    maps each k in K to the discrete log of kH base gen (an int array over
-    G, -1 outside K).  Cached per (K, H).
+    maps each k in K to the discrete log of kH base gen (an int32 array
+    over G, -1 outside K).  Cached per (K, H).
 
     kH has order n iff (kH)^(n/p) != H for every prime p | n; those powers
     are taken for all of K at once."""
@@ -89,7 +96,7 @@ def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
     if not ok.any():
         raise InternalInconsistency(f"quotient of order {n} is not cyclic")
     gen = int(ks[ok.argmax()])
-    e = np.full(G.order, -1)
+    e = np.full(G.order, -1, dtype=np.int32)
     e[G.m[np.ix_(powers(G, gen)[:n], H.members)]] = np.arange(n)[:, None]
     G._cache[key] = out = (n, gen, e)
     return out
@@ -108,23 +115,35 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
     E = {g in N_G(H) : m(g) in <q>}.  K must contain G', so that it is
     normal and N_G(H) ∩ N_G(K) = N_G(H); the engine's A contains G'N and
     the fast path's <a, b^{o_v}> contains <a> ⊇ G'.  Returns (js, E), js
-    the least unit of each orbit in increasing order (js = [0] for n = 1,
-    as gcd(0, 1) = 1)."""
+    a fresh list of the least unit of each orbit in increasing order
+    (js = [0] for n = 1, as gcd(0, 1) = 1).
+
+    Cached on G: N_G(H) and its multipliers per (K, H), as they do not
+    involve q, and (js, E) per (K, H, q mod n), as <q> is the subgroup of
+    the units mod n that q mod n generates.  Equal stabilizers are one
+    object, keyed by their members, as are ec_idempotent's conjugators."""
     n, gen, e = cyclic_quotient_data(G, K, H)
-    acting = np.flatnonzero(mask(G, normalizer(G, H)))
-    x = G.m[G.m[G.inv_np[acting], gen], acting]  # g^-1 gen g
-    if not mask(G, K)[x].all():
-        raise InternalInconsistency("normalizer element does not stabilize K")
-    mult = e[x]
-    in_q = np.zeros(n, dtype=bool)
-    in_q[[pow(q, i, n) for i in range(mult_order(n, q))]] = True
-    M = np.unique(np.flatnonzero(in_q)[:, None] * np.unique(mult) % n)
-    js, seen = [], set()
-    for u in range(n):
-        if gcd(u, n) == 1 and u not in seen:
-            js.append(u)
-            seen.update((u * M % n).tolist())
-    return js, Subgroup(G, acting[in_q[mult]].tolist())
+    key = ("coset_orbits", K.members, H.members, q % n)
+    if key not in G._cache:
+        if ("multipliers", K.members, H.members) not in G._cache:
+            acting = np.flatnonzero(mask(G, normalizer(G, H))).astype(np.int32)
+            x = G.m[G.m[G.inv_np[acting], gen], acting]  # g^-1 gen g
+            if not mask(G, K)[x].all():
+                raise InternalInconsistency("normalizer element does not stabilize K")
+            G._cache["multipliers", K.members, H.members] = acting, e[x]
+        acting, mult = G._cache["multipliers", K.members, H.members]
+        in_q = np.zeros(n, dtype=bool)
+        in_q[[pow(q, i, n) for i in range(mult_order(n, q))]] = True
+        M = np.unique(np.flatnonzero(in_q)[:, None] * np.unique(mult) % n)
+        js, seen = [], set()
+        for u in range(n):
+            if gcd(u, n) == 1 and u not in seen:
+                js.append(u)
+                seen.update((u * M % n).tolist())
+        E = Subgroup(G, acting[in_q[mult]].tolist())
+        G._cache[key] = tuple(js), G._cache.setdefault(("stabilizer", E.members), E)
+    js, E = G._cache[key]
+    return list(js), E
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +170,13 @@ def ec_idempotent(G: FiniteGroup, F: BaseField, K: Subgroup, H: Subgroup,
     G-conjugates of the (K, H, j) idempotent, one per right coset of its
     centralizer E, the g in N_G(H) whose multiplier lies in <q>
     (coset_orbits); row i of one gather is the conjugate x_i^-1·eps·x_i,
-    coefficients eps[x_i h x_i^-1]."""
-    xs = np.array(transversal(G, E))
-    rows = epsilon_idempotent(G, F, K, H, j)[G.m[G.m[xs], G.inv_np[xs][:, None]]]
+    coefficients eps[x_i h x_i^-1].  The x_i and the gather's index array
+    do not involve K, H or F, and are cached on G per E."""
+    if ("conjugators", E.members) not in G._cache:
+        xs = np.array(transversal(G, E))
+        G._cache["conjugators", E.members] = xs, G.m[G.m[xs], G.inv_np[xs][:, None]]
+    xs, conjugators = G._cache["conjugators", E.members]
+    rows = epsilon_idempotent(G, F, K, H, j)[conjugators]
     # one void scalar per row: np.unique(rows, axis=0) builds a field per column
     as_bytes = rows.view(f"V{rows.itemsize * G.order}")[:, 0]
     _, first, which = np.unique(as_bytes, return_index=True, return_inverse=True)

@@ -77,15 +77,19 @@ def element_index(params: MetacyclicParams, i: int, j: int) -> int:
 
 def triple_subgroup(G: FiniteGroup, params: MetacyclicParams,
                     v: int, i: int, c: int) -> Subgroup:
-    """H_{v,i,c} = <a^v, a^i b^c> as an explicit subgroup."""
-    g1 = element_index(params, v, 0)
-    g2 = element_index(params, i, c)
-    H = subgroup_closure(G, [g1, g2])
-    expected = params.order // (v * c)
-    if H.order != expected:
-        raise InternalInconsistency(
-            f"|H_({v},{i},{c})| = {H.order}, expected {expected}")
-    return H
+    """H_{v,i,c} = <a^v, a^i b^c> as an explicit subgroup, cached on G
+    per (params, v, i, c) once its order is checked."""
+    key = ("triple_subgroup", params, v, i, c)
+    if key not in G._cache:
+        g1 = element_index(params, v, 0)
+        g2 = element_index(params, i, c)
+        H = subgroup_closure(G, [g1, g2])
+        expected = params.order // (v * c)
+        if H.order != expected:
+            raise InternalInconsistency(
+                f"|H_({v},{i},{c})| = {H.order}, expected {expected}")
+        G._cache[key] = H
+    return G._cache[key]
 
 
 def x_triples(params: MetacyclicParams, v: int, i: int, c: int):

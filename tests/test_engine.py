@@ -28,7 +28,7 @@ from conftest import (
     shoda_triples_reference,
     validate_reference,
 )
-from grpalg import idempotents
+from grpalg import idempotents, metacyclic
 from grpalg.algebra import AlgebraElement, to_str
 from grpalg.errors import (
     InternalInconsistency,
@@ -344,6 +344,69 @@ def test_coset_choice_independence():
                 assert len(set(key.values())) == len(js)
                 cases += 1
     assert cases > 200
+
+
+def test_coset_orbits_cached_per_class_mod_n():
+    """coset_orbits gives q and q + n one cached (js, E), E the same object;
+    a q' in another class mod n gets the loop reference's own answer; and
+    a caller that mutates the returned js does not reach the cache."""
+    others = 0
+    for source in corpus_groups() + ALL_METACYCLIC:
+        for G, K, H in _coset_cases(source):
+            n = K.order // H.order
+            for q in (q for q in (2, 3, 5, 7) if gcd(q, n) == 1):
+                js, E = coset_orbits(G, K, H, q)
+                js.append(-1)
+                js2, E2 = coset_orbits(G, K, H, q + n)
+                assert E2 is E
+                assert (js2, E2) == coset_orbits_reference(G, K, H, q)
+                units = [u for u in range(n) if gcd(u, n) == 1 and u != q % n]
+                if units:
+                    assert coset_orbits(G, K, H, units[0]) == \
+                        coset_orbits_reference(G, K, H, units[0])
+                    others += 1
+    assert others > 100
+
+
+# q = p^a in {2, 3, 4, 5, 7, 8, 9, 11, 13}, as (p, a)
+CACHE_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1))
+
+
+def _shared_groups():
+    """One object per corpus group and per ALL_METACYCLIC presentation, with
+    the paths that run on it: the engine always, and the fast path when
+    params.group() is that object."""
+    out = {}
+    for G in corpus_groups() + [MetacyclicParams(*t).group() for t in ALL_METACYCLIC]:
+        fast = "params" in G.meta and MetacyclicParams(*G.meta["params"]).group() is G
+        out[id(G)] = G, ("engine", "fast") if fast else ("engine",)
+    return list(out.values())
+
+
+def _components(path, G, F):
+    """(d, l, j, triple key, idempotent coefficients) of each component,
+    in the order the path returns them."""
+    _, descriptors = (decompose(G, F) if path == "engine" else
+                      metacyclic_decompose(MetacyclicParams(*G.meta["params"]), F))
+    return [(dsc.d, dsc.l, dsc.j, dsc.triple.key(), dsc.idempotent.coeffs.tolist())
+            for dsc in descriptors]
+
+
+@pytest.mark.parametrize("shared", _shared_groups(), ids=lambda s: s[0].name)
+def test_group_caches_match_fresh_groups(shared, monkeypatch):
+    """One group object serves both paths over every coprime q of CACHE_FIELDS,
+    in a seeded shuffled order of (q, path), so each run finds what the
+    runs before it left in G._cache; each result equals, component by
+    component, the one from a fresh group object and a fresh field, built
+    past the lru caches of the constructors."""
+    G, paths = shared
+    runs = [(pa, path) for pa in CACHE_FIELDS if G.order % pa[0] for path in paths]
+    random.Random(G.order).shuffle(runs)
+    warm = [_components(path, G, make_field(*pa)) for pa, path in runs]
+    monkeypatch.setattr(metacyclic, "metacyclic_group", metacyclic_group.__wrapped__)
+    for (pa, path), got in zip(runs, warm):
+        fresh = FiniteGroup(G.m, labels=G.labels, name=G.name, meta=G.meta)
+        assert got == _components(path, fresh, make_field.__wrapped__(*pa))
 
 
 @pytest.mark.parametrize("tup", [(3, 6, 0, 2), (4, 4, 2, 3), (4, 8, 0, 3)],

@@ -104,8 +104,9 @@ def test_table_validation_errors():
     for table, error, message in BAD_TABLES.values():
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             FiniteGroup(table)
-    # one label short, one too many: each would break rendering later
-    for labels in (["e"], ["e", "x", "y"]):
+    # none, one label short, one too many: each would break rendering
+    # later; only labels=None means the default g0, g1, ...
+    for labels in ([], ["e"], ["e", "x", "y"]):
         with pytest.raises(ValueError, match=f"^{len(labels)} labels for 2 elements$"):
             FiniteGroup([[0, 1], [1, 0]], labels=labels)
 
