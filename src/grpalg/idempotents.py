@@ -34,9 +34,12 @@ triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
 The engine, the fast path and the checks take (G, F) and compute on int16
 coefficient arrays; triple_components wraps each idempotent as the
-read-only AlgebraElement a descriptor holds.  _validate checks them; its
-products of central elements run in class coordinates
-(groups.class_structure, which the oracle reads too).
+read-only AlgebraElement a descriptor holds.  _validate checks them: each
+is nonzero, central and spans an ideal of its claimed dimension d²l, and
+with the dimensions adding up to |G| and the sum 1 those ranks prove every
+idempotency and orthogonality (Cochran's theorem), so an intact answer
+takes one product e·e at most.  Its products of central elements run in
+class coordinates (groups.class_structure, which the oracle reads too).
 WedderburnSummary is the result type of the engine, the fast path and the
 closed forms (families), and the one writer of its table, its algebra and
 its automorphism group.
@@ -436,43 +439,79 @@ def _central_product(F: BaseField, idx, e, w):
 
 
 def _validate(G: FiniteGroup, F: BaseField, descriptors):
+    """Raise InvariantViolation unless the descriptors' idempotents are
+    nonzero, central, idempotent and pairwise orthogonal, sum to 1, and
+    span ideals of dimension d²l that add up to |G|.  The verdict and
+    witness are those of the full loop, conftest.validate_reference.
+
+    An intact decomposition needs no product e·e but one.  Let A_i be
+    right multiplication by e_i on V = F_q[G]; its rank is dim F_q[G]·e_i.
+    If Σ A_i = A_{Σe_i} = I and Σ rank A_i = dim V, then V = ⊕ im A_i, as
+    v = Σ A_i v; and A_j v = Σ_i A_i A_j v, read in that direct sum, gives
+    A_i A_j v = 0 (i ≠ j) and A_j A_j v = A_j v (Cochran's theorem in its
+    linear-algebra form: Anderson and Styan, 1982).  At v = 1 that reads
+    e_j·e_i = 0 and e_j·e_j = e_j.  So once each rank equals its claimed
+    d²l, the claims add up to |G| and the idempotents sum to 1, every one
+    is idempotent and every pair orthogonal.
+
+    The one exception: a component with 2·d²l > |G| (at most one, as the
+    dimensions add up to |G|) reads its rank as |G| − dim F_q[G](1 − e),
+    the smaller rank.  That is dim F_q[G]·e only when e·e = e, where
+    F_q[G] = F_q[G]e ⊕ F_q[G](1 − e); so its product is checked first.
+    Without it, (e0 + 2e1, −e1, e2) over F_5[S_3], e0 the component of
+    dimension 4, would pass: every rank and the sum read as for
+    (e0, e1, e2).
+
+    On a failure the products run after all, to name what the full loop
+    names first: an e_j·e_j ≠ e_j at an earlier component (or at the
+    component itself, for a rank), and for a sum other than 1 every
+    component's, then the pairs, then the sum.  Central elements are known
+    by their class coordinates w = e[reps], so these are products in those
+    coordinates."""
     def fail(name, witness):
         raise InvariantViolation(name, witness)
 
     dimension = sum(dsc.dim for dsc in descriptors)
     if dimension != G.order:
         fail("dimension_sum", {"got": dimension, "expected": G.order})
-    # a central element is known by its class coordinates w = e[reps], so
-    # once e is central, e·e and e_i·e_j are products in those coordinates
     class_of, reps, idx = class_structure(G)
     es = [dsc.idempotent.coeffs for dsc in descriptors]
     ws = [e[reps] for e in es]
+
+    def idempotent(j):
+        return np.array_equal(_central_product(F, idx, es[j], ws[j]), ws[j])
+
+    def check_idempotent(stop):
+        for j in range(stop):
+            if not idempotent(j):
+                fail("idempotent", {"component": j})
+
     for i, (dsc, e, w) in enumerate(zip(descriptors, es, ws)):
         if not e.any():
+            check_idempotent(i)
             fail("nonzero", {"component": i})
         if not np.array_equal(w[class_of], e):  # constant on each class
+            check_idempotent(i)
             fail("central", {"component": i})
-        if not np.array_equal(_central_product(F, idx, e, w), w):
-            fail("idempotent", {"component": i})
-        # e·e = e, so F_q[G] = F_q[G]e ⊕ F_q[G](1 − e) and dim F_q[G]e is
-        # |G| − dim F_q[G](1 − e); the claimed d²l only picks the side whose
-        # rank is the smaller, and either side gives dim F_q[G]e exactly
         if 2 * dsc.dim > G.order:
+            if not idempotent(i):
+                check_idempotent(i)
+                fail("idempotent", {"component": i})
             rest = F.neg_np[e]
             rest[0] = F.add_np[1, rest[0]]
             dim = G.order - ideal_dimension(G, F, rest)
         else:
             dim = ideal_dimension(G, F, e)
         if dim != dsc.dim:
+            check_idempotent(i + 1)
             fail("ideal_dimension", {"component": i, "got": dim, "expected": dsc.dim})
     total = F.sum_rows(es)
-    is_one = total[0] == 1 and not total[1:].any()
-    # the ranks d²l add up to |G|, so idempotents with sum 1 span
-    # F_q[G] = ⊕ F_q[G]e_i, and e_j = sum_i e_j·e_i gives e_j·e_i = 0 (i != j)
-    if not is_one:
-        # e_j·e_i = e_i·e_j for central idempotents: one product a pair
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                if _central_product(F, idx, es[i], ws[j]).any():
-                    fail("orthogonal", {"components": (i, j)})
-        fail("sum_to_one", {"sum": to_str(G, F, total)})
+    if total[0] == 1 and not total[1:].any():
+        return
+    check_idempotent(len(es))
+    # e_j·e_i = e_i·e_j for central idempotents: one product a pair
+    for i in range(len(es)):
+        for j in range(i + 1, len(es)):
+            if _central_product(F, idx, es[i], ws[j]).any():
+                fail("orthogonal", {"components": (i, j)})
+    fail("sum_to_one", {"sum": to_str(G, F, total)})

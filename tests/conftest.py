@@ -261,10 +261,14 @@ def random_metabelian_groups(count, seed, max_order=64):
 
 
 def validate_reference(G, F, descriptors):
-    """_validate with the pairwise orthogonality loop run on every input:
-    the reference for the lemma that lets _validate skip it.  Its products
-    are full_product and its centrality test is_central, both by the
-    definition, so it shares no class structure with _validate."""
+    """_validate with every product run on every input: each e·e = e
+    before each component's rank, and the pairwise orthogonality loop.  It
+    is the reference for the rank-count lemma (Cochran's theorem, in
+    _validate's docstring) that lets _validate skip both, and so for its
+    verdicts and witnesses.  Its ranks are all direct, ideal_dimension(e),
+    never |G| − dim F_q[G](1 − e); its products are full_product and its
+    centrality test is_central, both by the definition, so it shares no
+    class structure with _validate."""
     def fail(name, witness):
         raise InvariantViolation(name, witness)
 

@@ -29,7 +29,7 @@ from conftest import (
     validate_reference,
 )
 from grpalg import idempotents, metacyclic
-from grpalg.algebra import AlgebraElement, to_str
+from grpalg.algebra import AlgebraElement, ideal_dimension, to_str
 from grpalg.errors import (
     InternalInconsistency,
     InvariantViolation,
@@ -595,10 +595,30 @@ def test_validate_matches_full_loop_reference(G):
             x[outside[0]] = 1
             cases["non-central"] = ds[:-1] + [dataclasses.replace(
                 last, idempotent=AlgebraElement(x))]
+        # the component over half of |G| moved second, which leaves the
+        # decomposition intact; then e_j → −e_j and e_big → e_big + 2e_j
+        # keep the sum 1 and every rank, so only e_big's product catches
+        # them: for odd q neither is idempotent, and the full loop names
+        # the earlier of the two
+        big = [dsc for dsc in ds if 2 * dsc.dim > G.order]
+        flips = {}
+        if big and q % 2 and len(ds) > 2:
+            others = [dsc for dsc in ds if dsc is not big[0]]
+            cases["reordered"] = reordered = [others[0], big[0]] + others[1:]
+            for j, where in ((0, "before"), (len(ds) - 1, "after")):
+                e_j = reordered[j].idempotent.coeffs
+                flipped = list(reordered)
+                flipped[j] = dataclasses.replace(
+                    reordered[j], idempotent=AlgebraElement(F.neg_np[e_j]))
+                flipped[1] = dataclasses.replace(big[0], idempotent=AlgebraElement(
+                    F.add_np[big[0].idempotent.coeffs, F.mul_np[2, e_j]]))
+                cases[f"sign-flip {where}"] = flipped
+                flips[f"sign-flip {where}"] = ("idempotent", {"component": min(j, 1)})
         for name, descriptors in cases.items():
             want = _verdict(validate_reference, G, F, descriptors)
             assert _verdict(_validate, G, F, descriptors) == want, (q, name)
-            assert (want is None) == (name in ("intact", "merged")), (q, name)
+            assert (want is None) == (name in ("intact", "merged", "reordered")), (q, name)
+            assert want == flips.get(name, want), (q, name)
 
 
 def test_summarize_names_corruptions_of_random_groups():
@@ -646,6 +666,54 @@ def test_summarize_names_corruptions_of_random_groups():
                     (invariant, witness), (G.name, q)
                 seen.add(invariant)
     assert seen == {"central", "idempotent", "ideal_dimension", "dimension_sum"}
+
+
+def test_complement_rank_needs_its_product():
+    """(e0 + 2e1, 4e1, e2) over F_5[S3], e0 the component of dimension 4:
+    the direct ranks of the last two, the complement rank
+    |G| − dim F_q[G](1 − e) of the first and the sum all read as for
+    (e0, e1, e2), yet the first two are not idempotent (the direct rank of
+    the first is 5).  So _validate keeps the product e·e of a component
+    over half of |G|, and names component 0 as the full loop does."""
+    F = make_field(5)
+    _, ds = decompose(S3, F)
+    assert [dsc.dim for dsc in ds] == [4, 1, 1]
+    e0, e1, e2 = (dsc.idempotent.coeffs for dsc in ds)
+    f0, f1 = F.add_np[e0, F.mul_np[2, e1]], F.mul_np[4, e1]
+    rest = F.neg_np[f0]
+    rest[0] = F.add_np[1, rest[0]]
+    assert S3.order - ideal_dimension(S3, F, rest) == 4
+    assert ideal_dimension(S3, F, f1) == ideal_dimension(S3, F, e2) == 1
+    assert ideal_dimension(S3, F, f0) == 5
+    assert np.array_equal(F.sum_rows([f0, f1, e2]), basis_vector(S3, 0))
+    assert not is_idempotent(S3, F, f0) and not is_idempotent(S3, F, f1)
+    corrupted = [dataclasses.replace(dsc, idempotent=AlgebraElement(f))
+                 for dsc, f in zip(ds, (f0, f1, e2))]
+    want = ("idempotent", {"component": 0})
+    assert _verdict(validate_reference, S3, F, corrupted) == want
+    assert _verdict(_validate, S3, F, corrupted) == want
+
+
+def test_intact_decomposition_costs_at_most_one_product(monkeypatch):
+    """The ranks, their sum and the sum of the idempotents certify an
+    intact decomposition (Cochran's theorem, _validate's docstring): it
+    takes one product e·e, for the component over half of |G| when there
+    is one, and none otherwise, as for all 41 components of Z_3^4/F_2.
+    Over every corpus group and two primes."""
+    calls = []
+    product = idempotents._central_product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(idempotents, "_central_product", counted)
+    cases = [(G, q) for G in corpus_groups() for q in [p for p in PRIMES if G.order % p][:2]]
+    for G, q in cases + [(elementary_abelian(3, 4), 2)]:
+        calls.clear()
+        _, ds = decompose(G, make_field(q))
+        assert len(calls) == any(2 * dsc.dim > G.order for dsc in ds), (G.name, q)
+    assert len(ds) == 41 and calls == []
 
 
 @pytest.mark.parametrize("invariant", ["dimension_sum", "nonzero", "idempotent",
