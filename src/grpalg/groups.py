@@ -1,6 +1,6 @@
 """Finite groups as explicit multiplication tables, plus the subgroup
 machinery the engine needs, all computed inside G itself: closures,
-conjugacy, normalizers, and the subgroups A over a normal N with A/N
+conjugacy, conjugation tables, and the subgroups A over a normal N with A/N
 maximal abelian over (G/N)'.  No quotient group and no subgroup lattice is
 ever built: the engine takes its normal subgroups from character kernels,
 whose cores it reads off their conjugates (idempotents.shoda_triples).
@@ -205,14 +205,6 @@ def derived_subgroup(G) -> Subgroup:
     return H
 
 
-def normalizer(G, H: Subgroup) -> Subgroup:
-    """The g in G with g^-1 s g in H for every s in generators of H; as
-    conjugation by g is a homomorphism, that puts g^-1 H g inside H."""
-    s = generators(G.m, H.members)
-    conj = G.m[G.m[np.ix_(G.inv_np, s)], np.arange(G.order)[:, None]]
-    return Subgroup(G, np.flatnonzero(mask(G, H)[conj].all(axis=1)).tolist())
-
-
 def is_metabelian(G) -> bool:
     if "metabelian" not in G._cache:
         h = derived_subgroup(G).members
@@ -240,7 +232,10 @@ def class_structure(G):
             class_of[M[M[inv, g], xs]] = len(reps)  # x^-1 g x for every x
             reps.append(g)
     reps = np.array(reps)
-    G._cache["class_structure"] = out = (class_of, reps, class_of[M.take(reps, axis=1)[inv]])
+    idx = np.empty((G.order, reps.size), dtype=np.int32)
+    for b in range(0, G.order, 256):  # 256 rows at a time: one |G| x k array at most
+        idx[b:b + 256] = class_of[M[np.ix_(inv[b:b + 256], reps)]]
+    G._cache["class_structure"] = out = (class_of, reps, idx)
     return out
 
 
@@ -274,6 +269,17 @@ def transversal(G, H: Subgroup):
             out.append(g)
             covered[G.m[list(H.members), g]] = True
     return out
+
+
+def conjugation_table(G, A: Subgroup):
+    """The [G:A] x |G| int32 array conj[i, h] = t_i·h·t_i^-1, t_i over
+    transversal(G, A) (t_0 = 1), cached on G per A; x[conj[i]] are the
+    coefficients of t_i^-1·x·t_i."""
+    key = ("conjugation", A.members)
+    if key not in G._cache:
+        ts = np.array(transversal(G, A))
+        G._cache[key] = G.m[G.m[ts], G.inv_np[ts][:, None]]
+    return G._cache[key]
 
 
 def maximal_abelian_over_derived(G, N: Subgroup) -> Subgroup:

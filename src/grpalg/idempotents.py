@@ -14,22 +14,20 @@ quotient group and no subgroup lattice (shoda_triples):
 Each (N, A) pair and its character kernels are built once and serve both
 the closure and the D-classes.
 Let m(g) be the multiplier by which g in N_G(D) acts on the cyclic
-quotient A/D of order n (A contains G', so it is normal), read for all of
-N_G(D) in one gather over the int32 table G.m.  Each triple, together with
-an orbit of the units mod n under M = <q>·m(N_G(D)), yields one primitive
-central idempotent e_C, C = j·<q> for the least unit j of the orbit, as a
-sum of conjugates of a trace-twisted coset sum, one per coset of the
-stabilizer E = {g : m(g) in <q>}, and one component M_{[G:A]}(F_{q^l}),
-l = o/[E:A] for o the order of q mod n.
+quotient A/D of order n (A contains G', so it is normal).  Each triple
+and orbit of the units mod n under M = <q>·m(N_G(D)) yield one primitive
+central idempotent e_C, C = j·<q> for the least unit j of the orbit, the
+sum of the distinct G-conjugates of a trace-twisted coset sum, and one
+component M_{[G:A]}(F_{q^l}), l = o/[E:A] for o = ord_n(q) and E the
+stabilizer of C.  Every conjugate is a row of groups.conjugation_table(G, A).
 Every choice (the element that joins A next, the D of a class, the coset
 of an orbit) is the least one; the idempotents do not depend on it.
 What does not involve q is computed once per group object and kept in
-G._cache: the triples, each (A, D)'s N_G(D) and multipliers, and each
-stabilizer E's transversal and conjugation gather.  The orbits and E
-depend on q only through q mod n, as <q> is the subgroup of the units
-mod n that q mod n generates, and are cached per (A, D, q mod n); so a
-group shared by several q, or by the engine and the fast path, reuses
-them.
+G._cache: the triples, each A's conjugation table and each (A, D)'s
+multipliers.  The orbits and [E:A] depend on q only through q mod n, as
+<q> is the subgroup of the units mod n that q mod n generates, and are
+cached per (A, D, q mod n); so a group shared by several q, or by the
+engine and the fast path, reuses them.
 triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
 The engine, the fast path and the checks take (G, F) and compute on int16
@@ -64,12 +62,11 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     class_structure,
+    conjugation_table,
     is_metabelian,
     mask,
     maximal_abelian_over_derived,
-    normalizer,
     powers,
-    transversal,
 )
 
 PRODUCT_BLOCK = 256  # support rows per gather in _central_product: 256·k int32 at most
@@ -117,24 +114,26 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
     M = <q>·m(N_G(H)), and every coset has the stabilizer
     E = {g in N_G(H) : m(g) in <q>}.  K must contain G', so that it is
     normal and N_G(H) ∩ N_G(K) = N_G(H); the engine's A contains G'N and
-    the fast path's <a, b^{o_v}> contains <a> ⊇ G'.  Returns (js, E), js
+    the fast path's <a, b^{o_v}> contains <a> ⊇ G'.  Returns (js, ind), js
     a fresh list of the least unit of each orbit in increasing order
-    (js = [0] for n = 1, as gcd(0, 1) = 1).
+    (js = [0] for n = 1, as gcd(0, 1) = 1) and ind = [E:K].
 
-    Cached on G: N_G(H) and its multipliers per (K, H), as they do not
-    involve q, and (js, E) per (K, H, q mod n), as <q> is the subgroup of
-    the units mod n that q mod n generates.  Equal stabilizers are one
-    object, keyed by their members, as are ec_idempotent's conjugators."""
+    Read off the rows t of conjugation_table(G, K) with t·H·t^-1 ⊆ H, the
+    cosets K·t that make up N_G(H) (K normalizes H).  Row t reads
+    m(t^-1) = m(t)^-1 at gen, which changes neither M nor membership in
+    <q>; m(a·t) = m(t) for a in K, as K/H is abelian and t normalizes H, so
+    ind counts the kept rows whose multiplier lies in <q>.  Cached on G:
+    the multipliers per (K, H), and (js, ind) per (K, H, q mod n)."""
     n, gen, e = cyclic_quotient_data(G, K, H)
     key = ("coset_orbits", K.members, H.members, q % n)
     if key not in G._cache:
         if ("multipliers", K.members, H.members) not in G._cache:
-            acting = np.flatnonzero(mask(G, normalizer(G, H))).astype(np.int32)
-            x = G.m[G.m[G.inv_np[acting], gen], acting]  # g^-1 gen g
-            if not mask(G, K)[x].all():
+            conj = conjugation_table(G, K)
+            mult = e[conj[mask(G, H)[conj[:, list(H.members)]].all(axis=1), gen]]
+            if (mult < 0).any():  # e is -1 off K
                 raise InternalInconsistency("normalizer element does not stabilize K")
-            G._cache["multipliers", K.members, H.members] = acting, e[x]
-        acting, mult = G._cache["multipliers", K.members, H.members]
+            G._cache["multipliers", K.members, H.members] = mult
+        mult = G._cache["multipliers", K.members, H.members]
         in_q = np.zeros(n, dtype=bool)
         in_q[[pow(q, i, n) for i in range(mult_order(n, q))]] = True
         M = np.unique(np.flatnonzero(in_q)[:, None] * np.unique(mult) % n)
@@ -143,10 +142,9 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
             if gcd(u, n) == 1 and u not in seen:
                 js.append(u)
                 seen.update((u * M % n).tolist())
-        E = Subgroup(G, acting[in_q[mult]].tolist())
-        G._cache[key] = tuple(js), G._cache.setdefault(("stabilizer", E.members), E)
-    js, E = G._cache[key]
-    return list(js), E
+        G._cache[key] = tuple(js), int(in_q[mult].sum())
+    js, ind = G._cache[key]
+    return list(js), ind
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +166,23 @@ def epsilon_idempotent(G: FiniteGroup, F: BaseField, K: Subgroup, H: Subgroup, j
 
 
 def ec_idempotent(G: FiniteGroup, F: BaseField, K: Subgroup, H: Subgroup,
-                  j: int, E: Subgroup):
+                  j: int, ind: int):
     """The coefficients of e_C(G, K, H) for C = j·<q>: the sum of the
-    G-conjugates of the (K, H, j) idempotent, one per right coset of its
-    centralizer E, the g in N_G(H) whose multiplier lies in <q>
-    (coset_orbits); row i of one gather is the conjugate x_i^-1·eps·x_i,
-    coefficients eps[x_i h x_i^-1].  The x_i and the gather's index array
-    do not involve K, H or F, and are cached on G per E."""
-    if ("conjugators", E.members) not in G._cache:
-        xs = np.array(transversal(G, E))
-        G._cache["conjugators", E.members] = xs, G.m[G.m[xs], G.inv_np[xs][:, None]]
-    xs, conjugators = G._cache["conjugators", E.members]
-    rows = epsilon_idempotent(G, F, K, H, j)[conjugators]
+    distinct rows of eps[conjugation_table(G, K)], eps the (K, H, j)
+    idempotent.  They are every G-conjugate of eps once, as eps^a = eps for
+    a in K: eps's coefficient at h depends only on hH.  InternalInconsistency
+    unless they number [G:K]/ind, ind = [E:K] (coset_orbits): unless the
+    stabilizer of eps has the order of E."""
+    rows = epsilon_idempotent(G, F, K, H, j)[conjugation_table(G, K)]
     # one void scalar per row: np.unique(rows, axis=0) builds a field per column
     as_bytes = rows.view(f"V{rows.itemsize * G.order}")[:, 0]
-    _, first, which = np.unique(as_bytes, return_index=True, return_inverse=True)
-    repeats = np.flatnonzero(first[which] != np.arange(xs.size))
-    if repeats.size:
+    _, first = np.unique(as_bytes, return_index=True)
+    if first.size * ind != len(rows):
         raise InternalInconsistency(
-            f"conjugate by {xs[repeats[0]]} repeats another: the stabilizer of C "
-            f"is not the centralizer of the (K, H, C) idempotent")
-    return F.sum_rows(rows)
+            f"{first.size} distinct conjugates of the (K, H, C) idempotent, "
+            f"expected [G:K]/[E:K] = {len(rows)}/{ind}: the stabilizer of C "
+            f"is not the centralizer of the idempotent")
+    return F.sum_rows(rows[first])
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +205,11 @@ def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
     elems runs over A.  Built from the trivial character of N by extending
     along the least element g outside the subgroup B built so far: if g has
     order k modulo B, each character of B has k extensions to B<g>, one per
-    solution v of k*v = chi(g^k) mod [A:N]."""
+    solution v of k*v = chi(g^k) mod [A:N].  In int32, as every entry stays
+    below [A:N]·k <= [A:N]² <= 4096² < 2³¹."""
     e = A.order // N.order
     elems = np.array(N.members)
-    values = np.zeros((1, elems.size), dtype=np.int64)
+    values = np.zeros((1, elems.size), dtype=np.int32)
     in_b = mask(G, N)
     pos = np.zeros(G.order, dtype=np.int64)
     for g in A.members:
@@ -228,9 +223,9 @@ def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
         k = len(gs)  # x = g^k lies in B
         pos[elems] = np.arange(elems.size)
         v = values[:, pos[x]] // k
-        v = (v[:, None] + np.arange(k) * (e // k)).reshape(-1)
+        v = (v[:, None] + np.arange(k, dtype=np.int32) * (e // k)).reshape(-1)
         values = np.repeat(values, k, axis=0)[:, None, :] \
-            + (v[:, None] * np.arange(k))[:, :, None]
+            + (v[:, None] * np.arange(k, dtype=np.int32))[:, :, None]
         values = values.reshape(v.size, -1) % e
         elems = G.m[np.ix_(gs, elems)].reshape(-1)  # coset g^j B in row j
         in_b[elems] = True
@@ -239,17 +234,16 @@ def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
 
 def _kernel_conjugates(G: FiniteGroup, N: Subgroup, A: Subgroup):
     """(elems, conjugates): elems runs over A, and conjugates[j, d, i] says
-    whether elems[i] lies in D_d^t for D_d the d-th distinct kernel of the
-    linear characters of A/N and t the j-th element of transversal(G, A).
-    A contains G' and [D, A] <= N <= D, so A is normal and normalizes each
-    D.  t = 1 comes first: conjugates[0] are the kernels, and
-    conjugates.all(axis=0) their cores in G."""
+    whether elems[i] lies in t^-1·D_d·t for D_d the d-th distinct kernel of
+    the linear characters of A/N and t the j-th row of
+    conjugation_table(G, A).  A contains G' and [D, A] <= N <= D, so A is
+    normal and normalizes each D.  t = 1 comes first: conjugates[0] are the
+    kernels, and conjugates.all(axis=0) their cores in G."""
     elems, values = _characters(G, N, A)
     kernels = np.array(list({row.tobytes(): row for row in values == 0}.values()))
     pos = np.zeros(G.order, dtype=np.int64)
     pos[elems] = np.arange(elems.size)
-    conjugates = np.stack([kernels[:, pos[G.m[G.m[t, elems], G.inv_np[t]]]]
-                           for t in transversal(G, A)])
+    conjugates = kernels[:, pos[conjugation_table(G, A)[:, elems]]].swapaxes(0, 1)
     return elems, conjugates
 
 
@@ -329,19 +323,18 @@ class ComponentDescriptor:
 def triple_components(G: FiniteGroup, F: BaseField, tr: Triple):
     """The components of one triple, one per orbit of generator cosets
     (coset_orbits), all M_d(F_{q^l}) with d = [G:A] and l = o/[E:A], o the
-    order of q mod n = [A:D] and E the stabilizer of every coset."""
-    js, E = coset_orbits(G, tr.A, tr.D, F.q)
-    if not set(tr.A.members) <= set(E.members):
-        raise InternalInconsistency("A not contained in the coset stabilizer")
+    order of q mod n = [A:D] and E the stabilizer of every coset.  That
+    [E:A] divides o is checked, not built in: it fails when the centralizer
+    of A/D is bigger than A."""
+    js, ind = coset_orbits(G, tr.A, tr.D, F.q)
     n = tr.A.order // tr.D.order
     ord_q = mult_order(n, F.q)
-    ind = E.order // tr.A.order
-    if E.order % tr.A.order or ord_q % ind:
+    if ord_q % ind:
         raise InternalInconsistency(
-            f"stabilizer index {E.order}/{tr.A.order} does not divide ord({F.q}) mod {n}")
+            f"stabilizer index {ind} does not divide ord({F.q}) mod {n}")
     d, l = G.order // tr.A.order, ord_q // ind
     return [ComponentDescriptor(
-        d, l, AlgebraElement(ec_idempotent(G, F, tr.A, tr.D, j, E)), tr, j)
+        d, l, AlgebraElement(ec_idempotent(G, F, tr.A, tr.D, j, ind)), tr, j)
         for j in js]
 
 

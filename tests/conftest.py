@@ -25,7 +25,6 @@ from grpalg.groups import (
     mask,
     maximal_abelian_over_derived,
     metacyclic_group,
-    normalizer,
     subgroup_closure,
 )
 from grpalg.idempotents import (
@@ -208,6 +207,14 @@ def core(G, H):
 def conjugate_subgroup(G, H, g):
     """g^-1 H g."""
     return Subgroup(G, G.m[G.m[G.inv_np[g], list(H.members)], g].tolist())
+
+
+def normalizer(G, H):
+    """N_G(H) by brute force: the g in G with g^-1·h·g in H for every
+    member h of H, one |G| x |H| gather."""
+    h = np.array(H.members)
+    conj = G.m[G.m[np.ix_(G.inv_np, h)], np.arange(G.order)[:, None]]
+    return Subgroup(G, np.flatnonzero(mask(G, H)[conj].all(axis=1)).tolist())
 
 
 def is_normal(G, H):

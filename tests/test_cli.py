@@ -416,7 +416,7 @@ def test_invariant_violation_exit_5(capsys, monkeypatch):
         calls.append(e)
         if len(calls) > 1:
             return e
-        return args[1].mul_np[2, e]  # args are (G, F, K, H, j, E)
+        return args[1].mul_np[2, e]  # args are (G, F, K, H, j, ind)
 
     monkeypatch.setattr(idempotents, "ec_idempotent", corrupt_first)
     code, out, err = run(capsys, "decompose", "--metacyclic", "3", "2", "0", "2",

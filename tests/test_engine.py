@@ -23,12 +23,13 @@ from conftest import (
     is_idempotent,
     lattice,
     normal_subgroups,
+    normalizer,
     random_metabelian_groups,
     relabeled,
     shoda_triples_reference,
     validate_reference,
 )
-from grpalg import idempotents, metacyclic
+from grpalg import groups, idempotents, metacyclic
 from grpalg.algebra import AlgebraElement, ideal_dimension, to_str
 from grpalg.errors import (
     InternalInconsistency,
@@ -41,13 +42,14 @@ from grpalg.groups import (
     FiniteGroup,
     Subgroup,
     d2_group,
+    generators,
     maximal_abelian_over_derived,
     metacyclic_group,
-    normalizer,
     subgroup_closure,
 )
 from grpalg.idempotents import (
     Triple,
+    _characters,
     _kernel_conjugates,
     _validate,
     coset_orbits,
@@ -167,6 +169,55 @@ def test_shoda_triples_build_each_pair_once(G, monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize(
+    "tup", ALL_METACYCLIC + [None],
+    ids=lambda t: "Z_3^4" if t is None else "M(%d,%d,%d,%d)" % t)
+def test_one_conjugation_table_per_subgroup(tup, monkeypatch):
+    """On one fresh group object, the engine over two q and the fast path
+    (or, for Z_3^4, the engine) compute the transversal of each subgroup
+    once: _kernel_conjugates, coset_orbits and ec_idempotent all read the
+    one conjugation_table per A cached on the group."""
+    calls = []
+
+    def counting(G, H):
+        calls.append((id(G), H.members))
+        return transversal(G, H)
+
+    transversal = groups.transversal
+    monkeypatch.setattr(groups, "transversal", counting)
+    if tup is None:
+        G = elementary_abelian(3, 4)
+        decompose(G, make_field(2))
+    else:
+        G = metacyclic_group.__wrapped__(*tup)  # past the constructor's lru cache
+        monkeypatch.setattr(MetacyclicParams, "group", lambda params: G)
+        qs = [q for q in PRIMES if G.order % q][:2]
+        for q in qs:
+            decompose(G, make_field(q))
+        metacyclic_decompose(MetacyclicParams(*tup), make_field(qs[0]))
+    assert len(calls) == len(set(calls))
+    assert {(id(G), tr.A.members) for tr in shoda_triples(G)} <= set(calls)
+
+
+def test_characters_are_int32():
+    """_characters builds its table in int32.  On the cyclic Z_512, with
+    N = 1 and A = G, so [A:N] = 512, its 512 rows are distinct
+    homomorphisms to Z/512 (checked on generators, against every element),
+    and the triples are (D, D, G), one per subgroup D."""
+    G = metacyclic_group(512, 1, 0, 1)
+    elems, values = _characters(G, Subgroup(G, (0,)), Subgroup(G, range(512)))
+    assert values.dtype == np.int32 and values.shape == (512, 512)
+    assert len({row.tobytes() for row in values}) == 512
+    pos = np.empty(G.order, dtype=np.int64)
+    pos[elems] = np.arange(elems.size)
+    for g in generators(G.m, range(G.order)):
+        assert np.array_equal(values[:, pos[G.m[g, elems]]],
+                              (values[:, [pos[g]]] + values) % 512)
+    assert [(tr.N.order, tr.D.order, tr.A.order) for tr in shoda_triples(G)] \
+        == [(d, d, 512) for d in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)]
+    assert all(tr.N == tr.D for tr in shoda_triples(G))
+
+
 def test_z3_5_decomposes():
     """Z_3^5 has 2664 normal subgroups and 122 q-classes over F_2."""
     G = elementary_abelian(3, 5)
@@ -200,8 +251,8 @@ def test_epsilon_hand_value_s3_f5():
     assert list(eps) == [4, 0, 3, 0, 3, 0]
     assert is_idempotent(S3, F5, eps)
     # it is already central in F_5[S3]: e_C = epsilon here
-    _, E = coset_orbits(S3, K, H, 5)
-    assert np.array_equal(ec_idempotent(S3, F5, K, H, 1, E), eps)
+    _, ind = coset_orbits(S3, K, H, 5)
+    assert np.array_equal(ec_idempotent(S3, F5, K, H, 1, ind), eps)
     # over F_7 the coset C = {1} is not -C, and a * eps = zeta * eps pins
     # the g^{-1} in the sum: with g it would be zeta^{-1} * eps
     F7 = make_field(7)
@@ -228,15 +279,15 @@ def ec_idempotent_reference(G, F, K, H, j):
 
 @pytest.mark.parametrize("G", corpus_groups(), ids=lambda G: G.name)
 def test_ec_idempotent_matches_all_conjugate_sum(G):
-    """The sum over a transversal of E equals the deduplicated sum over all
-    of G, for the engine's triples and the fast path's (K, H), two fields
-    per group."""
+    """The sum of the distinct rows of the conjugation table equals the
+    deduplicated sum over all of G, for the engine's triples and the fast
+    path's (K, H), two fields per group."""
     for q in [q for q in PRIMES if G.order % q][:2]:
         F = make_field(q)
         for tr in shoda_triples(G):
-            js, E = coset_orbits(G, tr.A, tr.D, q)
+            js, ind = coset_orbits(G, tr.A, tr.D, q)
             for j in js:
-                assert np.array_equal(ec_idempotent(G, F, tr.A, tr.D, j, E),
+                assert np.array_equal(ec_idempotent(G, F, tr.A, tr.D, j, ind),
                                       ec_idempotent_reference(G, F, tr.A, tr.D, j))
         if "params" in G.meta:
             params = MetacyclicParams(*G.meta["params"])
@@ -246,33 +297,45 @@ def test_ec_idempotent_matches_all_conjugate_sum(G):
                     dsc.triple.A.parent, F, dsc.triple.A, dsc.triple.D, dsc.j))
 
 
-def test_ec_idempotent_repeated_conjugate_raises():
-    # E = G centralizes epsilon here; a smaller E repeats a conjugate
-    K = subgroup_closure(S3, [2])
-    H = Subgroup(S3, (0,))
-    with pytest.raises(InternalInconsistency, match="repeats another"):
-        ec_idempotent(S3, make_field(5), K, H, 1, K)
+def coset_orbits_expected(G, K, H, q):
+    """(js, [E:K]) from the loop reference's (js, E)."""
+    js, E = coset_orbits_reference(G, K, H, q)
+    return js, E.order // K.order
 
 
-def test_ec_idempotent_names_the_first_repeating_conjugate():
-    # epsilon is central, so over the trivial E every conjugate repeats the
-    # first; the witness is the first transversal element that repeats
-    K = subgroup_closure(S3, [2])
-    with pytest.raises(InternalInconsistency, match="^conjugate by 1 repeats another"):
-        ec_idempotent(S3, make_field(5), K, Subgroup(S3, (0,)), 1, Subgroup(S3, (0,)))
+@pytest.mark.parametrize("case", ["S3", "M(8,2,0,3)"])
+def test_ec_idempotent_checks_the_stabilizer_both_ways(case):
+    """ec_idempotent raises InternalInconsistency, naming the count of
+    distinct conjugates and [G:K]/ind, for an ind = [E:K] too small or too
+    large, and with the true ind it is the sum of the distinct conjugates.
+    Over F_5, for K = <a> and H = 1: in S_3 the idempotent is central and
+    E = G (ind 2); in M(8,2,0,3) b moves it and E = K (ind 1), so no ind
+    is too small there, and ind = 2 claims a stabilizer the idempotent does
+    not have."""
+    G = S3 if case == "S3" else metacyclic_group(8, 2, 0, 3)
+    F = make_field(5)
+    K = subgroup_closure(G, [2])  # <a>
+    H = Subgroup(G, (0,))
+    distinct, ind = {"S3": (1, 2), "M(8,2,0,3)": (2, 1)}[case]
+    assert coset_orbits(G, K, H, 5) == ([1], ind) == coset_orbits_expected(G, K, H, 5)
+    assert np.array_equal(ec_idempotent(G, F, K, H, 1, ind),
+                          ec_idempotent_reference(G, F, K, H, 1))
+    for wrong in sorted({ind - 1, ind + 1} - {0}):
+        with pytest.raises(InternalInconsistency,
+                           match=rf"^{distinct} distinct conjugates .*= 2/{wrong}:"):
+            ec_idempotent(G, F, K, H, 1, wrong)
 
 
 def test_coset_orbit_stabilizer_s3():
     K = subgroup_closure(S3, [2])
     H = Subgroup(S3, (0,))
-    js, E = coset_orbits(S3, K, H, 5)
+    js, ind = coset_orbits(S3, K, H, 5)
     # conjugation by b maps C -> 2C = C, so everything is stable: E = G
-    assert E.order == 6
-    assert js == [1]
+    assert (js, ind) == ([1], 2) == coset_orbits_expected(S3, K, H, 5)
     # q = 7: cosets mod 3 are {1} and {2}; b swaps them, so only K = <a>
     # stabilizes and the two cosets form one orbit
-    js7, E7 = coset_orbits(S3, K, H, 7)
-    assert js7 == [1] and E7.order == 3
+    js7, ind7 = coset_orbits(S3, K, H, 7)
+    assert (js7, ind7) == ([1], 1) == coset_orbits_expected(S3, K, H, 7)
 
 
 def test_coset_orbits_hand_case_m8():
@@ -285,7 +348,7 @@ def test_coset_orbits_hand_case_m8():
     K = subgroup_closure(G, [2])  # <a>
     H = Subgroup(G, (0,))
     assert K.order == 8
-    assert coset_orbits(G, K, H, 5) == ([1], K)
+    assert coset_orbits(G, K, H, 5) == ([1], 1) == coset_orbits_expected(G, K, H, 5)
     [dsc] = triple_components(G, make_field(5), Triple(N=H, D=H, A=K))
     assert (dsc.d, dsc.l, dsc.j) == (2, 2, 1)
 
@@ -309,14 +372,14 @@ def _coset_cases(source):
     "source", corpus_groups() + ALL_METACYCLIC,
     ids=lambda s: f"fast{s}" if isinstance(s, tuple) else s.name)
 def test_coset_orbits_match_reference(source):
-    """The one-gather coset_orbits gives the loop reference's (js, E) on
-    the engine's triples of a corpus group or the fast path's (K, H) pairs
-    of a presentation, for every coprime q."""
+    """coset_orbits, read off the conjugation table, gives the loop
+    reference's js and [E:K] on the engine's triples of a corpus group or
+    the fast path's (K, H) pairs of a presentation, for every coprime q."""
     for G, K, H in _coset_cases(source):
         for q in (2, 3, 4, 5, 7, 9):
             if gcd(q, G.order) != 1:
                 continue
-            assert coset_orbits(G, K, H, q) == coset_orbits_reference(G, K, H, q)
+            assert coset_orbits(G, K, H, q) == coset_orbits_expected(G, K, H, q)
 
 
 def test_coset_choice_independence():
@@ -333,8 +396,8 @@ def test_coset_choice_independence():
                      for g in normalizer(G, H).members}
             for q in [q for q in (2, 3, 5, 7, 11) if gcd(q, G.order) == 1][:2]:
                 F = make_field(q)
-                js, E = coset_orbits(G, K, H, q)
-                key = {C: ec_idempotent(G, F, K, H, C.rep, E).tobytes()
+                js, ind = coset_orbits(G, K, H, q)
+                key = {C: ec_idempotent(G, F, K, H, C.rep, ind).tobytes()
                        for C in generator_cosets(n, q)}
                 for C in key:  # the m·C, m over a group, are the orbit of C
                     orbit = {CyclotomicCoset(n, tuple(sorted(m * u % n
@@ -347,23 +410,25 @@ def test_coset_choice_independence():
 
 
 def test_coset_orbits_cached_per_class_mod_n():
-    """coset_orbits gives q and q + n one cached (js, E), E the same object;
-    a q' in another class mod n gets the loop reference's own answer; and
-    a caller that mutates the returned js does not reach the cache."""
+    """coset_orbits gives q and q + n one cached (js, ind), q + n adding no
+    cache entry; a q' in another class mod n gets the loop reference's own
+    answer; and a caller that mutates the returned js does not reach the
+    cache."""
     others = 0
     for source in corpus_groups() + ALL_METACYCLIC:
         for G, K, H in _coset_cases(source):
             n = K.order // H.order
             for q in (q for q in (2, 3, 5, 7) if gcd(q, n) == 1):
-                js, E = coset_orbits(G, K, H, q)
+                js, ind = coset_orbits(G, K, H, q)
                 js.append(-1)
-                js2, E2 = coset_orbits(G, K, H, q + n)
-                assert E2 is E
-                assert (js2, E2) == coset_orbits_reference(G, K, H, q)
+                cached = len(G._cache)
+                got = coset_orbits(G, K, H, q + n)
+                assert len(G._cache) == cached
+                assert got == coset_orbits_expected(G, K, H, q)
                 units = [u for u in range(n) if gcd(u, n) == 1 and u != q % n]
                 if units:
                     assert coset_orbits(G, K, H, units[0]) == \
-                        coset_orbits_reference(G, K, H, units[0])
+                        coset_orbits_expected(G, K, H, units[0])
                     others += 1
     assert others > 100
 
