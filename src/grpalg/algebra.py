@@ -52,11 +52,11 @@ def ideal_dimension(G: FiniteGroup, F: BaseField, c: np.ndarray) -> int:
     rank(B[R, R]), an [S:K]-square block, for every e."""
     support = np.flatnonzero(c)
     S = (np.arange(G.order) if 2 * support.size > G.order
-         else np.array(subgroup_closure(G, support.tolist()).members))
+         else subgroup_closure(G, support.tolist()).members)
     reps = _coset_representatives(G, c, S) if S.size > QUOTIENT_MIN_SUPPORT else S
     # B[R, R] = e[r⁻¹r']: the table rows r⁻¹, their columns R, then e on
     # those |R|×|R| entries (faster than one two-axis gather)
-    block = c.take(G.m[G.inv_np[reps]].take(reps, axis=1))
+    block = c.take(G.m[G.inv_np.take(reps)].take(reps, axis=1))
     return G.order // S.size * _rank(F, block)
 
 

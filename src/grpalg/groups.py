@@ -14,6 +14,10 @@ a greedy generating set (about log2|G| pairs of |G| x |G| gathers instead
 of |G|).  The constructors broadcast their normal-form product formulas
 into int32 arrays; the helpers are array expressions over `m`, and the
 walks (powers, closures) read one column of `m` as a list.
+
+A Subgroup holds one sorted, duplicate-free, read-only int32 array of
+members, indexed as it is, and compares, hashes, sorts and keys G._cache
+by `key`, those members as big-endian bytes, which sort as the ints do.
 """
 
 from __future__ import annotations
@@ -162,20 +166,24 @@ def associativity_witness(m):
 
 
 class Subgroup:
+    """members and key as above; unsorted input is sorted and deduplicated."""
+
     def __init__(self, parent: FiniteGroup, members):
+        members = np.asarray(members, dtype=np.int32)
+        if np.count_nonzero(members[1:] <= members[:-1]):
+            members = np.unique(members)
         self.parent = parent
-        self.members = tuple(sorted(set(members)))
-        self.order = len(self.members)
+        self.members = members.view()
+        self.members.setflags(write=False)
+        self.key = members.astype(">i4").tobytes()
+        self.order = members.size
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.parent is other.parent
-            and self.members == other.members
-        )
+        return (isinstance(other, Subgroup) and self.parent is other.parent
+                and self.key == other.key)
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return hash((id(self.parent), self.key))
 
     def __repr__(self):
         return f"Subgroup(order {self.order} of {self.parent.name})"
@@ -184,7 +192,8 @@ class Subgroup:
 def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by gens; a long list of gens costs one
     membership test per element already reached."""
-    return Subgroup(G, _closure(G.m, gens)[1])
+    covered = _closure(G.m, gens)[1]
+    return Subgroup(G, np.fromiter(sorted(covered), np.int32, len(covered)))
 
 
 def derived_subgroup(G) -> Subgroup:
@@ -200,8 +209,7 @@ def derived_subgroup(G) -> Subgroup:
     M, inv = G.m, G.inv_np
     xs = np.array(generators(M, range(G.order)), dtype=np.int64)[:, None]
     comms = M[M[M[inv[xs], inv[None, :]], xs], np.arange(G.order)[None, :]]
-    H = subgroup_closure(G, np.unique(comms).tolist())
-    G._cache["derived"] = H
+    G._cache["derived"] = H = subgroup_closure(G, np.unique(comms).tolist())
     return H
 
 
@@ -246,7 +254,7 @@ def class_structure(G):
 def mask(G, H: Subgroup):
     """Membership of H as a boolean array over the elements of G."""
     out = np.zeros(G.order, dtype=bool)
-    out[list(H.members)] = True
+    out[H.members] = True
     return out
 
 
@@ -267,7 +275,7 @@ def transversal(G, H: Subgroup):
     for g in range(G.order):
         if not covered[g]:
             out.append(g)
-            covered[G.m[list(H.members), g]] = True
+            covered[G.m[H.members, g]] = True
     return out
 
 
@@ -275,7 +283,7 @@ def conjugation_table(G, A: Subgroup):
     """The [G:A] x |G| int32 array conj[i, h] = t_i·h·t_i^-1, t_i over
     transversal(G, A) (t_0 = 1), cached on G per A; x[conj[i]] are the
     coefficients of t_i^-1·x·t_i."""
-    key = ("conjugation", A.members)
+    key = ("conjugation", A.key)
     if key not in G._cache:
         ts = np.array(transversal(G, A))
         G._cache[key] = G.m[G.m[ts], G.inv_np[ts][:, None]]
@@ -308,7 +316,7 @@ def maximal_abelian_over_derived(G, N: Subgroup) -> Subgroup:
         members = np.unique(M[np.ix_(members, powers(G, g))])
         in_a[members] = True
         cands = cands[~in_a[cands] & in_n[M[M[M[inv[cands], inv[g]], cands], g]]]
-    return Subgroup(G, members.tolist())
+    return Subgroup(G, members)
 
 
 # ---------------------------------------------------------------------------

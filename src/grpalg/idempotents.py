@@ -23,11 +23,12 @@ stabilizer of C.  Every conjugate is a row of groups.conjugation_table(G, A).
 Every choice (the element that joins A next, the D of a class, the coset
 of an orbit) is the least one; the idempotents do not depend on it.
 What does not involve q is computed once per group object and kept in
-G._cache: the triples, each A's conjugation table and each (A, D)'s
-multipliers.  The orbits and [E:A] depend on q only through q mod n, as
-<q> is the subgroup of the units mod n that q mod n generates, and are
-cached per (A, D, q mod n); so a group shared by several q, or by the
-engine and the fast path, reuses them.
+G._cache, keyed on the bytes of each subgroup's sorted int32 members
+(groups.Subgroup.key): the triples, each A's conjugation table and each
+(A, D)'s multipliers.  The orbits and [E:A] depend on q only through
+q mod n, as <q> is the subgroup of the units mod n that q mod n
+generates, and are cached per (A, D, q mod n); so a group shared by
+several q, or by the engine and the fast path, reuses them.
 triple_components is the per-triple step; the metacyclic fast path
 feeds it its own triples.
 The engine, the fast path and the checks take (G, F) and compute on int16
@@ -84,18 +85,17 @@ def cyclic_quotient_data(G: FiniteGroup, K: Subgroup, H: Subgroup):
 
     kH has order n iff (kH)^(n/p) != H for every prime p | n; those powers
     are taken for all of K at once."""
-    key = ("cyclic_quotient", K.members, H.members)
+    key = ("cyclic_quotient", K.key, H.key)
     if key in G._cache:
         return G._cache[key]
     n = K.order // H.order
     in_h = mask(G, H)
-    ks = np.array(K.members)
-    ok = np.ones(ks.size, dtype=bool)
+    ok = np.ones(K.order, dtype=bool)
     for p in prime_factors(n):
-        ok &= ~in_h[G.power(ks, n // p)]
+        ok &= ~in_h[G.power(K.members, n // p)]
     if not ok.any():
         raise InternalInconsistency(f"quotient of order {n} is not cyclic")
-    gen = int(ks[ok.argmax()])
+    gen = int(K.members[ok.argmax()])
     e = np.full(G.order, -1, dtype=np.int32)
     e[G.m[np.ix_(powers(G, gen)[:n], H.members)]] = np.arange(n)[:, None]
     G._cache[key] = out = (n, gen, e)
@@ -125,15 +125,15 @@ def coset_orbits(G: FiniteGroup, K: Subgroup, H: Subgroup, q: int):
     ind counts the kept rows whose multiplier lies in <q>.  Cached on G:
     the multipliers per (K, H), and (js, ind) per (K, H, q mod n)."""
     n, gen, e = cyclic_quotient_data(G, K, H)
-    key = ("coset_orbits", K.members, H.members, q % n)
+    key = ("coset_orbits", K.key, H.key, q % n)
     if key not in G._cache:
-        if ("multipliers", K.members, H.members) not in G._cache:
+        if ("multipliers", K.key, H.key) not in G._cache:
             conj = conjugation_table(G, K)
-            mult = e[conj[mask(G, H)[conj[:, list(H.members)]].all(axis=1), gen]]
+            mult = e[conj[mask(G, H)[conj[:, H.members]].all(axis=1), gen]]
             if (mult < 0).any():  # e is -1 off K
                 raise InternalInconsistency("normalizer element does not stabilize K")
-            G._cache["multipliers", K.members, H.members] = mult
-        mult = G._cache["multipliers", K.members, H.members]
+            G._cache["multipliers", K.key, H.key] = mult
+        mult = G._cache["multipliers", K.key, H.key]
         in_q = np.zeros(n, dtype=bool)
         in_q[[pow(q, i, n) for i in range(mult_order(n, q))]] = True
         M = np.unique(np.flatnonzero(in_q)[:, None] * np.unique(mult) % n)
@@ -160,8 +160,7 @@ def epsilon_idempotent(G: FiniteGroup, F: BaseField, K: Subgroup, H: Subgroup, j
     tr = F.cyclotomic_traces(n)
     kinv = F.inv(F.from_int(K.order))
     coeffs = np.zeros(G.order, dtype=np.int16)
-    ks = np.array(K.members)
-    coeffs[G.inv_np[ks]] = np.array(tr)[j * e[ks] % n]
+    coeffs[G.inv_np.take(K.members)] = np.array(tr)[j * e.take(K.members) % n]
     return F.mul_np[kinv, coeffs]
 
 
@@ -196,7 +195,7 @@ class Triple:
     A: Subgroup
 
     def key(self):
-        return (self.N.order, self.N.members, self.D.order, self.D.members)
+        return (self.N.order, self.N.key, self.D.order, self.D.key)
 
 
 def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
@@ -208,13 +207,13 @@ def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
     solution v of k*v = chi(g^k) mod [A:N].  In int32, as every entry stays
     below [A:N]·k <= [A:N]² <= 4096² < 2³¹."""
     e = A.order // N.order
-    elems = np.array(N.members)
+    elems = N.members
     values = np.zeros((1, elems.size), dtype=np.int32)
     in_b = mask(G, N)
     pos = np.zeros(G.order, dtype=np.int64)
-    for g in A.members:
-        if in_b[g]:
-            continue
+    outside = A.members[~in_b[A.members]]
+    while outside.size:
+        g = int(outside[0])
         col = G.m[:, g].tolist()
         gs, x = [0], g
         while not in_b[x]:
@@ -229,36 +228,33 @@ def _characters(G: FiniteGroup, N: Subgroup, A: Subgroup):
         values = values.reshape(v.size, -1) % e
         elems = G.m[np.ix_(gs, elems)].reshape(-1)  # coset g^j B in row j
         in_b[elems] = True
+        outside = outside[~in_b[outside]]
     return elems, values
 
 
 def _kernel_conjugates(G: FiniteGroup, N: Subgroup, A: Subgroup):
-    """(elems, conjugates): elems runs over A, and conjugates[j, d, i] says
-    whether elems[i] lies in t^-1·D_d·t for D_d the d-th distinct kernel of
-    the linear characters of A/N and t the j-th row of
-    conjugation_table(G, A).  A contains G' and [D, A] <= N <= D, so A is
-    normal and normalizes each D.  t = 1 comes first: conjugates[0] are the
-    kernels, and conjugates.all(axis=0) their cores in G."""
+    """conjugates[j, d, i]: whether A.members[i] lies in t^-1·D_d·t, D_d the
+    d-th distinct kernel of the linear characters of A/N and t the j-th row
+    of conjugation_table(G, A) (A contains G' and [D, A] <= N <= D, so A is
+    normal and normalizes each D).  t = 1 comes first: conjugates[0] are the
+    kernels and conjugates.all(axis=0) their cores in G, masks on A.members."""
     elems, values = _characters(G, N, A)
     kernels = np.array(list({row.tobytes(): row for row in values == 0}.values()))
     pos = np.zeros(G.order, dtype=np.int64)
     pos[elems] = np.arange(elems.size)
-    conjugates = kernels[:, pos[conjugation_table(G, A)[:, elems]]].swapaxes(0, 1)
-    return elems, conjugates
+    return kernels[:, pos[conjugation_table(G, A)[:, A.members]]].swapaxes(0, 1)
 
 
-def d_classes(G: FiniteGroup, N: Subgroup, kernels):
+def d_classes(G: FiniteGroup, N: Subgroup, A: Subgroup, conjugates):
     """The subgroups D with N <= D <= A, A/D cyclic and core_G(D) = N, as
     a list of G-conjugacy classes, each sorted by members: the kernels of
-    the linear characters of A/N whose core is N.  kernels is
+    the linear characters of A/N whose core is N.  conjugates is
     _kernel_conjugates(G, N, A)."""
-    elems, conjugates = kernels
     classes = {}
     for d in np.flatnonzero(conjugates.all(axis=0).sum(axis=1) == N.order):
         key = min(row.tobytes() for row in conjugates[:, d])
-        D = Subgroup(G, elems[conjugates[0, d]].tolist())
-        classes.setdefault(key, []).append(D)
-    return [sorted(c, key=lambda D: D.members) for c in classes.values()]
+        classes.setdefault(key, []).append(Subgroup(G, A.members[conjugates[0, d]]))
+    return [sorted(c, key=lambda D: D.key) for c in classes.values()]
 
 
 def shoda_triples(G: FiniteGroup):
@@ -291,12 +287,10 @@ def shoda_triples(G: FiniteGroup):
             continue
         A = maximal_abelian_over_derived(G, N)
         pairs[N] = A, _kernel_conjugates(G, N, A)
-        elems, conjugates = pairs[N][1]
-        todo += [Subgroup(G, elems[c].tolist()) for c in conjugates.all(axis=0)]
-    out = [Triple(N, cls[0], A) for N, (A, kernels) in pairs.items()
-           for cls in d_classes(G, N, kernels)]
-    out = tuple(sorted(out, key=Triple.key))
-    G._cache["shoda_triples"] = out
+        todo += [Subgroup(G, A.members[c]) for c in pairs[N][1].all(axis=0)]
+    out = [Triple(N, cls[0], A) for N, (A, conjugates) in pairs.items()
+           for cls in d_classes(G, N, A, conjugates)]
+    G._cache["shoda_triples"] = out = tuple(sorted(out, key=Triple.key))
     return out
 
 

@@ -123,7 +123,7 @@ def lattice(G):
     at a time.  A reference for the engine's lattice-free enumerations."""
     cyclic = {}
     for g in range(G.order):
-        cyclic.setdefault(frozenset(subgroup_closure(G, [g]).members), g)
+        cyclic.setdefault(frozenset(subgroup_closure(G, [g]).members.tolist()), g)
     found = {frozenset((0,)): []}
     frontier = list(found)
     while frontier:
@@ -132,12 +132,13 @@ def lattice(G):
             for cm, g in cyclic.items():
                 if cm <= mem:
                     continue
-                J = frozenset(subgroup_closure(G, found[mem] + [g]).members)
+                J = frozenset(subgroup_closure(G, found[mem] + [g]).members.tolist())
                 if J not in found:
                     found[J] = found[mem] + [g]
                     nxt.append(J)
         frontier = nxt
-    return sorted((Subgroup(G, m) for m in found), key=lambda H: (H.order, H.members))
+    return sorted((Subgroup(G, sorted(m)) for m in found),
+                  key=lambda H: (H.order, H.members.tolist()))
 
 
 def normal_subgroups(G):
@@ -151,7 +152,7 @@ def normal_subgroups(G):
     atoms = {}
     for cls in conjugacy_classes(G):
         C = subgroup_closure(G, cls)
-        atoms.setdefault(C.members, C)
+        atoms.setdefault(tuple(C.members.tolist()), C)
     atom_of = np.concatenate([[i] * C.order for i, C in enumerate(atoms.values())])
     atom_elems = np.concatenate([C.members for C in atoms.values()])
     xs = np.arange(G.order)
@@ -162,7 +163,7 @@ def normal_subgroups(G):
         nxt = []
         for N in frontier:
             # x and y lie in the same coset of N iff label[x] == label[y]
-            label = G.m[np.array(N.members)[:, None], xs].min(axis=0)
+            label = G.m[N.members[:, None], xs].min(axis=0)
             hit = np.zeros((len(atoms), G.order), dtype=bool)
             hit[atom_of, label[atom_elems]] = True
             for row in hit[:, label]:  # row i: the product of N and atom i
@@ -171,7 +172,7 @@ def normal_subgroups(G):
                     found[key] = H = Subgroup(G, np.flatnonzero(row).tolist())
                     nxt.append(H)
         frontier = nxt
-    out = sorted(found.values(), key=lambda H: (H.order, H.members))
+    out = sorted(found.values(), key=lambda H: (H.order, H.members.tolist()))
     G._cache["normal_subgroups"] = out
     return out
 
@@ -183,7 +184,7 @@ def shoda_triples_reference(G):
     for N in normal_subgroups(G):
         A = maximal_abelian_over_derived(G, N)
         out += [Triple(N, cls[0], A)
-                for cls in d_classes(G, N, _kernel_conjugates(G, N, A))]
+                for cls in d_classes(G, N, A, _kernel_conjugates(G, N, A))]
     return tuple(sorted(out, key=Triple.key))
 
 
@@ -192,29 +193,29 @@ def center(G):
 
 
 def centralizer(G, H):
-    h = list(H.members)
+    h = H.members
     return Subgroup(G, np.flatnonzero((G.m[:, h] == G.m[h].T).all(axis=1)).tolist())
 
 
 def core(G, H):
     """Largest normal subgroup of G inside H, by explicit search: the h in
     H with x^-1 h x in H for every x in G."""
-    h = np.array(H.members)
+    h = H.members
     conj = G.m[G.m[np.ix_(G.inv_np, h)], np.arange(G.order)[:, None]]
     return Subgroup(G, h[mask(G, H)[conj].all(axis=0)].tolist())
 
 
 def conjugate_subgroup(G, H, g):
     """g^-1 H g."""
-    return Subgroup(G, G.m[G.m[G.inv_np[g], list(H.members)], g].tolist())
+    return Subgroup(G, G.m[G.m[G.inv_np[g], H.members], g])
 
 
 def normalizer(G, H):
     """N_G(H) by brute force: the g in G with g^-1·h·g in H for every
     member h of H, one |G| x |H| gather."""
-    h = np.array(H.members)
+    h = H.members
     conj = G.m[G.m[np.ix_(G.inv_np, h)], np.arange(G.order)[:, None]]
-    return Subgroup(G, np.flatnonzero(mask(G, H)[conj].all(axis=1)).tolist())
+    return Subgroup(G, np.flatnonzero(mask(G, H)[conj].all(axis=1)))
 
 
 def is_normal(G, H):
@@ -412,11 +413,11 @@ def coset_orbits_reference(G, K, H, q):
     cosets = generator_cosets(n, q)
     NH = normalizer(G, H)
     NK = normalizer(G, K)
-    acting = sorted(set(NH.members) & set(NK.members))
+    acting = sorted(set(NH.members.tolist()) & set(NK.members.tolist()))
     mults = set()
     for g in acting:
         x = conj(G, gen, g)
-        assert x in K.members
+        assert x in K.members.tolist()
         mults.add(int(e[x]))
     by_members = {c.members: c for c in cosets}
     orbits = []
@@ -637,12 +638,12 @@ def d1_normal_subgroup_list(m):
     out = {}
     for gens in gens_list:
         H = subgroup_closure(G, gens)
-        if H.members in out:
-            raise InternalInconsistency(f"duplicate listed subgroup {H.members}")
+        if tuple(H.members.tolist()) in out:
+            raise InternalInconsistency(f"duplicate listed subgroup {H.members.tolist()}")
         if not is_normal(G, H):
             raise InternalInconsistency(f"listed subgroup not normal: {gens}")
-        out[H.members] = H
-    return sorted(out.values(), key=lambda H: (H.order, H.members))
+        out[tuple(H.members.tolist())] = H
+    return sorted(out.values(), key=lambda H: (H.order, H.members.tolist()))
 
 
 def d1_table_loop(m):

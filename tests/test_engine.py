@@ -113,16 +113,19 @@ def test_d_classes_match_lattice_filter(G):
     subs = lattice(G)
     for N in normal_subgroups(G):
         A = maximal_abelian_over_derived(G, N)
-        classes = d_classes(G, N, _kernel_conjugates(G, N, A))
-        want = sorted(D.members for D in subs
-                      if set(N.members) <= set(D.members) <= set(A.members)
-                      and core(G, D).members == N.members
-                      and any(subgroup_closure(G, D.members + (a,)).members
-                              == A.members for a in A.members))
-        assert sorted(D.members for cls in classes for D in cls) == want
+        classes = d_classes(G, N, A, _kernel_conjugates(G, N, A))
+        want = sorted(D.members.tolist() for D in subs
+                      if set(N.members.tolist()) <= set(D.members.tolist())
+                      <= set(A.members.tolist())
+                      and np.array_equal(core(G, D).members, N.members)
+                      and any(np.array_equal(
+                          subgroup_closure(G, D.members.tolist() + [a]).members, A.members)
+                          for a in A.members.tolist()))
+        assert sorted(D.members.tolist() for cls in classes for D in cls) == want
         for cls in classes:
-            assert {D.members for D in cls} == {
-                conjugate_subgroup(G, cls[0], g).members for g in range(G.order)}
+            assert {tuple(D.members.tolist()) for D in cls} == {
+                tuple(conjugate_subgroup(G, cls[0], g).members.tolist())
+                for g in range(G.order)}
 
 
 def relabeled_metacyclic(params, seed):
@@ -148,7 +151,8 @@ def test_shoda_triples_match_lattice_reference(G):
     """The triples found from character kernels are those found by
     running over every normal subgroup, in the same order."""
     def members(triples):
-        return [(t.N.members, t.D.members, t.A.members) for t in triples]
+        return [(t.N.members.tolist(), t.D.members.tolist(), t.A.members.tolist())
+                for t in triples]
 
     assert members(shoda_triples(G)) == members(shoda_triples_reference(G))
 
@@ -160,13 +164,43 @@ def test_shoda_triples_build_each_pair_once(G, monkeypatch):
     calls = []
 
     def counting(G, N, A):
-        calls.append((N.members, A.members))
+        calls.append((tuple(N.members.tolist()), tuple(A.members.tolist())))
         return kernel_conjugates(G, N, A)
 
     kernel_conjugates = idempotents._kernel_conjugates
     monkeypatch.setattr(idempotents, "_kernel_conjugates", counting)
     shoda_triples(FiniteGroup(G.m, name=G.name))  # a fresh, uncached copy
     assert calls and len(calls) == len(set(calls))
+
+
+def xor_group(k):
+    """Z_2^k from the numpy table i ^ j."""
+    i = np.arange(1 << k, dtype=np.int32)
+    return FiniteGroup(i[:, None] ^ i, name=f"Z2^{k}xor")
+
+
+@pytest.mark.parametrize(
+    "G", [FiniteGroup(relabeled(G.m, random.Random(seed))[0], name=f"{G.name}~")
+          for seed, G in enumerate(corpus_groups())] + [xor_group(4), xor_group(9)],
+    ids=lambda G: G.name)
+def test_shoda_triples_sorted_by_member_ints(G):
+    """shoda_triples comes out in the order of (|N|, N, |D|, D), the
+    subgroups compared as tuples of ints, so Triple.key's bytes must sort
+    as those do; the descriptors, and so the witnesses, follow this order.
+    Z_2^4 and Z_2^9 have many N of one order, and on Z_2^9 bytes of
+    another byte order would sort members 255 and 256 the other way.
+    Every members array is int32, strictly increasing and read-only."""
+    triples = shoda_triples(G)
+    ints = [(t.N.order, tuple(t.N.members.tolist()), t.D.order, tuple(t.D.members.tolist()))
+            for t in triples]
+    assert len(set(ints)) == len(ints) > 1
+    assert ints == sorted(ints)
+    for H in {H for t in triples for H in (t.N, t.D, t.A)}:
+        assert H.members.dtype == np.int32
+        assert (np.diff(H.members) > 0).all()
+        assert not H.members.flags.writeable
+        with pytest.raises(ValueError):
+            H.members[0] = H.members[0]
 
 
 @pytest.mark.parametrize(
@@ -180,7 +214,7 @@ def test_one_conjugation_table_per_subgroup(tup, monkeypatch):
     calls = []
 
     def counting(G, H):
-        calls.append((id(G), H.members))
+        calls.append((id(G), tuple(H.members.tolist())))
         return transversal(G, H)
 
     transversal = groups.transversal
@@ -196,7 +230,7 @@ def test_one_conjugation_table_per_subgroup(tup, monkeypatch):
             decompose(G, make_field(q))
         metacyclic_decompose(MetacyclicParams(*tup), make_field(qs[0]))
     assert len(calls) == len(set(calls))
-    assert {(id(G), tr.A.members) for tr in shoda_triples(G)} <= set(calls)
+    assert {(id(G), tuple(tr.A.members.tolist())) for tr in shoda_triples(G)} <= set(calls)
 
 
 def test_characters_are_int32():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import (
@@ -57,8 +58,9 @@ def test_normal_triples_d8():
 def test_normal_triples_match_brute_force(tup):
     p = MetacyclicParams(*tup)
     G = p.group()
-    generated = {triple_subgroup(G, p, *t).members for t in normal_triples(p)}
-    brute = {N.members for N in normal_subgroups(G)}
+    generated = {tuple(triple_subgroup(G, p, *t).members.tolist())
+                 for t in normal_triples(p)}
+    brute = {tuple(N.members.tolist()) for N in normal_subgroups(G)}
     assert generated == brute
     # the triple-generated subgroups are pairwise distinct
     assert len(generated) == len(normal_triples(p))
@@ -86,7 +88,7 @@ def test_conjugacy_law(tup):
             for (a2, b2) in xt:
                 H2 = triple_subgroup(G, p, v, a2, b2 * ov)
                 conj = any(
-                    conjugate_subgroup(G, H2, g).members == H1.members
+                    np.array_equal(conjugate_subgroup(G, H2, g).members, H1.members)
                     for g in range(G.order))
                 assert conj == conjugate_in_g(p, v, a1, b1, a2, b2), \
                     (tup, v, i, c, (a1, b1), (a2, b2))
@@ -101,7 +103,7 @@ def test_core_formula(tup):
         for (alpha, beta) in x_triples(p, v, i, c):
             H = triple_subgroup(G, p, v, alpha, beta * ov)
             predicted = core_closed_form(G, p, v, alpha, beta)
-            assert predicted.members == core(G, H).members, \
+            assert np.array_equal(predicted.members, core(G, H).members), \
                 (tup, v, alpha, beta)
 
 

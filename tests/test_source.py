@@ -58,8 +58,10 @@ def _references(node, external, inside=frozenset()):
 
 # Dunder methods that Python calls implicitly, out of an AST scan's sight:
 # constructors, reprs and dataclass hooks in every class, and Subgroup's
-# equality and hash, as a Subgroup is a dict key in shoda_triples and a field
-# of the frozen dataclass Triple.  Every other dunder needs a src caller.
+# equality and hash (both read Subgroup.key), as a Subgroup is a dict key in
+# shoda_triples (its closure's `pairs`) and a field of the frozen dataclass
+# Triple, whose generated __eq__ and __hash__ call them.  Every other dunder
+# needs a src caller.
 IMPLICIT = {"__init__", "__repr__", "__post_init__"}
 IMPLICIT_IN = {("Subgroup", "__eq__"), ("Subgroup", "__hash__")}
 
